@@ -8,6 +8,8 @@ mechanically. Everything is testable offline through scripted and cassette
 backends.
 """
 
+from types import ModuleType as _ModuleType
+
 from .backends import (
     CassetteBackend,
     CompletionRequest,
@@ -87,7 +89,6 @@ from .registry import (
     RegistryToolSuite,
     SubprocessScriptRunner,
     ToolDefinition,
-    ToolParamSpec,
     builtin_tool,
 )
 from .viewport import Viewport, open_view
@@ -99,4 +100,5 @@ from .workflow import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -66,13 +66,12 @@ class CliConfig:
     json_output: bool = False
 
 
-class _Failure(Exception):
+class _Failure(AgentOsError):
     """Operation failure destined for exit code 1."""
 
     def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
         self.code = code
-        self.msg = message
+        super().__init__(message)
 
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
@@ -202,26 +201,22 @@ def _report_payload(report: CreationReport) -> dict:
     }
 
 
-def _cmd_create_agents(config: CliConfig, args) -> int:
+def _creation_setup(config: CliConfig):
     store = RegistryStore(config.registry_root)
     engine = _make_engine(config)
     suite = ManagementToolSuite(store, engine=engine,
                                 workdir=Path(config.registry_root) / "workspace")
-    report = create_agents_pipeline(
-        args.requirements, engine, store, suite=suite,
-        max_attempts=args.max_attempts, test_task=args.task, model=config.model)
-    _emit(config, _report_lines(report), _report_payload(report))
-    return 0
+    return store, engine, suite
 
 
-def _cmd_create_workflow(config: CliConfig, args) -> int:
-    store = RegistryStore(config.registry_root)
-    engine = _make_engine(config)
-    suite = ManagementToolSuite(store, engine=engine,
-                                workdir=Path(config.registry_root) / "workspace")
-    report = create_workflow_pipeline(
-        args.requirements, engine, store, suite=suite,
-        max_attempts=args.max_attempts, test_input=args.task, model=config.model)
+def _cmd_create(config: CliConfig, args) -> int:
+    store, engine, suite = _creation_setup(config)
+    if args.command == "create-agents":
+        pipeline, test = create_agents_pipeline, {"test_task": args.task}
+    else:
+        pipeline, test = create_workflow_pipeline, {"test_input": args.task}
+    report = pipeline(args.requirements, engine, store, suite=suite,
+                      max_attempts=args.max_attempts, model=config.model, **test)
     _emit(config, _report_lines(report), _report_payload(report))
     return 0
 
@@ -267,10 +262,7 @@ def _cmd_rag(config: CliConfig, args) -> int:
 
 
 def _cmd_repl(config: CliConfig, args) -> int:
-    store = RegistryStore(config.registry_root)
-    engine = _make_engine(config)
-    suite = ManagementToolSuite(store, engine=engine,
-                                workdir=Path(config.registry_root) / "workspace")
+    store, engine, suite = _creation_setup(config)
     mode = "agents"
     transcript: list[str] = []
 
@@ -303,8 +295,6 @@ def _cmd_repl(config: CliConfig, args) -> int:
                                                   model=config.model)
             for out in _report_lines(report):
                 say(out)
-        except PhaseExhaustedError as err:
-            say(f"{err.code}: {err.message}")
         except AgentOsError as err:
             say(f"{err.code}: {err.message}")
     if args.log:
@@ -356,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requirements", required=True)
     p.add_argument("--task", default=None, help="optional smoke-test task")
     p.add_argument("--max-attempts", type=int, default=3)
-    p.set_defaults(fn=_cmd_create_agents)
+    p.set_defaults(fn=_cmd_create)
 
     p = sub.add_parser("create-workflow", parents=[common],
                        help="run the workflow creation pipeline")
     p.add_argument("--requirements", required=True)
     p.add_argument("--task", default=None, help="optional test input")
     p.add_argument("--max-attempts", type=int, default=3)
-    p.set_defaults(fn=_cmd_create_workflow)
+    p.set_defaults(fn=_cmd_create)
 
     p = sub.add_parser("registry", parents=[common],
                        help="inspect or edit the registry")
@@ -403,23 +393,12 @@ def dispatch_command(argv: list[str]) -> int:
         return 2
     try:
         return args.fn(config, args)
-    except _Failure as err:
-        if config.json_output:
-            print(json.dumps({"error": err.code, "message": err.msg}, sort_keys=True))
-        else:
-            print(str(err))
-        return 1
-    except PhaseExhaustedError as err:
-        if config.json_output:
-            print(json.dumps({"error": err.code, "message": err.message,
-                              "phase": err.phase}, sort_keys=True))
-        else:
-            print(f"{err.code}: {err.message}")
-        return 1
     except AgentOsError as err:
         if config.json_output:
-            print(json.dumps({"error": err.code, "message": err.message},
-                             sort_keys=True))
+            payload = {"error": err.code, "message": err.message}
+            if isinstance(err, PhaseExhaustedError):
+                payload["phase"] = err.phase
+            print(json.dumps(payload, sort_keys=True))
         else:
             print(f"{err.code}: {err.message}")
         return 1

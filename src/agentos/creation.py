@@ -1,6 +1,7 @@
 """Self-creation pipelines: requirement text in, registered capabilities out.
 
-Two drivers share one shape. Each runs a sequence of phases; each phase gets
+Both pipelines are compositions of the same phases: profiling, tools,
+agents, and an optional test (plus workflow registration); each phase gets
 up to ``max_attempts`` tries. An attempt asks an editor agent (or, for
 profiling, a plain completion) to do the work, then the pipeline checks the
 result mechanically: documents must parse and validate, created entries must
@@ -20,13 +21,14 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import kernel, workflow as workflow_mod
-from .engine import ToolParam, ToolSchema, parse_transformed_call
+from .engine import ToolParam, ToolSchema, check_arguments, parse_transformed_call
 from .errors import (
     E_ARGS,
     E_RUNNER_REFUSED,
     E_UNKNOWN_TOOL,
     ActionTypeError,
     AgentOsError,
+    NotFoundError,
     ParseError,
     PhaseExhaustedError,
     SchemaError,
@@ -44,7 +46,12 @@ from .forms import (
     workflow_form_to_xml,
 )
 from .kernel import AgentDefinition, Context, ToolCall, ToolResult
-from .registry import RegistryStore, RegistryToolSuite, ToolDefinition, ToolParamSpec
+from .registry import (
+    RegistryStore,
+    RegistryToolSuite,
+    ToolDefinition,
+    make_registry_resolver,
+)
 
 TEST_LINE_PREFIX = "TEST:"
 
@@ -132,7 +139,7 @@ def _split_csv(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 
-def _parse_param_spec(raw: str) -> list[ToolParamSpec]:
+def _parse_param_spec(raw: str) -> list[ToolParam]:
     if not raw.strip():
         return []
     try:
@@ -141,14 +148,14 @@ def _parse_param_spec(raw: str) -> list[ToolParamSpec]:
         data = _split_csv(raw)
     if not isinstance(data, list):
         raise ValueError("parameters must be a list")
-    out: list[ToolParamSpec] = []
+    out: list[ToolParam] = []
     for item in data:
         if isinstance(item, str):
-            out.append(ToolParamSpec(item))
+            out.append(ToolParam(item))
         elif isinstance(item, dict) and "name" in item:
-            out.append(ToolParamSpec(str(item["name"]),
-                                     str(item.get("description", "")),
-                                     bool(item.get("required", True))))
+            out.append(ToolParam(str(item["name"]),
+                                 str(item.get("description", "")),
+                                 bool(item.get("required", True))))
         else:
             raise ValueError(f"bad parameter entry: {item!r}")
     return out
@@ -172,22 +179,15 @@ class ManagementToolSuite:
         try:
             return _MGMT_SCHEMAS[name]
         except KeyError:
-            from .errors import NotFoundError
-
             raise NotFoundError(f"unknown tool: {name}")
 
     def run(self, call: ToolCall) -> ToolResult:
         handler = getattr(self, f"_do_{call.tool_name}", None)
         if handler is None or call.tool_name not in _MGMT_SCHEMAS:
             return ToolResult.fail(E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}")
-        schema = _MGMT_SCHEMAS[call.tool_name]
-        declared = {p.name for p in schema.parameters}
-        for key in call.arguments:
-            if key not in declared:
-                return ToolResult.fail(E_ARGS, f"unexpected argument: {key}")
-        for p in schema.parameters:
-            if p.required and p.name not in call.arguments:
-                return ToolResult.fail(E_ARGS, f"missing required argument: {p.name}")
+        failure = check_arguments(_MGMT_SCHEMAS[call.tool_name], call.arguments)
+        if failure is not None:
+            return failure
         try:
             return handler(dict(call.arguments))
         except AgentOsError as err:
@@ -209,17 +209,13 @@ class ManagementToolSuite:
         builtin = args.get("builtin", "").strip()
         source = args.get("source", "")
         if builtin:
-            tool = ToolDefinition(name=args["name"],
-                                  description=args.get("description", ""),
-                                  parameters=params, body_kind="builtin",
-                                  builtin=builtin)
+            body = {"body_kind": "builtin", "builtin": builtin}
         elif source.strip():
-            tool = ToolDefinition(name=args["name"],
-                                  description=args.get("description", ""),
-                                  parameters=params, body_kind="script",
-                                  source=source)
+            body = {"body_kind": "script", "source": source}
         else:
             return ToolResult.fail(E_ARGS, "provide either source or builtin")
+        tool = ToolDefinition(name=args["name"], description=args.get("description", ""),
+                              parameters=params, **body)
         version = self.store.put_tool(tool)
         return ToolResult.ok(f"created tool {tool.name} v{version}")
 
@@ -273,8 +269,6 @@ class ManagementToolSuite:
             return ToolResult.fail(E_RUNNER_REFUSED,
                                    "no engine configured for workflow runs")
         form = self.store.get_workflow(args["name"])
-        from .registry import make_registry_resolver
-
         # the stored workflow's own registry entry is not a name collision
         view = self.store.view()
         view = replace(view, workflow_names=view.workflow_names - {form.name})
@@ -433,25 +427,6 @@ class CreationReport:
     workflow_name: str = ""
 
 
-def _run_phase(name: str, store: RegistryStore, max_attempts: int,
-               attempt_fn, report: CreationReport) -> PhaseRecord:
-    """Attempt loop with byte-identical rollback on every failure."""
-    record = PhaseRecord(name)
-    report.phases.append(record)
-    snap = store.snapshot()
-    feedback: str | None = None
-    for _ in range(max_attempts):
-        record.attempts += 1
-        ok, fb = attempt_fn(feedback)
-        if ok:
-            record.ok = True
-            return record
-        feedback = fb or "the attempt did not pass verification"
-        record.feedback.append(feedback)
-        store.restore(snap)
-    raise PhaseExhaustedError(name)
-
-
 def _check_test_lines(final_text: str, expected: set[str],
                       exec_tools) -> tuple[bool, str | None]:
     """Verify the editor's demonstration calls: one passing TEST line per tool."""
@@ -477,14 +452,121 @@ def _check_test_lines(final_text: str, expected: set[str],
     return True, None
 
 
-def _tools_phase_task(pairs: list[tuple[str, str, str]]) -> str:
-    lines = ["Create the following tools in the registry:"]
-    for name, description, owner in pairs:
-        suffix = f" (used by {owner})" if owner else ""
-        lines.append(f"- {name}: {description}{suffix}")
-    lines.append("")
-    lines.append("Finish with one TEST line per tool demonstrating a successful call.")
-    return "\n".join(lines)
+class _Phases:
+    """Runs the phases of one pipeline against one registry and report."""
+
+    def __init__(self, kind: str, engine, store: RegistryStore,
+                 suite: ManagementToolSuite | None, max_attempts: int,
+                 limits: kernel.LoopLimits | None, model: str):
+        self.engine = engine
+        self.store = store
+        self.suite = suite if suite is not None else ManagementToolSuite(store, engine=engine)
+        self.report = CreationReport(kind=kind)
+        self.max_attempts = max_attempts
+        self.limits = limits
+        self.model = model
+
+    def run(self, name: str, attempt_fn) -> None:
+        """Attempt loop with byte-identical rollback on every failure."""
+        record = PhaseRecord(name)
+        self.report.phases.append(record)
+        snap = self.store.snapshot()
+        feedback: str | None = None
+        for _ in range(self.max_attempts):
+            record.attempts += 1
+            ok, fb = attempt_fn(feedback)
+            if ok:
+                record.ok = True
+                return
+            feedback = fb or "the attempt did not pass verification"
+            record.feedback.append(feedback)
+            self.store.restore(snap)
+        raise PhaseExhaustedError(name)
+
+    def profile(self, requirement: str, instructions: str, root_tag: str,
+                parse, validate):
+        """Ask for a <root_tag> document until it parses and validates."""
+        captured = {}
+
+        def attempt(feedback):
+            user = requirement if feedback is None else f"{requirement}\n\n{feedback}"
+            text = self.engine.complete_text(
+                [{"role": "system", "content": instructions},
+                 {"role": "user", "content": user}], model=self.model)
+            xml = extract_xml(text, root_tag)
+            if xml is None:
+                return False, f"No <{root_tag}> document found. Output only the XML document."
+            try:
+                form = parse(xml)
+            except (XmlError, SchemaError, ActionTypeError) as err:
+                return False, f"The XML was rejected ({err.code}): {err}"
+            diagnostics = validate(form, self.store.view())
+            if diagnostics:
+                return False, diagnostics_to_feedback(diagnostics)
+            captured["form"] = form
+            self.report.form_xml = xml
+            return True, None
+
+        self.run("profiling", attempt)
+        return captured["form"]
+
+    def edit(self, name: str, editor: AgentDefinition, task: str, check) -> None:
+        """An editor agent runs ``task``; ``check(outcome)`` verifies its work."""
+        def attempt(feedback):
+            full_task = task if feedback is None else \
+                f"{task}\n\nPrevious attempt failed: {feedback}"
+            outcome = kernel.run_agent_loop(editor, full_task, Context(),
+                                            self.engine, self.suite, self.limits)
+            if outcome.kind != "completed":
+                return False, f"editor run ended with {outcome.kind}: {outcome.reason}"
+            return check(outcome)
+
+        self.run(name, attempt)
+
+    def tools(self, editor: AgentDefinition, rows: list[tuple[str, str, str]]) -> None:
+        """Build the (name, description, owner) tools, each demonstrated."""
+        if not rows:
+            return
+        lines = ["Create the following tools in the registry:"]
+        for name, description, owner in rows:
+            suffix = f" (used by {owner})" if owner else ""
+            lines.append(f"- {name}: {description}{suffix}")
+        lines.append("")
+        lines.append("Finish with one TEST line per tool demonstrating a successful call.")
+        expected = {name for name, _, _ in rows}
+
+        def check(outcome):
+            registered = set(self.store.list_tools())
+            for name in sorted(expected):
+                if name not in registered:
+                    return False, f"tool {name} was not created"
+            return _check_test_lines(outcome.text, expected, self.suite.exec_tools)
+
+        self.edit("tools", editor, "\n".join(lines), check)
+        self.report.created_tools = sorted(expected)
+
+    def agents(self, editor: AgentDefinition,
+               rows: list[tuple[str, str, str, list[str]]]) -> None:
+        """Register the (name, description, instructions, tool names) agents."""
+        if not rows:
+            return
+        lines = ["Create the following agents in the registry:"]
+        for name, description, instructions, tool_names in rows:
+            lines.append(f"- name: {name}")
+            lines.append(f"  description: {description}")
+            lines.append(f"  instructions: {instructions}")
+            if tool_names:
+                lines.append(f"  tools: {', '.join(tool_names)}")
+
+        def check(outcome):
+            registered = set(self.store.list_agents())
+            for name, _, _, _ in rows:
+                if name not in registered:
+                    return False, f"agent {name} was not created"
+            return True, None
+
+        self.edit("agents", editor, "\n".join(lines), check)
+        self.report.created_agents = [name for name, _, _, _ in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -504,93 +586,28 @@ def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
     Raises PhaseExhaustedError when a phase cannot pass within max_attempts;
     the registry is left as that phase found it.
     """
-    suite = suite if suite is not None else ManagementToolSuite(store, engine=engine)
-    tool_editor = tool_editor or default_tool_editor(model)
-    agent_editor = agent_editor or default_agent_editor(model)
-    report = CreationReport(kind="agents")
-    captured: dict[str, AgentForm] = {}
-
-    def profile_attempt(feedback):
-        user = requirement if feedback is None else f"{requirement}\n\n{feedback}"
-        text = engine.complete_text(
-            [{"role": "system", "content": PROFILER_INSTRUCTIONS},
-             {"role": "user", "content": user}], model=model)
-        xml = extract_xml(text, "agents")
-        if xml is None:
-            return False, "No <agents> document found. Output only the XML document."
-        try:
-            form = parse_agent_form(xml)
-        except (XmlError, SchemaError, ActionTypeError) as err:
-            return False, f"The XML was rejected ({err.code}): {err}"
-        diagnostics = validate_agent_form(form, store.view())
-        if diagnostics:
-            return False, diagnostics_to_feedback(diagnostics)
-        captured["form"] = form
-        report.form_xml = xml
-        return True, None
-
-    _run_phase("profiling", store, max_attempts, profile_attempt, report)
-    form = captured["form"]
-
-    new_tools = [(t.name, t.description, a.name)
-                 for a in form.agents for t in a.tools_new]
-    expected_tools = {name for name, _, _ in new_tools}
-    if new_tools:
-        task = _tools_phase_task(new_tools)
-
-        def tools_attempt(feedback):
-            full_task = task if feedback is None else \
-                f"{task}\n\nPrevious attempt failed: {feedback}"
-            outcome = kernel.run_agent_loop(tool_editor, full_task, Context(),
-                                            engine, suite, limits)
-            if outcome.kind != "completed":
-                return False, f"editor run ended with {outcome.kind}: {outcome.reason}"
-            registered = set(store.list_tools())
-            for name in sorted(expected_tools):
-                if name not in registered:
-                    return False, f"tool {name} was not created"
-            return _check_test_lines(outcome.text, expected_tools, suite.exec_tools)
-
-        _run_phase("tools", store, max_attempts, tools_attempt, report)
-        report.created_tools = sorted(expected_tools)
-
-    def agents_attempt(feedback):
-        lines = ["Create the following agents in the registry:"]
-        for agent in form.agents:
-            tool_names = [t.name for t in agent.tools_existing + agent.tools_new]
-            lines.append(f"- name: {agent.name}")
-            lines.append(f"  description: {agent.description}")
-            lines.append(f"  instructions: {agent.instructions}")
-            if tool_names:
-                lines.append(f"  tools: {', '.join(tool_names)}")
-        task = "\n".join(lines)
-        if feedback is not None:
-            task += f"\n\nPrevious attempt failed: {feedback}"
-        outcome = kernel.run_agent_loop(agent_editor, task, Context(),
-                                        engine, suite, limits)
-        if outcome.kind != "completed":
-            return False, f"editor run ended with {outcome.kind}: {outcome.reason}"
-        registered = set(store.list_agents())
-        for agent in form.agents:
-            if agent.name not in registered:
-                return False, f"agent {agent.name} was not created"
-        return True, None
-
-    _run_phase("agents", store, max_attempts, agents_attempt, report)
-    report.created_agents = [a.name for a in form.agents]
+    phases = _Phases("agents", engine, store, suite, max_attempts, limits, model)
+    form = phases.profile(requirement, PROFILER_INSTRUCTIONS, "agents",
+                          parse_agent_form, validate_agent_form)
+    phases.tools(tool_editor or default_tool_editor(model),
+                 [(t.name, t.description, a.name)
+                  for a in form.agents for t in a.tools_new])
+    phases.agents(agent_editor or default_agent_editor(model),
+                  [(a.name, a.description, a.instructions,
+                    [t.name for t in a.tools_existing + a.tools_new])
+                   for a in form.agents])
 
     if test_task is not None:
         def test_attempt(feedback):
             agent = store.get_agent(form.agents[0].name)
-            outcome = kernel.run_agent_loop(agent, test_task, Context(),
-                                            engine, suite.exec_tools, limits)
+            outcome = kernel.run_agent_loop(agent, test_task, Context(), engine,
+                                            phases.suite.exec_tools, limits)
             if outcome.kind != "completed":
                 return False, f"test run ended with {outcome.kind}: {outcome.reason}"
             return True, None
 
-        _run_phase("test", store, max_attempts, test_attempt, report)
-
-    return report
+        phases.run("test", test_attempt)
+    return phases.report
 
 
 # ---------------------------------------------------------------------------
@@ -607,119 +624,43 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
                              limits: kernel.LoopLimits | None = None,
                              model: str = "") -> CreationReport:
     """Requirement -> validated workflow form -> agents -> registered workflow."""
-    suite = suite if suite is not None else ManagementToolSuite(store, engine=engine)
-    tool_editor = tool_editor or default_tool_editor(model)
-    agent_editor = agent_editor or default_agent_editor(model)
-    workflow_editor = workflow_editor or default_workflow_editor(model)
-    report = CreationReport(kind="workflow")
-    captured: dict[str, WorkflowForm] = {}
-
-    def profile_attempt(feedback):
-        user = requirement if feedback is None else f"{requirement}\n\n{feedback}"
-        text = engine.complete_text(
-            [{"role": "system", "content": WORKFLOW_PROFILER_INSTRUCTIONS},
-             {"role": "user", "content": user}], model=model)
-        xml = extract_xml(text, "workflow")
-        if xml is None:
-            return False, "No <workflow> document found. Output only the XML document."
-        try:
-            form = parse_workflow_form(xml)
-        except (XmlError, SchemaError, ActionTypeError) as err:
-            return False, f"The XML was rejected ({err.code}): {err}"
-        diagnostics = validate_workflow_form(form, store.view())
-        if diagnostics:
-            return False, diagnostics_to_feedback(diagnostics)
-        captured["form"] = form
-        report.form_xml = xml
-        return True, None
-
-    _run_phase("profiling", store, max_attempts, profile_attempt, report)
-    form = captured["form"]
-
+    phases = _Phases("workflow", engine, store, suite, max_attempts, limits, model)
+    form = phases.profile(requirement, WORKFLOW_PROFILER_INSTRUCTIONS, "workflow",
+                          parse_workflow_form, validate_workflow_form)
     new_decls = [d for d in form.agents if d.category == "new"]
-    new_tools = [(t.name, t.description, d.name) for d in new_decls for t in d.tools]
-    expected_tools = {name for name, _, _ in new_tools}
-    if new_tools:
-        task = _tools_phase_task(new_tools)
+    phases.tools(tool_editor or default_tool_editor(model),
+                 [(t.name, t.description, d.name) for d in new_decls for t in d.tools])
+    phases.agents(agent_editor or default_agent_editor(model),
+                  [(d.name, d.description, d.description, [t.name for t in d.tools])
+                   for d in new_decls])
 
-        def tools_attempt(feedback):
-            full_task = task if feedback is None else \
-                f"{task}\n\nPrevious attempt failed: {feedback}"
-            outcome = kernel.run_agent_loop(tool_editor, full_task, Context(),
-                                            engine, suite, limits)
-            if outcome.kind != "completed":
-                return False, f"editor run ended with {outcome.kind}: {outcome.reason}"
-            registered = set(store.list_tools())
-            for name in sorted(expected_tools):
-                if name not in registered:
-                    return False, f"tool {name} was not created"
-            return _check_test_lines(outcome.text, expected_tools, suite.exec_tools)
-
-        _run_phase("tools", store, max_attempts, tools_attempt, report)
-        report.created_tools = sorted(expected_tools)
-
-    if new_decls:
-        def agents_attempt(feedback):
-            lines = ["Create the following agents in the registry:"]
-            for decl in new_decls:
-                lines.append(f"- name: {decl.name}")
-                lines.append(f"  description: {decl.description}")
-                lines.append(f"  instructions: {decl.description}")
-                if decl.tools:
-                    lines.append(f"  tools: {', '.join(t.name for t in decl.tools)}")
-            task = "\n".join(lines)
-            if feedback is not None:
-                task += f"\n\nPrevious attempt failed: {feedback}"
-            outcome = kernel.run_agent_loop(agent_editor, task, Context(),
-                                            engine, suite, limits)
-            if outcome.kind != "completed":
-                return False, f"editor run ended with {outcome.kind}: {outcome.reason}"
-            registered = set(store.list_agents())
-            for decl in new_decls:
-                if decl.name not in registered:
-                    return False, f"agent {decl.name} was not created"
-            return True, None
-
-        _run_phase("agents", store, max_attempts, agents_attempt, report)
-        report.created_agents = [d.name for d in new_decls]
-
-    canonical_xml = workflow_form_to_xml(form)
-
-    def register_attempt(feedback):
-        task = ("Register this workflow with create_workflow. "
-                "Pass the XML exactly as given:\n" + canonical_xml)
-        if feedback is not None:
-            task += f"\n\nPrevious attempt failed: {feedback}"
-        outcome = kernel.run_agent_loop(workflow_editor, task, Context(),
-                                        engine, suite, limits)
-        if outcome.kind != "completed":
-            return False, f"editor run ended with {outcome.kind}: {outcome.reason}"
+    def registered(outcome):
         if form.name not in store.list_workflows():
             return False, f"workflow {form.name} was not registered"
         return True, None
 
-    _run_phase("register", store, max_attempts, register_attempt, report)
-    report.workflow_name = form.name
+    phases.edit("register", workflow_editor or default_workflow_editor(model),
+                "Register this workflow with create_workflow. "
+                "Pass the XML exactly as given:\n" + workflow_form_to_xml(form),
+                registered)
+    phases.report.workflow_name = form.name
 
     if test_input is not None:
-        from .registry import make_registry_resolver
-
         def test_attempt(feedback):
-            registered = store.get_workflow(form.name)
+            stored = store.get_workflow(form.name)
             result = workflow_mod.run_workflow(
-                registered, test_input, engine,
-                tools=suite.exec_tools,
-                resolve_agent=make_registry_resolver(store, registered,
-                                                     suite.exec_tools),
+                stored, test_input, engine,
+                tools=phases.suite.exec_tools,
+                resolve_agent=make_registry_resolver(store, stored,
+                                                     phases.suite.exec_tools),
                 limits=limits)
             if result.status != "completed":
                 return False, (f"test run {result.status}"
                                f" ({result.error}): {result.reason}")
             return True, None
 
-        _run_phase("test", store, max_attempts, test_attempt, report)
-
-    return report
+        phases.run("test", test_attempt)
+    return phases.report
 
 
 # ---------------------------------------------------------------------------

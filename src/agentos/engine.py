@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backends import CompletionRequest, RetryPolicy, backend_complete
-from .errors import EmptyInputError, ParseError
-from .kernel import Context, ToolCall
+from .errors import E_ARGS, EmptyInputError, ParseError
+from .kernel import Context, ToolCall, ToolResult
 
 DIRECT = "direct"
 TRANSFORMED = "transformed"
@@ -43,6 +43,18 @@ class ToolSchema:
     name: str
     description: str = ""
     parameters: list[ToolParam] = field(default_factory=list)
+
+
+def check_arguments(schema: ToolSchema, arguments) -> ToolResult | None:
+    """An E_ARGS failure when ``arguments`` do not fit ``schema``, else None."""
+    declared = {p.name for p in schema.parameters}
+    for key in arguments:
+        if key not in declared:
+            return ToolResult.fail(E_ARGS, f"unexpected argument: {key}")
+    for p in schema.parameters:
+        if p.required and p.name not in arguments:
+            return ToolResult.fail(E_ARGS, f"missing required argument: {p.name}")
+    return None
 
 
 @dataclass

@@ -209,14 +209,22 @@ def _opt(grouped, tag: str):
 def _leaf(elem: ET.Element, path: str) -> str:
     if len(elem):
         raise SchemaError(path, "unexpected nested elements")
-    for attr in elem.attrib:
-        raise SchemaError(path, f"unexpected attribute {attr!r}")
+    _no_attrs(elem, path)
     return (elem.text or "").strip()
 
 
 def _no_attrs(elem: ET.Element, path: str) -> None:
     for attr in elem.attrib:
         raise SchemaError(path, f"unexpected attribute {attr!r}")
+
+
+def _children(elem: ET.Element, path: str, tag: str):
+    """Yield (child, indexed path) from an attribute-free container of <tag>s."""
+    _no_attrs(elem, path)
+    for count, child in enumerate(elem, 1):
+        if child.tag != tag:
+            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
+        yield child, f"{path}/{tag}[{count}]"
 
 
 def _io_slot(elem: ET.Element, path: str) -> IOSlot:
@@ -268,14 +276,8 @@ def _tool_list(elem: ET.Element, path: str) -> list[ToolRef]:
 def _global_vars(elem: ET.Element | None, path: str) -> list[GlobalVar]:
     if elem is None:
         return []
-    _no_attrs(elem, path)
     out = []
-    count = 0
-    for child in elem:
-        if child.tag != "variable":
-            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
-        count += 1
-        vpath = f"{path}/variable[{count}]"
+    for child, vpath in _children(elem, path, "variable"):
         grouped = _walk(child, vpath, ("key", "description", "value"))
         key_el, kpath = _one(grouped, "key", vpath)
         key = _leaf(key_el, kpath)
@@ -424,24 +426,13 @@ def parse_workflow_form(text: str) -> WorkflowForm:
     events_el, events_path = _one(grouped, "events", path)
     gv = _opt(grouped, "global_variables")
 
-    _no_attrs(agents_el, agents_path)
-    _no_attrs(events_el, events_path)
-    agents = []
-    count = 0
-    for child in agents_el:
-        if child.tag != "agent":
-            raise SchemaError(f"{agents_path}/{child.tag}", "unexpected element")
-        count += 1
-        agents.append(_parse_workflow_agent(child, f"{agents_path}/agent[{count}]"))
+    agents = [_parse_workflow_agent(*item)
+              for item in _children(agents_el, agents_path, "agent")]
 
     events = []
     names_seen: set[str] = set()
-    count = 0
-    for child in events_el:
-        if child.tag != "event":
-            raise SchemaError(f"{events_path}/{child.tag}", "unexpected element")
-        count += 1
-        event = _parse_event(child, f"{events_path}/event[{count}]")
+    for child, cpath in _children(events_el, events_path, "event"):
+        event = _parse_event(child, cpath)
         if event.name in names_seen:
             raise SchemaError(event.path, f"duplicate event name: {event.name}")
         names_seen.add(event.name)
@@ -491,41 +482,20 @@ def _parse_event(elem: ET.Element, path: str) -> EventSpec:
     inputs: list[KeyDesc] = []
     inputs_el = _opt(grouped, "inputs")
     if inputs_el is not None:
-        el, ipath = inputs_el
-        _no_attrs(el, ipath)
-        count = 0
-        for child in el:
-            if child.tag != "input":
-                raise SchemaError(f"{ipath}/{child.tag}", "unexpected element")
-            count += 1
-            inputs.append(_key_desc(child, f"{ipath}/input[{count}]"))
+        inputs = [_key_desc(*item) for item in _children(*inputs_el, "input")]
 
     task_el = _opt(grouped, "task")
     task = _leaf(*task_el) if task_el else None
 
     outputs_el, opath = _one(grouped, "outputs", path)
-    _no_attrs(outputs_el, opath)
-    outputs: list[OutputSpec] = []
-    count = 0
-    for child in outputs_el:
-        if child.tag != "output":
-            raise SchemaError(f"{opath}/{child.tag}", "unexpected element")
-        count += 1
-        outputs.append(_parse_output(child, f"{opath}/output[{count}]"))
+    outputs = [_parse_output(*item) for item in _children(outputs_el, opath, "output")]
     if not outputs:
         raise SchemaError(opath, "event must declare at least one output")
 
     listen: list[str] = []
     listen_el = _opt(grouped, "listen")
     if listen_el is not None:
-        el, lpath = listen_el
-        _no_attrs(el, lpath)
-        count = 0
-        for child in el:
-            if child.tag != "event":
-                raise SchemaError(f"{lpath}/{child.tag}", "unexpected element")
-            count += 1
-            listen.append(_leaf(child, f"{lpath}/event[{count}]"))
+        listen = [_leaf(*item) for item in _children(*listen_el, "event")]
 
     agent_ref = None
     agent_el = _opt(grouped, "agent")
@@ -758,15 +728,11 @@ def _cycle_members(events: list[EventSpec]) -> set[str]:
 # serialization (canonical element order, 4-space indent)
 # ---------------------------------------------------------------------------
 
-def _set_text(elem: ET.Element, text: str) -> None:
-    elem.text = text
-
-
 def _emit_slot(parent: ET.Element, tag: str, slot: IOSlot) -> None:
     holder = ET.SubElement(parent, tag)
     for pair in slot.pairs:
-        _set_text(ET.SubElement(holder, "key"), pair.key)
-        _set_text(ET.SubElement(holder, "description"), pair.description)
+        ET.SubElement(holder, "key").text = pair.key
+        ET.SubElement(holder, "description").text = pair.description
 
 
 def _emit_globals(parent: ET.Element, variables: list[GlobalVar]) -> None:
@@ -775,9 +741,9 @@ def _emit_globals(parent: ET.Element, variables: list[GlobalVar]) -> None:
     holder = ET.SubElement(parent, "global_variables")
     for var in variables:
         v = ET.SubElement(holder, "variable")
-        _set_text(ET.SubElement(v, "key"), var.key)
-        _set_text(ET.SubElement(v, "description"), var.description)
-        _set_text(ET.SubElement(v, "value"), var.value)
+        ET.SubElement(v, "key").text = var.key
+        ET.SubElement(v, "description").text = var.description
+        ET.SubElement(v, "value").text = var.value
 
 
 def _emit_tools(parent: ET.Element, category: str, tools: list[ToolRef]) -> None:
@@ -786,20 +752,20 @@ def _emit_tools(parent: ET.Element, category: str, tools: list[ToolRef]) -> None
     holder = ET.SubElement(parent, "tools", {"category": category})
     for tool in tools:
         t = ET.SubElement(holder, "tool")
-        _set_text(ET.SubElement(t, "name"), tool.name)
-        _set_text(ET.SubElement(t, "description"), tool.description)
+        ET.SubElement(t, "name").text = tool.name
+        ET.SubElement(t, "description").text = tool.description
 
 
 def agent_form_to_xml(form: AgentForm) -> str:
     root = ET.Element("agents")
-    _set_text(ET.SubElement(root, "system_input"), form.system_input)
+    ET.SubElement(root, "system_input").text = form.system_input
     _emit_slot(root, "system_output", form.system_output)
     _emit_globals(root, form.global_variables)
     for agent in form.agents:
         a = ET.SubElement(root, "agent")
-        _set_text(ET.SubElement(a, "name"), agent.name)
-        _set_text(ET.SubElement(a, "description"), agent.description)
-        _set_text(ET.SubElement(a, "instructions"), agent.instructions)
+        ET.SubElement(a, "name").text = agent.name
+        ET.SubElement(a, "description").text = agent.description
+        ET.SubElement(a, "instructions").text = agent.instructions
         _emit_tools(a, "existing", agent.tools_existing)
         _emit_tools(a, "new", agent.tools_new)
         _emit_slot(a, "agent_input", agent.agent_input)
@@ -810,47 +776,47 @@ def agent_form_to_xml(form: AgentForm) -> str:
 
 def workflow_form_to_xml(form: WorkflowForm) -> str:
     root = ET.Element("workflow")
-    _set_text(ET.SubElement(root, "name"), form.name)
+    ET.SubElement(root, "name").text = form.name
     _emit_slot(root, "system_input", form.system_input)
     _emit_slot(root, "system_output", form.system_output)
     agents = ET.SubElement(root, "agents")
     for decl in form.agents:
         a = ET.SubElement(agents, "agent", {"category": decl.category})
-        _set_text(ET.SubElement(a, "name"), decl.name)
-        _set_text(ET.SubElement(a, "description"), decl.description)
+        ET.SubElement(a, "name").text = decl.name
+        ET.SubElement(a, "description").text = decl.description
         _emit_tools(a, "new", decl.tools)
     _emit_globals(root, form.global_variables)
     events = ET.SubElement(root, "events")
     for event in form.events:
         e = ET.SubElement(events, "event")
-        _set_text(ET.SubElement(e, "name"), event.name)
+        ET.SubElement(e, "name").text = event.name
         if event.inputs:
             inputs = ET.SubElement(e, "inputs")
             for pair in event.inputs:
                 i = ET.SubElement(inputs, "input")
-                _set_text(ET.SubElement(i, "key"), pair.key)
-                _set_text(ET.SubElement(i, "description"), pair.description)
+                ET.SubElement(i, "key").text = pair.key
+                ET.SubElement(i, "description").text = pair.description
         if event.task is not None:
-            _set_text(ET.SubElement(e, "task"), event.task)
+            ET.SubElement(e, "task").text = event.task
         outputs = ET.SubElement(e, "outputs")
         for output in event.outputs:
             o = ET.SubElement(outputs, "output")
-            _set_text(ET.SubElement(o, "key"), output.key)
-            _set_text(ET.SubElement(o, "description"), output.description)
+            ET.SubElement(o, "key").text = output.key
+            ET.SubElement(o, "description").text = output.description
             if output.condition is not None:
-                _set_text(ET.SubElement(o, "condition"), output.condition)
+                ET.SubElement(o, "condition").text = output.condition
             action = ET.SubElement(o, "action")
-            _set_text(ET.SubElement(action, "type"), output.action.type)
+            ET.SubElement(action, "type").text = output.action.type
             if output.action.value is not None:
-                _set_text(ET.SubElement(action, "value"), output.action.value)
+                ET.SubElement(action, "value").text = output.action.value
         if event.listen:
             listen = ET.SubElement(e, "listen")
             for source in event.listen:
-                _set_text(ET.SubElement(listen, "event"), source)
+                ET.SubElement(listen, "event").text = source
         if event.agent is not None:
             agent = ET.SubElement(e, "agent")
-            _set_text(ET.SubElement(agent, "name"), event.agent.name)
-            _set_text(ET.SubElement(agent, "model"), event.agent.model)
+            ET.SubElement(agent, "name").text = event.agent.name
+            ET.SubElement(agent, "model").text = event.agent.model
     ET.indent(root, space="    ")
     return ET.tostring(root, encoding="unicode") + "\n"
 
@@ -858,9 +824,6 @@ def workflow_form_to_xml(form: WorkflowForm) -> str:
 # ---------------------------------------------------------------------------
 # substitution
 # ---------------------------------------------------------------------------
-
-_PLACEHOLDER_AT = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
 
 def substitute_globals(text: str, variables: Mapping[str, str]) -> str:
     """Replace {key} placeholders; ``{{``/``}}`` escape literal braces.
@@ -880,7 +843,7 @@ def substitute_globals(text: str, variables: Mapping[str, str]) -> str:
             i += 2
             continue
         if text[i] == "{":
-            match = _PLACEHOLDER_AT.match(text, i)
+            match = naming.PLACEHOLDER_RE.match(text, i)
             if match:
                 key = match.group(1)
                 if key not in variables:

@@ -7,8 +7,9 @@ never observe a torn definition. Versions increase strictly per name.
 
 Tool bodies are either references into a small builtin allowlist or script
 sources. Scripts never run in-process: without an explicitly configured
-runner they fail with E_RUNNER_REFUSED, and the provided subprocess runner
-confines file access to a working directory.
+runner they fail with E_RUNNER_REFUSED. The provided subprocess runner
+starts the script with the working directory as its cwd; it does not
+confine the script's file access.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import kernel
-from .engine import ToolParam, ToolSchema
+from .engine import ToolParam, ToolSchema, check_arguments
 from .errors import (
     E_ARGS,
     E_IO,
@@ -56,17 +57,10 @@ BUILTIN_TOOLS = ("echo", "read_text_file", "write_text_file",
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ToolParamSpec:
-    name: str
-    description: str = ""
-    required: bool = True
-
-
-@dataclass
 class ToolDefinition:
     name: str
     description: str = ""
-    parameters: list[ToolParamSpec] = field(default_factory=list)
+    parameters: list[ToolParam] = field(default_factory=list)
     body_kind: str = "builtin"  # "builtin" | "script"
     builtin: str = ""
     source: str = ""
@@ -90,12 +84,8 @@ class ToolDefinition:
             raise InvalidDefinitionError(f"unknown body kind: {self.body_kind!r}")
 
     def schema(self) -> ToolSchema:
-        return ToolSchema(
-            name=self.name,
-            description=self.description,
-            parameters=[ToolParam(p.name, p.description, p.required)
-                        for p in self.parameters],
-        )
+        return ToolSchema(name=self.name, description=self.description,
+                          parameters=self.parameters)
 
 
 def builtin_tool(name: str) -> ToolDefinition:
@@ -160,6 +150,12 @@ class RegistryStore:
             return int(self._read(path, kind)["version"]) + 1
         return 1
 
+    def _delete(self, kind: str, name: str) -> None:
+        path = self._path(kind, name)
+        if not path.is_file():
+            raise NotFoundError(f"not in registry: {name}")
+        path.unlink()
+
     def _names(self, kind: str) -> list[str]:
         folder = self.root / kind
         return sorted(p.stem for p in folder.glob("*.def") if not p.name.startswith("."))
@@ -188,8 +184,8 @@ class RegistryStore:
         return ToolDefinition(
             name=record["name"],
             description=record.get("description", ""),
-            parameters=[ToolParamSpec(p["name"], p.get("description", ""),
-                                      bool(p.get("required", True)))
+            parameters=[ToolParam(p["name"], p.get("description", ""),
+                                  bool(p.get("required", True)))
                         for p in record.get("parameters", [])],
             body_kind=body.get("kind", "builtin"),
             builtin=body.get("builtin", ""),
@@ -204,10 +200,7 @@ class RegistryStore:
         return self._names("tools")
 
     def delete_tool(self, name: str) -> None:
-        path = self._path("tools", name)
-        if not path.is_file():
-            raise NotFoundError(f"not in registry: {name}")
-        path.unlink()
+        self._delete("tools", name)
 
     # -- agents --------------------------------------------------------------
 
@@ -245,10 +238,7 @@ class RegistryStore:
         return self._names("agents")
 
     def delete_agent(self, name: str) -> None:
-        path = self._path("agents", name)
-        if not path.is_file():
-            raise NotFoundError(f"not in registry: {name}")
-        path.unlink()
+        self._delete("agents", name)
 
     # -- workflows -------------------------------------------------------------
 
@@ -279,10 +269,7 @@ class RegistryStore:
         return self._names("workflows")
 
     def delete_workflow(self, name: str) -> None:
-        path = self._path("workflows", name)
-        if not path.is_file():
-            raise NotFoundError(f"not in registry: {name}")
-        path.unlink()
+        self._delete("workflows", name)
 
     # -- cross-cutting -----------------------------------------------------------
 
@@ -407,20 +394,20 @@ def _bi_arith(args: dict[str, str], workdir: Path | None) -> ToolResult:
     return ToolResult.ok(str(result))
 
 
-_BUILTINS: dict[str, tuple[str, list[ToolParamSpec], object]] = {
+_BUILTINS: dict[str, tuple[str, list[ToolParam], object]] = {
     "echo": ("Return the given text unchanged.",
-             [ToolParamSpec("text", "Text to return.")], _bi_echo),
+             [ToolParam("text", "Text to return.")], _bi_echo),
     "read_text_file": ("Read a UTF-8 text file from the working directory.",
-                       [ToolParamSpec("path", "Relative file path.")], _bi_read),
+                       [ToolParam("path", "Relative file path.")], _bi_read),
     "write_text_file": ("Write a UTF-8 text file inside the working directory.",
-                        [ToolParamSpec("path", "Relative file path."),
-                         ToolParamSpec("content", "File content.", required=False)],
+                        [ToolParam("path", "Relative file path."),
+                         ToolParam("content", "File content.", required=False)],
                         _bi_write),
     "list_directory": ("List directory entries; directories get a trailing slash.",
-                       [ToolParamSpec("path", "Relative directory path.", required=False)],
+                       [ToolParam("path", "Relative directory path.", required=False)],
                        _bi_list),
     "arithmetic_eval": ("Evaluate a numeric arithmetic expression.",
-                        [ToolParamSpec("expression", "Expression such as (2+3)*4.")],
+                        [ToolParam("expression", "Expression such as (2+3)*4.")],
                         _bi_arith),
 }
 
@@ -443,11 +430,14 @@ class SubprocessScriptRunner:
 
     def run(self, tool: ToolDefinition, arguments: dict[str, str]) -> ToolResult:
         self.workdir.mkdir(parents=True, exist_ok=True)
-        script = self.workdir / f".{tool.name}.script.py"
-        script.write_text(tool.source, encoding="utf-8")
+        # one file per run: concurrent runs of one tool must not share it
+        fd, script = tempfile.mkstemp(dir=self.workdir, prefix=f".{tool.name}.",
+                                      suffix=".script.py")
         try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(tool.source)
             proc = subprocess.run(
-                [sys.executable, "-I", str(script)],
+                [sys.executable, "-I", script],
                 input=json.dumps(arguments),
                 capture_output=True, text=True,
                 cwd=str(self.workdir), timeout=self.timeout,
@@ -456,7 +446,7 @@ class SubprocessScriptRunner:
             return ToolResult.fail(E_SCRIPT, f"script timed out after {self.timeout}s")
         finally:
             try:
-                script.unlink()
+                os.unlink(script)
             except OSError:
                 pass
         if proc.returncode != 0:
@@ -485,14 +475,9 @@ class RegistryToolSuite:
         except NotFoundError:
             return ToolResult.fail(E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}")
 
-        declared = {p.name for p in tool.parameters}
-        for key in call.arguments:
-            if key not in declared:
-                return ToolResult.fail(E_ARGS, f"unexpected argument: {key}")
-        for p in tool.parameters:
-            if p.required and p.name not in call.arguments:
-                return ToolResult.fail(E_ARGS, f"missing required argument: {p.name}")
-
+        failure = check_arguments(tool.schema(), call.arguments)
+        if failure is not None:
+            return failure
         if tool.body_kind == "builtin":
             fn = _BUILTINS[tool.builtin][2]
             return fn(dict(call.arguments), self.workdir)

@@ -321,6 +321,7 @@ class _Verdict:
     kind: str  # "continue" | "aborted" | "error"
     code: str | None = None
     reason: str = ""
+    reset: list[str] = field(default_factory=list)  # events a GOTO rewound
 
 
 def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
@@ -360,6 +361,7 @@ def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
             run.published[member].clear()
             run.state[member] = PENDING
             run.trace.append(f"reset {member}")
+        return _Verdict("continue", reset=members)
     return _Verdict("continue")
 
 
@@ -432,10 +434,8 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
                 # result is stale and must not land
                 run.trace.append(f"discard {ce.spec.name}")
                 continue
-            before = {n for n, s in run.state.items() if s == PENDING}
             verdict = apply_outcome(run, ce, outcome)
-            after = {n for n, s in run.state.items() if s == PENDING}
-            reset_this_round.update(after - before)
+            reset_this_round.update(verdict.reset)
             if verdict.kind == "aborted":
                 run.trace.append("abort workflow" +
                                  (f" code={verdict.code}" if verdict.code else ""))

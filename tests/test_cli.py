@@ -8,14 +8,19 @@ import pytest
 
 from agentos.backends import CassetteBackend, ScriptedBackend
 from agentos.cli import dispatch_command
-from agentos.creation import ManagementToolSuite, create_agents_pipeline
+from agentos.creation import (
+    ManagementToolSuite,
+    create_agents_pipeline,
+    create_workflow_pipeline,
+)
 from agentos.engine import Engine
+from agentos.errors import PhaseExhaustedError
 from agentos.forms import parse_workflow_form
 from agentos.registry import (
     RegistryStore,
     RegistryToolSuite,
     ToolDefinition,
-    ToolParamSpec,
+    ToolParam,
     make_registry_resolver,
 )
 from agentos.workflow import run_workflow
@@ -82,7 +87,7 @@ def test_validate_agents_form_against_registry(tmp_path, capsys):
     store = RegistryStore(root)
     store.put_tool(ToolDefinition(
         name="visual_question_answering", description="answers about images",
-        parameters=[ToolParamSpec("text")], body_kind="builtin", builtin="echo"))
+        parameters=[ToolParam("text")], body_kind="builtin", builtin="echo"))
     code, out, _ = run_cli(capsys, ["validate", IMAGE_FORM,
                                     "--registry-root", str(root)])
     assert (code, out.splitlines()[-1]) == (0, "0 diagnostics")
@@ -227,6 +232,24 @@ def test_create_agents_exhaustion_exit_one(tmp_path, capsys):
     assert out.startswith("E_PHASE_EXHAUSTED: ")
 
 
+def test_create_workflow_exhaustion_json_names_phase(tmp_path, capsys):
+    cassette = tmp_path / "hopeless.cassette"
+    store = RegistryStore(tmp_path / "rec")
+    backend = CassetteBackend(str(cassette), "record",
+                              inner=ScriptedBackend(["nope", "nope", "nope"]))
+    engine = Engine(mode="direct", backend=backend, model="")
+    with pytest.raises(PhaseExhaustedError):
+        create_workflow_pipeline("vote on math", engine, store,
+                                 suite=ManagementToolSuite(store, engine=engine))
+    code, out, _ = run_cli(capsys, [
+        "create-workflow", "--requirements", "vote on math", "--json",
+        "--registry-root", str(tmp_path / "reg"), "--mode", "direct",
+        "--cassette", str(cassette), "--cassette-mode", "replay"])
+    assert code == 1
+    assert json.loads(out) == {"error": "E_PHASE_EXHAUSTED", "phase": "profiling",
+                               "message": "phase profiling exhausted its attempts"}
+
+
 # ---------------------------------------------------------------------------
 # registry commands
 # ---------------------------------------------------------------------------
@@ -239,7 +262,7 @@ def test_registry_list_show_delete(tmp_path, capsys):
 
     store = RegistryStore(root)
     store.put_tool(ToolDefinition(name="echo", description="echoes",
-                                  parameters=[ToolParamSpec("text")],
+                                  parameters=[ToolParam("text")],
                                   body_kind="builtin", builtin="echo"))
     code, out, _ = run_cli(capsys, ["registry", "list", "tools",
                                     "--registry-root", str(root)])

@@ -14,6 +14,7 @@ import pytest
 from agentos.backends import ScriptedBackend, request_digest
 from agentos.creation import create_agents_pipeline, create_workflow_pipeline
 from agentos.engine import Engine
+from agentos.forms import parse_workflow_form, workflow_form_to_xml
 from agentos.kernel import LoopLimits, ToolCall
 from agentos.registry import RegistryStore
 
@@ -111,8 +112,6 @@ CREATE_TOOLED_AGGREGATOR = ToolCall("create_agent", dict(
 
 
 def _register_tooled():
-    from agentos.forms import parse_workflow_form, workflow_form_to_xml
-
     xml = workflow_form_to_xml(parse_workflow_form(_tooled_math_xml()))
     return ToolCall("create_workflow", {"xml": xml})
 

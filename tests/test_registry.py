@@ -1,6 +1,7 @@
 """Registry persistence, builtins, script execution policy, and the suite."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -22,7 +23,7 @@ from agentos.registry import (
     RegistryToolSuite,
     SubprocessScriptRunner,
     ToolDefinition,
-    ToolParamSpec,
+    ToolParam,
     builtin_tool,
     make_registry_resolver,
 )
@@ -46,8 +47,8 @@ def echo_tool() -> ToolDefinition:
 def test_tool_roundtrip_and_versioning(store):
     tool = ToolDefinition(
         name="greeter", description="Say hi.",
-        parameters=[ToolParamSpec("who", "Name.", required=True),
-                    ToolParamSpec("tone", "Optional tone.", required=False)],
+        parameters=[ToolParam("who", "Name.", required=True),
+                    ToolParam("tone", "Optional tone.", required=False)],
         body_kind="script", source="print('hi')")
     assert store.put_tool(tool) == 1
     back = store.get_tool("greeter")
@@ -225,7 +226,7 @@ def test_script_runner_roundtrip(store, tmp_path):
         "print('doubled: ' + args['word'] * 2)\n"
     )
     store.put_tool(ToolDefinition(
-        name="doubler", parameters=[ToolParamSpec("word", "w")],
+        name="doubler", parameters=[ToolParam("word", "w")],
         body_kind="script", source=source))
     workdir = tmp_path / "scratch"
     suite = RegistryToolSuite(store, runner=SubprocessScriptRunner(workdir),
@@ -234,6 +235,31 @@ def test_script_runner_roundtrip(store, tmp_path):
     assert (result.status, result.payload) == ("ok", "doubled: abab")
     # the temporary script file is cleaned up
     assert list(workdir.glob("*.py")) == []
+
+
+def test_script_runner_concurrent_runs_of_one_tool(store, tmp_path):
+    # every run writes its own script file, so no run deletes another's
+    store.put_tool(ToolDefinition(
+        name="shout", parameters=[ToolParam("word", "w")], body_kind="script",
+        source="import json, sys\nprint(json.load(sys.stdin)['word'].upper())\n"))
+    workdir = tmp_path / "scratch"
+    suite = RegistryToolSuite(store, runner=SubprocessScriptRunner(workdir),
+                              workdir=workdir)
+    words = [f"word{i}" for i in range(8)]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(lambda w: suite.run(ToolCall("shout", {"word": w})),
+                                words))
+    assert [(r.status, r.payload) for r in results] == [
+        ("ok", w.upper()) for w in words]
+    assert list(workdir.iterdir()) == []
+
+
+def test_script_runner_relative_workdir(tmp_path, monkeypatch):
+    # the script path must not be resolved a second time against the cwd
+    monkeypatch.chdir(tmp_path)
+    tool = ToolDefinition(name="hello", body_kind="script", source="print('hi')")
+    result = SubprocessScriptRunner("scratch").run(tool, {})
+    assert (result.status, result.payload) == ("ok", "hi")
 
 
 def test_script_runner_failure_modes(store, tmp_path):
@@ -263,7 +289,7 @@ def test_tool_definition_rules():
     with pytest.raises(InvalidDefinitionError):
         ToolDefinition(name="x", body_kind="inline")
     with pytest.raises(InvalidDefinitionError):
-        ToolDefinition(name="x", parameters=[ToolParamSpec("bad name")],
+        ToolDefinition(name="x", parameters=[ToolParam("bad name")],
                        body_kind="builtin", builtin="echo")
 
 

@@ -9,7 +9,7 @@ from agentos.errors import (
     E_OUTPUT_UNDECLARED,
     InvalidFormError,
 )
-from agentos.forms import ActionSpec, GlobalVar, KeyDesc
+from agentos.forms import ActionSpec, GlobalVar, KeyDesc, parse_workflow_form
 from agentos.workflow import (
     compile_graph,
     forward_closure,
@@ -182,6 +182,53 @@ def test_wiki_goto_exhaustion_aborts(wiki_form):
     # the fourth rewind never happens: no resets after the overrun
     overrun = result.trace.index("goto on_evaluate -> on_outline count=4 limit=3")
     assert all(not line.startswith("reset ") for line in result.trace[overrun:])
+
+
+def _event(name, listen, key, model, action="<type>RESULT</type>"):
+    return f"""<event><name>{name}</name>
+        <outputs><output><key>{key}</key><description>d</description>
+            <action>{action}</action></output></outputs>
+        <listen><event>{listen}</event></listen>
+        <agent><name>Worker</name><model>{model}</model></agent></event>"""
+
+
+# on_start -> T -> B and on_start -> X -> S; S sorts before B in the same
+# round and its GOTO rewinds T, which rewinds B before B's result commits.
+SAME_ROUND_GOTO_XML = f"""<workflow><name>same_round_goto</name>
+    <system_input><key>topic</key><description>d</description></system_input>
+    <system_output><key>b_out</key><description>d</description></system_output>
+    <agents><agent category="new"><name>Worker</name><description>w</description></agent></agents>
+    <events>
+        <event><name>on_start</name>
+            <inputs><input><key>topic</key><description>d</description></input></inputs>
+            <outputs><output><key>topic</key><description>d</description>
+                <action><type>RESULT</type></action></output></outputs></event>
+        {_event("T", "on_start", "t_out", "m_t")}
+        {_event("X", "on_start", "x_out", "m_x")}
+        {_event("S", "X", "s_out", "m_s", "<type>GOTO</type><value>T</value>")}
+        {_event("B", "T", "b_out", "m_b")}
+    </events></workflow>"""
+
+
+def test_same_round_goto_discards_stale_result():
+    form = parse_workflow_form(SAME_ROUND_GOTO_XML)
+    results = []
+    for parallel in (False, True):
+        routes = {"m_t": ["t1", "t2"], "m_x": ["x1"], "m_s": ["s1"],
+                  "m_b": ["stale b", "fresh b"]}
+        backend = RouterBackend(routes)
+        results.append(run_workflow(form, "topic", Engine("transformed", backend),
+                                    parallel=parallel))
+        assert backend.calls == 6
+    serial, parallel = results
+    assert serial.status == "completed"
+    assert serial.trace.index("commit S action=GOTO key=s_out") \
+        < serial.trace.index("reset B") < serial.trace.index("discard B")
+    assert "commit B action=RESULT key=b_out" in serial.trace
+    assert serial.trace.count("run B agent=Worker model=m_b") == 2
+    assert serial.output == "fresh b"
+    assert parallel.trace == serial.trace
+    assert parallel.blackboard == serial.blackboard
 
 
 def test_goto_limit_override(wiki_form):
