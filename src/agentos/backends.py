@@ -8,6 +8,7 @@ is ``A1 <sha256-hex> <payload-byte-length> <base64(canonical-json-response)>``.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import threading
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import BackendError, CassetteMissError, ScriptExhaustedError
-from .kernel import ToolCall
+from .kernel import MessageList, ToolCall
 
 CASSETTE_MAGIC = "A1"
 
@@ -66,16 +67,95 @@ def _schema_dict(schema) -> dict:
     }
 
 
+# The canonical JSON of docs/formats.md (A1); json.dumps would build a new
+# encoder with these settings on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _encoded(value, start: int, stop: int) -> memoryview:
+    """``_ENCODER.encode(value)[start:stop]`` as bytes, without copying the slice."""
+    return memoryview(_ENCODER.encode(value).encode())[start:stop]
+
+
+def _hash_messages(messages) -> "hashlib._Hash":
+    """sha256 over the body up to its last message: ``{"messages":[m0,…,mk``."""
+    state = hashlib.sha256(b'{"messages":')
+    state.update(_encoded(messages, 0, -1))
+    return state
+
+
+@functools.lru_cache(maxsize=256)
+def _system_hash(system: str) -> "hashlib._Hash":
+    """``_hash_messages`` of a list holding only this system message; every
+    Context whose agent has this system text starts from a copy of it."""
+    return _hash_messages([{"role": "system", "content": system}])
+
+
+def _running_hash(messages: MessageList) -> "hashlib._Hash":
+    """``_hash_messages(messages)``, extended from the hash the Context keeps
+    for this system text by only the messages it has not covered yet."""
+    system = messages[0]["content"]
+    if not isinstance(system, str):  # only text keys the running hashes
+        return _hash_messages(messages)
+    digests = messages.memo.digests
+    entry = digests.get(system)
+    if entry is not None and entry[1] <= len(messages):
+        state, covered = entry
+    else:
+        state, covered = _system_hash(system).copy(), 1
+    if covered < len(messages):
+        # ``[mi,…,mk]`` without its brackets continues ``…,m(i-1)``
+        state.update(b",")
+        state.update(_encoded(messages[covered:], 1, -1))
+    if entry is not None and entry[1] > len(messages):
+        return state  # a list older than the one hashed last: keep the longer hash
+    digests[system] = (state, len(messages))
+    return state.copy()
+
+
+# JSON of the tool lists hashed so far, by the fields ``_schema_dict`` reads:
+# an agent sends the same tools with every request. ``required`` goes into
+# the key with its type, because JSON tells ``true`` from ``1`` and ``==``
+# does not.
+_TOOLS_JSON: dict[tuple, str] = {}
+_TOOLS_JSON_LIMIT = 256
+
+
+def _tools_json(tools) -> str:
+    """``_ENCODER.encode([_schema_dict(s) for s in tools])``, remembered."""
+    key = tuple((s.name, s.description,
+                 tuple((p.name, p.description, p.required, type(p.required))
+                       for p in s.parameters)) for s in tools)
+    try:
+        text = _TOOLS_JSON.get(key)
+    except TypeError:  # a field that is not hashable, such as a list from a .def file
+        key = text = None
+    if text is None:
+        text = _ENCODER.encode([_schema_dict(s) for s in tools])
+        if key is not None:
+            if len(_TOOLS_JSON) >= _TOOLS_JSON_LIMIT:
+                _TOOLS_JSON.clear()
+            _TOOLS_JSON[key] = text
+    return text
+
+
 def request_digest(request: CompletionRequest) -> str:
-    """Stable content hash of (model, messages, tool schemas, mode)."""
-    body = {
-        "model": request.model,
-        "messages": request.messages,
-        "tools": [_schema_dict(s) for s in request.tools] if request.tools else None,
-        "mode": request.mode,
-    }
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """Stable content hash of (model, messages, tool schemas, mode).
+
+    It is sha256 over ``json.dumps(body, sort_keys=True, separators=(",", ":"))``.
+    Sorted keys put ``messages`` first, so the hash of the messages can be
+    carried from one request of a Context to the next and finished with the
+    rest of the body.
+    """
+    messages = request.messages
+    if isinstance(messages, MessageList) and messages.memo is not None:
+        state = _running_hash(messages)
+    else:
+        state = _hash_messages(messages)
+    tools = _tools_json(request.tools) if request.tools else "null"
+    state.update(f'],"mode":{_ENCODER.encode(request.mode)},"model":'
+                 f'{_ENCODER.encode(request.model)},"tools":{tools}}}'.encode())
+    return state.hexdigest()
 
 
 def _encode_response(response: CompletionResponse) -> str:

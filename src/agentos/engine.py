@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .backends import CompletionRequest, RetryPolicy, backend_complete
 from .errors import E_ARGS, EmptyInputError, ParseError
-from .kernel import Context, ToolCall, ToolResult
+from .kernel import Context, MessageList, MessageMemo, ToolCall, ToolResult
 
 DIRECT = "direct"
 TRANSFORMED = "transformed"
@@ -180,14 +180,21 @@ def parse_transformed_call(text: str) -> ToolCall:
 # ---------------------------------------------------------------------------
 
 def build_messages(system: str, context: Context, mode: str,
-                   tools: list[ToolSchema]) -> list[dict[str, str]]:
-    """Map the shared context onto an OpenAI-style message list."""
+                   tools: list[ToolSchema]) -> MessageList:
+    """Map the shared context onto an OpenAI-style message list.
+
+    Renders only the turns appended since the last call on ``context``; the
+    earlier ones come from its memo, as the same dicts.
+    """
     system_text = system
     if mode == TRANSFORMED and tools:
         catalog = render_transformed_schema(tools)
         system_text = f"{system}\n\n{catalog}" if system else catalog
-    messages = [{"role": "system", "content": system_text}]
-    for turn in context:
+    memo, turns = context.memo, context.turns
+    if len(turns) < memo.rendered:  # history was cut: start a memo the old lists do not share
+        memo = context.memo = MessageMemo()
+    messages = memo.messages
+    for turn in turns[memo.rendered:]:
         if turn.author == "user":
             messages.append({"role": "user", "content": turn.content})
         elif turn.author == "system":
@@ -204,7 +211,8 @@ def build_messages(system: str, context: Context, mode: str,
                 messages.append({"role": "tool", "content": prefix + obs.payload})
         else:  # tool:<name> turns, if constructed directly
             messages.append({"role": "tool", "content": turn.content})
-    return messages
+    memo.rendered = len(turns)
+    return MessageList.of(memo, {"role": "system", "content": system_text})
 
 
 def next_action(context: Context, tools: list[ToolSchema], mode: str, backend,

@@ -18,6 +18,7 @@ E_OUTPUT_UNDECLARED = "E_OUTPUT_UNDECLARED"
 E_NO_OUTPUT = "E_NO_OUTPUT"
 E_RUNNER_REFUSED = "E_RUNNER_REFUSED"
 E_IO = "E_IO"
+E_TOOL_EXCEPTION = "E_TOOL_EXCEPTION"
 
 
 class AgentOsError(Exception):

@@ -12,7 +12,9 @@ from typing import Mapping
 
 from . import naming
 from .errors import (
+    E_TOOL_EXCEPTION,
     E_UNKNOWN_TOOL,
+    AgentOsError,
     BackendError,
     InvalidDefinitionError,
     ParseError,
@@ -98,11 +100,72 @@ class Turn:
         return out
 
 
+class MessageMemo:
+    """What ``engine.build_messages`` and ``backends.request_digest`` keep
+    about one Context between calls.
+
+    ``messages`` are the rendered messages of ``turns[:rendered]``.
+    ``digests`` maps a system text to ``(sha256, n)``: a running hash of the
+    request body up to and including message ``n - 1`` of a message list that
+    starts with that system text.
+    """
+
+    __slots__ = ("messages", "rendered", "digests")
+
+    def __init__(self):
+        self.messages: list[dict[str, str]] = []
+        self.rendered = 0
+        self.digests: dict[str, tuple] = {}
+
+    def __reduce__(self):
+        return MessageMemo, ()  # a copied Context renders and hashes afresh
+
+
+class MessageList(list):
+    """``[system message, *memo.messages]`` as of one ``build_messages`` call.
+
+    The list may be edited like any list; that detaches it (``memo`` becomes
+    None), and only a list still attached may use the memo's digests. The
+    message dicts are shared with the memo and with every later list, so
+    they must not be edited in place.
+    """
+
+    __slots__ = ("memo",)
+
+    @classmethod
+    def of(cls, memo: MessageMemo, system: dict[str, str]) -> "MessageList":
+        messages = cls((system,))
+        list.extend(messages, memo.messages)
+        messages.memo = memo
+        return messages
+
+
+def _detaching(method):
+    def edit(self, *args, **kwargs):
+        self.memo = None
+        return method(self, *args, **kwargs)
+    return edit
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(MessageList, _name, _detaching(getattr(list, _name)))
+del _name
+
+
 @dataclass
 class Context:
-    """Append-only ordered history shared across handoffs."""
+    """Append-only ordered history shared across handoffs.
+
+    ``memo`` caches what was rendered and hashed from ``turns`` so each
+    engine step only does that work for the turns appended since the last
+    one. It relies on ``turns`` only ever growing at the end, and on one
+    thread at a time using the Context.
+    """
 
     turns: list[Turn] = field(default_factory=list)
+    memo: MessageMemo = field(default_factory=MessageMemo, init=False, repr=False,
+                              compare=False)
 
     def append(self, turn: Turn) -> None:
         self.turns.append(turn)
@@ -136,10 +199,24 @@ class AgentDefinition:
             raise InvalidDefinitionError("agent name must be nonempty")
         if self.name in self.transfer_targets:
             raise InvalidDefinitionError("agent cannot transfer to itself")
+        if not all(isinstance(n, str) for n in (*self.tool_names, *self.transfer_targets)):
+            raise InvalidDefinitionError("tool names and transfer targets must be strings")
+        taken = set(self.tool_names)
+        for target in self.transfer_targets:
+            tool_name = _transfer_tool_name(target)
+            if tool_name in taken:
+                raise InvalidDefinitionError(
+                    f"transfer tool {tool_name} for {target!r} collides with "
+                    "another tool or transfer target")
+            taken.add(tool_name)
 
     def transfer_tool_map(self) -> dict[str, str]:
         """transfer tool name -> target agent name."""
-        return {f"transfer_to_{naming.snake_case(t)}": t for t in self.transfer_targets}
+        return {_transfer_tool_name(t): t for t in self.transfer_targets}
+
+
+def _transfer_tool_name(target: str) -> str:
+    return f"transfer_to_{naming.snake_case(target)}"
 
 
 @dataclass
@@ -187,9 +264,9 @@ def run_agent_loop(agent: AgentDefinition, task: str, context: Context,
                    engine, tools, limits: LoopLimits | None = None) -> AgentRunOutcome:
     """Drive one agent until final text, transfer, abort, or the turn bound.
 
-    Exactly one Turn is appended per engine step. Unknown tools and
-    unparseable calls become error observations the model sees next step;
-    they still count against max_turns.
+    Exactly one Turn is appended per engine step. Unknown tools, unparseable
+    calls and tools that raise become error observations the model sees next
+    step; they still count against max_turns.
     """
     limits = limits or LoopLimits()
     author = f"agent:{agent.name}"
@@ -237,7 +314,12 @@ def run_agent_loop(agent: AgentDefinition, task: str, context: Context,
             ))
             continue
 
-        result = tools.run(call)
+        try:
+            result = tools.run(call)
+        except AgentOsError as err:
+            result = ToolResult.fail(err.code, str(err))
+        except Exception as err:  # a failing tool is the model's problem, not the run's
+            result = ToolResult.fail(E_TOOL_EXCEPTION, f"{type(err).__name__}: {err}")
         context.append(Turn(author=author, tool_call=call, observation=result))
 
     return AgentRunOutcome("turn_limit", context,

@@ -367,6 +367,11 @@ _ARITH_OPS = {
 }
 
 
+# An integer result may have at most this many bits (about 3,000 decimal
+# digits), which keeps evaluation fast and str() under Python's digit limit.
+_ARITH_MAX_BITS = 10_000
+
+
 def _bi_arith(args: dict[str, str], workdir: Path | None) -> ToolResult:
     expression = args["expression"]
 
@@ -375,23 +380,33 @@ def _bi_arith(args: dict[str, str], workdir: Path | None) -> ToolResult:
             return evaluate(node.body)
         if isinstance(node, ast.BinOp) and type(node.op) in _ARITH_OPS:
             left, right = evaluate(node.left), evaluate(node.right)
-            if isinstance(node.op, ast.Pow) and abs(right) > 64:
-                raise ValueError("exponent too large")
-            return _ARITH_OPS[type(node.op)](left, right)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            if isinstance(node.op, ast.Pow):
+                if abs(right) > 64:
+                    raise ValueError("exponent too large")
+                # refuse before computing: a 10,000-bit base to the 64th
+                # power takes tens of milliseconds to build
+                if isinstance(left, int) and isinstance(right, int) \
+                        and left.bit_length() * right > _ARITH_MAX_BITS:
+                    raise ValueError("result too large")
+            value = _ARITH_OPS[type(node.op)](left, right)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             value = evaluate(node.operand)
-            return value if isinstance(node.op, ast.UAdd) else -value
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
+            value = value if isinstance(node.op, ast.UAdd) else -value
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) \
                 and not isinstance(node.value, bool):
-            return node.value
-        raise ValueError("only numeric literals and + - * / // % ** are allowed")
+            value = node.value
+        else:
+            raise ValueError("only numeric literals and + - * / // % ** are allowed")
+        if isinstance(value, int) and value.bit_length() > _ARITH_MAX_BITS:
+            raise ValueError("result too large")
+        return value
 
     try:
-        tree = ast.parse(expression, mode="eval")
-        result = evaluate(tree)
+        return ToolResult.ok(str(evaluate(ast.parse(expression, mode="eval"))))
     except (SyntaxError, ValueError, ZeroDivisionError, OverflowError) as err:
         return ToolResult.fail(E_ARGS, f"invalid expression: {err}")
-    return ToolResult.ok(str(result))
+    except (MemoryError, RecursionError):  # how the parser reports nesting too deep for it
+        return ToolResult.fail(E_ARGS, "invalid expression: nested too deeply")
 
 
 _BUILTINS: dict[str, tuple[str, list[ToolParam], object]] = {

@@ -4,10 +4,14 @@ Long tool output is read page by page instead of flooding a context window.
 Pages are fixed character slices; every render ends with a footer line
 ``=== page i of N ===``, optionally followed by a parenthesized notice
 (clamped navigation, search results). Search is case-insensitive and never
-wraps past the end of the document.
+wraps past the end of the document; match offsets index the original text,
+even where lowercasing changes its length.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from itertools import accumulate
 
 from .errors import EmptyInputError, NoPriorSearchError
 
@@ -23,6 +27,7 @@ class Viewport:
         self.page = 1
         self._needle: str | None = None
         self._search_from = 0
+        self._lowered: tuple[str, str, list[int] | None] | None = None
 
     @property
     def page_count(self) -> int:
@@ -81,9 +86,27 @@ class Viewport:
             raise NoPriorSearchError("find_next without a prior find")
         return self._search(self._search_from)
 
+    def _lowercase(self) -> tuple[str, list[int] | None]:
+        """``text.lower()`` and, when lowering changed its length, where the
+        lowercase form of each character starts in it (``None``: unchanged)."""
+        if self._lowered is None or self._lowered[0] is not self.text:
+            lowered = self.text.lower()
+            starts = None
+            if len(lowered) != len(self.text):
+                starts = list(accumulate((len(c.lower()) for c in self.text), initial=0))
+            self._lowered = (self.text, lowered, starts)
+        return self._lowered[1], self._lowered[2]
+
     def _search(self, start: int) -> str:
+        """Match in the lowercase text; report the character the match begins in."""
         assert self._needle is not None
-        index = self.text.lower().find(self._needle.lower(), start)
+        lowered, starts = self._lowercase()
+        if starts is None:
+            index = lowered.find(self._needle.lower(), start)
+        else:
+            index = lowered.find(self._needle.lower(), starts[min(start, len(self.text))])
+            if index >= 0:
+                index = bisect_right(starts, index) - 1
         if index < 0:
             return self._render(f'(no match for "{self._needle}")')
         self._search_from = index + 1

@@ -7,6 +7,7 @@ import pytest
 from agentos.backends import ScriptedBackend
 from agentos.engine import Engine, ToolParam, ToolSchema
 from agentos.errors import (
+    E_TOOL_EXCEPTION,
     E_UNKNOWN_TOOL,
     InvalidDefinitionError,
     UnknownAgentError,
@@ -83,6 +84,24 @@ def test_agent_definition_rules():
         AgentDefinition(name="Loop", transfer_targets=["Loop"])
 
 
+def test_agent_definition_rejects_colliding_transfer_tools():
+    # two targets that snake_case to one tool name would silently merge
+    with pytest.raises(InvalidDefinitionError, match="transfer_to_web_agent"):
+        AgentDefinition(name="Router", transfer_targets=["Web Agent", "web_agent"])
+    with pytest.raises(InvalidDefinitionError, match="transfer_to_web_agent"):
+        AgentDefinition(name="Router", transfer_targets=["Web Agent", "Web Agent"])
+    # a transfer tool would shadow a real tool of the same name
+    with pytest.raises(InvalidDefinitionError, match="transfer_to_helper"):
+        AgentDefinition(name="Router", tool_names=["transfer_to_helper"],
+                        transfer_targets=["Helper"])
+    AgentDefinition(name="Router", tool_names=["echo"],
+                    transfer_targets=["Web Agent", "Web Agent 2"])
+    # what a hand-edited registry file may hold instead of names
+    for bad in ({"tool_names": [["echo"]]}, {"transfer_targets": [7]}):
+        with pytest.raises(InvalidDefinitionError):
+            AgentDefinition(name="Router", **bad)
+
+
 def test_context_to_json_is_canonical():
     ctx = Context()
     ctx.append(Turn(author="user", content="hi"))
@@ -145,6 +164,32 @@ def test_loop_parse_error_feeds_back_and_continues():
     assert err_turn.tool_call is None
     assert err_turn.observation.error_kind == "E_PARSE"
     assert err_turn.content == "<function=broken name>"
+
+
+def test_loop_tool_exception_becomes_error_observation():
+    class CrashingSuite(EchoSuite):
+        def run(self, call):
+            super().run(call)
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+    suite = CrashingSuite()
+    agent = AgentDefinition(name="W", tool_names=["echo"])
+    engine = direct_engine([ToolCall("echo", {"text": "x"}), "recovered"])
+    outcome = run_agent_loop(agent, "t", Context(), engine, suite)
+    assert outcome.kind == "completed" and outcome.text == "recovered"
+    crashed = outcome.context.turns[1]
+    assert crashed.tool_call == ToolCall("echo", {"text": "x"})
+    assert crashed.observation.error_kind == E_TOOL_EXCEPTION
+    assert crashed.observation.payload.startswith("ValueError: Exceeds the limit")
+
+    class MissingSuite(EchoSuite):
+        def run(self, call):
+            raise UnknownAgentError("unknown agent: ghost")
+
+    engine = direct_engine([ToolCall("echo", {"text": "x"}), "recovered"])
+    outcome = run_agent_loop(agent, "t", Context(), engine, MissingSuite())
+    assert outcome.context.turns[1].observation == ToolResult.fail(
+        "E_UNKNOWN_AGENT", "unknown agent: ghost")
 
 
 def test_loop_backend_abort():

@@ -190,6 +190,16 @@ def test_builtin_arithmetic(suite):
         assert result.error_kind == E_ARGS
 
 
+def test_builtin_arithmetic_bounds_result_size(suite):
+    # nested powers pass the per-node exponent guard; the result size does not
+    for expression in ("((2**64)**64)**64", "(10**64)**64 * 10**64",
+                       "-" * 100_000 + "1", "1" + "+1" * 100_000):
+        result = suite.run(ToolCall("arithmetic_eval", {"expression": expression}))
+        assert (result.status, result.error_kind) == ("error", E_ARGS), expression[:20]
+    big = suite.run(ToolCall("arithmetic_eval", {"expression": "(2**64)**64"}))
+    assert (big.status, big.payload) == ("ok", str(2 ** 4096))
+
+
 # ---------------------------------------------------------------------------
 # suite argument checking and policy
 # ---------------------------------------------------------------------------

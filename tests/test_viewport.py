@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentos.errors import EmptyInputError, NoPriorSearchError
 from agentos.viewport import Viewport, open_view
@@ -108,6 +110,55 @@ def test_find_next_advances_monotonically():
     assert offsets == [i for i in range(0, 30, 2)]
     # exhausted: stays wherever the last match put it, no wraparound
     assert 'no match for "ab"' in result
+
+
+def test_find_reports_offsets_in_the_original_text():
+    # "İ".lower() is two characters, so the lowered text is longer
+    view = Viewport("İ" * 10 + "needle", 8)
+    assert footer_of(view.find("NEEDLE")) == \
+        '=== page 2 of 2 === (match "NEEDLE" at offset 10)'
+    assert view.page == 2
+    assert "needle" in view.render()
+
+
+def search_oracle(text: str, needle: str, start: int) -> int:
+    """Brute force: the character in whose lowercase form the first match
+    at or after character ``start`` begins, or -1."""
+    lowered, wanted = text.lower(), needle.lower()
+    begin = len(text[:start].lower())
+    for at in range(begin, len(lowered)):
+        if lowered.startswith(wanted, at):
+            return next(i for i in range(len(text)) if len(text[:i + 1].lower()) > at)
+    return -1
+
+
+def offsets_found(view: Viewport, needle: str) -> list[int]:
+    offsets = []
+    result = view.find(needle)
+    while "no match" not in result:
+        offsets.append(int(result.rsplit("offset ", 1)[1].rstrip(")")))
+        result = view.find_next()
+    return offsets
+
+
+# letters whose lowercase form is longer (İ), context-dependent (Σ), or the same
+LETTERS = st.sampled_from(list("aAbBiIİΣσςßẞ \u0307"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(LETTERS, max_size=40), needle=st.text(LETTERS, min_size=1, max_size=3),
+       page_size=st.integers(1, 12))
+def test_search_matches_brute_force_oracle(text, needle, page_size):
+    view = Viewport(text, page_size)
+    expected, start = [], 0
+    while (at := search_oracle(text, needle, start)) >= 0:
+        expected.append(at)
+        start = at + 1
+    assert offsets_found(view, needle) == expected
+    if expected:
+        view.goto(1)
+        view.find(needle)
+        assert view.page == expected[0] // page_size + 1
 
 
 def test_find_no_match_notice():
