@@ -37,6 +37,7 @@ from .errors import (
     XmlError,
 )
 from .forms import (
+    WorkflowForm,
     parse_agent_form,
     parse_workflow_form,
     validate_agent_form,
@@ -118,31 +119,27 @@ def _emit(config: CliConfig, lines: list[str], payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_form(path: str):
-    """Returns ("agents"|"workflow", form). Sniffs the root element."""
+    """Returns (form, its validator). Sniffs the root element."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise _Failure("E_IO", str(err))
     match = _ROOT_SNIFF.search(text)
-    kind = match.group(1) if match else "agents"
-    if kind == "workflow":
-        return kind, parse_workflow_form(text)
-    return kind, parse_agent_form(text)
+    if match and match.group(1) == "workflow":
+        return parse_workflow_form(text), validate_workflow_form
+    return parse_agent_form(text), validate_agent_form
 
 
 def _cmd_validate(config: CliConfig, args) -> int:
     store = RegistryStore(config.registry_root)
     try:
-        kind, form = _load_form(args.form)
+        form, validate = _load_form(args.form)
     except (XmlError, SchemaError, ActionTypeError) as err:
         _emit(config, [f"{err.code}: {err.message}", "1 diagnostics"],
               {"diagnostics": [{"code": err.code, "location": "",
                                 "message": err.message}]})
         return 1
-    if kind == "workflow":
-        diagnostics = validate_workflow_form(form, store.view())
-    else:
-        diagnostics = validate_agent_form(form, store.view())
+    diagnostics = validate(form, store.view())
     lines = [f"{d.code} {d.location}: {d.message}" for d in diagnostics]
     lines.append(f"{len(diagnostics)} diagnostics")
     _emit(config, lines,
@@ -152,8 +149,8 @@ def _cmd_validate(config: CliConfig, args) -> int:
 
 
 def _cmd_run_workflow(config: CliConfig, args) -> int:
-    kind, form = _load_form(args.form)
-    if kind != "workflow":
+    form, _ = _load_form(args.form)
+    if not isinstance(form, WorkflowForm):
         raise _Failure("E_SCHEMA", f"{args.form} is not a workflow form")
     store = RegistryStore(config.registry_root)
     engine = _make_engine(config)

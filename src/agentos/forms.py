@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import naming
 from .errors import ActionTypeError, SchemaError, UnboundVariableError, XmlError
@@ -256,6 +256,9 @@ def _key_desc(elem: ET.Element, path: str) -> KeyDesc:
 
 
 def _tool_list(elem: ET.Element, path: str) -> list[ToolRef]:
+    """Read a ``<tools>`` element; its only allowed attribute is ``category``."""
+    if set(elem.attrib) - {"category"}:
+        raise SchemaError(path, "unexpected attribute on <tools>")
     out = []
     count = 0
     for child in elem:
@@ -331,13 +334,12 @@ def _parse_agent_spec(elem: ET.Element, path: str) -> AgentSpec:
     existing: list[ToolRef] = []
     new: list[ToolRef] = []
     for tools_el, tpath in grouped["tools"]:
+        tools = _tool_list(tools_el, tpath)
         category = tools_el.attrib.get("category")
-        if set(tools_el.attrib) - {"category"}:
-            raise SchemaError(tpath, "unexpected attribute on <tools>")
         if category == "existing":
-            existing.extend(_tool_list(tools_el, tpath))
+            existing.extend(tools)
         elif category == "new":
-            new.extend(_tool_list(tools_el, tpath))
+            new.extend(tools)
         else:
             raise SchemaError(tpath, f"tools category must be existing|new, got {category!r}")
 
@@ -457,8 +459,6 @@ def _parse_workflow_agent(elem: ET.Element, path: str) -> WorkflowAgentDecl:
     desc = _opt(grouped, "description")
     tools: list[ToolRef] = []
     for tools_el, tpath in grouped["tools"]:
-        if set(tools_el.attrib) - {"category"}:
-            raise SchemaError(tpath, "unexpected attribute on <tools>")
         tools.extend(_tool_list(tools_el, tpath))
     name = _leaf(name_el, npath)
     if not name:
@@ -582,19 +582,41 @@ def validate_workflow_form(form: WorkflowForm, registry: RegistryView | None = N
             out.append(Diagnostic(
                 "V2", "on_start outputs must use the RESULT action", start.path))
 
-    # V3: input keys must be published by some listen-graph ancestor
-    available_base = {form.system_input.key} if form.system_input.pairs else set()
+    # V3: input keys must be published by some listen-graph ancestor. An
+    # event's closure is an int bitmask, one bit per output key, of the keys
+    # it or any ancestor produces; closures are gathered along the
+    # topological order, and events on or behind a cycle are gathered again
+    # until no closure changes.
+    graph = listen_graph(events)
+    bit: dict[str, int] = {}
+    closure = dict.fromkeys(by_name, 0)
+
+    def gather(name: str) -> int:
+        mask = 0
+        for output in by_name[name].outputs:
+            mask |= 1 << bit.setdefault(output.key, len(bit))
+        for source in graph.sources[name]:
+            mask |= closure[source]
+        return mask
+
+    for name in graph.order:
+        closure[name] = gather(name)
+    pending = list(graph.cyclic)
+    while pending:
+        name = pending.pop()
+        mask = gather(name)
+        if mask != closure[name]:
+            closure[name] = mask
+            pending.extend(graph.listeners[name])
+    base = form.system_input.key if form.system_input.pairs else None
     for event in events:
-        if event.name == ON_START:
+        if event.name == ON_START or not event.inputs:
             continue
-        ancestors = _ancestors(event.name, by_name)
-        available = set(available_base)
-        for name in ancestors:
-            anc = by_name.get(name)
-            if anc is not None:
-                available.update(o.key for o in anc.outputs)
+        available = 0
+        for source in graph.sources[event.name]:
+            available |= closure[source]
         for pair in event.inputs:
-            if pair.key not in available:
+            if pair.key != base and not (pair.key in bit and available >> bit[pair.key] & 1):
                 out.append(Diagnostic(
                     "V3", f"input key {pair.key!r} is not produced by any listened event",
                     event.path))
@@ -684,44 +706,42 @@ def validate_workflow_form(form: WorkflowForm, registry: RegistryView | None = N
             if source not in by_name:
                 out.append(Diagnostic(
                     "V10", f"listen references unknown event: {source}", event.path))
-    cyclic = _cycle_members(events)
-    if cyclic:
+    if graph.cyclic:
         out.append(Diagnostic(
-            "V10", "listen graph contains a cycle through: " + ", ".join(sorted(cyclic)),
+            "V10", "listen graph contains a cycle through: " + ", ".join(sorted(graph.cyclic)),
             "/workflow/events"))
     return out
 
 
-def _ancestors(name: str, by_name: Mapping[str, EventSpec]) -> set[str]:
-    """Transitive listen sources of ``name`` (cycle-safe)."""
-    seen: set[str] = set()
-    stack = list(by_name[name].listen) if name in by_name else []
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        spec = by_name.get(current)
-        if spec is not None:
-            stack.extend(spec.listen)
-    return seen
+class ListenGraph(NamedTuple):
+    order: list[str]  # events off every cycle, each after all of its sources
+    sources: dict[str, list[str]]  # known listen sources, without repeats
+    listeners: dict[str, list[str]]  # events listening to each, in document order
+    cyclic: set[str]  # events on a cycle or listening downstream of one
 
 
-def _cycle_members(events: list[EventSpec]) -> set[str]:
-    """Kahn's algorithm; returns the names left on a cycle (empty if none)."""
-    names = {e.name for e in events}
-    incoming = {e.name: {s for s in e.listen if s in names} for e in events}
-    ready = [name for name, deps in incoming.items() if not deps]
-    done: set[str] = set()
-    while ready:
-        current = ready.pop()
-        done.add(current)
-        for name, deps in incoming.items():
-            if current in deps:
-                deps.discard(current)
-                if not deps and name not in done:
-                    ready.append(name)
-    return names - done
+def listen_graph(events: list[EventSpec]) -> ListenGraph:
+    """One Kahn pass over the ``<listen>`` edges; unknown sources are ignored.
+
+    A later event of a repeated name replaces the earlier one.
+    """
+    specs = {e.name: e for e in events}
+    sources = {name: [s for s in dict.fromkeys(spec.listen) if s in specs]
+               for name, spec in specs.items()}
+    listeners: dict[str, list[str]] = {name: [] for name in specs}
+    waiting = {}
+    for name, known in sources.items():
+        waiting[name] = len(known)
+        for source in known:
+            listeners[source].append(name)
+    order = [name for name, count in waiting.items() if not count]
+    for name in order:  # the loop also visits the names it appends
+        for follower in listeners[name]:
+            waiting[follower] -= 1
+            if not waiting[follower]:
+                order.append(follower)
+    return ListenGraph(order, sources, listeners,
+                       {name for name, count in waiting.items() if count})
 
 
 # ---------------------------------------------------------------------------

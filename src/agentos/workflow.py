@@ -34,6 +34,7 @@ from .forms import (
     RegistryView,
     WorkflowForm,
     globals_map,
+    listen_graph,
     substitute_globals,
     validate_workflow_form,
 )
@@ -42,6 +43,7 @@ PENDING = "pending"
 COMPLETED = "completed"
 
 DEFAULT_GOTO_LIMIT = 3
+PARALLEL_WORKERS = 32  # thread cap of one parallel run, shared by all its rounds
 GOTO_LIMIT_VARIABLE = "max_iterations"
 
 SELECT_MARKER = "SELECTED_OUTPUT:"
@@ -74,8 +76,8 @@ class CompiledEvent:
 @dataclass
 class WorkflowGraph:
     form: WorkflowForm
-    events: list[CompiledEvent]
-    by_name: dict[str, CompiledEvent]
+    events: list[CompiledEvent]  # commit order: (rank, doc_order)
+    listeners: dict[str, list[str]]  # events listening to each event
 
 
 def compile_graph(form: WorkflowForm, registry: RegistryView | None = None) -> WorkflowGraph:
@@ -84,33 +86,22 @@ def compile_graph(form: WorkflowForm, registry: RegistryView | None = None) -> W
     if diagnostics:
         raise InvalidFormError(diagnostics)
 
+    graph = listen_graph(form.events)
     ranks: dict[str, int] = {}
-    specs = {e.name: e for e in form.events}
-
-    def rank_of(name: str) -> int:
-        if name in ranks:
-            return ranks[name]
-        spec = specs[name]
-        value = 0 if not spec.listen else 1 + max(rank_of(s) for s in spec.listen)
-        ranks[name] = value
-        return value
-
-    events = [CompiledEvent(spec, i, rank_of(spec.name))
-              for i, spec in enumerate(form.events)]
-    return WorkflowGraph(form=form, events=events,
-                         by_name={ce.spec.name: ce for ce in events})
+    for name in graph.order:
+        ranks[name] = 1 + max((ranks[s] for s in graph.sources[name]), default=-1)
+    events = sorted((CompiledEvent(spec, i, ranks[spec.name])
+                     for i, spec in enumerate(form.events)),
+                    key=lambda ce: (ce.rank, ce.doc_order))
+    return WorkflowGraph(form=form, events=events, listeners=graph.listeners)
 
 
 def forward_closure(graph: WorkflowGraph, target: str) -> set[str]:
     """``target`` plus every event that transitively listens to it."""
-    listeners: dict[str, list[str]] = {name: [] for name in graph.by_name}
-    for ce in graph.events:
-        for source in ce.spec.listen:
-            listeners.setdefault(source, []).append(ce.spec.name)
     closure = {target}
     stack = [target]
     while stack:
-        for follower in listeners.get(stack.pop(), ()):
+        for follower in graph.listeners.get(stack.pop(), ()):
             if follower not in closure:
                 closure.add(follower)
                 stack.append(follower)
@@ -172,14 +163,9 @@ def _goto_limit(variables: dict[str, str]) -> int:
 
 def ready_set(run: WorkflowRun) -> list[CompiledEvent]:
     """Pending events whose listen sources have all completed, in commit order."""
-    out = []
-    for ce in run.graph.events:
-        if run.state[ce.spec.name] != PENDING:
-            continue
-        if all(run.state.get(s) == COMPLETED for s in ce.spec.listen):
-            out.append(ce)
-    out.sort(key=lambda ce: (ce.rank, ce.doc_order))
-    return out
+    return [ce for ce in run.graph.events
+            if run.state[ce.spec.name] == PENDING
+            and all(run.state.get(s) == COMPLETED for s in ce.spec.listen)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +339,7 @@ def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
             return _Verdict("aborted", E_LOOP_LIMIT,
                             f"goto {name} -> {target} exceeded limit {run.goto_limit}")
         closure = forward_closure(run.graph, target)
-        members = sorted(closure, key=lambda n: (run.graph.by_name[n].rank,
-                                                 run.graph.by_name[n].doc_order))
+        members = [ce.spec.name for ce in run.graph.events if ce.spec.name in closure]
         for member in members:
             for key in run.published[member]:
                 run.blackboard.pop(key, None)
@@ -386,67 +371,60 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
     resolver = resolve_agent or make_form_resolver(form, suite)
     run = WorkflowRun(graph, input_value)
 
-    round_no = 0
-    while True:
-        batch = ready_set(run)
-        if not batch:
-            if all(state == COMPLETED for state in run.state.values()):
-                key = graph.form.system_output.key
-                if key in run.blackboard:
-                    run.trace.append(f"complete output={key}")
+    # the pool starts no thread until a parallel round submits work
+    with ThreadPoolExecutor(max_workers=PARALLEL_WORKERS) as pool:
+        round_no = 0
+        while True:
+            batch = ready_set(run)
+            if not batch:
+                if all(state == COMPLETED for state in run.state.values()):
+                    key = graph.form.system_output.key
+                    if key in run.blackboard:
+                        run.trace.append(f"complete output={key}")
+                        return WorkflowResult(
+                            status="completed", output=run.blackboard[key], output_key=key,
+                            blackboard=dict(run.blackboard), trace=run.trace)
+                    run.trace.append(f"fail workflow code={E_MISSING_OUTPUT}")
                     return WorkflowResult(
-                        status="completed", output=run.blackboard[key], output_key=key,
+                        status="error", error=E_MISSING_OUTPUT,
+                        reason=f"system output key {key!r} was never published",
                         blackboard=dict(run.blackboard), trace=run.trace)
-                run.trace.append(f"fail workflow code={E_MISSING_OUTPUT}")
+                run.trace.append("fail workflow code=E_STALLED")
                 return WorkflowResult(
-                    status="error", error=E_MISSING_OUTPUT,
-                    reason=f"system output key {key!r} was never published",
+                    status="error", error="E_STALLED",
+                    reason="no event is ready and the workflow is not complete",
                     blackboard=dict(run.blackboard), trace=run.trace)
-            run.trace.append("fail workflow code=E_STALLED")
-            return WorkflowResult(
-                status="error", error="E_STALLED",
-                reason="no event is ready and the workflow is not complete",
-                blackboard=dict(run.blackboard), trace=run.trace)
 
-        round_no += 1
-        run.trace.append(f"round {round_no}")
-        for ce in batch:
-            ref = ce.spec.agent
-            run.trace.append("run {} agent={} model={}".format(
-                ce.spec.name,
-                ref.name if ref else "-",
-                (ref.model if ref and ref.model else "-")))
+            round_no += 1
+            run.trace.append(f"round {round_no}")
+            for ce in batch:
+                ref = ce.spec.agent
+                run.trace.append("run {} agent={} model={}".format(
+                    ce.spec.name,
+                    ref.name if ref else "-",
+                    (ref.model if ref and ref.model else "-")))
 
-        if parallel and len(batch) > 1:
-            with ThreadPoolExecutor(max_workers=len(batch)) as pool:
+            if parallel and len(batch) > 1:
                 outcomes = list(pool.map(
                     lambda ce: execute_event(run, ce, engine, suite, resolver, limits),
                     batch))
-        else:
-            outcomes = [execute_event(run, ce, engine, suite, resolver, limits)
-                        for ce in batch]
+            else:
+                outcomes = [execute_event(run, ce, engine, suite, resolver, limits)
+                            for ce in batch]
 
-        reset_this_round: set[str] = set()
-        stop: WorkflowResult | None = None
-        for ce, outcome in zip(batch, outcomes):
-            if ce.spec.name in reset_this_round:
-                # an earlier commit in this round rewound this event; its
-                # result is stale and must not land
-                run.trace.append(f"discard {ce.spec.name}")
-                continue
-            verdict = apply_outcome(run, ce, outcome)
-            reset_this_round.update(verdict.reset)
-            if verdict.kind == "aborted":
-                run.trace.append("abort workflow" +
-                                 (f" code={verdict.code}" if verdict.code else ""))
-                stop = WorkflowResult(status="aborted", error=verdict.code,
-                                      reason=verdict.reason,
-                                      blackboard=dict(run.blackboard), trace=run.trace)
-                break
-            if verdict.kind == "error":
-                stop = WorkflowResult(status="error", error=verdict.code,
-                                      reason=verdict.reason,
-                                      blackboard=dict(run.blackboard), trace=run.trace)
-                break
-        if stop is not None:
-            return stop
+            reset_this_round: set[str] = set()
+            for ce, outcome in zip(batch, outcomes):
+                if ce.spec.name in reset_this_round:
+                    # an earlier commit in this round rewound this event; its
+                    # result is stale and must not land
+                    run.trace.append(f"discard {ce.spec.name}")
+                    continue
+                verdict = apply_outcome(run, ce, outcome)
+                reset_this_round.update(verdict.reset)
+                if verdict.kind == "aborted":
+                    run.trace.append("abort workflow" +
+                                     (f" code={verdict.code}" if verdict.code else ""))
+                if verdict.kind != "continue":
+                    return WorkflowResult(status=verdict.kind, error=verdict.code,
+                                          reason=verdict.reason,
+                                          blackboard=dict(run.blackboard), trace=run.trace)

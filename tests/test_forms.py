@@ -173,6 +173,21 @@ def test_reject_bad_tools_category():
     assert "existing|new" in err.value.message
 
 
+def test_reject_unexpected_tools_attribute():
+    agents = read_fixture("image_agent_form.xml").replace(
+        'category="existing"', 'category="existing" scope="all"')
+    with pytest.raises(SchemaError) as err:
+        parse_agent_form(agents)
+    assert err.value.message == "/agents/agent[1]/tools[1]: unexpected attribute on <tools>"
+    workflow = read_fixture("math_voting_workflow.xml").replace(
+        "<name>Math Solver Agent</name>",
+        '<name>Math Solver Agent</name><tools category="new" scope="all"></tools>', 1)
+    with pytest.raises(SchemaError) as err:
+        parse_workflow_form(workflow)
+    assert err.value.message == (
+        "/workflow/agents[1]/agent[1]/tools[1]: unexpected attribute on <tools>")
+
+
 def test_reject_bad_agent_category():
     text = read_fixture("math_voting_workflow.xml").replace(
         '<agent category="new">\n            <name>Math Solver Agent</name>',

@@ -1,7 +1,10 @@
 """Workflow execution: compilation, output selection, rounds, GOTO, aborts."""
 
+import threading
+
 import pytest
 
+from agentos.backends import ScriptedBackend
 from agentos.engine import Engine
 from agentos.errors import (
     E_LOOP_LIMIT,
@@ -9,8 +12,15 @@ from agentos.errors import (
     E_OUTPUT_UNDECLARED,
     InvalidFormError,
 )
-from agentos.forms import ActionSpec, GlobalVar, KeyDesc, parse_workflow_form
+from agentos.forms import (
+    ActionSpec,
+    GlobalVar,
+    KeyDesc,
+    parse_workflow_form,
+    validate_workflow_form,
+)
 from agentos.workflow import (
+    PARALLEL_WORKERS,
     compile_graph,
     forward_closure,
     render_event_prompt,
@@ -192,22 +202,29 @@ def _event(name, listen, key, model, action="<type>RESULT</type>"):
         <agent><name>Worker</name><model>{model}</model></agent></event>"""
 
 
-# on_start -> T -> B and on_start -> X -> S; S sorts before B in the same
-# round and its GOTO rewinds T, which rewinds B before B's result commits.
-SAME_ROUND_GOTO_XML = f"""<workflow><name>same_round_goto</name>
+def _workflow(name, output_key, events):
+    """A workflow of on_start (passing ``topic`` through) and ``events``."""
+    return f"""<workflow><name>{name}</name>
     <system_input><key>topic</key><description>d</description></system_input>
-    <system_output><key>b_out</key><description>d</description></system_output>
+    <system_output><key>{output_key}</key><description>d</description></system_output>
     <agents><agent category="new"><name>Worker</name><description>w</description></agent></agents>
     <events>
         <event><name>on_start</name>
             <inputs><input><key>topic</key><description>d</description></input></inputs>
             <outputs><output><key>topic</key><description>d</description>
                 <action><type>RESULT</type></action></output></outputs></event>
-        {_event("T", "on_start", "t_out", "m_t")}
-        {_event("X", "on_start", "x_out", "m_x")}
-        {_event("S", "X", "s_out", "m_s", "<type>GOTO</type><value>T</value>")}
-        {_event("B", "T", "b_out", "m_b")}
+        {"".join(events)}
     </events></workflow>"""
+
+
+# on_start -> T -> B and on_start -> X -> S; S sorts before B in the same
+# round and its GOTO rewinds T, which rewinds B before B's result commits.
+SAME_ROUND_GOTO_XML = _workflow("same_round_goto", "b_out", [
+    _event("T", "on_start", "t_out", "m_t"),
+    _event("X", "on_start", "x_out", "m_x"),
+    _event("S", "X", "s_out", "m_s", "<type>GOTO</type><value>T</value>"),
+    _event("B", "T", "b_out", "m_b"),
+])
 
 
 def test_same_round_goto_discards_stale_result():
@@ -227,6 +244,56 @@ def test_same_round_goto_discards_stale_result():
     assert "commit B action=RESULT key=b_out" in serial.trace
     assert serial.trace.count("run B agent=Worker model=m_b") == 2
     assert serial.output == "fresh b"
+    assert parallel.trace == serial.trace
+    assert parallel.blackboard == serial.blackboard
+
+
+def test_long_chain_in_reverse_document_order():
+    # step_400 listens to step_399 ... step_1 listens to on_start, but the
+    # document lists them from step_400 down: ranks must not recurse
+    depth = 400
+    form = parse_workflow_form(_workflow("reverse_chain", f"k{depth}", [
+        _event(f"step_{i}", f"step_{i - 1}" if i > 1 else "on_start", f"k{i}", "m")
+        for i in range(depth, 0, -1)]))
+    assert validate_workflow_form(form) == []
+    graph = compile_graph(form)
+    assert [(ce.spec.name, ce.rank) for ce in graph.events[:2] + graph.events[-1:]] == [
+        ("on_start", 0), ("step_1", 1), (f"step_{depth}", depth)]
+    serial, parallel = [run_workflow(form, "topic", Engine("transformed", ScriptedBackend(
+                            [f"value {i}" for i in range(1, depth + 1)])), parallel=parallel)
+                        for parallel in (False, True)]
+    assert serial.status == "completed"
+    assert serial.output == f"value {depth}"
+    assert serial.trace.count("round 1") == 1 and f"round {depth + 1}" in serial.trace
+    assert parallel.trace == serial.trace
+
+
+def test_parallel_round_threads_are_capped():
+    width = PARALLEL_WORKERS + 8
+    form = parse_workflow_form(_workflow("wide_round", "k0", [
+        _event(f"fan_{i}", "on_start", f"k{i}", "m") for i in range(width)]))
+
+    def run(parallel):
+        threads = set()
+        crowded = threading.Event()
+
+        def reply(request):
+            threads.add(threading.get_ident())
+            if len(threads) > PARALLEL_WORKERS:
+                crowded.set()
+            if parallel:
+                # hold every worker, so a pool without a cap would start one
+                # thread per ready event
+                crowded.wait(timeout=0.2)
+            return "done"
+
+        engine = Engine("transformed", ScriptedBackend([reply] * width))
+        return run_workflow(form, "topic", engine, parallel=parallel), threads
+
+    (serial, _), (parallel, threads) = run(False), run(True)
+    assert serial.status == "completed"
+    assert serial.trace.count("round 2") == 1 and "round 3" not in serial.trace
+    assert 1 < len(threads) <= PARALLEL_WORKERS
     assert parallel.trace == serial.trace
     assert parallel.blackboard == serial.blackboard
 
