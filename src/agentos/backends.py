@@ -128,7 +128,7 @@ def _tools_json(tools) -> str:
                        for p in s.parameters)) for s in tools)
     try:
         text = _TOOLS_JSON.get(key)
-    except TypeError:  # a field that is not hashable, such as a list from a .def file
+    except TypeError:  # a field that is not hashable, such as a list
         key = text = None
     if text is None:
         text = _ENCODER.encode([_schema_dict(s) for s in tools])
@@ -245,18 +245,17 @@ class HttpBackend:
             payload["tools"] = [{
                 "type": "function",
                 "function": {
-                    "name": s.name,
-                    "description": s.description,
+                    "name": d["name"],
+                    "description": d["description"],
                     "parameters": {
                         "type": "object",
-                        "properties": {
-                            p.name: {"type": "string", "description": p.description}
-                            for p in s.parameters
-                        },
-                        "required": [p.name for p in s.parameters if p.required],
+                        "properties": {p["name"]: {"type": "string",
+                                                   "description": p["description"]}
+                                       for p in d["parameters"]},
+                        "required": [p["name"] for p in d["parameters"] if p["required"]],
                     },
                 },
-            } for s in request.tools]
+            } for d in map(_schema_dict, request.tools)]
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

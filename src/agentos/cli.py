@@ -222,21 +222,18 @@ def _cmd_registry(config: CliConfig, args) -> int:
     store = RegistryStore(config.registry_root)
     kind = args.kind
     if args.action == "list":
-        names = getattr(store, f"list_{kind}")()
+        names = store.names(kind)
         _emit(config, names if names else ["(none)"], {kind: names})
         return 0
     if not args.name:
         raise _Failure("E_ARGS", f"registry {args.action} needs a name")
     if args.action == "show":
-        path = Path(config.registry_root) / kind / f"{args.name}.def"
-        if not path.is_file():
-            raise _Failure("E_NOT_FOUND", f"not in registry: {args.name}")
-        text = path.read_text(encoding="utf-8").rstrip("\n")
-        _emit(config, [text], json.loads(text))
+        record = store.record(kind, args.name)
+        _emit(config, [json.dumps(record, sort_keys=True, indent=2)], record)
         return 0
     # delete
+    store.delete(kind, args.name)
     singular = kind[:-1]
-    getattr(store, f"delete_{singular}")(args.name)
     _emit(config, [f"deleted {singular} {args.name}"],
           {"deleted": {"kind": singular, "name": args.name}})
     return 0

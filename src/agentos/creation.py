@@ -134,6 +134,11 @@ _mgmt("run_workflow", "Execute a registered workflow.", [
 ])
 _mgmt("delete_workflow", "Remove a workflow.", [ToolParam("name", "Workflow name.")])
 
+# the list_* and delete_* tools, by the registry kind they act on
+_ENTRY_KINDS = {"list_tools": "tools", "delete_tool": "tools",
+                "list_agents": "agents", "delete_agent": "agents",
+                "list_workflows": "workflows", "delete_workflow": "workflows"}
+
 
 def _split_csv(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
@@ -168,12 +173,10 @@ class ManagementToolSuite:
     than failing half way through an execution.
     """
 
-    def __init__(self, store: RegistryStore, engine=None, exec_tools=None,
-                 workdir=None, runner=None):
+    def __init__(self, store: RegistryStore, engine=None, workdir=None, runner=None):
         self.store = store
         self.engine = engine
-        self.exec_tools = exec_tools if exec_tools is not None else RegistryToolSuite(
-            store, runner=runner, workdir=workdir)
+        self.exec_tools = RegistryToolSuite(store, runner=runner, workdir=workdir)
 
     def schema(self, name: str) -> ToolSchema:
         try:
@@ -182,27 +185,27 @@ class ManagementToolSuite:
             raise NotFoundError(f"unknown tool: {name}")
 
     def run(self, call: ToolCall) -> ToolResult:
-        handler = getattr(self, f"_do_{call.tool_name}", None)
-        if handler is None or call.tool_name not in _MGMT_SCHEMAS:
+        if call.tool_name not in _MGMT_SCHEMAS:
             return ToolResult.fail(E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}")
         failure = check_arguments(_MGMT_SCHEMAS[call.tool_name], call.arguments)
         if failure is not None:
             return failure
+        args = dict(call.arguments)
+        kind = _ENTRY_KINDS.get(call.tool_name)
         try:
-            return handler(dict(call.arguments))
+            if kind is None:
+                return getattr(self, f"_do_{call.tool_name}")(args)
+            if call.tool_name.startswith("list_"):
+                names = self.store.names(kind)
+                return ToolResult.ok("\n".join(names) if names else "(none)")
+            self.store.delete(kind, args["name"])
+            return ToolResult.ok(f"deleted {kind[:-1]} {args['name']}")
         except AgentOsError as err:
             return ToolResult.fail(err.code, str(err))
         except ValueError as err:
             return ToolResult.fail(E_ARGS, str(err))
 
     # -- handlers -----------------------------------------------------------
-
-    @staticmethod
-    def _listing(names: list[str]) -> ToolResult:
-        return ToolResult.ok("\n".join(names) if names else "(none)")
-
-    def _do_list_tools(self, args) -> ToolResult:
-        return self._listing(self.store.list_tools())
 
     def _do_create_tool(self, args) -> ToolResult:
         params = _parse_param_spec(args.get("parameters", ""))
@@ -230,13 +233,6 @@ class ManagementToolSuite:
                          for k, v in data.items()}
         return self.exec_tools.run(ToolCall(args["name"], arguments))
 
-    def _do_delete_tool(self, args) -> ToolResult:
-        self.store.delete_tool(args["name"])
-        return ToolResult.ok(f"deleted tool {args['name']}")
-
-    def _do_list_agents(self, args) -> ToolResult:
-        return self._listing(self.store.list_agents())
-
     def _do_create_agent(self, args) -> ToolResult:
         agent = AgentDefinition(
             name=args["name"],
@@ -248,13 +244,6 @@ class ManagementToolSuite:
         )
         version = self.store.put_agent(agent)
         return ToolResult.ok(f"created agent {agent.name} v{version}")
-
-    def _do_delete_agent(self, args) -> ToolResult:
-        self.store.delete_agent(args["name"])
-        return ToolResult.ok(f"deleted agent {args['name']}")
-
-    def _do_list_workflows(self, args) -> ToolResult:
-        return self._listing(self.store.list_workflows())
 
     def _do_create_workflow(self, args) -> ToolResult:
         try:
@@ -280,10 +269,6 @@ class ManagementToolSuite:
             return ToolResult.ok(result.output or "")
         return ToolResult.fail(result.error or "E_ABORTED",
                                f"workflow {result.status}: {result.reason}")
-
-    def _do_delete_workflow(self, args) -> ToolResult:
-        self.store.delete_workflow(args["name"])
-        return ToolResult.ok(f"deleted workflow {args['name']}")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +508,7 @@ class _Phases:
 
         self.run(name, attempt)
 
-    def tools(self, editor: AgentDefinition, rows: list[tuple[str, str, str]]) -> None:
+    def tools(self, rows: list[tuple[str, str, str]]) -> None:
         """Build the (name, description, owner) tools, each demonstrated."""
         if not rows:
             return
@@ -542,11 +527,10 @@ class _Phases:
                     return False, f"tool {name} was not created"
             return _check_test_lines(outcome.text, expected, self.suite.exec_tools)
 
-        self.edit("tools", editor, "\n".join(lines), check)
+        self.edit("tools", default_tool_editor(self.model), "\n".join(lines), check)
         self.report.created_tools = sorted(expected)
 
-    def agents(self, editor: AgentDefinition,
-               rows: list[tuple[str, str, str, list[str]]]) -> None:
+    def agents(self, rows: list[tuple[str, str, str, list[str]]]) -> None:
         """Register the (name, description, instructions, tool names) agents."""
         if not rows:
             return
@@ -565,7 +549,7 @@ class _Phases:
                     return False, f"agent {name} was not created"
             return True, None
 
-        self.edit("agents", editor, "\n".join(lines), check)
+        self.edit("agents", default_agent_editor(self.model), "\n".join(lines), check)
         self.report.created_agents = [name for name, _, _, _ in rows]
 
 
@@ -575,8 +559,6 @@ class _Phases:
 
 def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
                            suite: ManagementToolSuite | None = None,
-                           tool_editor: AgentDefinition | None = None,
-                           agent_editor: AgentDefinition | None = None,
                            max_attempts: int = 3,
                            test_task: str | None = None,
                            limits: kernel.LoopLimits | None = None,
@@ -589,11 +571,9 @@ def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
     phases = _Phases("agents", engine, store, suite, max_attempts, limits, model)
     form = phases.profile(requirement, PROFILER_INSTRUCTIONS, "agents",
                           parse_agent_form, validate_agent_form)
-    phases.tools(tool_editor or default_tool_editor(model),
-                 [(t.name, t.description, a.name)
+    phases.tools([(t.name, t.description, a.name)
                   for a in form.agents for t in a.tools_new])
-    phases.agents(agent_editor or default_agent_editor(model),
-                  [(a.name, a.description, a.instructions,
+    phases.agents([(a.name, a.description, a.instructions,
                     [t.name for t in a.tools_existing + a.tools_new])
                    for a in form.agents])
 
@@ -616,9 +596,6 @@ def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
 
 def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
                              suite: ManagementToolSuite | None = None,
-                             tool_editor: AgentDefinition | None = None,
-                             agent_editor: AgentDefinition | None = None,
-                             workflow_editor: AgentDefinition | None = None,
                              max_attempts: int = 3,
                              test_input: str | None = None,
                              limits: kernel.LoopLimits | None = None,
@@ -628,10 +605,8 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
     form = phases.profile(requirement, WORKFLOW_PROFILER_INSTRUCTIONS, "workflow",
                           parse_workflow_form, validate_workflow_form)
     new_decls = [d for d in form.agents if d.category == "new"]
-    phases.tools(tool_editor or default_tool_editor(model),
-                 [(t.name, t.description, d.name) for d in new_decls for t in d.tools])
-    phases.agents(agent_editor or default_agent_editor(model),
-                  [(d.name, d.description, d.description, [t.name for t in d.tools])
+    phases.tools([(t.name, t.description, d.name) for d in new_decls for t in d.tools])
+    phases.agents([(d.name, d.description, d.description, [t.name for t in d.tools])
                    for d in new_decls])
 
     def registered(outcome):
@@ -639,7 +614,7 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
             return False, f"workflow {form.name} was not registered"
         return True, None
 
-    phases.edit("register", workflow_editor or default_workflow_editor(model),
+    phases.edit("register", default_workflow_editor(model),
                 "Register this workflow with create_workflow. "
                 "Pass the XML exactly as given:\n" + workflow_form_to_xml(form),
                 registered)

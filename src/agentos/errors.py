@@ -89,7 +89,9 @@ class NotFoundError(AgentOsError):
     code = "E_NOT_FOUND"
 
 
-class InvalidDefinitionError(AgentOsError):
+class InvalidDefinitionError(AgentOsError, ValueError):
+    """A malformed definition or an unusable entry name (also a ValueError)."""
+
     code = "E_INVALID_DEF"
 
 

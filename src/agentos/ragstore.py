@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInputError, NotFoundError
+from .storage import atomic_write, entry_path
 
 VECTOR_MAGIC = b"RV1\n"
 DOC_SUFFIXES = (".txt", ".md")
@@ -151,10 +151,7 @@ class RagStore:
     # -- storage ------------------------------------------------------------
 
     def _dir(self, collection: str) -> Path:
-        if not collection or "/" in collection or "\\" in collection \
-                or collection.startswith("."):
-            raise ValueError(f"unusable collection name: {collection!r}")
-        return self.root / collection
+        return entry_path(self.root, collection, "collection")
 
     def _load(self, collection: str) -> tuple[list[Chunk], np.ndarray]:
         folder = self._dir(collection)
@@ -200,22 +197,8 @@ class RagStore:
         header = VECTOR_MAGIC + struct.pack("<II", dim, len(chunks))
         body = np.ascontiguousarray(vectors, dtype="<f8").tobytes() if len(chunks) else b""
 
-        self._atomic_write(folder / "meta.jsonl", meta_data.encode("utf-8"))
-        self._atomic_write(folder / "vectors.bin", header + body)
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(folder / "meta.jsonl", meta_data.encode("utf-8"))
+        atomic_write(folder / "vectors.bin", header + body)
 
     # -- ingest ---------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 Layout: ``<root>/tools/<name>.def``, ``<root>/agents/<name>.def``,
 ``<root>/workflows/<name>.def``. Every .def file is a single JSON object
 with a format_version, written atomically (temp file + rename) so readers
-never observe a torn definition. Versions increase strictly per name.
+never observe a torn definition. Versions increase strictly per name. A
+file that is not such an object, or whose fields have the wrong types, is
+an InvalidDefinitionError wherever it is read.
 
 Tool bodies are either references into a small builtin allowlist or script
 sources. Scripts never run in-process: without an explicitly configured
@@ -45,6 +47,7 @@ from .forms import (
 )
 from .kernel import ToolCall, ToolResult
 from .naming import is_identifier
+from .storage import atomic_write, entry_path
 
 FORMAT_VERSION = 1
 
@@ -99,213 +102,208 @@ def builtin_tool(name: str) -> ToolDefinition:
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+def _field(record: dict, key: str, default):
+    """``record[key]``, or ``default`` when absent; a present value must have
+    the type of ``default``."""
+    value = record.get(key, default)
+    if not isinstance(value, type(default)):
+        raise InvalidDefinitionError(f"{key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _encode_tool(tool: ToolDefinition) -> dict:
+    return {
+        "description": tool.description,
+        "parameters": [{"name": p.name, "description": p.description,
+                        "required": p.required} for p in tool.parameters],
+        "body": {"kind": tool.body_kind, "builtin": tool.builtin,
+                 "source": tool.source, "language": tool.language},
+    }
+
+
+def _decode_tool(record: dict) -> ToolDefinition:
+    body = _field(record, "body", {})
+    params = _field(record, "parameters", [])
+    if not all(isinstance(p, dict) for p in params):
+        raise InvalidDefinitionError("'parameters' is not a list of objects")
+    return ToolDefinition(
+        name=record["name"],
+        description=_field(record, "description", ""),
+        parameters=[ToolParam(_field(p, "name", ""), _field(p, "description", ""),
+                              bool(p.get("required", True))) for p in params],
+        body_kind=_field(body, "kind", "builtin"),
+        builtin=_field(body, "builtin", ""),
+        source=_field(body, "source", ""),
+        language=_field(body, "language", "python"),
+    )
+
+
+def _encode_agent(agent: kernel.AgentDefinition) -> dict:
+    return {
+        "description": agent.description,
+        "instructions": agent.instructions,
+        "tool_names": list(agent.tool_names),
+        "transfer_targets": list(agent.transfer_targets),
+        "model": agent.model,
+    }
+
+
+def _decode_agent(record: dict) -> kernel.AgentDefinition:
+    return kernel.AgentDefinition(
+        name=record["name"],
+        description=_field(record, "description", ""),
+        instructions=_field(record, "instructions", ""),
+        tool_names=_field(record, "tool_names", []),
+        transfer_targets=_field(record, "transfer_targets", []),
+        model=_field(record, "model", ""),
+    )
+
+
+def _workflow_xml(record: dict) -> str:
+    if not isinstance(record.get("xml"), str):
+        raise InvalidDefinitionError("'xml' is not text")
+    return record["xml"]
+
+
+# folder -> (the "kind" its records carry, decoder of a record's own fields)
+_KINDS = {
+    "tools": ("tool", _decode_tool),
+    "agents": ("agent", _decode_agent),
+    "workflows": ("workflow", _workflow_xml),
+}
+
+
+# ---------------------------------------------------------------------------
 # store
 # ---------------------------------------------------------------------------
 
-_KINDS = ("tools", "agents", "workflows")
-
-
 class RegistryStore:
+    """Every kind is stored through one path: ``_path`` names the file,
+    ``names`` lists a folder, ``_read`` checks and decodes a record and
+    ``_put`` writes one under its header."""
+
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         for kind in _KINDS:
             (self.root / kind).mkdir(parents=True, exist_ok=True)
 
-    # -- plumbing ----------------------------------------------------------
+    # -- one record path for every kind --------------------------------------
 
     def _path(self, kind: str, name: str) -> Path:
-        if not name or name != name.strip() or "/" in name or "\\" in name \
-                or "\x00" in name or name.startswith("."):
-            raise InvalidDefinitionError(f"unusable {kind[:-1]} name: {name!r}")
-        return self.root / kind / f"{name}.def"
+        return entry_path(self.root / kind, name, _KINDS[kind][0], ".def")
 
-    def _write(self, path: Path, record: dict) -> None:
-        data = json.dumps(record, sort_keys=True, indent=2) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".def")
+    def names(self, kind: str) -> list[str]:
+        """The kind's entry names: its ``*.def`` files but dot-files, sorted."""
+        return sorted(f[:-4] for f in os.listdir(self.root / kind)
+                      if f.endswith(".def") and not f.startswith("."))
+
+    def _read(self, kind: str, name: str) -> tuple[dict, object]:
+        """One entry's checked record and its decoded value."""
+        path = self._path(kind, name)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _read(self, path: Path, kind: str) -> dict:
-        if not path.is_file():
-            raise NotFoundError(f"not in registry: {path.stem}")
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if record.get("format_version") != FORMAT_VERSION:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (FileNotFoundError, IsADirectoryError):
+            raise NotFoundError(f"not in registry: {name}")
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise InvalidDefinitionError(f"{path.name} is not JSON: {err}")
+        expected, decode = _KINDS[kind]
+        if not isinstance(record, dict) or record.get("format_version") != FORMAT_VERSION \
+                or record.get("kind") != expected or not isinstance(record.get("name"), str) \
+                or type(record.get("version")) is not int:
             raise InvalidDefinitionError(
-                f"unsupported format_version in {path.name}: {record.get('format_version')!r}")
-        if record.get("kind") != kind:
-            raise InvalidDefinitionError(
-                f"{path.name} holds a {record.get('kind')!r}, expected {kind!r}")
-        return record
+                f"{path.name} is not a format_version {FORMAT_VERSION} {expected} record "
+                "with a text name and an integer version")
+        return record, decode(record)
 
-    def _next_version(self, path: Path, kind: str) -> int:
-        if path.is_file():
-            return int(self._read(path, kind)["version"]) + 1
-        return 1
+    def record(self, kind: str, name: str) -> dict:
+        """One entry's JSON object, checked as every read of it is."""
+        return self._read(kind, name)[0]
 
-    def _delete(self, kind: str, name: str) -> None:
+    def _put(self, kind: str, name: str, fields: dict) -> int:
+        """Write ``fields`` under the header, one version above the stored one."""
+        try:
+            version = self.record(kind, name)["version"] + 1
+        except NotFoundError:
+            version = 1
+        record = {"format_version": FORMAT_VERSION, "kind": _KINDS[kind][0],
+                  "name": name, "version": version, **fields}
+        atomic_write(self._path(kind, name),
+                     (json.dumps(record, sort_keys=True, indent=2) + "\n").encode())
+        return version
+
+    def delete(self, kind: str, name: str) -> None:
         path = self._path(kind, name)
         if not path.is_file():
             raise NotFoundError(f"not in registry: {name}")
         path.unlink()
 
-    def _names(self, kind: str) -> list[str]:
-        folder = self.root / kind
-        return sorted(p.stem for p in folder.glob("*.def") if not p.name.startswith("."))
-
-    # -- tools --------------------------------------------------------------
+    # -- typed entries: one-line calls into the record path --------------------
 
     def put_tool(self, tool: ToolDefinition) -> int:
-        path = self._path("tools", tool.name)
-        version = self._next_version(path, "tool")
-        self._write(path, {
-            "format_version": FORMAT_VERSION,
-            "kind": "tool",
-            "name": tool.name,
-            "version": version,
-            "description": tool.description,
-            "parameters": [{"name": p.name, "description": p.description,
-                            "required": p.required} for p in tool.parameters],
-            "body": {"kind": tool.body_kind, "builtin": tool.builtin,
-                     "source": tool.source, "language": tool.language},
-        })
-        return version
-
+        return self._put("tools", tool.name, _encode_tool(tool))
     def get_tool(self, name: str) -> ToolDefinition:
-        record = self._read(self._path("tools", name), "tool")
-        body = record.get("body", {})
-        return ToolDefinition(
-            name=record["name"],
-            description=record.get("description", ""),
-            parameters=[ToolParam(p["name"], p.get("description", ""),
-                                  bool(p.get("required", True)))
-                        for p in record.get("parameters", [])],
-            body_kind=body.get("kind", "builtin"),
-            builtin=body.get("builtin", ""),
-            source=body.get("source", ""),
-            language=body.get("language", "python"),
-        )
-
+        return self._read("tools", name)[1]
     def tool_version(self, name: str) -> int:
-        return int(self._read(self._path("tools", name), "tool")["version"])
-
+        return self.record("tools", name)["version"]
     def list_tools(self) -> list[str]:
-        return self._names("tools")
-
+        return self.names("tools")
     def delete_tool(self, name: str) -> None:
-        self._delete("tools", name)
-
-    # -- agents --------------------------------------------------------------
+        self.delete("tools", name)
 
     def put_agent(self, agent: kernel.AgentDefinition) -> int:
-        path = self._path("agents", agent.name)
-        version = self._next_version(path, "agent")
-        self._write(path, {
-            "format_version": FORMAT_VERSION,
-            "kind": "agent",
-            "name": agent.name,
-            "version": version,
-            "description": agent.description,
-            "instructions": agent.instructions,
-            "tool_names": list(agent.tool_names),
-            "transfer_targets": list(agent.transfer_targets),
-            "model": agent.model,
-        })
-        return version
-
+        return self._put("agents", agent.name, _encode_agent(agent))
     def get_agent(self, name: str) -> kernel.AgentDefinition:
-        record = self._read(self._path("agents", name), "agent")
-        return kernel.AgentDefinition(
-            name=record["name"],
-            description=record.get("description", ""),
-            instructions=record.get("instructions", ""),
-            tool_names=list(record.get("tool_names", [])),
-            transfer_targets=list(record.get("transfer_targets", [])),
-            model=record.get("model", ""),
-        )
-
+        return self._read("agents", name)[1]
     def agent_version(self, name: str) -> int:
-        return int(self._read(self._path("agents", name), "agent")["version"])
-
+        return self.record("agents", name)["version"]
     def list_agents(self) -> list[str]:
-        return self._names("agents")
-
+        return self.names("agents")
     def delete_agent(self, name: str) -> None:
-        self._delete("agents", name)
-
-    # -- workflows -------------------------------------------------------------
+        self.delete("agents", name)
 
     def put_workflow(self, form: WorkflowForm, validate: bool = True) -> int:
         """Register a workflow. Names are create-only; re-registering an
         existing name is rejected the same way rule V1 rejects it."""
-        path = self._path("workflows", form.name)
-        if path.is_file():
+        if self._path("workflows", form.name).is_file():
             raise InvalidDefinitionError(f"workflow name already registered: {form.name}")
         if validate:
             diagnostics = validate_workflow_form(form, self.view())
             if diagnostics:
                 raise InvalidFormError(diagnostics)
-        self._write(path, {
-            "format_version": FORMAT_VERSION,
-            "kind": "workflow",
-            "name": form.name,
-            "version": 1,
-            "xml": workflow_form_to_xml(form),
-        })
-        return 1
+        return self._put("workflows", form.name, {"xml": workflow_form_to_xml(form)})
 
     def get_workflow(self, name: str) -> WorkflowForm:
-        record = self._read(self._path("workflows", name), "workflow")
-        return parse_workflow_form(record["xml"])
-
+        return parse_workflow_form(self._read("workflows", name)[1])
     def list_workflows(self) -> list[str]:
-        return self._names("workflows")
-
+        return self.names("workflows")
     def delete_workflow(self, name: str) -> None:
-        self._delete("workflows", name)
+        self.delete("workflows", name)
 
     # -- cross-cutting -----------------------------------------------------------
 
     def view(self) -> RegistryView:
         return RegistryView(
-            tool_names=frozenset(self.list_tools()),
-            agent_names=frozenset(self.list_agents()),
-            workflow_names=frozenset(self.list_workflows()),
+            tool_names=frozenset(self.names("tools")),
+            agent_names=frozenset(self.names("agents")),
+            workflow_names=frozenset(self.names("workflows")),
         )
 
     def snapshot(self) -> dict[str, bytes]:
         """Byte-exact copy of every definition, keyed by kind/name.def."""
-        out: dict[str, bytes] = {}
-        for kind in _KINDS:
-            folder = self.root / kind
-            for path in sorted(folder.glob("*.def")):
-                if path.name.startswith("."):
-                    continue
-                out[f"{kind}/{path.name}"] = path.read_bytes()
-        return out
+        return {f"{kind}/{name}.def": (self.root / kind / f"{name}.def").read_bytes()
+                for kind in _KINDS for name in self.names(kind)}
 
     def restore(self, snap: dict[str, bytes]) -> None:
         """Put the store back exactly as snapshot() captured it."""
         for kind in _KINDS:
-            folder = self.root / kind
-            for path in folder.glob("*.def"):
-                if path.name.startswith("."):
-                    continue
-                if f"{kind}/{path.name}" not in snap:
-                    path.unlink()
+            for name in self.names(kind):
+                if f"{kind}/{name}.def" not in snap:
+                    (self.root / kind / f"{name}.def").unlink()
         for rel, data in snap.items():
-            target = self.root / rel
-            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".tmp-", suffix=".def")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, target)
+            atomic_write(self.root / rel, data)
 
 
 # ---------------------------------------------------------------------------

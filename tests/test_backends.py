@@ -123,6 +123,35 @@ def test_http_direct_mode_sends_tool_schemas():
     assert tools[0]["function"]["parameters"]["required"] == ["p"]
 
 
+def test_http_direct_mode_tools_payload():
+    from agentos.engine import ToolParam, ToolSchema
+
+    log = []
+    backend = HttpBackend("http://api.example", transport=_transport(
+        200, _chat_body("ok"), log))
+    backend.complete(CompletionRequest(
+        model="m", messages=[{"role": "user", "content": "x"}],
+        tools=[ToolSchema("lookup", "Find a word.",
+                          [ToolParam("word", "The word."),
+                           ToolParam("lang", "Language code.", required=False)]),
+               ToolSchema("now", "The time.", [])],
+        mode="direct"))
+    assert log[0][1]["tools"] == [
+        {"type": "function",
+         "function": {"name": "lookup", "description": "Find a word.",
+                      "parameters": {
+                          "type": "object",
+                          "properties": {
+                              "word": {"type": "string", "description": "The word."},
+                              "lang": {"type": "string", "description": "Language code."}},
+                          "required": ["word"]}}},
+        {"type": "function",
+         "function": {"name": "now", "description": "The time.",
+                      "parameters": {"type": "object", "properties": {}, "required": []}}},
+    ]
+    assert list(log[0][1]["tools"][0]["function"]["parameters"]["properties"]) == ["word", "lang"]
+
+
 def test_http_parses_structured_tool_call():
     body = _chat_body(tool_call={"name": "click",
                                  "arguments": json.dumps({"bid": "7", "n": 2})})

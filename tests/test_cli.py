@@ -16,6 +16,7 @@ from agentos.creation import (
 from agentos.engine import Engine
 from agentos.errors import PhaseExhaustedError
 from agentos.forms import parse_workflow_form
+from agentos.kernel import AgentDefinition
 from agentos.registry import (
     RegistryStore,
     RegistryToolSuite,
@@ -313,6 +314,43 @@ def test_registry_json_failure(tmp_path, capsys):
                                "message": "not in registry: ghost"}
 
 
+def test_registry_show_stays_inside_the_registry(tmp_path, capsys):
+    root = tmp_path / "reg"
+    RegistryStore(root)
+    (root / "secret.def").write_text('{"secret": 1}\n', encoding="utf-8")
+    for name in ("../secret", "../tools/../../secret"):
+        code, out, _ = run_cli(capsys, ["registry", "show", "tools", name,
+                                        "--registry-root", str(root)])
+        assert code == 1
+        assert out == f"E_INVALID_DEF: unusable tool name: {name!r}\n"
+
+
+def test_registry_show_prints_the_canonical_record(tmp_path, capsys):
+    root = tmp_path / "reg"
+    RegistryStore(root).put_agent(AgentDefinition(
+        name="Helper Agent", description="d", tool_names=["echo"]))
+    code, out, _ = run_cli(capsys, ["registry", "show", "agents", "Helper Agent",
+                                    "--registry-root", str(root)])
+    assert code == 0
+    assert out == (root / "agents" / "Helper Agent.def").read_text(encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["registry", "show", "agents", "Helper Agent",
+                                    "--json", "--registry-root", str(root)])
+    assert json.loads(out)["tool_names"] == ["echo"]
+
+
+@pytest.mark.parametrize("data", [b"{not json", b"[]", b'{"format_version": 1}',
+                                  b'{"format_version": 1, "kind": "tool", "name": "x",'
+                                  b' "version": 1, "parameters": "p"}'])
+def test_registry_show_malformed_def(tmp_path, capsys, data):
+    root = tmp_path / "reg"
+    RegistryStore(root)
+    (root / "tools" / "x.def").write_bytes(data)
+    code, out, _ = run_cli(capsys, ["registry", "show", "tools", "x",
+                                    "--registry-root", str(root)])
+    assert code == 1
+    assert out.startswith("E_INVALID_DEF: ")
+
+
 # ---------------------------------------------------------------------------
 # rag commands
 # ---------------------------------------------------------------------------
@@ -355,6 +393,19 @@ def test_rag_add_unsupported_file(tmp_path, capsys):
                                     "--rag-root", str(tmp_path / "rag")])
     assert code == 1
     assert out.startswith("E_EMPTY: ")
+
+
+def test_rag_bad_collection_name(tmp_path, capsys):
+    doc = tmp_path / "notes.txt"
+    doc.write_text("some words", encoding="utf-8")
+    root = str(tmp_path / "rag")
+    for argv in (["rag", "query", "q", "--collection", ".x"],
+                 ["rag", "query", "q", "--collection", "../x", "--json"],
+                 ["rag", "add", str(doc), "--collection", " padded"]):
+        code, out, _ = run_cli(capsys, argv + ["--rag-root", root])
+        assert code == 1
+        assert "E_INVALID_DEF" in out and "unusable collection name" in out
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from agentos.backends import ScriptedBackend
 from agentos.engine import Engine
-from agentos.errors import EmptyInputError, NotFoundError
+from agentos.errors import EmptyInputError, InvalidDefinitionError, NotFoundError
 from agentos.ragstore import (
     VECTOR_MAGIC,
     Chunk,
@@ -204,6 +204,17 @@ def test_ingest_rejections(tmp_path):
         store.query("ghost", "q")
     with pytest.raises(ValueError):
         store.ingest_text("../evil", "d", "text")
+
+
+def test_collection_names_follow_the_entry_name_rule(tmp_path):
+    store = RagStore(tmp_path / "rag")
+    for name in ("", ".x", "../evil", "a/b", "a\\b", " padded", "padded ", "nul\x00byte"):
+        with pytest.raises(InvalidDefinitionError, match="unusable collection name"):
+            store.ingest_text(name, "d", "text")
+        with pytest.raises(ValueError):
+            store.query(name, "q")
+    assert list((tmp_path / "rag").iterdir()) == []
+    assert store.ingest_text("in between", "d", "text") == 1
 
 
 def test_collection_management(tmp_path):

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from agentos.errors import InvalidDefinitionError, NotFoundError
 from agentos.forms import parse_workflow_form
 from agentos.kernel import AgentDefinition
 from agentos.registry import RegistryStore, ToolDefinition, ToolParam, builtin_tool
@@ -178,3 +179,99 @@ def test_put_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
     monkeypatch.undo()
     assert sorted(p.name for p in store.root.rglob(".tmp-*")) == []
     assert store.list_tools() == []
+
+
+# ---------------------------------------------------------------------------
+# malformed records
+# ---------------------------------------------------------------------------
+
+def _header(kind: str, **fields) -> dict:
+    return {"format_version": 1, "kind": kind, "name": "x", "version": 1, **fields}
+
+
+def _without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+MALFORMED = {
+    "tools": {
+        "not JSON": b"{not json",
+        "not UTF-8": b"\xff\xfe{}",
+        "a list": b"[1, 2]",
+        "no name": _without(_header("tool"), "name"),
+        "no version": _without(_header("tool"), "version"),
+        "text version": _header("tool", version="1"),
+        "parameters not a list": _header("tool", parameters={"name": "a"}),
+        "parameter not an object": _header("tool", parameters=["a"]),
+        "parameter name not text": _header("tool", parameters=[{"name": 5}]),
+        "body not an object": _header("tool", body="echo"),
+        "body kind not text": _header("tool", body={"kind": ["builtin"]}),
+        "description not text": _header("tool", description=None),
+    },
+    "agents": {
+        "not JSON": b"",
+        "a number": b"7",
+        "no name": _without(_header("agent"), "name"),
+        "no version": _without(_header("agent"), "version"),
+        "tool names text": _header("agent", tool_names="echo"),
+        "tool name not text": _header("agent", tool_names=[1]),
+        "targets not a list": _header("agent", transfer_targets={"a": 1}),
+        "instructions not text": _header("agent", instructions=["a"]),
+    },
+    "workflows": {
+        "not JSON": b"nope",
+        "a string": b'"x"',
+        "no name": _without(_header("workflow"), "name"),
+        "no version": _without(_header("workflow"), "version"),
+        "xml not text": _header("workflow", xml={"workflow": []}),
+        "no xml": _header("workflow"),
+    },
+}
+
+MALFORMED_CASES = [(kind, case) for kind, cases in MALFORMED.items() for case in cases]
+
+
+def write_malformed(root, kind: str, case: str) -> None:
+    data = MALFORMED[kind][case]
+    if isinstance(data, dict):
+        data = json.dumps(data).encode()
+    (root / kind).mkdir(parents=True, exist_ok=True)
+    (root / kind / "x.def").write_bytes(data)
+
+
+def _readers(store, kind: str):
+    if kind == "tools":
+        return [lambda: store.get_tool("x"), lambda: store.tool_version("x"),
+                lambda: store.put_tool(ToolDefinition(name="x", builtin="echo"))]
+    if kind == "agents":
+        return [lambda: store.get_agent("x"), lambda: store.agent_version("x"),
+                lambda: store.put_agent(AgentDefinition(name="x"))]
+    return [lambda: store.get_workflow("x"), lambda: store.record("workflows", "x")]
+
+
+@pytest.mark.parametrize("kind,case", MALFORMED_CASES)
+def test_malformed_def_is_an_invalid_definition(store, kind, case):
+    write_malformed(store.root, kind, case)
+    before = store.snapshot()
+    for read in _readers(store, kind):
+        with pytest.raises(InvalidDefinitionError) as err:
+            read()
+        assert err.value.code == "E_INVALID_DEF"
+    assert store.snapshot() == before  # a put never overwrites what it cannot read
+    assert store.names(kind) == ["x"]
+    store.delete(kind, "x")
+    assert store.names(kind) == []
+
+
+def test_record_reads_one_checked_entry(store):
+    store.put_tool(builtin_tool("echo"))
+    record = store.record("tools", "echo")
+    assert record["kind"] == "tool" and record["version"] == 1
+    assert json.dumps(record, sort_keys=True, indent=2) + "\n" == ECHO_DEF
+    with pytest.raises(NotFoundError):
+        store.record("tools", "ghost")
+    with pytest.raises(NotFoundError):
+        store.delete("agents", "ghost")
+    for name in ("../secret", "", " echo", "a\x00b", ".hidden"):
+        with pytest.raises(InvalidDefinitionError, match="unusable tool name"):
+            store.record("tools", name)
