@@ -110,7 +110,8 @@ def _field(record: dict, key: str, default):
     the type of ``default``."""
     value = record.get(key, default)
     if not isinstance(value, type(default)):
-        raise InvalidDefinitionError(f"{key!r} has the wrong type: {value!r}")
+        raise InvalidDefinitionError(
+            f"{key!r} holds {type(value).__name__}, expected {type(default).__name__}")
     return value
 
 
@@ -133,7 +134,7 @@ def _decode_tool(record: dict) -> ToolDefinition:
         name=record["name"],
         description=_field(record, "description", ""),
         parameters=[ToolParam(_field(p, "name", ""), _field(p, "description", ""),
-                              bool(p.get("required", True))) for p in params],
+                              _field(p, "required", True)) for p in params],
         body_kind=_field(body, "kind", "builtin"),
         builtin=_field(body, "builtin", ""),
         source=_field(body, "source", ""),
@@ -145,8 +146,8 @@ def _encode_agent(agent: kernel.AgentDefinition) -> dict:
     return {
         "description": agent.description,
         "instructions": agent.instructions,
-        "tool_names": list(agent.tool_names),
-        "transfer_targets": list(agent.transfer_targets),
+        "tool_names": agent.tool_names,
+        "transfer_targets": agent.transfer_targets,
         "model": agent.model,
     }
 

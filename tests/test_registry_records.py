@@ -207,6 +207,7 @@ MALFORMED = {
         "body not an object": _header("tool", body="echo"),
         "body kind not text": _header("tool", body={"kind": ["builtin"]}),
         "description not text": _header("tool", description=None),
+        "required not a boolean": _header("tool", parameters=[{"name": "a", "required": "no"}]),
     },
     "agents": {
         "not JSON": b"",
