@@ -208,7 +208,7 @@ class RegistryStore:
             record = json.loads(path.read_text(encoding="utf-8"))
         except (FileNotFoundError, IsADirectoryError):
             raise NotFoundError(f"not in registry: {name}")
-        except ValueError as err:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, nested too deeply
             raise InvalidDefinitionError(f"{path.name} is not JSON: {err}")
         expected, decode = _KINDS[kind]
         if not isinstance(record, dict) or record.get("format_version") != FORMAT_VERSION \

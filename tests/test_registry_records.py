@@ -198,6 +198,7 @@ MALFORMED = {
         "not JSON": b"{not json",
         "not UTF-8": b"\xff\xfe{}",
         "a list": b"[1, 2]",
+        "nested too deeply": b"[" * 100_000 + b"]" * 100_000,
         "no name": _without(_header("tool"), "name"),
         "no version": _without(_header("tool"), "version"),
         "text version": _header("tool", version="1"),
@@ -276,3 +277,13 @@ def test_record_reads_one_checked_entry(store):
     for name in ("../secret", "", " echo", "a\x00b", ".hidden"):
         with pytest.raises(InvalidDefinitionError, match="unusable tool name"):
             store.record("tools", name)
+
+
+def test_dot_files_are_not_entries(store):
+    store.put_tool(builtin_tool("echo"))
+    (store.root / "tools" / ".tmp-left.def").write_bytes(b"{}")
+    snap = store.snapshot()
+    assert store.names("tools") == ["echo"]
+    assert list(snap) == ["tools/echo.def"]
+    store.restore(snap)
+    assert (store.root / "tools" / ".tmp-left.def").read_bytes() == b"{}"
