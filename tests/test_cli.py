@@ -257,11 +257,15 @@ def test_create_workflow_exhaustion_json_names_phase(tmp_path, capsys):
 
 def test_registry_list_show_delete(tmp_path, capsys):
     root = tmp_path / "reg"
+    store = RegistryStore(root)
+    code, out, _ = run_cli(capsys, ["registry", "list", "tools",
+                                    "--registry-root", str(root)])
+    assert (code, out) == (1, f"E_NOT_FOUND: no registry at {root}\n")
+    store.put_agent(AgentDefinition(name="helper"))
     code, out, _ = run_cli(capsys, ["registry", "list", "tools",
                                     "--registry-root", str(root)])
     assert (code, out) == (0, "(none)\n")
 
-    store = RegistryStore(root)
     store.put_tool(ToolDefinition(name="echo", description="echoes",
                                   parameters=[ToolParam("text")],
                                   body_kind="builtin", builtin="echo"))
@@ -283,6 +287,25 @@ def test_registry_list_show_delete(tmp_path, capsys):
                                     "--registry-root", str(root)])
     assert code == 1
     assert out.startswith("E_NOT_FOUND: ")
+
+
+@pytest.mark.parametrize("argv", [["registry", "list", "tools"],
+                                  ["registry", "show", "agents", "ghost"]])
+def test_registry_reads_leave_a_missing_root_missing(tmp_path, capsys, argv):
+    root = tmp_path / "typo"
+    code, out, _ = run_cli(capsys, argv + ["--registry-root", str(root)])
+    assert code == 1
+    assert out.startswith("E_NOT_FOUND: ")
+    assert not root.exists()
+
+
+def test_rag_query_leaves_a_missing_root_missing(tmp_path, capsys):
+    root = tmp_path / "rag"
+    code, out, _ = run_cli(capsys, ["rag", "query", "x", "--collection", "notes",
+                                    "--rag-root", str(root)])
+    assert code == 1
+    assert out.startswith("E_NOT_FOUND: ")
+    assert not root.exists()
 
 
 def test_registry_show_missing(tmp_path, capsys):
