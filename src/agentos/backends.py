@@ -113,30 +113,36 @@ def _running_hash(messages: MessageList) -> "hashlib._Hash":
     return state.copy()
 
 
-# JSON of the tool lists hashed so far, by the fields ``_schema_dict`` reads:
-# an agent sends the same tools with every request. ``required`` goes into
-# the key with its type, because JSON tells ``true`` from ``1`` and ``==``
-# does not.
-_TOOLS_JSON: dict[tuple, str] = {}
-_TOOLS_JSON_LIMIT = 256
+_TOOLS_MEMO_LIMIT = 256
 
 
-def _tools_json(tools) -> str:
-    """``_ENCODER.encode([_schema_dict(s) for s in tools])``, remembered."""
+def remembered(table: dict, tools, render) -> str:
+    """``render(tools)``, kept in ``table`` under the fields of the tool list
+    that a rendering reads: an agent sends the same tools with every request.
+    ``required`` goes into the key with its type, because JSON tells ``true``
+    from ``1`` and ``==`` does not."""
     key = tuple((s.name, s.description,
                  tuple((p.name, p.description, p.required, type(p.required))
                        for p in s.parameters)) for s in tools)
     try:
-        text = _TOOLS_JSON.get(key)
+        text = table.get(key)
     except TypeError:  # a field that is not hashable, such as a list
-        key = text = None
+        return render(tools)
     if text is None:
-        text = _ENCODER.encode([_schema_dict(s) for s in tools])
-        if key is not None:
-            if len(_TOOLS_JSON) >= _TOOLS_JSON_LIMIT:
-                _TOOLS_JSON.clear()
-            _TOOLS_JSON[key] = text
+        text = render(tools)
+        if len(table) >= _TOOLS_MEMO_LIMIT:
+            table.clear()
+        table[key] = text
     return text
+
+
+_TOOLS_JSON: dict[tuple, str] = {}
+
+
+def _tools_json(tools) -> str:
+    """``_ENCODER.encode([_schema_dict(s) for s in tools])``, remembered."""
+    return remembered(_TOOLS_JSON, tools,
+                      lambda tools: _ENCODER.encode([_schema_dict(s) for s in tools]))
 
 
 def request_digest(request: CompletionRequest) -> str:

@@ -222,6 +222,8 @@ def _cmd_registry(config: CliConfig, args) -> int:
     store = RegistryStore(config.registry_root)
     kind = args.kind
     if args.action == "list":
+        if not store.root.is_dir():
+            raise _Failure("E_NOT_FOUND", f"no registry at {config.registry_root}")
         names = store.names(kind)
         _emit(config, names if names else ["(none)"], {kind: names})
         return 0

@@ -521,7 +521,7 @@ class _Phases:
         expected = {name for name, _, _ in rows}
 
         def check(outcome):
-            registered = set(self.store.list_tools())
+            registered = set(self.store.names("tools"))
             for name in sorted(expected):
                 if name not in registered:
                     return False, f"tool {name} was not created"
@@ -543,7 +543,7 @@ class _Phases:
                 lines.append(f"  tools: {', '.join(tool_names)}")
 
         def check(outcome):
-            registered = set(self.store.list_agents())
+            registered = set(self.store.names("agents"))
             for name, _, _, _ in rows:
                 if name not in registered:
                     return False, f"agent {name} was not created"
@@ -610,7 +610,7 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
                    for d in new_decls])
 
     def registered(outcome):
-        if form.name not in store.list_workflows():
+        if form.name not in store.names("workflows"):
             return False, f"workflow {form.name} was not registered"
         return True, None
 

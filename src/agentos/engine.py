@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backends import CompletionRequest, RetryPolicy, backend_complete
+from .backends import CompletionRequest, RetryPolicy, backend_complete, remembered
 from .errors import E_ARGS, EmptyInputError, ParseError
 from .kernel import Context, MessageList, MessageMemo, ToolCall, ToolResult
 
@@ -29,6 +29,7 @@ _FN_OPEN = "<function="
 _FN_CLOSE = "</function>"
 _PARAM_OPEN = "<parameter="
 _PARAM_CLOSE = "</parameter>"
+_CATALOGS: dict[tuple, str] = {}  # rendered by build_messages; see backends.remembered
 
 
 @dataclass
@@ -188,7 +189,7 @@ def build_messages(system: str, context: Context, mode: str,
     """
     system_text = system
     if mode == TRANSFORMED and tools:
-        catalog = render_transformed_schema(tools)
+        catalog = remembered(_CATALOGS, tools, render_transformed_schema)
         system_text = f"{system}\n\n{catalog}" if system else catalog
     memo, turns = context.memo, context.turns
     if len(turns) < memo.rendered:  # history was cut: start a memo the old lists do not share

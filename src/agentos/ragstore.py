@@ -19,6 +19,7 @@ stand in for it (e.g. a network embedder).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -142,8 +143,7 @@ class RagStore:
     def __init__(self, root: str | os.PathLike, embedder=None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  overlap: int = DEFAULT_OVERLAP):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.root = Path(root)  # made, like each collection folder, on the first write
         self.embedder = embedder if embedder is not None else HashingEmbedder()
         self.chunk_size = chunk_size
         self.overlap = overlap
@@ -151,7 +151,7 @@ class RagStore:
     # -- storage ------------------------------------------------------------
 
     def _dir(self, collection: str) -> Path:
-        return entry_path(self.root, collection, "collection")
+        return Path(entry_path(self.root, collection, "collection"))
 
     def _load(self, collection: str) -> tuple[list[Chunk], np.ndarray]:
         folder = self._dir(collection)
@@ -179,7 +179,6 @@ class RagStore:
 
     def _save(self, collection: str, chunks: list[Chunk], vectors: np.ndarray) -> None:
         folder = self._dir(collection)
-        folder.mkdir(parents=True, exist_ok=True)
         order = sorted(range(len(chunks)),
                        key=lambda i: (chunks[i].doc_id, chunks[i].ordinal))
         chunks = [chunks[i] for i in order]
@@ -276,6 +275,8 @@ class RagStore:
                 for i in ranked[:k]]
 
     def list_collections(self) -> list[str]:
+        if not self.root.is_dir():
+            return []
         return sorted(p.name for p in self.root.iterdir()
                       if p.is_dir() and (p / "meta.jsonl").is_file())
 
@@ -284,14 +285,9 @@ class RagStore:
         if not folder.is_dir():
             raise NotFoundError(f"no such collection: {collection}")
         for name in ("meta.jsonl", "vectors.bin"):
-            try:
-                (folder / name).unlink()
-            except FileNotFoundError:
-                pass
-        try:
+            (folder / name).unlink(missing_ok=True)
+        with contextlib.suppress(OSError):
             folder.rmdir()
-        except OSError:
-            pass
 
     def stats(self, collection: str) -> dict:
         chunks, _ = self._load(collection)

@@ -17,6 +17,7 @@ confine the script's file access.
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import operator
 import os
@@ -181,94 +182,127 @@ _KINDS = {
 # store
 # ---------------------------------------------------------------------------
 
+_ATOMIC = (str, int, bool, float, type(None))  # what ``_fresh`` shares, not copies
+
+
+def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _fresh(value):
+    """A copy of a cached record or definition that shares nothing mutable
+    with it; they hold text, numbers, lists, dicts and dataclasses only."""
+    kind = type(value)
+    if kind in _ATOMIC:
+        return value
+    if kind is list:
+        return [_fresh(v) for v in value]
+    if kind is dict:
+        return {k: _fresh(v) for k, v in value.items()}
+    clone = object.__new__(kind)  # a dataclass, copied without checking it again
+    clone.__dict__ = {k: _fresh(v) for k, v in vars(value).items()}
+    return clone
+
+
 class RegistryStore:
     """Every kind is stored through one path: ``_path`` names the file,
     ``names`` lists a folder, ``_read`` checks and decodes a record and
-    ``_put`` writes one under its header."""
+    ``_put`` writes one under its header. A file is read, checked and decoded
+    again only when its stat signature changed (docs/formats.md); the store's
+    own writes go through to that cache. Folders are made on the first write."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
-        for kind in _KINDS:
-            (self.root / kind).mkdir(parents=True, exist_ok=True)
+        self._folders = {kind: os.path.join(self.root, kind) for kind in _KINDS}
+        # path -> (signature, bytes, checked record or None, decoded value), replaced whole
+        self._cache: dict[str, tuple] = {}
 
     # -- one record path for every kind --------------------------------------
 
-    def _path(self, kind: str, name: str) -> Path:
-        return entry_path(self.root / kind, name, _KINDS[kind][0], ".def")
+    def _path(self, kind: str, name: str) -> str:
+        return entry_path(self._folders[kind], name, _KINDS[kind][0], ".def")
 
     def names(self, kind: str) -> list[str]:
         """The kind's entry names: its ``*.def`` files but dot-files, sorted."""
-        return sorted(f[:-4] for f in os.listdir(self.root / kind)
-                      if f.endswith(".def") and not f.startswith("."))
+        folder = self._folders[kind]
+        files = os.listdir(folder) if os.path.isdir(folder) else ()
+        return sorted(f[:-4] for f in files if f.endswith(".def") and not f.startswith("."))
+
+    def _entry(self, path: str) -> tuple:
+        """The cache entry of ``path``, read again when its signature changed."""
+        entry = self._cache.get(path)
+        if entry is None or entry[0] != _signature(os.stat(path)):
+            with open(path, "rb") as handle:  # the signature of the file it reads
+                entry = (_signature(os.fstat(handle.fileno())), handle.read(), None, None)
+            self._cache[path] = entry
+        return entry
+
+    def _write(self, path: str, data: bytes) -> None:
+        self._cache[path] = (_signature(atomic_write(path, data)), data, None, None)
 
     def _read(self, kind: str, name: str) -> tuple[dict, object]:
-        """One entry's checked record and its decoded value."""
+        """One entry's checked record and decoded value, as the cache holds
+        them: callers hand out ``_fresh`` copies only."""
         path = self._path(kind, name)
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, IsADirectoryError):
+            entry = self._entry(path)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             raise NotFoundError(f"not in registry: {name}")
-        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, nested too deeply
-            raise InvalidDefinitionError(f"{path.name} is not JSON: {err}")
-        expected, decode = _KINDS[kind]
-        if not isinstance(record, dict) or record.get("format_version") != FORMAT_VERSION \
-                or record.get("kind") != expected or not isinstance(record.get("name"), str) \
-                or type(record.get("version")) is not int:
-            raise InvalidDefinitionError(
-                f"{path.name} is not a format_version {FORMAT_VERSION} {expected} record "
-                "with a text name and an integer version")
-        return record, decode(record)
+        if entry[2] is None:
+            filename = os.path.basename(path)
+            try:
+                record = json.loads(entry[1].decode("utf-8"))
+            except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, nested too deeply
+                raise InvalidDefinitionError(f"{filename} is not JSON: {err}")
+            expected, decode = _KINDS[kind]
+            if not isinstance(record, dict) or record.get("format_version") != FORMAT_VERSION \
+                    or record.get("kind") != expected or not isinstance(record.get("name"), str) \
+                    or type(record.get("version")) is not int:
+                raise InvalidDefinitionError(
+                    f"{filename} is not a format_version {FORMAT_VERSION} {expected} record "
+                    "with a text name and an integer version")
+            self._cache[path] = entry = (entry[0], entry[1], record, decode(record))
+        return entry[2], entry[3]
 
     def record(self, kind: str, name: str) -> dict:
         """One entry's JSON object, checked as every read of it is."""
-        return self._read(kind, name)[0]
+        return _fresh(self._read(kind, name)[0])
 
     def _put(self, kind: str, name: str, fields: dict) -> int:
         """Write ``fields`` under the header, one version above the stored one."""
         try:
-            version = self.record(kind, name)["version"] + 1
+            version = self._read(kind, name)[0]["version"] + 1
         except NotFoundError:
             version = 1
         record = {"format_version": FORMAT_VERSION, "kind": _KINDS[kind][0],
                   "name": name, "version": version, **fields}
-        atomic_write(self._path(kind, name),
-                     (json.dumps(record, sort_keys=True, indent=2) + "\n").encode())
+        self._write(self._path(kind, name),
+                    (json.dumps(record, sort_keys=True, indent=2) + "\n").encode())
         return version
 
     def delete(self, kind: str, name: str) -> None:
         path = self._path(kind, name)
-        if not path.is_file():
+        if not os.path.isfile(path):
             raise NotFoundError(f"not in registry: {name}")
-        path.unlink()
+        os.unlink(path)
+        self._cache.pop(path, None)
 
     # -- typed entries: one-line calls into the record path --------------------
 
     def put_tool(self, tool: ToolDefinition) -> int:
         return self._put("tools", tool.name, _encode_tool(tool))
     def get_tool(self, name: str) -> ToolDefinition:
-        return self._read("tools", name)[1]
-    def tool_version(self, name: str) -> int:
-        return self.record("tools", name)["version"]
-    def list_tools(self) -> list[str]:
-        return self.names("tools")
-    def delete_tool(self, name: str) -> None:
-        self.delete("tools", name)
+        return _fresh(self._read("tools", name)[1])
 
     def put_agent(self, agent: kernel.AgentDefinition) -> int:
         return self._put("agents", agent.name, _encode_agent(agent))
     def get_agent(self, name: str) -> kernel.AgentDefinition:
-        return self._read("agents", name)[1]
-    def agent_version(self, name: str) -> int:
-        return self.record("agents", name)["version"]
-    def list_agents(self) -> list[str]:
-        return self.names("agents")
-    def delete_agent(self, name: str) -> None:
-        self.delete("agents", name)
+        return _fresh(self._read("agents", name)[1])
 
     def put_workflow(self, form: WorkflowForm, validate: bool = True) -> int:
         """Register a workflow. Names are create-only; re-registering an
         existing name is rejected the same way rule V1 rejects it."""
-        if self._path("workflows", form.name).is_file():
+        if os.path.isfile(self._path("workflows", form.name)):
             raise InvalidDefinitionError(f"workflow name already registered: {form.name}")
         if validate:
             diagnostics = validate_workflow_form(form, self.view())
@@ -278,33 +312,34 @@ class RegistryStore:
 
     def get_workflow(self, name: str) -> WorkflowForm:
         return parse_workflow_form(self._read("workflows", name)[1])
-    def list_workflows(self) -> list[str]:
-        return self.names("workflows")
-    def delete_workflow(self, name: str) -> None:
-        self.delete("workflows", name)
 
     # -- cross-cutting -----------------------------------------------------------
 
     def view(self) -> RegistryView:
-        return RegistryView(
-            tool_names=frozenset(self.names("tools")),
-            agent_names=frozenset(self.names("agents")),
-            workflow_names=frozenset(self.names("workflows")),
-        )
+        return RegistryView(tool_names=frozenset(self.names("tools")),
+                            agent_names=frozenset(self.names("agents")),
+                            workflow_names=frozenset(self.names("workflows")))
 
     def snapshot(self) -> dict[str, bytes]:
         """Byte-exact copy of every definition, keyed by kind/name.def."""
-        return {f"{kind}/{name}.def": (self.root / kind / f"{name}.def").read_bytes()
-                for kind in _KINDS for name in self.names(kind)}
+        return {f"{kind}/{name}.def": self._entry(os.path.join(folder, f"{name}.def"))[1]
+                for kind, folder in self._folders.items() for name in self.names(kind)}
 
     def restore(self, snap: dict[str, bytes]) -> None:
-        """Put the store back exactly as snapshot() captured it."""
-        for kind in _KINDS:
+        """Put the store back exactly as snapshot() captured it, writing only
+        the entries whose bytes differ."""
+        for kind, folder in self._folders.items():
             for name in self.names(kind):
                 if f"{kind}/{name}.def" not in snap:
-                    (self.root / kind / f"{name}.def").unlink()
+                    path = os.path.join(folder, f"{name}.def")
+                    os.unlink(path)
+                    self._cache.pop(path, None)
         for rel, data in snap.items():
-            atomic_write(self.root / rel, data)
+            path = os.path.join(self.root, rel)
+            with contextlib.suppress(FileNotFoundError):
+                if self._entry(path)[1] == data:
+                    continue
+            self._write(path, data)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +382,8 @@ def _bi_write(args: dict[str, str], workdir: Path | None) -> ToolResult:
 def _bi_list(args: dict[str, str], workdir: Path | None) -> ToolResult:
     try:
         path = _confined(workdir, args.get("path", "."))
-        entries = []
-        for child in sorted(path.iterdir(), key=lambda p: p.name):
-            entries.append(child.name + ("/" if child.is_dir() else ""))
-        return ToolResult.ok("\n".join(entries))
+        return ToolResult.ok("\n".join(child.name + ("/" if child.is_dir() else "")
+                                       for child in sorted(path.iterdir(), key=lambda p: p.name)))
     except (OSError, PermissionError) as err:
         return ToolResult.fail(E_IO, str(err))
 
@@ -459,10 +492,8 @@ class SubprocessScriptRunner:
         except subprocess.TimeoutExpired:
             return ToolResult.fail(E_SCRIPT, f"script timed out after {self.timeout}s")
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(script)
-            except OSError:
-                pass
         if proc.returncode != 0:
             tail = (proc.stderr or "").strip().splitlines()[-3:]
             return ToolResult.fail(E_SCRIPT,

@@ -359,7 +359,7 @@ def _replay_session(cassette: Path, session):
 def _agents_session(root: Path, seed_echo: bool = False):
     def session(engine):
         store = RegistryStore(root)
-        if seed_echo and "echo" not in store.list_tools():
+        if seed_echo and "echo" not in store.names("tools"):
             store.put_tool(builtin_tool("echo"))
         baseline = store.snapshot()
         suite = ManagementToolSuite(store, engine=engine)
@@ -454,8 +454,8 @@ def test_criterion_5_pipeline_cassettes(tmp_path, capsys):
                     assert store.snapshot() == baseline, name
                 else:
                     # earlier phases persist; the failed phase is rolled back
-                    assert store.list_workflows() == [], name
-                    assert store.list_agents() == [
+                    assert store.names("workflows") == [], name
+                    assert store.names("agents") == [
                         "Math Solver Agent", "Vote Aggregator Agent"], name
 
         # the register-exhaustion end state equals a store built by replaying

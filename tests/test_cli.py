@@ -211,8 +211,8 @@ def test_create_agents_replay(tmp_path, capsys):
                    "created tools: greeting_tool\n"
                    "created agents: Greeter Agent\n")
     store = RegistryStore(root)
-    assert store.list_tools() == ["greeting_tool"]
-    assert store.list_agents() == ["Greeter Agent"]
+    assert store.names("tools") == ["greeting_tool"]
+    assert store.names("agents") == ["Greeter Agent"]
 
 
 def test_create_agents_exhaustion_exit_one(tmp_path, capsys):
@@ -323,6 +323,7 @@ def test_registry_show_needs_name(tmp_path, capsys):
 
 
 def test_registry_json_listing(tmp_path, capsys):
+    (tmp_path / "reg").mkdir()  # an empty registry; a missing one is E_NOT_FOUND
     code, out, _ = run_cli(capsys, ["registry", "list", "workflows", "--json",
                                     "--registry-root", str(tmp_path / "reg")])
     assert code == 0
@@ -339,7 +340,7 @@ def test_registry_json_failure(tmp_path, capsys):
 
 def test_registry_show_stays_inside_the_registry(tmp_path, capsys):
     root = tmp_path / "reg"
-    RegistryStore(root)
+    (root / "tools").mkdir(parents=True)
     (root / "secret.def").write_text('{"secret": 1}\n', encoding="utf-8")
     for name in ("../secret", "../tools/../../secret"):
         code, out, _ = run_cli(capsys, ["registry", "show", "tools", name,
@@ -366,7 +367,7 @@ def test_registry_show_prints_the_canonical_record(tmp_path, capsys):
                                   b' "version": 1, "parameters": "p"}'])
 def test_registry_show_malformed_def(tmp_path, capsys, data):
     root = tmp_path / "reg"
-    RegistryStore(root)
+    (root / "tools").mkdir(parents=True)
     (root / "tools" / "x.def").write_bytes(data)
     code, out, _ = run_cli(capsys, ["registry", "show", "tools", "x",
                                     "--registry-root", str(root)])

@@ -244,7 +244,7 @@ def test_agents_pipeline_valid_first(store):
         ("profiling", True, 1), ("tools", True, 1), ("agents", True, 1)]
     assert report.created_tools == ["greeting_tool"]
     assert report.created_agents == ["Greeter Agent"]
-    assert store.list_tools() == ["greeting_tool"]
+    assert store.names("tools") == ["greeting_tool"]
     assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
     assert engine.backend.calls == 5
 
@@ -375,7 +375,7 @@ def test_workflow_pipeline_valid_first(store):
     assert all(p.ok and p.attempts == 1 for p in report.phases)
     assert report.workflow_name == "parallel_math_solver_workflow"
     assert report.created_agents == ["Math Solver Agent", "Vote Aggregator Agent"]
-    assert store.list_workflows() == ["parallel_math_solver_workflow"]
+    assert store.names("workflows") == ["parallel_math_solver_workflow"]
     assert engine.backend.calls == 10
 
 
@@ -388,10 +388,10 @@ def test_workflow_pipeline_register_rollback(store):
     with pytest.raises(PhaseExhaustedError) as err:
         create_workflow_pipeline("vote on math", engine, store)
     assert err.value.phase == "register"
-    assert store.list_workflows() == []
-    assert "Stray Agent" not in store.list_agents()
+    assert store.names("workflows") == []
+    assert "Stray Agent" not in store.names("agents")
     # the successful agents phase is kept
-    assert store.list_agents() == ["Math Solver Agent", "Vote Aggregator Agent"]
+    assert store.names("agents") == ["Math Solver Agent", "Vote Aggregator Agent"]
 
 
 def test_workflow_pipeline_failed_test_phase(store):

@@ -213,7 +213,7 @@ def test_collection_names_follow_the_entry_name_rule(tmp_path):
             store.ingest_text(name, "d", "text")
         with pytest.raises(ValueError):
             store.query(name, "q")
-    assert list((tmp_path / "rag").iterdir()) == []
+    assert not (tmp_path / "rag").exists()
     assert store.ingest_text("in between", "d", "text") == 1
 
 

@@ -54,12 +54,12 @@ def test_tool_roundtrip_and_versioning(store):
     back = store.get_tool("greeter")
     assert back == tool
     assert store.put_tool(tool) == 2
-    assert store.tool_version("greeter") == 2
-    assert store.list_tools() == ["greeter"]
-    store.delete_tool("greeter")
-    assert store.list_tools() == []
+    assert store.record("tools", "greeter")["version"] == 2
+    assert store.names("tools") == ["greeter"]
+    store.delete("tools", "greeter")
+    assert store.names("tools") == []
     with pytest.raises(NotFoundError):
-        store.delete_tool("greeter")
+        store.delete("tools", "greeter")
 
 
 def test_agent_roundtrip(store):
@@ -69,14 +69,14 @@ def test_agent_roundtrip(store):
     assert store.put_agent(agent) == 1
     assert store.get_agent("Helper Agent") == agent
     assert store.put_agent(agent) == 2
-    assert store.agent_version("Helper Agent") == 2
-    assert store.list_agents() == ["Helper Agent"]
+    assert store.record("agents", "Helper Agent")["version"] == 2
+    assert store.names("agents") == ["Helper Agent"]
 
 
 def test_workflow_create_only(store):
     form = parse_workflow_form(read_fixture("math_voting_workflow.xml"))
     assert store.put_workflow(form) == 1
-    assert store.list_workflows() == ["parallel_math_solver_workflow"]
+    assert store.names("workflows") == ["parallel_math_solver_workflow"]
     back = store.get_workflow("parallel_math_solver_workflow")
     assert [e.name for e in back.events] == [e.name for e in form.events]
     with pytest.raises(InvalidDefinitionError):
@@ -109,12 +109,13 @@ def test_def_file_layout(store):
 def test_path_hygiene(store):
     for name in ("", "  padded  ", "a/b", "a\\b", ".hidden", "nul\x00byte"):
         with pytest.raises(InvalidDefinitionError):
-            store.delete_tool(name)
+            store.delete("tools", name)
 
 
 def test_kind_confusion_rejected(store):
     store.put_tool(echo_tool())
     bad = store.root / "agents" / "echo.def"
+    bad.parent.mkdir()
     bad.write_bytes((store.root / "tools" / "echo.def").read_bytes())
     with pytest.raises(InvalidDefinitionError):
         store.get_agent("echo")
@@ -128,12 +129,12 @@ def test_snapshot_restore_byte_exact(store):
 
     store.put_tool(builtin_tool("arithmetic_eval"))  # extra file
     store.put_agent(AgentDefinition(name="Keeper", description="mutated"))
-    store.delete_tool("echo")
+    store.delete("tools", "echo")
 
     store.restore(snap)
     assert store.snapshot() == snap
     assert store.get_agent("Keeper").description == ""
-    assert store.list_tools() == ["echo"]
+    assert store.names("tools") == ["echo"]
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_restore_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
     store.put_tool(builtin_tool("echo"))
     store.put_agent(AgentDefinition(name="Helper"))
     snap = store.snapshot()
-    store.delete_tool("echo")
+    store.delete("tools", "echo")
     monkeypatch.setattr(os, "replace", _refuse_replace)
     with pytest.raises(OSError):
         store.restore(snap)
@@ -178,7 +178,7 @@ def test_put_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
         store.put_tool(builtin_tool("echo"))
     monkeypatch.undo()
     assert sorted(p.name for p in store.root.rglob(".tmp-*")) == []
-    assert store.list_tools() == []
+    assert store.names("tools") == []
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +243,10 @@ def write_malformed(root, kind: str, case: str) -> None:
 
 def _readers(store, kind: str):
     if kind == "tools":
-        return [lambda: store.get_tool("x"), lambda: store.tool_version("x"),
+        return [lambda: store.get_tool("x"), lambda: store.record("tools", "x")["version"],
                 lambda: store.put_tool(ToolDefinition(name="x", builtin="echo"))]
     if kind == "agents":
-        return [lambda: store.get_agent("x"), lambda: store.agent_version("x"),
+        return [lambda: store.get_agent("x"), lambda: store.record("agents", "x")["version"],
                 lambda: store.put_agent(AgentDefinition(name="x"))]
     return [lambda: store.get_workflow("x"), lambda: store.record("workflows", "x")]
 

@@ -206,6 +206,29 @@ def test_fields_that_are_not_text_still_get_the_whole_body_digest():
         context.append(Turn("user", "again"))
 
 
+def test_the_catalog_is_rendered_once_per_tool_list(monkeypatch):
+    real = engine.render_transformed_schema
+    calls = []
+    monkeypatch.setattr(engine, "render_transformed_schema",
+                        lambda tools: calls.append(tools) or real(tools))
+    monkeypatch.setattr(engine, "_CATALOGS", {})
+    schema = ToolSchema("probe", "Probe.", [ToolParam("x", "X.")])
+
+    def system_text():
+        return build_messages("S.", _context(2), TRANSFORMED, [schema])[0]["content"]
+
+    for _ in range(3):
+        assert system_text() == "S.\n\n" + real([schema])
+    assert len(calls) == 1
+    schema.parameters[0].required = False  # the same object, edited: a new key
+    assert system_text() == "S.\n\n" + real([schema])
+    assert len(calls) == 2
+    schema.description = ["not", "text"]  # no key at all: rendered every time
+    for _ in range(2):
+        assert system_text() == "S.\n\n" + real([schema])
+    assert len(calls) == 4
+
+
 def test_cut_history_is_rendered_again():
     context = _context(5)
     request_digest(request_for(context, 0, TRANSFORMED, False))
