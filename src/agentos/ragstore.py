@@ -19,7 +19,6 @@ stand in for it (e.g. a network embedder).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -285,9 +284,14 @@ class RagStore:
         if not folder.is_dir():
             raise NotFoundError(f"no such collection: {collection}")
         for name in ("meta.jsonl", "vectors.bin"):
-            (folder / name).unlink(missing_ok=True)
-        with contextlib.suppress(OSError):
+            try:
+                (folder / name).unlink()
+            except FileNotFoundError:
+                pass
+        try:
             folder.rmdir()
+        except OSError:
+            pass
 
     def stats(self, collection: str) -> dict:
         chunks, _ = self._load(collection)

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import json
 import operator
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -182,26 +184,8 @@ _KINDS = {
 # store
 # ---------------------------------------------------------------------------
 
-_ATOMIC = (str, int, bool, float, type(None))  # what ``_fresh`` shares, not copies
-
-
 def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
     return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
-
-
-def _fresh(value):
-    """A copy of a cached record or definition that shares nothing mutable
-    with it; they hold text, numbers, lists, dicts and dataclasses only."""
-    kind = type(value)
-    if kind in _ATOMIC:
-        return value
-    if kind is list:
-        return [_fresh(v) for v in value]
-    if kind is dict:
-        return {k: _fresh(v) for k, v in value.items()}
-    clone = object.__new__(kind)  # a dataclass, copied without checking it again
-    clone.__dict__ = {k: _fresh(v) for k, v in vars(value).items()}
-    return clone
 
 
 class RegistryStore:
@@ -214,7 +198,8 @@ class RegistryStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self._folders = {kind: os.path.join(self.root, kind) for kind in _KINDS}
-        # path -> (signature, bytes, checked record or None, decoded value), replaced whole
+        # path -> (signature, bytes, checked record or None, pickled decoded value),
+        # replaced whole; each read unpickles its own copy, which no caller can share
         self._cache: dict[str, tuple] = {}
 
     # -- one record path for every kind --------------------------------------
@@ -241,8 +226,7 @@ class RegistryStore:
         self._cache[path] = (_signature(atomic_write(path, data)), data, None, None)
 
     def _read(self, kind: str, name: str) -> tuple[dict, object]:
-        """One entry's checked record and decoded value, as the cache holds
-        them: callers hand out ``_fresh`` copies only."""
+        """One entry's checked record, as the cache holds it, and its decoded value."""
         path = self._path(kind, name)
         try:
             entry = self._entry(path)
@@ -261,12 +245,12 @@ class RegistryStore:
                 raise InvalidDefinitionError(
                     f"{filename} is not a format_version {FORMAT_VERSION} {expected} record "
                     "with a text name and an integer version")
-            self._cache[path] = entry = (entry[0], entry[1], record, decode(record))
-        return entry[2], entry[3]
+            self._cache[path] = entry = (entry[0], entry[1], record, pickle.dumps(decode(record)))
+        return entry[2], pickle.loads(entry[3])
 
     def record(self, kind: str, name: str) -> dict:
         """One entry's JSON object, checked as every read of it is."""
-        return _fresh(self._read(kind, name)[0])
+        return copy.deepcopy(self._read(kind, name)[0])
 
     def _put(self, kind: str, name: str, fields: dict) -> int:
         """Write ``fields`` under the header, one version above the stored one."""
@@ -292,12 +276,12 @@ class RegistryStore:
     def put_tool(self, tool: ToolDefinition) -> int:
         return self._put("tools", tool.name, _encode_tool(tool))
     def get_tool(self, name: str) -> ToolDefinition:
-        return _fresh(self._read("tools", name)[1])
+        return self._read("tools", name)[1]
 
     def put_agent(self, agent: kernel.AgentDefinition) -> int:
         return self._put("agents", agent.name, _encode_agent(agent))
     def get_agent(self, name: str) -> kernel.AgentDefinition:
-        return _fresh(self._read("agents", name)[1])
+        return self._read("agents", name)[1]
 
     def put_workflow(self, form: WorkflowForm, validate: bool = True) -> int:
         """Register a workflow. Names are create-only; re-registering an
@@ -316,9 +300,11 @@ class RegistryStore:
     # -- cross-cutting -----------------------------------------------------------
 
     def view(self) -> RegistryView:
-        return RegistryView(tool_names=frozenset(self.names("tools")),
-                            agent_names=frozenset(self.names("agents")),
-                            workflow_names=frozenset(self.names("workflows")))
+        return RegistryView(
+            tool_names=frozenset(self.names("tools")),
+            agent_names=frozenset(self.names("agents")),
+            workflow_names=frozenset(self.names("workflows")),
+        )
 
     def snapshot(self) -> dict[str, bytes]:
         """Byte-exact copy of every definition, keyed by kind/name.def."""
@@ -382,8 +368,10 @@ def _bi_write(args: dict[str, str], workdir: Path | None) -> ToolResult:
 def _bi_list(args: dict[str, str], workdir: Path | None) -> ToolResult:
     try:
         path = _confined(workdir, args.get("path", "."))
-        return ToolResult.ok("\n".join(child.name + ("/" if child.is_dir() else "")
-                                       for child in sorted(path.iterdir(), key=lambda p: p.name)))
+        entries = []
+        for child in sorted(path.iterdir(), key=lambda p: p.name):
+            entries.append(child.name + ("/" if child.is_dir() else ""))
+        return ToolResult.ok("\n".join(entries))
     except (OSError, PermissionError) as err:
         return ToolResult.fail(E_IO, str(err))
 
@@ -492,8 +480,10 @@ class SubprocessScriptRunner:
         except subprocess.TimeoutExpired:
             return ToolResult.fail(E_SCRIPT, f"script timed out after {self.timeout}s")
         finally:
-            with contextlib.suppress(OSError):
+            try:
                 os.unlink(script)
+            except OSError:
+                pass
         if proc.returncode != 0:
             tail = (proc.stderr or "").strip().splitlines()[-3:]
             return ToolResult.fail(E_SCRIPT,
