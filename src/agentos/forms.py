@@ -1,6 +1,6 @@
 """Creation forms: the XML contracts between profiling agents and the runtime.
 
-Two document kinds share one strict reader:
+Two document kinds share one strict reader and one writer over schema tables:
 
 * agent form  — root ``<agents>``: what agents to build, with what tools.
 * workflow form — root ``<workflow>``: an event graph wiring agents together.
@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
+from xml.sax.saxutils import escape
 
 from . import naming
 from .errors import ActionTypeError, SchemaError, UnboundVariableError, XmlError
@@ -25,6 +26,8 @@ ACTION_TYPES = ("RESULT", "ABORT", "GOTO")
 ON_START = "on_start"
 
 _DTD_RE = re.compile(r"<!(?:DOCTYPE|ENTITY)", re.IGNORECASE)
+# escapes in attribute values beyond & < >, as ET.tostring writes them
+_ATTR_ESCAPES = {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +161,143 @@ class RegistryView:
 
 
 # ---------------------------------------------------------------------------
-# strict reader
+# schema tables, and the one reader and one writer that walk them
 # ---------------------------------------------------------------------------
+
+class _Leaf(NamedTuple):
+    """Text without attributes or children; ``check`` converts it or raises
+    ValueError. A ``lazy`` leaf goes to its record's check unread."""
+
+    check: Callable[[str], object] | None = None
+    lazy: bool = False
+
+
+class _Slot(NamedTuple):
+    """``<key>``/``<description>`` pairs: an IOSlot, or a KeyDesc if ``one``."""
+
+    one: bool = False
+
+
+class _Holder(NamedTuple):
+    """A container of one repeated child. With a ``category`` it accepts that
+    attribute with any value, and is written with this one."""
+
+    tag: str
+    kind: object
+    category: str | None = None
+
+
+class _Record:
+    """An element read into ``make(**values)`` from ``fields``, each
+    ``(tag, field, multiplicity 1|?|*|+, kind)`` in schema order. A dict
+    field maps the ``category`` attribute to the field each element fills.
+    With ``categories`` the record's own ``category`` must be one of them.
+    ``check(values, path)`` runs after the fields and may fix values."""
+
+    def __init__(self, make, fields, check=None, categories=()):
+        self.make, self.fields, self.check, self.categories = make, fields, check, categories
+        self.tags = {entry[0] for entry in fields}
+        self.keeps_path = "path" in getattr(make, "__dataclass_fields__", ())
+
+
+def _rule(holds: Callable[[str], bool], message: str) -> _Leaf:
+    """A leaf whose text must satisfy ``holds``; ``message`` formats it."""
+    def check(text: str) -> str:
+        if not holds(text):
+            raise ValueError(message.format(text))
+        return text
+    return _Leaf(check)
+
+
+def _identifier(label: str) -> _Leaf:
+    return _rule(naming.is_identifier, label + " is not an identifier: {!r}")
+
+
+def _action(values: dict, path: str) -> None:
+    if values["type"] not in ACTION_TYPES:
+        raise ActionTypeError(f"{path}/type[1]", f"unknown action type: {values['type']!r}")
+    value = values.pop("value", None)  # RESULT/ABORT: tolerated, never read
+    if values["type"] == "GOTO":
+        if value is None:
+            raise SchemaError(path, "GOTO action requires a <value>")
+        values["value"] = _read(_LEAF, value, path, 1)
+
+
+def _has_output(values: dict, path: str) -> None:
+    if not values["outputs"]:
+        raise SchemaError(f"{path}/outputs[1]", "event must declare at least one output")
+
+
+def _unique_events(values: dict, path: str) -> None:
+    seen: set[str] = set()
+    for event in values["events"]:
+        if event.name in seen:
+            raise SchemaError(event.path, f"duplicate event name: {event.name}")
+        seen.add(event.name)
+
+
+_LEAF = _Leaf()
+_SLOT = _Slot()
+_NAME = _rule(bool, "agent name must be nonempty")
+_PAIRS = _Record(dict, (("key", "key", "+", _identifier("key")),
+                       ("description", "description", "*", _LEAF)))
+_TOOLS = _Holder("tool", _Record(ToolRef, (
+    ("name", "name", "1", _identifier("tool name")),
+    ("description", "description", "1", _LEAF),
+)), "new")
+_VARIABLES = _Holder("variable", _Record(GlobalVar, (
+    ("key", "key", "1", _identifier("variable key")),
+    ("description", "description", "?", _LEAF),
+    ("value", "value", "?", _LEAF),
+)))
+
+_AGENT_FORM = _Record(AgentForm, (
+    ("system_input", "system_input", "1", _LEAF),
+    ("system_output", "system_output", "1", _SLOT),
+    ("global_variables", "global_variables", "?", _VARIABLES),
+    ("agent", "agents", "+", _Record(AgentSpec, (
+        ("name", "name", "1", _NAME),
+        ("description", "description", "1", _LEAF),
+        ("instructions", "instructions", "1", _LEAF),
+        ("tools", {"existing": "tools_existing", "new": "tools_new"}, "*", _TOOLS),
+        ("agent_input", "agent_input", "1", _SLOT),
+        ("agent_output", "agent_output", "1", _SLOT),
+    ))),
+))
+
+_OUTPUT = _Record(OutputSpec, (
+    ("key", "key", "1", _identifier("output key")),
+    ("description", "description", "?", _LEAF),
+    ("condition", "condition", "?", _Leaf(lambda text: text or None)),
+    ("action", "action", "1", _Record(ActionSpec, (
+        ("type", "type", "1", _LEAF),
+        ("value", "value", "?", _Leaf(lazy=True)),
+    ), _action)),
+))
+_EVENT = _Record(EventSpec, (
+    ("name", "name", "1", _identifier("event name")),
+    ("inputs", "inputs", "?", _Holder("input", _Slot(one=True))),
+    ("task", "task", "?", _LEAF),
+    ("outputs", "outputs", "1", _Holder("output", _OUTPUT)),
+    ("listen", "listen", "?", _Holder("event", _LEAF)),
+    ("agent", "agent", "?", _Record(EventAgentRef, (
+        ("name", "name", "1", _LEAF),
+        ("model", "model", "1", _LEAF),
+    ))),
+), _has_output)
+_WORKFLOW_FORM = _Record(WorkflowForm, (
+    ("name", "name", "1", _LEAF),
+    ("system_input", "system_input", "1", _SLOT),
+    ("system_output", "system_output", "1", _SLOT),
+    ("agents", "agents", "1", _Holder("agent", _Record(WorkflowAgentDecl, (
+        ("name", "name", "1", _NAME),
+        ("description", "description", "?", _LEAF),
+        ("tools", "tools", "*", _TOOLS),
+    ), categories=("existing", "new")))),
+    ("global_variables", "global_variables", "?", _VARIABLES),
+    ("events", "events", "1", _Holder("event", _EVENT)),
+), _unique_events)
+
 
 def _load_root(text: str, expected: str) -> ET.Element:
     if _DTD_RE.search(text):
@@ -173,190 +311,160 @@ def _load_root(text: str, expected: str) -> ET.Element:
     return root
 
 
-def _walk(elem: ET.Element, path: str, allowed: Iterable[str],
-          allowed_attrs: Iterable[str] = ()) -> dict[str, list[tuple[ET.Element, str]]]:
-    """Group children by tag, assigning 1-based indexed paths; reject strangers."""
-    allowed = set(allowed)
+def _read(kind, elem: ET.Element, parent: str, index: int):
+    """Read ``elem``, the ``index``-th of its tag under ``parent``.
+
+    The first error wins: attributes, then unknown children in document
+    order, then the fields in schema order depth first, then the record's
+    check. A leaf builds its path only when it is refused.
+    """
+    if type(kind) is _Leaf:
+        if kind.lazy:
+            return elem
+        try:
+            if len(elem):
+                raise ValueError("unexpected nested elements")
+            for attr in elem.attrib:
+                raise ValueError(f"unexpected attribute {attr!r}")
+            text = (elem.text or "").strip()
+            return text if kind.check is None else kind.check(text)
+        except ValueError as err:
+            raise SchemaError(f"{parent}/{elem.tag}[{index}]", str(err)) from None
+    path = f"{parent}/{elem.tag}[{index}]"
+    if type(kind) is _Slot:
+        values = _record(_PAIRS, elem, path)
+        keys, descriptions = values["key"], values.get("description", ())
+        if len(keys) != len(descriptions):
+            raise SchemaError(path, "keys and descriptions must pair up")
+        pairs = [KeyDesc(k, d) for k, d in zip(keys, descriptions)]
+        if kind.one and len(pairs) != 1:
+            raise SchemaError(path, "expected exactly one key/description pair")
+        return pairs[0] if kind.one else IOSlot(pairs, path)
+    if type(kind) is _Holder:
+        _refuse_attrs(elem, path, kind.category, f"unexpected attribute on <{elem.tag}>")
+        children = list(elem)
+        for child in children:
+            if child.tag != kind.tag:
+                raise SchemaError(f"{path}/{child.tag}", "unexpected element")
+        return [_read(kind.kind, child, path, i) for i, child in enumerate(children, 1)]
+    return _record(kind, elem, path)
+
+
+def _refuse_attrs(elem: ET.Element, path: str, category, message: str = "") -> None:
+    """Refuse every attribute but ``category`` where one is allowed; there,
+    ``message`` (if given) replaces the default error."""
     for attr in elem.attrib:
-        if attr not in allowed_attrs:
-            raise SchemaError(path, f"unexpected attribute {attr!r}")
-    grouped: dict[str, list[tuple[ET.Element, str]]] = {tag: [] for tag in allowed}
-    counts: dict[str, int] = {}
+        if attr != "category" or not category:
+            raise SchemaError(path, category and message or f"unexpected attribute {attr!r}")
+
+
+def _category(elem: ET.Element, path: str, allowed) -> str:
+    value = elem.get("category")
+    if value not in allowed:
+        raise SchemaError(path, f"{elem.tag} category must be {'|'.join(allowed)}, got {value!r}")
+    return value
+
+
+def _record(rec: _Record, elem: ET.Element, path: str):
+    values = {"category": _category(elem, path, rec.categories)} if rec.categories else {}
+    if elem.attrib:
+        _refuse_attrs(elem, path, rec.categories)
+    grouped: dict[str, list[ET.Element]] = {}
     for child in elem:
-        if child.tag not in allowed:
-            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
-        counts[child.tag] = counts.get(child.tag, 0) + 1
-        grouped[child.tag].append((child, f"{path}/{child.tag}[{counts[child.tag]}]"))
-    return grouped
-
-
-def _one(grouped, tag: str, path: str) -> tuple[ET.Element, str]:
-    items = grouped.get(tag, [])
-    if not items:
-        raise SchemaError(path, f"missing <{tag}>")
-    if len(items) > 1:
-        raise SchemaError(items[1][1], f"duplicate <{tag}>")
-    return items[0]
-
-
-def _opt(grouped, tag: str):
-    items = grouped.get(tag, [])
-    if len(items) > 1:
-        raise SchemaError(items[1][1], f"duplicate <{tag}>")
-    return items[0] if items else None
-
-
-def _leaf(elem: ET.Element, path: str) -> str:
-    if len(elem):
-        raise SchemaError(path, "unexpected nested elements")
-    _no_attrs(elem, path)
-    return (elem.text or "").strip()
-
-
-def _no_attrs(elem: ET.Element, path: str) -> None:
-    for attr in elem.attrib:
-        raise SchemaError(path, f"unexpected attribute {attr!r}")
-
-
-def _children(elem: ET.Element, path: str, tag: str):
-    """Yield (child, indexed path) from an attribute-free container of <tag>s."""
-    _no_attrs(elem, path)
-    for count, child in enumerate(elem, 1):
-        if child.tag != tag:
-            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
-        yield child, f"{path}/{tag}[{count}]"
-
-
-def _io_slot(elem: ET.Element, path: str) -> IOSlot:
-    _no_attrs(elem, path)
-    keys: list[str] = []
-    descs: list[str] = []
-    for child in elem:
-        if child.tag == "key":
-            keys.append(_leaf(child, f"{path}/key[{len(keys) + 1}]"))
-        elif child.tag == "description":
-            descs.append(_leaf(child, f"{path}/description[{len(descs) + 1}]"))
+        tag = child.tag
+        if tag in grouped:
+            grouped[tag].append(child)
+        elif tag in rec.tags:
+            grouped[tag] = [child]
         else:
-            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
-    if not keys:
-        raise SchemaError(path, "missing <key>")
-    if len(keys) != len(descs):
-        raise SchemaError(path, "keys and descriptions must pair up")
-    for i, key in enumerate(keys, 1):
-        if not naming.is_identifier(key):
-            raise SchemaError(f"{path}/key[{i}]", f"key is not an identifier: {key!r}")
-    return IOSlot([KeyDesc(k, d) for k, d in zip(keys, descs)], path)
+            raise SchemaError(f"{path}/{tag}", "unexpected element")
+    for tag, name, mult, kind in rec.fields:
+        items = grouped.get(tag)
+        if items is None:
+            if mult in "1+":
+                raise SchemaError(path, f"missing <{tag}>")
+        elif mult in "1?":
+            if len(items) > 1:
+                raise SchemaError(f"{path}/{tag}[2]", f"duplicate <{tag}>")
+            values[name] = _read(kind, items[0], path, 1)
+        elif type(name) is dict:  # each goes to the field its category names
+            for i, item in enumerate(items, 1):
+                read = _read(kind, item, path, i)
+                field_name = name[_category(item, f"{path}/{tag}[{i}]", name)]
+                values.setdefault(field_name, []).extend(read)
+        else:
+            read = [_read(kind, item, path, i) for i, item in enumerate(items, 1)]
+            values[name] = [x for part in read for x in part] if type(kind) is _Holder else read
+    if rec.check is not None:
+        rec.check(values, path)
+    if rec.keeps_path:
+        values["path"] = path
+    return rec.make(**values)
 
-
-def _key_desc(elem: ET.Element, path: str) -> KeyDesc:
-    slot = _io_slot(elem, path)
-    if len(slot.pairs) != 1:
-        raise SchemaError(path, "expected exactly one key/description pair")
-    return slot.pairs[0]
-
-
-def _tool_list(elem: ET.Element, path: str) -> list[ToolRef]:
-    """Read a ``<tools>`` element; its only allowed attribute is ``category``."""
-    if set(elem.attrib) - {"category"}:
-        raise SchemaError(path, "unexpected attribute on <tools>")
-    out = []
-    count = 0
-    for child in elem:
-        if child.tag != "tool":
-            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
-        count += 1
-        tpath = f"{path}/tool[{count}]"
-        grouped = _walk(child, tpath, ("name", "description"))
-        name_el, npath = _one(grouped, "name", tpath)
-        desc_el, dpath = _one(grouped, "description", tpath)
-        name = _leaf(name_el, npath)
-        if not naming.is_identifier(name):
-            raise SchemaError(npath, f"tool name is not an identifier: {name!r}")
-        out.append(ToolRef(name, _leaf(desc_el, dpath)))
-    return out
-
-
-def _global_vars(elem: ET.Element | None, path: str) -> list[GlobalVar]:
-    if elem is None:
-        return []
-    out = []
-    for child, vpath in _children(elem, path, "variable"):
-        grouped = _walk(child, vpath, ("key", "description", "value"))
-        key_el, kpath = _one(grouped, "key", vpath)
-        key = _leaf(key_el, kpath)
-        if not naming.is_identifier(key):
-            raise SchemaError(kpath, f"variable key is not an identifier: {key!r}")
-        desc = _opt(grouped, "description")
-        value = _opt(grouped, "value")
-        out.append(GlobalVar(
-            key,
-            _leaf(*desc) if desc else "",
-            _leaf(*value) if value else "",
-        ))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# agent form
-# ---------------------------------------------------------------------------
 
 def parse_agent_form(text: str) -> AgentForm:
-    root = _load_root(text, "agents")
-    path = "/agents"
-    grouped = _walk(root, path, ("system_input", "system_output",
-                                 "global_variables", "agent"))
-    sys_in_el, sys_in_path = _one(grouped, "system_input", path)
-    sys_out_el, sys_out_path = _one(grouped, "system_output", path)
-    gv = _opt(grouped, "global_variables")
-    if not grouped["agent"]:
-        raise SchemaError(path, "missing <agent>")
-
-    agents = []
-    for agent_el, apath in grouped["agent"]:
-        agents.append(_parse_agent_spec(agent_el, apath))
-    return AgentForm(
-        system_input=_leaf(sys_in_el, sys_in_path),
-        system_output=_io_slot(sys_out_el, sys_out_path),
-        global_variables=_global_vars(*(gv if gv else (None, ""))),
-        agents=agents,
-    )
+    return _record(_AGENT_FORM, _load_root(text, "agents"), "/agents")
 
 
-def _parse_agent_spec(elem: ET.Element, path: str) -> AgentSpec:
-    grouped = _walk(elem, path, ("name", "description", "instructions",
-                                 "tools", "agent_input", "agent_output"))
-    name_el, npath = _one(grouped, "name", path)
-    desc_el, dpath = _one(grouped, "description", path)
-    instr_el, ipath = _one(grouped, "instructions", path)
-    in_el, in_path = _one(grouped, "agent_input", path)
-    out_el, out_path = _one(grouped, "agent_output", path)
+def parse_workflow_form(text: str) -> WorkflowForm:
+    return _record(_WORKFLOW_FORM, _load_root(text, "workflow"), "/workflow")
 
-    existing: list[ToolRef] = []
-    new: list[ToolRef] = []
-    for tools_el, tpath in grouped["tools"]:
-        tools = _tool_list(tools_el, tpath)
-        category = tools_el.attrib.get("category")
-        if category == "existing":
-            existing.extend(tools)
-        elif category == "new":
-            new.extend(tools)
-        else:
-            raise SchemaError(tpath, f"tools category must be existing|new, got {category!r}")
 
-    name = _leaf(name_el, npath)
-    if not name:
-        raise SchemaError(npath, "agent name must be nonempty")
-    return AgentSpec(
-        name=name,
-        description=_leaf(desc_el, dpath),
-        instructions=_leaf(instr_el, ipath),
-        tools_existing=existing,
-        tools_new=new,
-        agent_input=_io_slot(in_el, in_path),
-        agent_output=_io_slot(out_el, out_path),
-        path=path,
-    )
+def _write(kind, out: list[str], tag: str, value, pad: str, category: str | None = None) -> None:
+    """Append ``value`` as a ``tag`` element on a new line indented by ``pad``,
+    as ``ET.indent`` with four spaces and ``ET.tostring`` would write it."""
+    if type(kind) is _Leaf:
+        out.append(f"{pad}<{tag}>{escape(value)}</{tag}>" if value else f"{pad}<{tag} />")
+        return
+    if category is None:  # a holder's own, or a record's category field
+        category = getattr(kind, "category", None) or getattr(value, "category", None)
+    attrs = "" if category is None else f' category="{escape(category, _ATTR_ESCAPES)}"'
+    start = len(out)
+    out.append(f"{pad}<{tag}{attrs}>")
+    inner = pad + "    "
+    if type(kind) is _Slot:
+        for pair in [value] if kind.one else value.pairs:
+            _write(_LEAF, out, "key", pair.key, inner)
+            _write(_LEAF, out, "description", pair.description, inner)
+    elif type(kind) is _Holder:
+        for item in value:
+            _write(kind.kind, out, kind.tag, item, inner)
+    else:
+        for ftag, name, mult, fkind in kind.fields:
+            if type(name) is dict:
+                for category, field_name in name.items():
+                    if getattr(value, field_name):
+                        _write(fkind, out, ftag, getattr(value, field_name), inner, category)
+                continue
+            item = getattr(value, name)
+            if type(fkind) is not _Holder and mult in "*+":
+                for one in item:
+                    _write(fkind, out, ftag, one, inner)
+            elif item or item == "" or mult == "1":  # an optional None or [] is left out
+                _write(fkind, out, ftag, item, inner)
+    if len(out) == start + 1:
+        out[start] = f"{pad}<{tag}{attrs} />"
+    else:
+        out.append(f"{pad}</{tag}>")
 
+
+def _to_xml(rec: _Record, tag: str, form) -> str:
+    out: list[str] = []
+    _write(rec, out, tag, form, "\n")
+    return "".join(out)[1:] + "\n"
+
+
+def agent_form_to_xml(form: AgentForm) -> str:
+    return _to_xml(_AGENT_FORM, "agents", form)
+
+
+def workflow_form_to_xml(form: WorkflowForm) -> str:
+    return _to_xml(_WORKFLOW_FORM, "workflow", form)
+
+
+# ---------------------------------------------------------------------------
+# rule checks: A1-A5 on agent forms, V1-V10 on workflow forms
+# ---------------------------------------------------------------------------
 
 def validate_agent_form(form: AgentForm, registry: RegistryView | None = None) -> list[Diagnostic]:
     """Rule checks A1-A5. Empty list means the form is accepted."""
@@ -410,137 +518,6 @@ def validate_agent_form(form: AgentForm, registry: RegistryView | None = None) -
                 f"{form.system_output.key!r} != agent_output key {agent.agent_output.key!r}",
                 agent.agent_output.path))
     return out
-
-
-# ---------------------------------------------------------------------------
-# workflow form
-# ---------------------------------------------------------------------------
-
-def parse_workflow_form(text: str) -> WorkflowForm:
-    root = _load_root(text, "workflow")
-    path = "/workflow"
-    grouped = _walk(root, path, ("name", "system_input", "system_output",
-                                 "agents", "global_variables", "events"))
-    name_el, npath = _one(grouped, "name", path)
-    sys_in_el, sys_in_path = _one(grouped, "system_input", path)
-    sys_out_el, sys_out_path = _one(grouped, "system_output", path)
-    agents_el, agents_path = _one(grouped, "agents", path)
-    events_el, events_path = _one(grouped, "events", path)
-    gv = _opt(grouped, "global_variables")
-
-    agents = [_parse_workflow_agent(*item)
-              for item in _children(agents_el, agents_path, "agent")]
-
-    events = []
-    names_seen: set[str] = set()
-    for child, cpath in _children(events_el, events_path, "event"):
-        event = _parse_event(child, cpath)
-        if event.name in names_seen:
-            raise SchemaError(event.path, f"duplicate event name: {event.name}")
-        names_seen.add(event.name)
-        events.append(event)
-
-    return WorkflowForm(
-        name=_leaf(name_el, npath),
-        system_input=_io_slot(sys_in_el, sys_in_path),
-        system_output=_io_slot(sys_out_el, sys_out_path),
-        agents=agents,
-        global_variables=_global_vars(*(gv if gv else (None, ""))),
-        events=events,
-    )
-
-
-def _parse_workflow_agent(elem: ET.Element, path: str) -> WorkflowAgentDecl:
-    category = elem.attrib.get("category")
-    if category not in ("existing", "new"):
-        raise SchemaError(path, f"agent category must be existing|new, got {category!r}")
-    grouped = _walk(elem, path, ("name", "description", "tools"), allowed_attrs=("category",))
-    name_el, npath = _one(grouped, "name", path)
-    desc = _opt(grouped, "description")
-    tools: list[ToolRef] = []
-    for tools_el, tpath in grouped["tools"]:
-        tools.extend(_tool_list(tools_el, tpath))
-    name = _leaf(name_el, npath)
-    if not name:
-        raise SchemaError(npath, "agent name must be nonempty")
-    return WorkflowAgentDecl(
-        name=name,
-        category=category,
-        description=_leaf(*desc) if desc else "",
-        tools=tools,
-        path=path,
-    )
-
-
-def _parse_event(elem: ET.Element, path: str) -> EventSpec:
-    grouped = _walk(elem, path, ("name", "inputs", "task", "outputs", "listen", "agent"))
-    name_el, npath = _one(grouped, "name", path)
-    name = _leaf(name_el, npath)
-    if not naming.is_identifier(name):
-        raise SchemaError(npath, f"event name is not an identifier: {name!r}")
-
-    inputs: list[KeyDesc] = []
-    inputs_el = _opt(grouped, "inputs")
-    if inputs_el is not None:
-        inputs = [_key_desc(*item) for item in _children(*inputs_el, "input")]
-
-    task_el = _opt(grouped, "task")
-    task = _leaf(*task_el) if task_el else None
-
-    outputs_el, opath = _one(grouped, "outputs", path)
-    outputs = [_parse_output(*item) for item in _children(outputs_el, opath, "output")]
-    if not outputs:
-        raise SchemaError(opath, "event must declare at least one output")
-
-    listen: list[str] = []
-    listen_el = _opt(grouped, "listen")
-    if listen_el is not None:
-        listen = [_leaf(*item) for item in _children(*listen_el, "event")]
-
-    agent_ref = None
-    agent_el = _opt(grouped, "agent")
-    if agent_el is not None:
-        el, apath = agent_el
-        agrouped = _walk(el, apath, ("name", "model"))
-        aname_el, anpath = _one(agrouped, "name", apath)
-        amodel_el, ampath = _one(agrouped, "model", apath)
-        agent_ref = EventAgentRef(_leaf(aname_el, anpath), _leaf(amodel_el, ampath))
-
-    return EventSpec(name=name, inputs=inputs, task=task, outputs=outputs,
-                     listen=listen, agent=agent_ref, path=path)
-
-
-def _parse_output(elem: ET.Element, path: str) -> OutputSpec:
-    grouped = _walk(elem, path, ("key", "description", "condition", "action"))
-    key_el, kpath = _one(grouped, "key", path)
-    key = _leaf(key_el, kpath)
-    if not naming.is_identifier(key):
-        raise SchemaError(kpath, f"output key is not an identifier: {key!r}")
-    desc = _opt(grouped, "description")
-    cond = _opt(grouped, "condition")
-
-    action_el, apath = _one(grouped, "action", path)
-    agrouped = _walk(action_el, apath, ("type", "value"))
-    type_el, tpath = _one(agrouped, "type", apath)
-    action_type = _leaf(type_el, tpath)
-    if action_type not in ACTION_TYPES:
-        raise ActionTypeError(tpath, f"unknown action type: {action_type!r}")
-    value = None
-    value_el = _opt(agrouped, "value")
-    if action_type == "GOTO":
-        if value_el is None:
-            raise SchemaError(apath, "GOTO action requires a <value>")
-        value = _leaf(*value_el)
-    # RESULT/ABORT: a value element is tolerated but carries no meaning
-
-    return OutputSpec(
-        key=key,
-        description=_leaf(*desc) if desc else "",
-        condition=(_leaf(*cond) or None) if cond else None,
-        action=ActionSpec(action_type, value),
-        path=path,
-    )
-
 
 def validate_workflow_form(form: WorkflowForm, registry: RegistryView | None = None) -> list[Diagnostic]:
     """Rule checks V1-V10. Empty list means the form is accepted."""
@@ -742,103 +719,6 @@ def listen_graph(events: list[EventSpec]) -> ListenGraph:
                 order.append(follower)
     return ListenGraph(order, sources, listeners,
                        {name for name, count in waiting.items() if count})
-
-
-# ---------------------------------------------------------------------------
-# serialization (canonical element order, 4-space indent)
-# ---------------------------------------------------------------------------
-
-def _emit_slot(parent: ET.Element, tag: str, slot: IOSlot) -> None:
-    holder = ET.SubElement(parent, tag)
-    for pair in slot.pairs:
-        ET.SubElement(holder, "key").text = pair.key
-        ET.SubElement(holder, "description").text = pair.description
-
-
-def _emit_globals(parent: ET.Element, variables: list[GlobalVar]) -> None:
-    if not variables:
-        return
-    holder = ET.SubElement(parent, "global_variables")
-    for var in variables:
-        v = ET.SubElement(holder, "variable")
-        ET.SubElement(v, "key").text = var.key
-        ET.SubElement(v, "description").text = var.description
-        ET.SubElement(v, "value").text = var.value
-
-
-def _emit_tools(parent: ET.Element, category: str, tools: list[ToolRef]) -> None:
-    if not tools:
-        return
-    holder = ET.SubElement(parent, "tools", {"category": category})
-    for tool in tools:
-        t = ET.SubElement(holder, "tool")
-        ET.SubElement(t, "name").text = tool.name
-        ET.SubElement(t, "description").text = tool.description
-
-
-def agent_form_to_xml(form: AgentForm) -> str:
-    root = ET.Element("agents")
-    ET.SubElement(root, "system_input").text = form.system_input
-    _emit_slot(root, "system_output", form.system_output)
-    _emit_globals(root, form.global_variables)
-    for agent in form.agents:
-        a = ET.SubElement(root, "agent")
-        ET.SubElement(a, "name").text = agent.name
-        ET.SubElement(a, "description").text = agent.description
-        ET.SubElement(a, "instructions").text = agent.instructions
-        _emit_tools(a, "existing", agent.tools_existing)
-        _emit_tools(a, "new", agent.tools_new)
-        _emit_slot(a, "agent_input", agent.agent_input)
-        _emit_slot(a, "agent_output", agent.agent_output)
-    ET.indent(root, space="    ")
-    return ET.tostring(root, encoding="unicode") + "\n"
-
-
-def workflow_form_to_xml(form: WorkflowForm) -> str:
-    root = ET.Element("workflow")
-    ET.SubElement(root, "name").text = form.name
-    _emit_slot(root, "system_input", form.system_input)
-    _emit_slot(root, "system_output", form.system_output)
-    agents = ET.SubElement(root, "agents")
-    for decl in form.agents:
-        a = ET.SubElement(agents, "agent", {"category": decl.category})
-        ET.SubElement(a, "name").text = decl.name
-        ET.SubElement(a, "description").text = decl.description
-        _emit_tools(a, "new", decl.tools)
-    _emit_globals(root, form.global_variables)
-    events = ET.SubElement(root, "events")
-    for event in form.events:
-        e = ET.SubElement(events, "event")
-        ET.SubElement(e, "name").text = event.name
-        if event.inputs:
-            inputs = ET.SubElement(e, "inputs")
-            for pair in event.inputs:
-                i = ET.SubElement(inputs, "input")
-                ET.SubElement(i, "key").text = pair.key
-                ET.SubElement(i, "description").text = pair.description
-        if event.task is not None:
-            ET.SubElement(e, "task").text = event.task
-        outputs = ET.SubElement(e, "outputs")
-        for output in event.outputs:
-            o = ET.SubElement(outputs, "output")
-            ET.SubElement(o, "key").text = output.key
-            ET.SubElement(o, "description").text = output.description
-            if output.condition is not None:
-                ET.SubElement(o, "condition").text = output.condition
-            action = ET.SubElement(o, "action")
-            ET.SubElement(action, "type").text = output.action.type
-            if output.action.value is not None:
-                ET.SubElement(action, "value").text = output.action.value
-        if event.listen:
-            listen = ET.SubElement(e, "listen")
-            for source in event.listen:
-                ET.SubElement(listen, "event").text = source
-        if event.agent is not None:
-            agent = ET.SubElement(e, "agent")
-            ET.SubElement(agent, "name").text = event.agent.name
-            ET.SubElement(agent, "model").text = event.agent.model
-    ET.indent(root, space="    ")
-    return ET.tostring(root, encoding="unicode") + "\n"
 
 
 # ---------------------------------------------------------------------------
