@@ -333,11 +333,11 @@ class RegistryStore:
 # ---------------------------------------------------------------------------
 
 def _confined(workdir: Path | None, raw: str) -> Path:
+    """``raw`` resolved under ``workdir``, which is itself already resolved."""
     if workdir is None:
         raise PermissionError("no working directory configured")
-    base = workdir.resolve()
-    path = (base / raw).resolve()
-    if path != base and not path.is_relative_to(base):
+    path = (workdir / raw).resolve()
+    if path != workdir and not path.is_relative_to(workdir):
         raise PermissionError(f"path escapes the working directory: {raw}")
     return path
 
@@ -493,13 +493,17 @@ class SubprocessScriptRunner:
 
 class RegistryToolSuite:
     """ToolSuite over a RegistryStore: schemas for the kernel, execution with
-    argument checking, and the script-runner policy gate."""
+    argument checking, and the script-runner policy gate.
+
+    The file tools' ``workdir`` is resolved once, here: a relative one against
+    the current directory at construction. Every path a call names is
+    resolved on each call and must stay inside it, symlinks followed."""
 
     def __init__(self, store: RegistryStore, runner=None,
                  workdir: str | os.PathLike | None = None):
         self.store = store
         self.runner = runner
-        self.workdir = Path(workdir) if workdir is not None else None
+        self.workdir = Path(workdir).resolve() if workdir is not None else None
 
     def schema(self, name: str) -> ToolSchema:
         return self.store.get_tool(name).schema()

@@ -179,6 +179,42 @@ def test_builtin_confinement(suite):
         assert result.error_kind == E_IO
 
 
+def test_builtin_refuses_symlinks_out_of_the_workdir(suite, tmp_path):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "secret.txt").write_text("secret", encoding="utf-8")
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "door").symlink_to(outside, target_is_directory=True)
+    (work / "secret.txt").symlink_to(outside / "secret.txt")
+    calls = [
+        ("read_text_file", {"path": "door/secret.txt"}),
+        ("read_text_file", {"path": "secret.txt"}),
+        ("write_text_file", {"path": "door/planted.txt", "content": "x"}),
+        ("write_text_file", {"path": "secret.txt", "content": "overwritten"}),
+        ("list_directory", {"path": "door"}),
+    ]
+    for tool, args in calls:
+        result = suite.run(ToolCall(tool, args))
+        assert (result.status, result.error_kind) == ("error", E_IO), (tool, args)
+        assert "escapes the working directory" in result.payload
+    assert sorted(p.name for p in outside.iterdir()) == ["secret.txt"]
+    assert (outside / "secret.txt").read_text(encoding="utf-8") == "secret"
+
+
+def test_relative_workdir_is_resolved_when_the_suite_is_built(store, tmp_path, monkeypatch):
+    store.put_tool(builtin_tool("write_text_file"))
+    monkeypatch.chdir(tmp_path)
+    suite = RegistryToolSuite(store, workdir="work")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    result = suite.run(ToolCall("write_text_file", {"path": "a.txt", "content": "x"}))
+    assert result.status == "ok"
+    assert (tmp_path / "work" / "a.txt").read_text(encoding="utf-8") == "x"
+    assert list(elsewhere.iterdir()) == []
+
+
 def test_builtin_arithmetic(suite):
     cases = {"(2+3)*4": "20", "2**10": "1024", "7//2": "3", "-5 % 3": "1",
              "1/4": "0.25", "+8": "8"}
