@@ -17,7 +17,6 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
-from xml.sax.saxutils import escape
 
 from . import naming
 from .errors import ActionTypeError, SchemaError, UnboundVariableError, XmlError
@@ -26,8 +25,8 @@ ACTION_TYPES = ("RESULT", "ABORT", "GOTO")
 ON_START = "on_start"
 
 _DTD_RE = re.compile(r"<!(?:DOCTYPE|ENTITY)", re.IGNORECASE)
-# escapes in attribute values beyond & < >, as ET.tostring writes them
-_ATTR_ESCAPES = {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+# what ET.tostring escapes in an attribute value besides & < >
+_ATTR_ESCAPES = str.maketrans({'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"})
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +323,7 @@ def _read(kind, elem: ET.Element, parent: str, index: int):
         try:
             if len(elem):
                 raise ValueError("unexpected nested elements")
-            for attr in elem.attrib:
+            for attr in elem.keys():  # .attrib would give each element a dict
                 raise ValueError(f"unexpected attribute {attr!r}")
             text = (elem.text or "").strip()
             return text if kind.check is None else kind.check(text)
@@ -353,7 +352,7 @@ def _read(kind, elem: ET.Element, parent: str, index: int):
 def _refuse_attrs(elem: ET.Element, path: str, category, message: str = "") -> None:
     """Refuse every attribute but ``category`` where one is allowed; there,
     ``message`` (if given) replaces the default error."""
-    for attr in elem.attrib:
+    for attr in elem.keys():
         if attr != "category" or not category:
             raise SchemaError(path, category and message or f"unexpected attribute {attr!r}")
 
@@ -367,17 +366,12 @@ def _category(elem: ET.Element, path: str, allowed) -> str:
 
 def _record(rec: _Record, elem: ET.Element, path: str):
     values = {"category": _category(elem, path, rec.categories)} if rec.categories else {}
-    if elem.attrib:
-        _refuse_attrs(elem, path, rec.categories)
+    _refuse_attrs(elem, path, rec.categories)
     grouped: dict[str, list[ET.Element]] = {}
     for child in elem:
-        tag = child.tag
-        if tag in grouped:
-            grouped[tag].append(child)
-        elif tag in rec.tags:
-            grouped[tag] = [child]
-        else:
-            raise SchemaError(f"{path}/{tag}", "unexpected element")
+        if child.tag not in rec.tags:
+            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
+        grouped.setdefault(child.tag, []).append(child)
     for tag, name, mult, kind in rec.fields:
         items = grouped.get(tag)
         if items is None:
@@ -410,15 +404,19 @@ def parse_workflow_form(text: str) -> WorkflowForm:
     return _record(_WORKFLOW_FORM, _load_root(text, "workflow"), "/workflow")
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _write(kind, out: list[str], tag: str, value, pad: str, category: str | None = None) -> None:
     """Append ``value`` as a ``tag`` element on a new line indented by ``pad``,
     as ``ET.indent`` with four spaces and ``ET.tostring`` would write it."""
     if type(kind) is _Leaf:
-        out.append(f"{pad}<{tag}>{escape(value)}</{tag}>" if value else f"{pad}<{tag} />")
+        out.append(f"{pad}<{tag}>{_escape(value)}</{tag}>" if value else f"{pad}<{tag} />")
         return
     if category is None:  # a holder's own, or a record's category field
         category = getattr(kind, "category", None) or getattr(value, "category", None)
-    attrs = "" if category is None else f' category="{escape(category, _ATTR_ESCAPES)}"'
+    attrs = "" if category is None else f' category="{_escape(category).translate(_ATTR_ESCAPES)}"'
     start = len(out)
     out.append(f"{pad}<{tag}{attrs}>")
     inner = pad + "    "
