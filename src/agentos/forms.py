@@ -408,14 +408,14 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _write(kind, out: list[str], tag: str, value, pad: str, category: str | None = None) -> None:
+def _write(kind, out: list[str], tag: str, value, pad: str) -> None:
     """Append ``value`` as a ``tag`` element on a new line indented by ``pad``,
     as ``ET.indent`` with four spaces and ``ET.tostring`` would write it."""
     if type(kind) is _Leaf:
         out.append(f"{pad}<{tag}>{_escape(value)}</{tag}>" if value else f"{pad}<{tag} />")
         return
-    if category is None:  # a holder's own, or a record's category field
-        category = getattr(kind, "category", None) or getattr(value, "category", None)
+    # a holder's own category, or a record's category field
+    category = getattr(kind, "category", None) or getattr(value, "category", None)
     attrs = "" if category is None else f' category="{_escape(category).translate(_ATTR_ESCAPES)}"'
     start = len(out)
     out.append(f"{pad}<{tag}{attrs}>")
@@ -431,8 +431,9 @@ def _write(kind, out: list[str], tag: str, value, pad: str, category: str | None
         for ftag, name, mult, fkind in kind.fields:
             if type(name) is dict:
                 for category, field_name in name.items():
-                    if getattr(value, field_name):
-                        _write(fkind, out, ftag, getattr(value, field_name), inner, category)
+                    items = getattr(value, field_name)
+                    if items:
+                        _write(fkind._replace(category=category), out, ftag, items, inner)
                 continue
             item = getattr(value, name)
             if type(fkind) is not _Holder and mult in "*+":
