@@ -8,8 +8,10 @@ On-disk layout per collection (``<root>/<collection>/``):
   count*dim float64 LE values. Row i pairs with meta line i.
 
 Rows are kept sorted by (doc_id, ordinal) and both files are rewritten
-atomically on every mutation, so a collection is always self-consistent and
-two stores built from the same documents are byte-identical.
+atomically once per ingest call, so a collection is always self-consistent
+and two stores built from the same documents are byte-identical. A store
+keeps the collections it read or wrote and reads one again only when the
+stat signature of either file changed.
 
 The default embedder hashes whitespace tokens with sha256 into a fixed-size
 signed-count vector and L2-normalizes. It is deterministic across processes
@@ -19,18 +21,21 @@ stand in for it (e.g. a network embedder).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import mmap
 import os
 import struct
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyInputError, NotFoundError
-from .storage import atomic_write, entry_path
+from .storage import atomic_write, entry_path, signature
 
 VECTOR_MAGIC = b"RV1\n"
 DOC_SUFFIXES = (".txt", ".md")
@@ -39,6 +44,7 @@ DEFAULT_CHUNK_SIZE = 64
 DEFAULT_OVERLAP = 16
 DEFAULT_TOP_K = 4
 DEFAULT_MAX_REWRITES = 2
+SLOT_MEMO = 1 << 15  # tokens whose embedding slot a HashingEmbedder remembers
 
 ANSWER_MARKER = "ANSWER:"
 REWRITE_MARKER = "REWRITE:"
@@ -69,21 +75,10 @@ def chunk_text(text: str, doc_id: str = "", chunk_size: int = DEFAULT_CHUNK_SIZE
     if not 0 <= overlap < chunk_size:
         raise ValueError("overlap must satisfy 0 <= overlap < chunk_size")
     tokens = text.split()
-    if not tokens:
-        return []
-    step = chunk_size - overlap
-    chunks = []
-    start = 0
-    ordinal = 0
-    while start < len(tokens):
-        window = tokens[start:start + chunk_size]
-        chunks.append(Chunk(doc_id=doc_id, ordinal=ordinal,
-                            text=" ".join(window), token_start=start))
-        if start + chunk_size >= len(tokens):
-            break
-        start += step
-        ordinal += 1
-    return chunks
+    # window i starts at i*step while the window before it ends short of the text
+    starts = range(0, max(len(tokens) - overlap, 1), chunk_size - overlap) if tokens else ()
+    return [Chunk(doc_id, ordinal, " ".join(tokens[start:start + chunk_size]), start)
+            for ordinal, start in enumerate(starts)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +91,30 @@ class HashingEmbedder:
     Each whitespace token is lowercased and hashed with sha256; the first 4
     digest bytes pick a dimension, bit 0 of byte 4 picks the sign. Counts
     accumulate as integers before one float64 normalize, which keeps the
-    result bit-identical for identical input.
+    result bit-identical for identical input. A token's slot is remembered,
+    for at most ``SLOT_MEMO`` tokens at a time.
     """
 
     def __init__(self, dim: int = 256):
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
+        self._slots: dict[str, int] = {}  # token -> 2 * dimension + sign bit
 
     def embed(self, text: str) -> np.ndarray:
-        counts = np.zeros(self.dim, dtype=np.int64)
+        slots = self._slots
+        picked = []
         for token in text.lower().split():
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            index = int.from_bytes(digest[:4], "big") % self.dim
-            counts[index] += 1 if (digest[4] & 1) == 0 else -1
-        vector = counts.astype(np.float64)
+            slot = slots.get(token)
+            if slot is None:
+                if len(slots) >= SLOT_MEMO:
+                    slots.clear()
+                digest = hashlib.sha256(token.encode("utf-8")).digest()
+                slot = slots[token] = \
+                    2 * (int.from_bytes(digest[:4], "big") % self.dim) + (digest[4] & 1)
+            picked.append(slot)
+        counts = np.bincount(np.array(picked, dtype=np.intp), minlength=2 * self.dim)
+        vector = (counts[0::2] - counts[1::2]).astype(np.float64)
         norm = float(np.linalg.norm(vector))
         if norm > 0.0:
             vector /= norm
@@ -138,6 +142,25 @@ class RagAnswer:
     hits: list[Hit] = field(default_factory=list)
 
 
+class _Rows(NamedTuple):
+    """A collection as last read or written, under its two files' signatures."""
+    signature: tuple
+    keys: list[tuple[str, int]]
+    lines: list[str]
+    vectors: np.ndarray
+
+
+_meta_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _image(count: int, dim: int) -> tuple[mmap.mmap, np.ndarray]:
+    """``vectors.bin`` from offset 4 of an anonymous mapping (off the malloc
+    heap, so dropping it gives the memory back), and its now aligned rows."""
+    image = mmap.mmap(-1, 16 + 8 * count * dim)
+    image[4:16] = VECTOR_MAGIC + struct.pack("<II", dim, count)
+    return image, np.frombuffer(image, "<f8", count * dim, 16).reshape(count, dim)
+
+
 class RagStore:
     def __init__(self, root: str | os.PathLike, embedder=None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -146,57 +169,57 @@ class RagStore:
         self.embedder = embedder if embedder is not None else HashingEmbedder()
         self.chunk_size = chunk_size
         self.overlap = overlap
+        self._cache: dict[str, _Rows] = {}  # collection -> its rows, replaced whole
 
     # -- storage ------------------------------------------------------------
 
-    def _dir(self, collection: str) -> Path:
-        return Path(entry_path(self.root, collection, "collection"))
+    def _files(self, collection: str) -> tuple[str, str]:
+        folder = entry_path(self.root, collection, "collection")
+        return os.path.join(folder, "meta.jsonl"), os.path.join(folder, "vectors.bin")
 
-    def _load(self, collection: str) -> tuple[list[Chunk], np.ndarray]:
-        folder = self._dir(collection)
-        meta_path = folder / "meta.jsonl"
-        vec_path = folder / "vectors.bin"
-        if not meta_path.is_file() or not vec_path.is_file():
-            raise NotFoundError(f"no such collection: {collection}")
-        chunks = []
-        with meta_path.open(encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                chunks.append(Chunk(record["doc_id"], record["ordinal"],
-                                    record["text"], record["token_start"]))
-        raw = vec_path.read_bytes()
-        if raw[:4] != VECTOR_MAGIC:
+    def _rows(self, collection: str) -> _Rows:
+        """The collection, read again only when the stat signature of either
+        file changed; a malformed collection raises on every read."""
+        paths = self._files(collection)
+        rows = self._cache.get(collection)
+        try:
+            if rows is not None and rows.signature == tuple(signature(os.stat(p)) for p in paths):
+                return rows
+            self._cache.pop(collection, None)
+            with open(paths[0], encoding="utf-8") as meta, open(paths[1], "rb") as vectors:
+                rows = self._read(collection, meta, vectors)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise NotFoundError(f"no such collection: {collection}") from None
+        self._cache[collection] = rows
+        return rows
+
+    @staticmethod
+    def _read(collection: str, meta, vectors) -> _Rows:
+        keys, lines = [], []
+        for line in meta:
+            if not line.strip():
+                continue
+            record = json.loads(line)
+            row = {f.name: record[f.name] for f in fields(Chunk)}
+            keys.append((row["doc_id"], row["ordinal"]))
+            lines.append(_meta_line(row))
+        st = os.fstat(vectors.fileno())
+        header = vectors.read(12)
+        if len(header) < 12 or header[:4] != VECTOR_MAGIC:
             raise NotFoundError(f"corrupt vector file for collection: {collection}")
-        dim, count = struct.unpack_from("<II", raw, 4)
-        vectors = np.frombuffer(raw, dtype="<f8", offset=12, count=dim * count)
-        vectors = vectors.reshape(count, dim).astype(np.float64, copy=True)
-        if count != len(chunks):
+        dim, count = struct.unpack_from("<II", header, 4)
+        if count != len(keys):
             raise NotFoundError(f"collection row mismatch: {collection}")
-        return chunks, vectors
-
-    def _save(self, collection: str, chunks: list[Chunk], vectors: np.ndarray) -> None:
-        folder = self._dir(collection)
-        order = sorted(range(len(chunks)),
-                       key=lambda i: (chunks[i].doc_id, chunks[i].ordinal))
-        chunks = [chunks[i] for i in order]
-        vectors = vectors[order] if len(order) else vectors
-
-        meta_lines = []
-        for chunk in chunks:
-            meta_lines.append(json.dumps(
-                {"doc_id": chunk.doc_id, "ordinal": chunk.ordinal,
-                 "text": chunk.text, "token_start": chunk.token_start},
-                sort_keys=True, separators=(",", ":")))
-        meta_data = ("\n".join(meta_lines) + "\n") if meta_lines else ""
-
-        dim = self.embedder.dim
-        header = VECTOR_MAGIC + struct.pack("<II", dim, len(chunks))
-        body = np.ascontiguousarray(vectors, dtype="<f8").tobytes() if len(chunks) else b""
-
-        atomic_write(folder / "meta.jsonl", meta_data.encode("utf-8"))
-        atomic_write(folder / "vectors.bin", header + body)
+        if st.st_size < 12 + 8 * count * dim:
+            raise NotFoundError(f"corrupt vector file for collection: {collection}")
+        image, matrix = _image(count, dim)
+        vectors.readinto(memoryview(image)[16:])
+        order = sorted(range(count), key=keys.__getitem__)
+        if order != list(range(count)):  # not written by a store: put rows in store order
+            keys, lines = [keys[i] for i in order], [lines[i] for i in order]
+            matrix[:] = matrix[order]
+        matrix.flags.writeable = False
+        return _Rows((signature(os.fstat(meta.fileno())), signature(st)), keys, lines, matrix)
 
     # -- ingest ---------------------------------------------------------------
 
@@ -204,74 +227,85 @@ class RagStore:
         """(Re)index one document; replaces any previous chunks for doc_id."""
         if not doc_id:
             raise ValueError("doc_id must be nonempty")
-        new_chunks = chunk_text(text, doc_id, self.chunk_size, self.overlap)
+        return self._ingest(collection, {doc_id: text})[doc_id]
+
+    def _ingest(self, collection: str, docs: dict[str, str]) -> dict[str, int]:
+        """Replace the chunks of each document in ``docs`` (doc_id -> text) with
+        one read, merge and write of each file; what was written is cached."""
+        chunks = {doc_id: chunk_text(text, doc_id, self.chunk_size, self.overlap)
+                  for doc_id, text in docs.items()}
+        new = [chunk for doc in chunks.values() for chunk in doc]
         try:
-            chunks, vectors = self._load(collection)
+            old = self._rows(collection)
         except NotFoundError:
-            chunks, vectors = [], np.zeros((0, self.embedder.dim), dtype=np.float64)
-        keep = [i for i, c in enumerate(chunks) if c.doc_id != doc_id]
-        chunks = [chunks[i] for i in keep]
-        vectors = vectors[keep] if keep else np.zeros((0, self.embedder.dim), dtype=np.float64)
-        if new_chunks:
-            new_vectors = np.stack([self.embedder.embed(c.text) for c in new_chunks])
-            vectors = np.concatenate([vectors, new_vectors]) if len(chunks) else new_vectors
-            chunks = chunks + new_chunks
-        self._save(collection, chunks, vectors)
-        return len(new_chunks)
+            old = _Rows((), [], [], np.zeros((0, self.embedder.dim)))
+        self._cache.pop(collection, None)  # the old rows go as soon as the new are built
+        keep = [i for i, (doc_id, _) in enumerate(old.keys) if doc_id not in docs]
+        keys = [old.keys[i] for i in keep] + [(c.doc_id, c.ordinal) for c in new]
+        lines = [old.lines[i] for i in keep] + [_meta_line(vars(c)) for c in new]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        to = np.argsort(order)  # source row -> written row
+        image, matrix = _image(len(keys), self.embedder.dim)
+        matrix[to[:len(keep)]] = old.vectors[keep]
+        for chunk, row in zip(new, to[len(keep):].tolist()):
+            matrix[row] = self.embedder.embed(chunk.text)
+        lines = [lines[i] for i in order]
+        meta_path, vectors_path = self._files(collection)
+        meta_st = atomic_write(meta_path, "\n".join([*lines, ""]).encode("utf-8"))
+        vectors_st = atomic_write(vectors_path, memoryview(image)[4:])
+        matrix.flags.writeable = False
+        self._cache[collection] = _Rows((signature(meta_st), signature(vectors_st)),
+                                        [keys[i] for i in order], lines, matrix)
+        return {doc_id: len(doc) for doc_id, doc in chunks.items()}
 
     def ingest(self, collection: str, source: str | os.PathLike) -> dict[str, int]:
         """Index a .txt/.md file, a directory of them, or a zip archive.
 
         doc_id is the path relative to the source root (posix separators),
         or the bare file name for a single file. Returns doc_id -> chunk
-        count. Re-ingesting the same source is idempotent.
+        count. Re-ingesting the same source is idempotent. Every file is
+        read before the collection is written once, so a file that fails
+        to read or decode leaves the collection as it was.
         """
         source = Path(source)
-        counts: dict[str, int] = {}
         if source.is_dir():
-            files = sorted(p for p in source.rglob("*")
-                           if p.is_file() and p.suffix.lower() in DOC_SUFFIXES)
-            if not files:
+            docs = {path.relative_to(source).as_posix(): path.read_text(encoding="utf-8")
+                    for path in sorted(source.rglob("*"))
+                    if path.is_file() and path.suffix.lower() in DOC_SUFFIXES}
+            if not docs:
                 raise EmptyInputError(f"no .txt/.md files under {source}")
-            for path in files:
-                doc_id = path.relative_to(source).as_posix()
-                counts[doc_id] = self.ingest_text(
-                    collection, doc_id, path.read_text(encoding="utf-8"))
-            return counts
-        if not source.is_file():
+        elif not source.is_file():
             raise NotFoundError(f"no such file: {source}")
-        if source.suffix.lower() == ".zip":
+        elif source.suffix.lower() == ".zip":
             with zipfile.ZipFile(source) as archive:
-                names = sorted(n for n in archive.namelist()
-                               if not n.endswith("/")
-                               and Path(n).suffix.lower() in DOC_SUFFIXES)
-                if not names:
-                    raise EmptyInputError(f"no .txt/.md members in {source}")
-                for name in names:
-                    text = archive.read(name).decode("utf-8")
-                    counts[name] = self.ingest_text(collection, name, text)
-            return counts
-        if source.suffix.lower() not in DOC_SUFFIXES:
+                docs = {name: archive.read(name).decode("utf-8")
+                        for name in sorted(archive.namelist())
+                        if not name.endswith("/") and Path(name).suffix.lower() in DOC_SUFFIXES}
+            if not docs:
+                raise EmptyInputError(f"no .txt/.md members in {source}")
+        elif source.suffix.lower() not in DOC_SUFFIXES:
             raise EmptyInputError(f"unsupported document type: {source.suffix}")
-        counts[source.name] = self.ingest_text(
-            collection, source.name, source.read_text(encoding="utf-8"))
-        return counts
+        else:
+            docs = {source.name: source.read_text(encoding="utf-8")}
+        return self._ingest(collection, docs)
 
     # -- query ---------------------------------------------------------------
 
     def query(self, collection: str, text: str, k: int = DEFAULT_TOP_K) -> list[Hit]:
         """Cosine top-k. Ties break by (doc_id, ordinal), making the ranking
         a pure function of the stored bytes."""
-        chunks, vectors = self._load(collection)
-        if not chunks or k <= 0:
+        rows = self._rows(collection)
+        if not rows.keys or k <= 0:
             return []
-        probe = self.embedder.embed(text)
-        scores = vectors @ probe
-        ranked = sorted(range(len(chunks)),
-                        key=lambda i: (-scores[i], chunks[i].doc_id, chunks[i].ordinal))
-        return [Hit(chunks[i].doc_id, chunks[i].ordinal, float(scores[i]),
-                    chunks[i].text)
-                for i in ranked[:k]]
+        scores = rows.vectors @ self.embedder.embed(text)
+        top = np.arange(len(scores))
+        if k < len(scores):  # the rows that can place, all those tied at the k-th score too
+            negated = -scores
+            top = np.flatnonzero(negated <= np.partition(negated, k - 1)[k - 1])
+        # rows are in (doc_id, ordinal) order, so a stable sort breaks ties by it
+        top = top[np.argsort(-scores[top], kind="stable")[:k]]
+        return [Hit(*rows.keys[i], float(scores[i]), json.loads(rows.lines[i])["text"])
+                for i in top.tolist()]
 
     def list_collections(self) -> list[str]:
         if not self.root.is_dir():
@@ -280,24 +314,22 @@ class RagStore:
                       if p.is_dir() and (p / "meta.jsonl").is_file())
 
     def delete_collection(self, collection: str) -> None:
-        folder = self._dir(collection)
-        if not folder.is_dir():
+        paths = self._files(collection)
+        self._cache.pop(collection, None)
+        folder = os.path.dirname(paths[0])
+        if not os.path.isdir(folder):
             raise NotFoundError(f"no such collection: {collection}")
-        for name in ("meta.jsonl", "vectors.bin"):
-            try:
-                (folder / name).unlink()
-            except FileNotFoundError:
-                pass
-        try:
-            folder.rmdir()
-        except OSError:
-            pass
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+        with contextlib.suppress(OSError):
+            os.rmdir(folder)
 
     def stats(self, collection: str) -> dict:
-        chunks, _ = self._load(collection)
+        keys = self._rows(collection).keys
         return {
-            "chunks": len(chunks),
-            "documents": len({c.doc_id for c in chunks}),
+            "chunks": len(keys),
+            "documents": len({doc_id for doc_id, _ in keys}),
             "dim": self.embedder.dim,
         }
 
@@ -315,39 +347,29 @@ class RagStore:
         """
         query = question
         queries: list[str] = []
-        last_reply = ""
-        last_hits: list[Hit] = []
-        for attempt in range(1 + max_rewrites):
+        hits: list[Hit] = []
+        reply = ""
+        for _ in range(1 + max_rewrites):
             queries.append(query)
-            last_hits = self.query(collection, query, k)
-            prompt = self._render_prompt(question, query, last_hits)
+            hits = self.query(collection, query, k)
+            prompt = self._render_prompt(question, query, hits)
             reply = engine.complete_text(
                 [{"role": "user", "content": prompt}], model=model).strip()
-            last_reply = reply
-            if reply.startswith(REWRITE_MARKER):
-                query = reply[len(REWRITE_MARKER):].strip() or query
-                continue
-            if reply.startswith(ANSWER_MARKER):
-                reply = reply[len(ANSWER_MARKER):].strip()
-            return RagAnswer(text=reply, answered=True, queries=queries,
-                             retrievals=attempt + 1, hits=last_hits)
-        return RagAnswer(text=last_reply, answered=False, queries=queries,
-                         retrievals=1 + max_rewrites, hits=last_hits)
+            if not reply.startswith(REWRITE_MARKER):
+                if reply.startswith(ANSWER_MARKER):
+                    reply = reply[len(ANSWER_MARKER):].strip()
+                return RagAnswer(text=reply, answered=True, queries=queries,
+                                 retrievals=len(queries), hits=hits)
+            query = reply[len(REWRITE_MARKER):].strip() or query
+        return RagAnswer(text=reply, answered=False, queries=queries,
+                         retrievals=1 + max_rewrites, hits=hits)
 
     @staticmethod
     def _render_prompt(question: str, query: str, hits: list[Hit]) -> str:
-        lines = ["Answer the question from the retrieved snippets.",
-                 "",
-                 f"Question: {question}"]
+        lines = ["Answer the question from the retrieved snippets.", "", f"Question: {question}"]
         if query != question:
             lines.append(f"Search query: {query}")
-        lines.extend(["", "Snippets:"])
-        for hit in hits:
-            lines.append(f"- [{hit.doc_id}:{hit.ordinal}] {hit.text}")
-        if not hits:
-            lines.append("- (none)")
-        lines.extend([
-            "",
-            'Reply with "ANSWER: <answer>" or "REWRITE: <better search query>".',
-        ])
+        lines += ["", "Snippets:"]
+        lines += [f"- [{hit.doc_id}:{hit.ordinal}] {hit.text}" for hit in hits] or ["- (none)"]
+        lines += ["", 'Reply with "ANSWER: <answer>" or "REWRITE: <better search query>".']
         return "\n".join(lines)

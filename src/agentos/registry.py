@@ -50,7 +50,7 @@ from .forms import (
 )
 from .kernel import ToolCall, ToolResult
 from .naming import is_identifier
-from .storage import atomic_write, entry_path
+from .storage import atomic_write, entry_path, signature as _signature  # tests replace it
 
 FORMAT_VERSION = 1
 
@@ -183,10 +183,6 @@ _KINDS = {
 # ---------------------------------------------------------------------------
 # store
 # ---------------------------------------------------------------------------
-
-def _signature(st: os.stat_result) -> tuple[int, int, int, int]:
-    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
-
 
 class RegistryStore:
     """Every kind is stored through one path: ``_path`` names the file,

@@ -1,4 +1,5 @@
-"""Entry names and atomic file writes shared by the registry and the RAG store."""
+"""Entry names, atomic file writes and stat signatures shared by the registry
+and the RAG store."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ def entry_path(folder: str | os.PathLike, name: str, what: str, suffix: str = ""
     return os.path.join(folder, f"{name}{suffix}")
 
 
-def atomic_write(path: str | os.PathLike, data: bytes) -> os.stat_result:
+def atomic_write(path: str | os.PathLike, data: bytes | memoryview) -> os.stat_result:
     """Write through a dot-named temp file beside ``path``, then rename it; the
     folder is made first when it is missing, and a failed write removes the
     temp file. Returns the written file's stat as it is after the rename."""
@@ -35,3 +36,8 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> os.stat_result:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def signature(st: os.stat_result) -> tuple[int, int, int, int]:
+    """What a cached read of a file is valid for (docs/formats.md)."""
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns

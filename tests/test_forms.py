@@ -5,7 +5,11 @@ fixture, breaks exactly one rule, and must produce exactly that rule's
 code. The acceptance suite replays the same table under a time bound.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentos.errors import (
     ActionTypeError,
@@ -242,6 +246,42 @@ def test_substitute_globals():
     assert substitute_globals("{city}{n}", bound) == "Oslo3"
     with pytest.raises(UnboundVariableError):
         substitute_globals("hello {nobody}", bound)
+
+
+# an escape, a placeholder, or any one character, tried in that order at each position
+_SUBSTITUTION_TOKEN = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}|.", re.DOTALL)
+
+
+def reference_substitute(text: str, variables: dict) -> str:
+    out = []
+    for match in _SUBSTITUTION_TOKEN.finditer(text):
+        token, key = match.group(0), match.group(1)
+        if key is not None:
+            if key not in variables:
+                raise UnboundVariableError(f"unbound variable: {{{key}}}")
+            out.append(variables[key])
+        else:
+            out.append({"{{": "{", "}}": "}"}.get(token, token))
+    return "".join(out)
+
+
+_TEMPLATE = st.text("{}ab_1 é\n", max_size=30) | st.lists(st.sampled_from(
+    ["{", "}", "{{", "}}", "{a}", "{b}", "{ab}", "{_1}", "{1a}", "{a b}", "{a", "b}", "x", " "]),
+    max_size=12).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_TEMPLATE,
+       variables=st.dictionaries(st.sampled_from(["a", "b", "ab", "_1"]), st.text("{}ab ", max_size=4)))
+def test_substitute_globals_matches_a_reference(text, variables):
+    try:
+        expected = reference_substitute(text, variables)
+    except UnboundVariableError as err:
+        with pytest.raises(UnboundVariableError) as raised:
+            substitute_globals(text, variables)
+        assert str(raised.value) == str(err)
+    else:
+        assert substitute_globals(text, variables) == expected
 
 
 def test_globals_map():

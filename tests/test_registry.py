@@ -172,11 +172,26 @@ def test_builtin_file_cycle(suite):
     assert top.payload == "notes/"
 
 
-def test_builtin_confinement(suite):
-    for path in ("../escape.txt", "/etc/passwd", "notes/../../up"):
-        result = suite.run(ToolCall("read_text_file", {"path": path}))
-        assert result.status == "error"
-        assert result.error_kind == E_IO
+def test_builtin_confinement(suite, tmp_path):
+    # real paths to a real file outside the working directory: a refusal is not a missing file
+    (tmp_path / "work" / "notes").mkdir(parents=True)
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "secret.txt").write_text("secret", encoding="utf-8")
+    calls = [("read_text_file", {"path": "/etc/passwd"})]
+    for up in ("..", "notes/../.."):
+        calls += [
+            ("read_text_file", {"path": f"{up}/outside/secret.txt"}),
+            ("write_text_file", {"path": f"{up}/outside/secret.txt", "content": "overwritten"}),
+            ("write_text_file", {"path": f"{up}/outside/planted.txt", "content": "x"}),
+            ("list_directory", {"path": f"{up}/outside"}),
+        ]
+    for tool, args in calls:
+        result = suite.run(ToolCall(tool, args))
+        assert (result.status, result.error_kind) == ("error", E_IO), (tool, args)
+        assert "escapes the working directory" in result.payload
+    assert sorted(p.name for p in outside.iterdir()) == ["secret.txt"]
+    assert (outside / "secret.txt").read_bytes() == b"secret"
 
 
 def test_builtin_refuses_symlinks_out_of_the_workdir(suite, tmp_path):
