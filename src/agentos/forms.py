@@ -730,29 +730,15 @@ def substitute_globals(text: str, variables: Mapping[str, str]) -> str:
     Raises UnboundVariableError for a placeholder with no binding. Brace
     sequences that do not form a placeholder pass through untouched.
     """
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        if text.startswith("{{", i):
-            out.append("{")
-            i += 2
-            continue
-        if text.startswith("}}", i):
-            out.append("}")
-            i += 2
-            continue
-        if text[i] == "{":
-            match = naming.PLACEHOLDER_RE.match(text, i)
-            if match:
-                key = match.group(1)
-                if key not in variables:
-                    raise UnboundVariableError(f"unbound variable: {{{key}}}")
-                out.append(str(variables[key]))
-                i = match.end()
-                continue
-        out.append(text[i])
-        i += 1
-    return "".join(out)
+    def replace(match: re.Match) -> str:
+        key = match[1]
+        if key is None:
+            return match[0][0]  # an escape: "{{" -> "{", "}}" -> "}"
+        if key not in variables:
+            raise UnboundVariableError(f"unbound variable: {{{key}}}")
+        return str(variables[key])
+
+    return naming.PLACEHOLDER_SCANNER.sub(replace, text)
 
 
 def globals_map(variables: Iterable[GlobalVar]) -> dict[str, str]:

@@ -7,8 +7,10 @@ import re
 # Grammar shared by tool names, parameter names, event names and keys.
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-# {key} placeholders; doubled braces escape a literal brace.
-PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
+# The one placeholder scanner: at each position a ``{{`` or ``}}`` escape,
+# else a ``{key}`` placeholder (group 1), tried in that order, left to right.
+# Validation (V8, A2) and substitution read placeholders through it alone.
+PLACEHOLDER_SCANNER = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def is_identifier(name: str) -> bool:
@@ -27,5 +29,4 @@ def snake_case(name: str) -> str:
 
 def placeholders(text: str) -> list[str]:
     """Placeholder keys in ``text``, in order, ignoring {{ }} escapes."""
-    masked = text.replace("{{", "\x00\x00").replace("}}", "\x01\x01")
-    return PLACEHOLDER_RE.findall(masked)
+    return [key for key in PLACEHOLDER_SCANNER.findall(text) if key]

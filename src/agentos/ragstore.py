@@ -109,7 +109,8 @@ class HashingEmbedder:
             if slot is None:
                 if len(slots) >= SLOT_MEMO:
                     slots.clear()
-                digest = hashlib.sha256(token.encode("utf-8")).digest()
+                # surrogatepass: a lone surrogate hashes too; valid text keeps its UTF-8 bytes
+                digest = hashlib.sha256(token.encode("utf-8", "surrogatepass")).digest()
                 slot = slots[token] = \
                     2 * (int.from_bytes(digest[:4], "big") % self.dim) + (digest[4] & 1)
             picked.append(slot)

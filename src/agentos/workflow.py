@@ -2,10 +2,11 @@
 
 A validated workflow form compiles to a DAG of events. Execution proceeds
 in rounds: every round dispatches the full ready set (events whose listen
-sources have all completed), then commits outcomes in a fixed (rank, document
-order) sequence. Serial and parallel modes share that commit order, so the
-final blackboard and the trace are identical byte for byte; parallel mode
-only overlaps the agent calls inside a round.
+sources have all completed, kept by counting each event's uncompleted
+sources), then commits outcomes in a fixed (rank, document order) sequence.
+Serial and parallel modes share that commit order, so the final blackboard
+and the trace are identical byte for byte; parallel mode only overlaps the
+agent calls inside a round.
 
 Trace lines never carry timestamps. Every line is derived from committed
 state, which is what makes replayed runs comparable.
@@ -142,6 +143,15 @@ class WorkflowRun:
         self.system_value = system_value
         self.blackboard: dict[str, str] = {}
         self.state: dict[str, str] = {ce.spec.name: PENDING for ce in graph.events}
+        # Kahn-style in-degree counting: per event, how many of its sources
+        # are not completed; ``ready`` holds the graph.events index of every
+        # pending event whose count is zero
+        self.position = {ce.spec.name: i for i, ce in enumerate(graph.events)}
+        self.waiting = dict.fromkeys(self.state, 0)
+        for followers in graph.listeners.values():
+            for follower in followers:
+                self.waiting[follower] += 1
+        self.ready = {self.position[name] for name, count in self.waiting.items() if not count}
         self.published: dict[str, set[str]] = {ce.spec.name: set() for ce in graph.events}
         self.goto_counts: dict[tuple[str, str], int] = {}
         self.trace: list[str] = []
@@ -150,6 +160,28 @@ class WorkflowRun:
         key = graph.form.system_input.key
         if key:
             self.blackboard[key] = system_value
+
+    def complete(self, name: str) -> None:
+        """Commit ``name``: it leaves the ready set and its listeners wait on one fewer source."""
+        self.state[name] = COMPLETED
+        self.ready.discard(self.position[name])
+        for follower in self.graph.listeners[name]:
+            self.waiting[follower] -= 1
+            if not self.waiting[follower]:
+                self.ready.add(self.position[follower])
+
+    def reopen(self, members: list[str]) -> None:
+        """Make ``members`` pending again; ``members`` holds every listener of each."""
+        for member in members:
+            if self.state[member] == COMPLETED:
+                self.state[member] = PENDING
+                for follower in self.graph.listeners[member]:
+                    self.waiting[follower] += 1
+        for member in members:
+            if self.waiting[member]:
+                self.ready.discard(self.position[member])
+            else:
+                self.ready.add(self.position[member])
 
 
 def _goto_limit(variables: dict[str, str]) -> int:
@@ -163,9 +195,7 @@ def _goto_limit(variables: dict[str, str]) -> int:
 
 def ready_set(run: WorkflowRun) -> list[CompiledEvent]:
     """Pending events whose listen sources have all completed, in commit order."""
-    return [ce for ce in run.graph.events
-            if run.state[ce.spec.name] == PENDING
-            and all(run.state.get(s) == COMPLETED for s in ce.spec.listen)]
+    return [run.graph.events[i] for i in sorted(run.ready)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +353,12 @@ def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
     action = outcome.action
     run.trace.append(f"commit {name} action={action.type} key={outcome.key}")
     if action.type == "ABORT":
-        run.state[name] = COMPLETED
+        run.complete(name)
         return _Verdict("aborted", None, outcome.value or f"{name} requested abort")
 
     run.blackboard[outcome.key] = outcome.value
     run.published[name].add(outcome.key)
-    run.state[name] = COMPLETED
+    run.complete(name)
 
     if action.type == "GOTO":
         target = action.value or ""
@@ -338,14 +368,13 @@ def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
         if count > run.goto_limit:
             return _Verdict("aborted", E_LOOP_LIMIT,
                             f"goto {name} -> {target} exceeded limit {run.goto_limit}")
-        closure = forward_closure(run.graph, target)
-        members = [ce.spec.name for ce in run.graph.events if ce.spec.name in closure]
+        members = sorted(forward_closure(run.graph, target), key=run.position.__getitem__)
         for member in members:
             for key in run.published[member]:
                 run.blackboard.pop(key, None)
             run.published[member].clear()
-            run.state[member] = PENDING
             run.trace.append(f"reset {member}")
+        run.reopen(members)
         return _Verdict("continue", reset=members)
     return _Verdict("continue")
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agentos.backends import ScriptedBackend
 from agentos.engine import (
@@ -153,6 +155,55 @@ def test_malformed_parameter_name():
         scan_transformed_call(text)
     assert err.value.offset == byte_index(text, "<parameter=") + len("<parameter=")
     assert "parameter name" in err.value.reason
+
+
+# ---------------------------------------------------------------------------
+# properties: scan and parse invert render
+# ---------------------------------------------------------------------------
+
+_IDENT = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+_MARKUP = ["<function=", "</function>", "<parameter=", "</parameter", "<", ">", "=", "/"]
+# any text but the parameter closer, with the grammar's own markup over-represented
+_VALUE = (st.text(max_size=30) | st.lists(st.sampled_from(_MARKUP + ["x", " ", "\n", "é", "日"]),
+                                          max_size=10).map("".join)
+          ).filter(lambda value: "</parameter>" not in value)
+_CALL = st.builds(ToolCall, _IDENT, st.dictionaries(_IDENT, _VALUE, max_size=4))
+# text before a call may hold anything but an opener; text after it anything
+_PROSE = (st.text(max_size=30) | st.lists(st.sampled_from(_MARKUP + ["a", " "]),
+                                          max_size=8).map("".join))
+_LEAD = _PROSE.filter(lambda text: "<function=" not in text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=_CALL, lead=_LEAD, tail=_PROSE)
+def test_scan_finds_a_rendered_call_inside_prose(call, lead, tail):
+    rendered = render_tool_call(call)
+    text = lead + rendered + tail
+    assert scan_transformed_call(text) == (call, len(lead), len(lead) + len(rendered))
+    assert parse_transformed_call(text) == call
+    assert render_tool_call(parse_transformed_call(text)) == rendered
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=_CALL, data=st.data())
+def test_parameter_order_and_whitespace_leave_the_call_unchanged(call, data):
+    keys = data.draw(st.permutations(sorted(call.arguments)))
+    gaps = data.draw(st.lists(st.text(" \t\r\n", max_size=3),
+                              min_size=len(keys) + 1, max_size=len(keys) + 1))
+    text = f"<function={call.tool_name}>" + "".join(
+        f"{gap}<parameter={key}>{call.arguments[key]}</parameter>"
+        for gap, key in zip(gaps, keys)) + gaps[-1] + "</function>"
+    assert parse_transformed_call(text) == call
+    assert render_tool_call(parse_transformed_call(text)) == render_tool_call(call)
+
+
+@settings(max_examples=200, deadline=None)
+@given(call=_CALL, lead=_LEAD, data=st.data())
+def test_a_cut_call_is_a_parse_error(call, lead, data):
+    rendered = render_tool_call(call)
+    cut = data.draw(st.integers(0, len(rendered) - 1))
+    with pytest.raises(ParseError):
+        parse_transformed_call(lead + rendered[:cut])
 
 
 # ---------------------------------------------------------------------------

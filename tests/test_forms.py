@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentos import naming
 from agentos.errors import (
     ActionTypeError,
     SchemaError,
@@ -284,6 +285,34 @@ def test_substitute_globals_matches_a_reference(text, variables):
         assert substitute_globals(text, variables) == expected
 
 
+class RecordingVariables(dict):
+    """Binds every key and records each key looked up, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_up = []
+
+    def __contains__(self, key):
+        self.looked_up.append(key)
+        return True
+
+    def __getitem__(self, key):
+        return "}{"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_TEMPLATE)
+def test_placeholders_are_the_keys_substitution_looks_up(text):
+    variables = RecordingVariables()
+    substitute_globals(text, variables)
+    assert naming.placeholders(text) == variables.looked_up
+    if variables.looked_up:
+        with pytest.raises(UnboundVariableError):
+            substitute_globals(text, {})
+    else:
+        substitute_globals(text, {})
+
+
 def test_globals_map():
     variables = [GlobalVar("a", "desc", "1"), GlobalVar("b", value="2")]
     assert globals_map(variables) == {"a": "1", "b": "2"}
@@ -463,3 +492,21 @@ def test_v8_existing_agent_not_registered(wiki_form):
     wiki_form.agents[0].category = "existing"
     codes = {d.code for d in validate_workflow_form(wiki_form, RegistryView())}
     assert codes == {"V8"}
+
+
+# an escape before or after a placeholder leaves the placeholder a placeholder
+BRACED_PLACEHOLDERS = ["{{{ghost}}}", "{ghost}}}", "{{{ghost}", "a {{{ghost}}}} b"]
+
+
+@pytest.mark.parametrize("text", BRACED_PLACEHOLDERS)
+def test_validation_reads_placeholders_as_substitution_does(text):
+    with pytest.raises(UnboundVariableError):
+        substitute_globals(text, {})
+    workflow = _wiki()
+    workflow.events[1].task = text
+    assert [(d.code, d.message) for d in validate_workflow_form(workflow, WIKI_VIEW)] == [
+        ("V8", "task references undefined global {ghost}")]
+    agents = _image()
+    agents.agents[0].instructions = text
+    assert [(d.code, d.message) for d in validate_agent_form(agents, IMAGE_VIEW)] == [
+        ("A2", "instructions reference undefined global {ghost}")]

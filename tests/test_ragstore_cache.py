@@ -123,10 +123,11 @@ def test_ingest_cost_grows_linearly_with_the_files_of_one_call(tmp_path):
 # ---------------------------------------------------------------------------
 
 def reference_embed(text: str, dim: int) -> np.ndarray:
-    """The per-token loop the embedder had before its slot memo."""
+    """The per-token loop the embedder had before its slot memo (a lone
+    surrogate, which that loop could not encode, is encoded as surrogatepass)."""
     counts = np.zeros(dim, dtype=np.int64)
     for token in text.lower().split():
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        digest = hashlib.sha256(token.encode("utf-8", "surrogatepass")).digest()
         index = int.from_bytes(digest[:4], "big") % dim
         counts[index] += 1 if (digest[4] & 1) == 0 else -1
     vector = counts.astype(np.float64)
@@ -146,6 +147,15 @@ def test_embed_is_bit_identical_to_the_per_token_loop(text, dim):
     embedder = EMBEDDERS.setdefault(dim, HashingEmbedder(dim))
     for _ in range(2):  # the second call reads every slot from the memo
         assert embedder.embed(text).tobytes() == reference_embed(text, dim).tobytes()
+
+
+def test_embed_hashes_lone_surrogates():
+    # text decoded with surrogateescape, such as a command-line query holding
+    # bytes that are not UTF-8, used to raise UnicodeEncodeError
+    for text in ("\udcff", "caf\udce9 bar", "\ud800 x"):
+        vector = HashingEmbedder(16).embed(text)
+        assert vector.tobytes() == reference_embed(text, 16).tobytes()
+        assert abs(float(np.linalg.norm(vector)) - 1.0) < 1e-12
 
 
 def test_the_slot_memo_is_bounded(monkeypatch):
