@@ -151,7 +151,7 @@ def test_embed_is_bit_identical_to_the_per_token_loop(text, dim):
 
 def test_embed_hashes_lone_surrogates():
     # text decoded with surrogateescape, such as a command-line query holding
-    # bytes that are not UTF-8, used to raise UnicodeEncodeError
+    # bytes that are not UTF-8, carries lone surrogates that strict UTF-8 refuses
     for text in ("\udcff", "caf\udce9 bar", "\ud800 x"):
         vector = HashingEmbedder(16).embed(text)
         assert vector.tobytes() == reference_embed(text, 16).tobytes()
