@@ -193,8 +193,6 @@ class ScriptedBackend:
     deterministic callable (request -> text or ToolCall).
     """
 
-    kind = "scripted"
-
     def __init__(self, steps):
         self._steps = deque(steps)
         self._lock = threading.Lock()
@@ -221,8 +219,6 @@ class ScriptedBackend:
 # ---------------------------------------------------------------------------
 
 class HttpBackend:
-    kind = "http_openai_like"
-
     def __init__(self, base_url: str, api_key: str = "", timeout: float = 60.0,
                  transport: Callable | None = None):
         self.base_url = base_url.rstrip("/")
@@ -299,8 +295,6 @@ class CassetteBackend:
     recurs byte-identically (loop retries) replays its distinct responses
     in the order they were recorded.
     """
-
-    kind = "cassette"
 
     def __init__(self, path: str | Path, mode: str, inner=None):
         if mode not in ("record", "replay"):

@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import CassetteBackend, HttpBackend
@@ -54,19 +53,6 @@ ENV_MODEL = "AGENT_MODEL"
 _ROOT_SNIFF = re.compile(r"<\s*(workflow|agents)[\s>]")
 
 
-@dataclass
-class CliConfig:
-    api_base: str = ""
-    api_key: str = ""
-    model: str = ""
-    mode: str = TRANSFORMED
-    registry_root: str = "./registry"
-    rag_root: str = "./ragstore"
-    cassette: str = ""
-    cassette_mode: str = "off"  # off | record | replay
-    json_output: bool = False
-
-
 class _Failure(AgentOsError):
     """Operation failure destined for exit code 1."""
 
@@ -75,39 +61,25 @@ class _Failure(AgentOsError):
         super().__init__(message)
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        api_base=args.api_base or os.environ.get(ENV_API_BASE, ""),
-        api_key=args.api_key or os.environ.get(ENV_API_KEY, ""),
-        model=args.model or os.environ.get(ENV_MODEL, ""),
-        mode=args.mode,
-        registry_root=args.registry_root,
-        rag_root=args.rag_root,
-        cassette=args.cassette,
-        cassette_mode=args.cassette_mode,
-        json_output=args.json,
-    )
-
-
-def _make_engine(config: CliConfig) -> Engine:
-    if config.cassette_mode == "replay":
-        backend = CassetteBackend(config.cassette, "replay")
-    elif config.cassette_mode == "record":
-        if not config.api_base:
+def _make_engine(args) -> Engine:
+    if args.cassette_mode == "replay":
+        backend = CassetteBackend(args.cassette, "replay")
+    elif args.cassette_mode == "record":
+        if not args.api_base:
             raise _Failure("E_BACKEND", "recording needs --api-base or AGENT_API_BASE")
-        inner = HttpBackend(config.api_base, api_key=config.api_key)
-        backend = CassetteBackend(config.cassette, "record", inner=inner)
+        inner = HttpBackend(args.api_base, api_key=args.api_key)
+        backend = CassetteBackend(args.cassette, "record", inner=inner)
     else:
-        if not config.api_base:
+        if not args.api_base:
             raise _Failure("E_BACKEND",
                            "no backend configured; set --api-base/AGENT_API_BASE "
                            "or use --cassette-mode replay")
-        backend = HttpBackend(config.api_base, api_key=config.api_key)
-    return Engine(mode=config.mode, backend=backend, model=config.model)
+        backend = HttpBackend(args.api_base, api_key=args.api_key)
+    return Engine(mode=args.mode, backend=backend, model=args.model)
 
 
-def _emit(config: CliConfig, lines: list[str], payload: dict) -> None:
-    if config.json_output:
+def _emit(args, lines: list[str], payload: dict) -> None:
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
@@ -130,31 +102,31 @@ def _load_form(path: str):
     return parse_agent_form(text), validate_agent_form
 
 
-def _cmd_validate(config: CliConfig, args) -> int:
-    store = RegistryStore(config.registry_root)
+def _cmd_validate(args) -> int:
+    store = RegistryStore(args.registry_root)
     try:
         form, validate = _load_form(args.form)
     except (XmlError, SchemaError, ActionTypeError) as err:
-        _emit(config, [f"{err.code}: {err.message}", "1 diagnostics"],
+        _emit(args, [f"{err.code}: {err.message}", "1 diagnostics"],
               {"diagnostics": [{"code": err.code, "location": "",
                                 "message": err.message}]})
         return 1
     diagnostics = validate(form, store.view())
     lines = [f"{d.code} {d.location}: {d.message}" for d in diagnostics]
     lines.append(f"{len(diagnostics)} diagnostics")
-    _emit(config, lines,
+    _emit(args, lines,
           {"diagnostics": [{"code": d.code, "location": d.location,
                             "message": d.message} for d in diagnostics]})
     return 0 if not diagnostics else 1
 
 
-def _cmd_run_workflow(config: CliConfig, args) -> int:
+def _cmd_run_workflow(args) -> int:
     form, _ = _load_form(args.form)
     if not isinstance(form, WorkflowForm):
         raise _Failure("E_SCHEMA", f"{args.form} is not a workflow form")
-    store = RegistryStore(config.registry_root)
-    engine = _make_engine(config)
-    suite = RegistryToolSuite(store, workdir=Path(config.registry_root) / "workspace")
+    store = RegistryStore(args.registry_root)
+    engine = _make_engine(args)
+    suite = RegistryToolSuite(store, workdir=Path(args.registry_root) / "workspace")
     result = run_workflow(
         form, args.input, engine,
         registry=store.view(), tools=suite,
@@ -166,10 +138,10 @@ def _cmd_run_workflow(config: CliConfig, args) -> int:
                "output_key": result.output_key, "error": result.error,
                "reason": result.reason}
     if result.status == "completed":
-        _emit(config, [result.output or ""], payload)
+        _emit(args, [result.output or ""], payload)
         return 0
     code = result.error or "E_ABORTED"
-    _emit(config, [f"{result.status} {code}: {result.reason}"], payload)
+    _emit(args, [f"{result.status} {code}: {result.reason}"], payload)
     return 1
 
 
@@ -198,67 +170,67 @@ def _report_payload(report: CreationReport) -> dict:
     }
 
 
-def _creation_setup(config: CliConfig):
-    store = RegistryStore(config.registry_root)
-    engine = _make_engine(config)
+def _creation_setup(args):
+    store = RegistryStore(args.registry_root)
+    engine = _make_engine(args)
     suite = ManagementToolSuite(store, engine=engine,
-                                workdir=Path(config.registry_root) / "workspace")
+                                workdir=Path(args.registry_root) / "workspace")
     return store, engine, suite
 
 
-def _cmd_create(config: CliConfig, args) -> int:
-    store, engine, suite = _creation_setup(config)
+def _cmd_create(args) -> int:
+    store, engine, suite = _creation_setup(args)
     if args.command == "create-agents":
         pipeline, test = create_agents_pipeline, {"test_task": args.task}
     else:
         pipeline, test = create_workflow_pipeline, {"test_input": args.task}
     report = pipeline(args.requirements, engine, store, suite=suite,
-                      max_attempts=args.max_attempts, model=config.model, **test)
-    _emit(config, _report_lines(report), _report_payload(report))
+                      max_attempts=args.max_attempts, model=args.model, **test)
+    _emit(args, _report_lines(report), _report_payload(report))
     return 0
 
 
-def _cmd_registry(config: CliConfig, args) -> int:
-    store = RegistryStore(config.registry_root)
+def _cmd_registry(args) -> int:
+    store = RegistryStore(args.registry_root)
     kind = args.kind
     if args.action == "list":
         if not store.root.is_dir():
-            raise _Failure("E_NOT_FOUND", f"no registry at {config.registry_root}")
+            raise _Failure("E_NOT_FOUND", f"no registry at {args.registry_root}")
         names = store.names(kind)
-        _emit(config, names if names else ["(none)"], {kind: names})
+        _emit(args, names if names else ["(none)"], {kind: names})
         return 0
     if not args.name:
         raise _Failure("E_ARGS", f"registry {args.action} needs a name")
     if args.action == "show":
         record = store.record(kind, args.name)
-        _emit(config, [json.dumps(record, sort_keys=True, indent=2)], record)
+        _emit(args, [json.dumps(record, sort_keys=True, indent=2)], record)
         return 0
     # delete
     store.delete(kind, args.name)
     singular = kind[:-1]
-    _emit(config, [f"deleted {singular} {args.name}"],
+    _emit(args, [f"deleted {singular} {args.name}"],
           {"deleted": {"kind": singular, "name": args.name}})
     return 0
 
 
-def _cmd_rag(config: CliConfig, args) -> int:
-    store = RagStore(config.rag_root)
+def _cmd_rag(args) -> int:
+    store = RagStore(args.rag_root)
     if args.action == "add":
         counts = store.ingest(args.collection, args.path)
         lines = [f"indexed {doc_id}: {count} chunks"
                  for doc_id, count in sorted(counts.items())]
-        _emit(config, lines, {"indexed": counts})
+        _emit(args, lines, {"indexed": counts})
         return 0
     hits = store.query(args.collection, args.text, k=args.k)
     lines = [f"{hit.score:.4f} {hit.doc_id}:{hit.ordinal} {hit.text}" for hit in hits]
-    _emit(config, lines if lines else ["(no results)"],
+    _emit(args, lines if lines else ["(no results)"],
           {"hits": [{"doc_id": h.doc_id, "ordinal": h.ordinal,
                      "score": h.score, "text": h.text} for h in hits]})
     return 0
 
 
-def _cmd_repl(config: CliConfig, args) -> int:
-    store, engine, suite = _creation_setup(config)
+def _cmd_repl(args) -> int:
+    store, engine, suite = _creation_setup(args)
     mode = "agents"
     transcript: list[str] = []
 
@@ -285,10 +257,10 @@ def _cmd_repl(config: CliConfig, args) -> int:
         try:
             if mode == "agents":
                 report = create_agents_pipeline(line, engine, store, suite=suite,
-                                                model=config.model)
+                                                model=args.model)
             else:
                 report = create_workflow_pipeline(line, engine, store, suite=suite,
-                                                  model=config.model)
+                                                  model=args.model)
             for out in _report_lines(report):
                 say(out)
         except AgentOsError as err:
@@ -383,14 +355,16 @@ def dispatch_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
-    config = _config_from_args(args)
-    if config.cassette_mode != "off" and not config.cassette:
+    args.api_base = args.api_base or os.environ.get(ENV_API_BASE, "")
+    args.api_key = args.api_key or os.environ.get(ENV_API_KEY, "")
+    args.model = args.model or os.environ.get(ENV_MODEL, "")
+    if args.cassette_mode != "off" and not args.cassette:
         print("E_ARGS: --cassette-mode needs --cassette", file=sys.stderr)
         return 2
     try:
-        return args.fn(config, args)
+        return args.fn(args)
     except AgentOsError as err:
-        if config.json_output:
+        if args.json:
             payload = {"error": err.code, "message": err.message}
             if isinstance(err, PhaseExhaustedError):
                 payload["phase"] = err.phase

@@ -36,9 +36,7 @@ from .errors import (
     XmlError,
 )
 from .forms import (
-    AgentForm,
     Diagnostic,
-    WorkflowForm,
     parse_agent_form,
     parse_workflow_form,
     validate_agent_form,
@@ -246,10 +244,7 @@ class ManagementToolSuite:
         return ToolResult.ok(f"created agent {agent.name} v{version}")
 
     def _do_create_workflow(self, args) -> ToolResult:
-        try:
-            form = parse_workflow_form(args["xml"])
-        except (XmlError, SchemaError, ActionTypeError) as err:
-            return ToolResult.fail(err.code, str(err))
+        form = parse_workflow_form(args["xml"])
         self.store.put_workflow(form)
         return ToolResult.ok(f"registered workflow {form.name}")
 
@@ -258,12 +253,9 @@ class ManagementToolSuite:
             return ToolResult.fail(E_RUNNER_REFUSED,
                                    "no engine configured for workflow runs")
         form = self.store.get_workflow(args["name"])
-        # the stored workflow's own registry entry is not a name collision
-        view = self.store.view()
-        view = replace(view, workflow_names=view.workflow_names - {form.name})
         result = workflow_mod.run_workflow(
             form, args["input"], self.engine,
-            registry=view, tools=self.exec_tools,
+            registry=self.store.view(), tools=self.exec_tools,
             resolve_agent=make_registry_resolver(self.store, form, self.exec_tools))
         if result.status == "completed":
             return ToolResult.ok(result.output or "")

@@ -24,6 +24,7 @@ TRANSFORMED = "transformed"
 
 _IDENT_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 _IDENT_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_SPACE = set(" \t\n\r\v\f")  # ASCII whitespace, the only filler between parameters
 
 _FN_OPEN = "<function="
 _FN_CLOSE = "</function>"
@@ -142,7 +143,7 @@ def scan_transformed_call(text: str):
     arguments: dict[str, str] = {}
 
     while True:
-        while i < len(text) and text[i].isspace():
+        while i < len(text) and text[i] in _SPACE:
             i += 1
         if text.startswith(_FN_CLOSE, i):
             call = ToolCall(name, arguments)

@@ -12,7 +12,6 @@ E_UNKNOWN_TOOL = "E_UNKNOWN_TOOL"
 E_ARGS = "E_ARGS"
 E_SCRIPT = "E_SCRIPT"
 E_LOOP_LIMIT = "E_LOOP_LIMIT"
-E_TOTAL_LIMIT = "E_TOTAL_LIMIT"
 E_MISSING_OUTPUT = "E_MISSING_OUTPUT"
 E_OUTPUT_UNDECLARED = "E_OUTPUT_UNDECLARED"
 E_NO_OUTPUT = "E_NO_OUTPUT"

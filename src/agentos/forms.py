@@ -643,7 +643,8 @@ def validate_workflow_form(form: WorkflowForm, registry: RegistryView | None = N
                 "V7", f"system_output key {form.system_output.key!r} is never published "
                       "by a RESULT output", "/workflow/system_output"))
 
-    # V8: agent references and task placeholders resolve
+    # V8: agent references and the placeholders of agent descriptions and
+    # event tasks resolve
     declared = {a.name for a in form.agents}
     if registry is not None:
         for decl in form.agents:
@@ -659,14 +660,14 @@ def validate_workflow_form(form: WorkflowForm, registry: RegistryView | None = N
             out.append(Diagnostic(
                 "V8", f"event references unknown agent: {name}", event.path))
     gkeys = {v.key for v in form.global_variables}
-    for event in events:
-        if not event.task:
-            continue
-        for key in dict.fromkeys(naming.placeholders(event.task)):
+    texts = [("description", decl.description, decl.path) for decl in form.agents]
+    texts += [("task", event.task, event.path) for event in events if event.task]
+    for field_name, text, path in texts:
+        for key in dict.fromkeys(naming.placeholders(text)):
             if key not in gkeys:
                 out.append(Diagnostic(
-                    "V8", f"task references undefined global {{{key}}}",
-                    f"{event.path}/task"))
+                    "V8", f"{field_name} references undefined global {{{key}}}",
+                    f"{path}/{field_name}"))
 
     # V9: system I/O slots carry exactly one pair
     for slot, label in ((form.system_input, "/workflow/system_input"),

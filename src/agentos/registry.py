@@ -51,6 +51,7 @@ from .forms import (
 from .kernel import ToolCall, ToolResult
 from .naming import is_identifier
 from .storage import atomic_write, entry_path, signature as _signature  # tests replace it
+from .workflow import make_agent_resolver
 
 FORMAT_VERSION = 1
 
@@ -342,34 +343,28 @@ def _bi_echo(args: dict[str, str], workdir: Path | None) -> ToolResult:
     return ToolResult.ok(args["text"])
 
 
+# The file builtins raise OSError (PermissionError among them) or ValueError
+# (a NUL in a path, text that is not UTF-8); RegistryToolSuite.run reports
+# both as E_IO.
+
 def _bi_read(args: dict[str, str], workdir: Path | None) -> ToolResult:
-    try:
-        path = _confined(workdir, args["path"])
-        return ToolResult.ok(path.read_text(encoding="utf-8"))
-    except (OSError, PermissionError, UnicodeDecodeError) as err:
-        return ToolResult.fail(E_IO, str(err))
+    return ToolResult.ok(_confined(workdir, args["path"]).read_text(encoding="utf-8"))
 
 
 def _bi_write(args: dict[str, str], workdir: Path | None) -> ToolResult:
-    try:
-        path = _confined(workdir, args["path"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        content = args.get("content", "")
-        path.write_text(content, encoding="utf-8")
-        return ToolResult.ok(f"wrote {len(content)} characters")
-    except (OSError, PermissionError) as err:
-        return ToolResult.fail(E_IO, str(err))
+    content = args.get("content", "")
+    data = content.encode("utf-8")  # before anything is created
+    path = _confined(workdir, args["path"])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return ToolResult.ok(f"wrote {len(content)} characters")
 
 
 def _bi_list(args: dict[str, str], workdir: Path | None) -> ToolResult:
-    try:
-        path = _confined(workdir, args.get("path", "."))
-        entries = []
-        for child in sorted(path.iterdir(), key=lambda p: p.name):
-            entries.append(child.name + ("/" if child.is_dir() else ""))
-        return ToolResult.ok("\n".join(entries))
-    except (OSError, PermissionError) as err:
-        return ToolResult.fail(E_IO, str(err))
+    path = _confined(workdir, args.get("path", "."))
+    entries = [child.name + ("/" if child.is_dir() else "")
+               for child in sorted(path.iterdir(), key=lambda p: p.name)]
+    return ToolResult.ok("\n".join(entries))
 
 
 _ARITH_OPS = {
@@ -514,8 +509,10 @@ class RegistryToolSuite:
         if failure is not None:
             return failure
         if tool.body_kind == "builtin":
-            fn = _BUILTINS[tool.builtin][2]
-            return fn(dict(call.arguments), self.workdir)
+            try:
+                return _BUILTINS[tool.builtin][2](dict(call.arguments), self.workdir)
+            except (OSError, ValueError) as err:
+                return ToolResult.fail(E_IO, str(err))
         if self.runner is None:
             return ToolResult.fail(
                 E_RUNNER_REFUSED,
@@ -525,27 +522,5 @@ class RegistryToolSuite:
 
 def make_registry_resolver(store: RegistryStore, form: WorkflowForm, tools=None):
     """Workflow agent resolver that prefers registry agents, then form
-    declarations. The event's model override always wins."""
-    from .workflow import make_form_resolver
-
-    fallback = make_form_resolver(form, tools)
-
-    def resolve(ref):
-        try:
-            agent = store.get_agent(ref.name)
-        except NotFoundError:
-            return fallback(ref)
-        if ref.model:
-            agent.model = ref.model
-        if tools is not None:
-            kept = []
-            for name in agent.tool_names:
-                try:
-                    tools.schema(name)
-                except NotFoundError:
-                    continue
-                kept.append(name)
-            agent.tool_names = kept
-        return agent
-
-    return resolve
+    declarations (``workflow.make_agent_resolver``)."""
+    return make_agent_resolver(form, tools, store)

@@ -15,7 +15,7 @@ state, which is what makes replayed runs comparable.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import kernel
@@ -82,7 +82,13 @@ class WorkflowGraph:
 
 
 def compile_graph(form: WorkflowForm, registry: RegistryView | None = None) -> WorkflowGraph:
-    """Validate and rank the event graph; raises InvalidFormError on any diagnostic."""
+    """Validate and rank the event graph; raises InvalidFormError on any diagnostic.
+
+    A run registers nothing, so a registered workflow of the same name is no
+    collision here: V1 checks the name against no workflow names.
+    """
+    if registry is not None:
+        registry = replace(registry, workflow_names=frozenset())
     diagnostics = validate_workflow_form(form, registry)
     if diagnostics:
         raise InvalidFormError(diagnostics)
@@ -183,6 +189,23 @@ class WorkflowRun:
             else:
                 self.ready.add(self.position[member])
 
+    def finish(self, status: str, error: str | None = None, reason: str = "",
+               subject: str = "workflow") -> WorkflowResult:
+        """End the run: write its last trace line and build its result. Every
+        WorkflowResult is made here; ``subject`` names what failed."""
+        key = self.graph.form.system_output.key
+        completed = status == "completed"
+        if completed:
+            self.trace.append(f"complete output={key}")
+        elif status == "aborted":
+            self.trace.append("abort workflow" + (f" code={error}" if error else ""))
+        else:
+            self.trace.append(f"fail {subject} code={error}")
+        return WorkflowResult(status=status, output=self.blackboard[key] if completed else None,
+                              output_key=key if completed else None,
+                              blackboard=dict(self.blackboard), trace=self.trace,
+                              error=error, reason=reason)
+
 
 def _goto_limit(variables: dict[str, str]) -> int:
     raw = variables.get(GOTO_LIMIT_VARIABLE, "")
@@ -246,31 +269,43 @@ def select_output(text: str, spec: EventSpec) -> tuple[str, str] | str:
 AgentResolver = Callable[[EventAgentRef], kernel.AgentDefinition]
 
 
-def make_form_resolver(form: WorkflowForm, tools=None) -> AgentResolver:
-    """Resolve event agents from the form's own declarations.
+def make_agent_resolver(form: WorkflowForm, tools=None, store=None) -> AgentResolver:
+    """Resolve event agents from ``store``'s agents when given one, otherwise
+    (or for a name it lacks) from the form's own declarations.
 
-    Declared tools are kept only when the tool suite can describe them, so a
-    form whose new tools were never built still executes.
+    The event's model override wins. An agent keeps only the tools ``tools``
+    can describe (none without a suite), so a form whose new tools were
+    never built still executes.
     """
     decls = {d.name: d for d in form.agents}
     variables = globals_map(form.global_variables)
+    suite = tools if tools is not None else NullToolSuite()
 
-    def resolve(ref: EventAgentRef) -> kernel.AgentDefinition:
-        decl = decls.get(ref.name)
+    def declared(name: str) -> kernel.AgentDefinition:
+        decl = decls.get(name)
         description = decl.description if decl else ""
         instructions = substitute_globals(description, variables) if description else (
-            f"You are {ref.name}. Follow the task exactly.")
-        tool_names = []
-        if decl and tools is not None:
-            for tool in decl.tools:
-                try:
-                    tools.schema(tool.name)
-                except NotFoundError:
-                    continue
-                tool_names.append(tool.name)
-        return kernel.AgentDefinition(
-            name=ref.name, description=description, instructions=instructions,
-            tool_names=tool_names, model=ref.model)
+            f"You are {name}. Follow the task exactly.")
+        return kernel.AgentDefinition(name=name, description=description,
+                                      instructions=instructions,
+                                      tool_names=[t.name for t in decl.tools] if decl else [])
+
+    def describable(name: str) -> bool:
+        try:
+            suite.schema(name)
+        except NotFoundError:
+            return False
+        return True
+
+    def resolve(ref: EventAgentRef) -> kernel.AgentDefinition:
+        try:
+            agent = store.get_agent(ref.name) if store is not None else declared(ref.name)
+        except NotFoundError:
+            agent = declared(ref.name)
+        agent.tool_names = [name for name in agent.tool_names if describable(name)]
+        if ref.model:
+            agent.model = ref.model
+        return agent
 
     return resolve
 
@@ -290,8 +325,7 @@ def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
 
     inputs = [(p.key, run.blackboard.get(p.key, "")) for p in spec.inputs]
     prompt = render_event_prompt(spec, inputs, run.globals)
-    agent = resolve_agent(spec.agent) if spec.agent else kernel.AgentDefinition(
-        name=spec.name, instructions="Follow the task exactly.")
+    agent = resolve_agent(spec.agent)
     notes: list[str] = []
     context = kernel.Context()
     task = prompt
@@ -332,51 +366,42 @@ def _action_for(spec: EventSpec, key: str) -> ActionSpec:
 # commit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Verdict:
-    kind: str  # "continue" | "aborted" | "error"
-    code: str | None = None
-    reason: str = ""
-    reset: list[str] = field(default_factory=list)  # events a GOTO rewound
-
-
 def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
-                  outcome: EventOutcome) -> _Verdict:
+                  outcome: EventOutcome) -> list[str] | WorkflowResult:
+    """Commit one outcome. Returns the events a GOTO rewound (none for any
+    other commit), or the run's result when the outcome ends the run."""
     name = compiled.spec.name
-    for note in outcome.notes:
-        run.trace.append(note)
+    run.trace.extend(outcome.notes)
     if outcome.failure:
-        run.trace.append(f"fail {name} code={outcome.failure}")
-        return _Verdict("error", outcome.failure,
-                        f"{name}: {outcome.failure_detail}")
+        return run.finish("error", outcome.failure, f"{name}: {outcome.failure_detail}", name)
 
     action = outcome.action
     run.trace.append(f"commit {name} action={action.type} key={outcome.key}")
     if action.type == "ABORT":
         run.complete(name)
-        return _Verdict("aborted", None, outcome.value or f"{name} requested abort")
+        return run.finish("aborted", reason=outcome.value or f"{name} requested abort")
 
     run.blackboard[outcome.key] = outcome.value
     run.published[name].add(outcome.key)
     run.complete(name)
+    if action.type != "GOTO":
+        return []
 
-    if action.type == "GOTO":
-        target = action.value or ""
-        count = run.goto_counts.get((name, target), 0) + 1
-        run.goto_counts[(name, target)] = count
-        run.trace.append(f"goto {name} -> {target} count={count} limit={run.goto_limit}")
-        if count > run.goto_limit:
-            return _Verdict("aborted", E_LOOP_LIMIT,
-                            f"goto {name} -> {target} exceeded limit {run.goto_limit}")
-        members = sorted(forward_closure(run.graph, target), key=run.position.__getitem__)
-        for member in members:
-            for key in run.published[member]:
-                run.blackboard.pop(key, None)
-            run.published[member].clear()
-            run.trace.append(f"reset {member}")
-        run.reopen(members)
-        return _Verdict("continue", reset=members)
-    return _Verdict("continue")
+    target = action.value or ""
+    count = run.goto_counts.get((name, target), 0) + 1
+    run.goto_counts[(name, target)] = count
+    run.trace.append(f"goto {name} -> {target} count={count} limit={run.goto_limit}")
+    if count > run.goto_limit:
+        return run.finish("aborted", E_LOOP_LIMIT,
+                          f"goto {name} -> {target} exceeded limit {run.goto_limit}")
+    members = sorted(forward_closure(run.graph, target), key=run.position.__getitem__)
+    for member in members:
+        for key in run.published[member]:
+            run.blackboard.pop(key, None)
+        run.published[member].clear()
+        run.trace.append(f"reset {member}")
+    run.reopen(members)
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +422,7 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
     """
     graph = compile_graph(form, registry)
     suite = tools if tools is not None else NullToolSuite()
-    resolver = resolve_agent or make_form_resolver(form, suite)
+    resolver = resolve_agent or make_agent_resolver(form, suite)
     run = WorkflowRun(graph, input_value)
 
     # the pool starts no thread until a parallel round submits work
@@ -406,23 +431,14 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
         while True:
             batch = ready_set(run)
             if not batch:
-                if all(state == COMPLETED for state in run.state.values()):
-                    key = graph.form.system_output.key
-                    if key in run.blackboard:
-                        run.trace.append(f"complete output={key}")
-                        return WorkflowResult(
-                            status="completed", output=run.blackboard[key], output_key=key,
-                            blackboard=dict(run.blackboard), trace=run.trace)
-                    run.trace.append(f"fail workflow code={E_MISSING_OUTPUT}")
-                    return WorkflowResult(
-                        status="error", error=E_MISSING_OUTPUT,
-                        reason=f"system output key {key!r} was never published",
-                        blackboard=dict(run.blackboard), trace=run.trace)
-                run.trace.append("fail workflow code=E_STALLED")
-                return WorkflowResult(
-                    status="error", error="E_STALLED",
-                    reason="no event is ready and the workflow is not complete",
-                    blackboard=dict(run.blackboard), trace=run.trace)
+                if any(state != COMPLETED for state in run.state.values()):
+                    return run.finish("error", "E_STALLED",
+                                      "no event is ready and the workflow is not complete")
+                key = graph.form.system_output.key
+                if key not in run.blackboard:
+                    return run.finish("error", E_MISSING_OUTPUT,
+                                      f"system output key {key!r} was never published")
+                return run.finish("completed")
 
             round_no += 1
             run.trace.append(f"round {round_no}")
@@ -448,12 +464,7 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
                     # result is stale and must not land
                     run.trace.append(f"discard {ce.spec.name}")
                     continue
-                verdict = apply_outcome(run, ce, outcome)
-                reset_this_round.update(verdict.reset)
-                if verdict.kind == "aborted":
-                    run.trace.append("abort workflow" +
-                                     (f" code={verdict.code}" if verdict.code else ""))
-                if verdict.kind != "continue":
-                    return WorkflowResult(status=verdict.kind, error=verdict.code,
-                                          reason=verdict.reason,
-                                          blackboard=dict(run.blackboard), trace=run.trace)
+                committed = apply_outcome(run, ce, outcome)
+                if isinstance(committed, WorkflowResult):
+                    return committed
+                reset_this_round.update(committed)

@@ -16,7 +16,7 @@ from agentos.creation import (
 from agentos.engine import Engine
 from agentos.errors import PhaseExhaustedError
 from agentos.forms import parse_workflow_form
-from agentos.kernel import AgentDefinition
+from agentos.kernel import AgentDefinition, ToolCall
 from agentos.registry import (
     RegistryStore,
     RegistryToolSuite,
@@ -176,6 +176,32 @@ def test_run_workflow_event_failure_exit_one(tmp_path, capsys):
         "--cassette", str(cassette), "--cassette-mode", "replay"])
     assert code == 1
     assert out.startswith("error E_OUTPUT_UNDECLARED: ")
+
+
+def test_a_registered_workflow_runs_under_its_own_name(tmp_path, capsys):
+    # running registers nothing, so the workflow's own registry entry is no
+    # V1 collision for a run; registering and validating still report it
+    root = tmp_path / "reg"
+    store = RegistryStore(root)
+    store.put_workflow(parse_workflow_form(read_fixture("math_voting_workflow.xml")))
+    cassette = tmp_path / "math.cassette"
+    steps = ["4", "4", "5", "the votes pick 4"]
+    record_math_cassette(cassette, tmp_path / "rec", "2+2?", steps)
+    code, out, _ = run_cli(capsys, [
+        "run-workflow", MATH_FORM, "--input", "2+2?", "--registry-root", str(root),
+        "--cassette", str(cassette), "--cassette-mode", "replay"])
+    assert (code, out) == (0, "the votes pick 4\n")
+
+    suite = ManagementToolSuite(store, engine=Engine(mode="transformed",
+                                                     backend=ScriptedBackend(list(steps))))
+    ran = suite.run(ToolCall("run_workflow", {"name": "parallel_math_solver_workflow",
+                                              "input": "2+2?"}))
+    assert (ran.status, ran.payload) == ("ok", "the votes pick 4")
+
+    code, out, _ = run_cli(capsys, ["validate", MATH_FORM, "--registry-root", str(root)])
+    assert code == 1
+    assert out.splitlines()[0] == ("V1 /workflow/name: workflow name already registered: "
+                                   "parallel_math_solver_workflow")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from agentos.backends import ScriptedBackend
 from agentos.engine import Engine
 from agentos.errors import (
     E_ARGS,
+    E_IO,
     E_RUNNER_REFUSED,
     E_UNKNOWN_TOOL,
     PhaseExhaustedError,
@@ -320,6 +321,24 @@ def test_agents_pipeline_failing_demo_call(store):
     report = create_agents_pipeline("make a greeter", engine, store)
     assert report.phases[1].attempts == 2
     assert E_ARGS in report.phases[1].feedback[0]
+
+
+def test_agents_pipeline_demo_call_with_an_unusable_path(store, tmp_path):
+    # a NUL in a file path is an E_IO observation for the editor, not a crash
+    create_reader = ToolCall("create_tool", {
+        "name": "greeting_tool", "description": "Read a file.",
+        "builtin": "read_text_file", "parameters": '["path"]'})
+    nul_demo = "TEST: <function=greeting_tool><parameter=path>a\x00b</parameter></function>"
+    engine = engine_of([
+        GREETER_XML,
+        create_reader, nul_demo,
+        CREATE_GREETING_TOOL, TOOL_TEST_REPLY,
+        CREATE_GREETER_AGENT, "done",
+    ])
+    suite = ManagementToolSuite(store, engine=engine, workdir=tmp_path / "work")
+    report = create_agents_pipeline("make a greeter", engine, store, suite=suite)
+    assert report.phases[1].attempts == 2
+    assert f"failed ({E_IO})" in report.phases[1].feedback[0]
 
 
 def test_agents_pipeline_optional_test_phase(store):

@@ -89,6 +89,18 @@ def test_whitespace_between_parameters():
     assert parse_transformed_call(text) == ToolCall("a", {"x": "1"})
 
 
+@pytest.mark.parametrize("text,filler", [
+    ("<function=a> <parameter=x>日本</parameter>\u3000</function>", "\u3000"),
+    ("<function=a>\u3000<parameter=x>1</parameter></function>", "\u3000"),
+    ("<function=a><parameter=x>é</parameter>\x1c</function>", "\x1c"),  # isspace(), not ASCII
+])
+def test_only_ascii_whitespace_between_parameters(text, filler):
+    with pytest.raises(ParseError) as err:
+        parse_transformed_call(text)
+    assert err.value.reason == "unexpected content in function body"
+    assert err.value.offset == len(text[:text.index(filler)].encode("utf-8"))
+
+
 def test_no_call_found():
     with pytest.raises(ParseError) as err:
         parse_transformed_call("just words")

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentos import naming
+from agentos.backends import ScriptedBackend
+from agentos.engine import Engine
 from agentos.errors import (
     ActionTypeError,
+    InvalidFormError,
     SchemaError,
     UnboundVariableError,
     XmlError,
@@ -33,6 +36,7 @@ from agentos.forms import (
     validate_workflow_form,
     workflow_form_to_xml,
 )
+from agentos.workflow import run_workflow
 
 from conftest import FINANCIAL_VIEW, IMAGE_VIEW, MATH_VIEW, WIKI_VIEW, read_fixture
 
@@ -510,3 +514,14 @@ def test_validation_reads_placeholders_as_substitution_does(text):
     agents.agents[0].instructions = text
     assert [(d.code, d.message) for d in validate_agent_form(agents, IMAGE_VIEW)] == [
         ("A2", "instructions reference undefined global {ghost}")]
+
+
+def test_v8_reads_agent_descriptions_as_substitution_does(math_form):
+    # a form-declared agent's description is substituted when it runs an event
+    math_form.agents[0].description = "Solve {ghost} problems"
+    assert [(d.code, d.location, d.message)
+            for d in validate_workflow_form(math_form, MATH_VIEW)] == [
+        ("V8", f"{math_form.agents[0].path}/description",
+         "description references undefined global {ghost}")]
+    with pytest.raises(InvalidFormError):
+        run_workflow(math_form, "2+2?", Engine("transformed", ScriptedBackend([])))

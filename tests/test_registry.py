@@ -217,6 +217,19 @@ def test_builtin_refuses_symlinks_out_of_the_workdir(suite, tmp_path):
     assert (outside / "secret.txt").read_text(encoding="utf-8") == "secret"
 
 
+@pytest.mark.parametrize("tool,args", [
+    ("read_text_file", {"path": "a\x00b"}),
+    ("write_text_file", {"path": "a\x00b", "content": "x"}),
+    ("list_directory", {"path": "a\x00b"}),
+    ("write_text_file", {"path": "lone.txt", "content": "half \ud800 a pair"}),
+])
+def test_file_builtins_turn_unusable_paths_and_text_into_io_errors(suite, tmp_path, tool, args):
+    (tmp_path / "work").mkdir()
+    result = suite.run(ToolCall(tool, args))
+    assert (result.status, result.error_kind) == ("error", E_IO)
+    assert list((tmp_path / "work").iterdir()) == []  # no empty file left behind
+
+
 def test_relative_workdir_is_resolved_when_the_suite_is_built(store, tmp_path, monkeypatch):
     store.put_tool(builtin_tool("write_text_file"))
     monkeypatch.chdir(tmp_path)
