@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import BackendError, CassetteMissError, ScriptExhaustedError
+from .errors import BackendError, CassetteMissError, ParseError, ScriptExhaustedError
 from .kernel import MessageList, ToolCall
 
 CASSETTE_MAGIC = "A1"
@@ -34,14 +34,11 @@ class CompletionRequest:
 
 @dataclass
 class CompletionResponse:
-    """Either assistant text or (direct mode only) a structured tool call."""
+    """Either assistant text or (direct mode only) a structured tool call;
+    ``decode_reply`` is the rule for a reply from outside."""
 
     text: str | None = None
     tool_call: ToolCall | None = None
-
-    def __post_init__(self):
-        if (self.text is None) == (self.tool_call is None):
-            raise ValueError("exactly one of text/tool_call must be set")
 
 
 @dataclass
@@ -164,22 +161,35 @@ def request_digest(request: CompletionRequest) -> str:
     return state.hexdigest()
 
 
-def _encode_response(response: CompletionResponse) -> str:
-    body: dict = {"text": response.text, "tool_call": None}
-    if response.tool_call is not None:
-        body["tool_call"] = {
-            "name": response.tool_call.tool_name,
-            "arguments": dict(response.tool_call.arguments),
-        }
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+def string_arguments(raw: str) -> dict[str, str]:
+    """A JSON object text's members, each value a string or its JSON text.
+    Blank text is no arguments; ValueError when it is not a JSON object."""
+    if not raw.strip():
+        return {}
+    data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("arguments must be a JSON object")
+    return {k: v if isinstance(v, str) else json.dumps(v) for k, v in data.items()}
 
 
-def _decode_response(blob: str) -> CompletionResponse:
-    body = json.loads(blob)
-    call = None
-    if body.get("tool_call"):
-        call = ToolCall(body["tool_call"]["name"], dict(body["tool_call"]["arguments"]))
-    return CompletionResponse(text=body.get("text"), tool_call=call)
+def decode_reply(body) -> CompletionResponse:
+    """The one reader of a model reply, an A1 payload (docs/formats.md):
+    ``{"text": str}`` or ``{"tool_call": {"name": str, "arguments": {str:
+    str}}}``, the other key null or absent. Any other shape is a BackendError.
+    A call whose name or keys break the identifier grammar is a ParseError
+    whose text is the reply's canonical JSON, for a cassette to record."""
+    if isinstance(body, dict):
+        text, call = body.get("text"), body.get("tool_call")
+        if call is None and isinstance(text, str):
+            return CompletionResponse(text=text)
+        if (text is None and isinstance(call, dict) and isinstance(call.get("name"), str)
+                and isinstance(call.get("arguments"), dict)
+                and all(isinstance(v, str) for v in call["arguments"].values())):
+            try:
+                return CompletionResponse(tool_call=ToolCall(call["name"], call["arguments"]))
+            except ValueError as err:  # ToolCall's own identifier check
+                raise ParseError(0, str(err), _ENCODER.encode({"text": None, "tool_call": call}))
+    raise BackendError("malformed reply: not a text or a tool call with string arguments")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +247,7 @@ class HttpBackend:
             raise TransientBackendError(f"transport failure: {err}") from err
         try:
             body = resp.json()
-        except ValueError:
+        except (ValueError, RecursionError):
             body = {}
         return resp.status_code, body
 
@@ -268,20 +278,18 @@ class HttpBackend:
         if status >= 400:
             raise BackendError(f"request rejected with status {status}")
 
-        try:
+        try:  # the first choice's message, mapped onto the reply shape
             message = body["choices"][0]["message"]
-        except (KeyError, IndexError, TypeError):
-            raise BackendError("malformed completion payload")
-        calls = message.get("tool_calls") or []
-        if calls:
-            fn = calls[0].get("function", {})
-            try:
-                raw = json.loads(fn.get("arguments") or "{}")
-            except ValueError:
-                raw = {}
-            args = {k: v if isinstance(v, str) else json.dumps(v) for k, v in raw.items()}
-            return CompletionResponse(tool_call=ToolCall(fn.get("name", ""), args))
-        return CompletionResponse(text=message.get("content") or "")
+            calls = message.get("tool_calls")
+            if calls:
+                fn = calls[0]["function"]
+                reply = {"tool_call": {"name": fn["name"],
+                                       "arguments": string_arguments(fn["arguments"])}}
+            else:
+                reply = {"text": message.get("content") or ""}
+        except (LookupError, TypeError, AttributeError, ValueError, RecursionError) as err:
+            raise BackendError(f"malformed completion payload: {err!r}") from None
+        return decode_reply(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +316,24 @@ class CassetteBackend:
             self._load()
 
     def _load(self) -> None:
-        if not self.path.exists():
-            raise CassetteMissError(f"cassette not found: {self.path}")
-        for lineno, line in enumerate(self.path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            lines = self.path.read_bytes().splitlines()
+        except OSError as err:
+            raise CassetteMissError(f"cannot read cassette: {err}") from None
+        for lineno, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                magic, digest, length, blob = line.split(" ", 3)
-                if magic != CASSETTE_MAGIC or int(length) != len(blob.encode("utf-8")):
+                magic, digest, length, blob = line.decode("ascii").split(" ", 3)
+                if magic != CASSETTE_MAGIC or int(length) != len(blob):
                     raise ValueError
-                decoded = base64.b64decode(blob.encode("ascii")).decode("utf-8")
-            except (ValueError, IndexError):
+                body = json.loads(base64.b64decode(blob).decode("utf-8"))
+            except (ValueError, IndexError, RecursionError):
                 raise BackendError(f"corrupt cassette record at line {lineno}")
-            self._queues.setdefault(digest, deque()).append(decoded)
+            self._queues.setdefault(digest, deque()).append(body)
 
-    def _append(self, digest: str, response: CompletionResponse) -> None:
-        blob = base64.b64encode(_encode_response(response).encode("utf-8")).decode("ascii")
+    def _append(self, digest: str, payload: str) -> None:
+        blob = base64.b64encode(payload.encode("utf-8")).decode("ascii")
         record = f"{CASSETTE_MAGIC} {digest} {len(blob.encode('utf-8'))} {blob}\n"
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
@@ -336,12 +346,19 @@ class CassetteBackend:
                 queue = self._queues.get(digest)
                 if not queue:
                     raise CassetteMissError(f"no recorded response for digest {digest[:12]}")
-                blob = queue.popleft()
-            return _decode_response(blob)
+                body = queue.popleft()
+            return decode_reply(body)
         if self.inner is None:
             raise BackendError("record mode requires an inner backend")
-        response = self.inner.complete(request)
-        self._append(digest, response)
+        try:
+            response = self.inner.complete(request)
+        except ParseError as err:  # decode_reply's: the text is the reply's payload
+            self._append(digest, err.text)
+            raise
+        call = response.tool_call
+        if call is not None:
+            call = {"name": call.tool_name, "arguments": call.arguments}
+        self._append(digest, _ENCODER.encode({"text": response.text, "tool_call": call}))
         return response
 
 
@@ -362,8 +379,6 @@ def backend_complete(request: CompletionRequest, backend,
     for attempt in range(retry.max_attempts):
         try:
             return backend.complete(request)
-        except (ScriptExhaustedError, CassetteMissError):
-            raise
         except TransientBackendError as err:
             last = err
             if attempt + 1 < retry.max_attempts:

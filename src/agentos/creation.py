@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from . import kernel, workflow as workflow_mod
+from .backends import string_arguments
 from .engine import ToolParam, ToolSchema, check_arguments, parse_transformed_call
 from .errors import (
     E_ARGS,
@@ -221,14 +222,7 @@ class ManagementToolSuite:
         return ToolResult.ok(f"created tool {tool.name} v{version}")
 
     def _do_run_tool(self, args) -> ToolResult:
-        raw = args.get("arguments", "")
-        arguments: dict[str, str] = {}
-        if raw.strip():
-            data = json.loads(raw)
-            if not isinstance(data, dict):
-                return ToolResult.fail(E_ARGS, "arguments must be a JSON object")
-            arguments = {str(k): v if isinstance(v, str) else json.dumps(v)
-                         for k, v in data.items()}
+        arguments = string_arguments(args.get("arguments", ""))
         return self.exec_tools.run(ToolCall(args["name"], arguments))
 
     def _do_create_agent(self, args) -> ToolResult:

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from .backends import CompletionRequest, RetryPolicy, backend_complete, remembered
 from .errors import E_ARGS, EmptyInputError, ParseError
 from .kernel import Context, MessageList, MessageMemo, ToolCall, ToolResult
+from .naming import IDENT_RE
 
 DIRECT = "direct"
 TRANSFORMED = "transformed"
 
-_IDENT_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-_IDENT_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SPACE = set(" \t\n\r\v\f")  # ASCII whitespace, the only filler between parameters
 
 _FN_OPEN = "<function="
@@ -113,31 +112,27 @@ def render_transformed_schema(tools: list[ToolSchema]) -> str:
 
 
 def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+    # a lone surrogate counts as surrogatepass encodes it, as in the embedder
+    return len(text[:index].encode("utf-8", "surrogatepass"))
 
 
 def _read_name(text: str, start: int, kind: str):
     """Read an identifier then '>' starting at ``start``; returns (name, next)."""
-    i = start
-    if i >= len(text) or text[i] not in _IDENT_START:
+    match = IDENT_RE.match(text, start)
+    if match is None or not text.startswith(">", match.end()):
         raise ParseError(_byte_offset(text, start), f"malformed {kind} name", text)
-    while i < len(text) and text[i] in _IDENT_CHARS:
-        i += 1
-    if i >= len(text) or text[i] != ">":
-        raise ParseError(_byte_offset(text, start), f"malformed {kind} name", text)
-    return text[start:i], i + 1
+    return match.group(), match.end() + 1
 
 
 def scan_transformed_call(text: str):
     """Parse the first complete call in ``text``.
 
     Returns (call, start_index, end_index). Raises ParseError (with a UTF-8
-    byte offset) if an opener is present but the grammar is violated; raises
-    ValueError if there is no opener at all.
+    byte offset) if there is no opener or the grammar is violated.
     """
     start = text.find(_FN_OPEN)
     if start < 0:
-        raise ValueError("no function opener")
+        raise ParseError(0, "no function call found", text)
 
     name, i = _read_name(text, start + len(_FN_OPEN), "function")
     arguments: dict[str, str] = {}
@@ -170,11 +165,7 @@ def scan_transformed_call(text: str):
 
 def parse_transformed_call(text: str) -> ToolCall:
     """First complete call in ``text``; ParseError when the grammar fails."""
-    try:
-        call, _, _ = scan_transformed_call(text)
-    except ValueError:
-        raise ParseError(0, "no function call found", text)
-    return call
+    return scan_transformed_call(text)[0]
 
 
 # ---------------------------------------------------------------------------

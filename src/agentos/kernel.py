@@ -307,19 +307,14 @@ def run_agent_loop(agent: AgentDefinition, task: str, context: Context,
                                    payload=call.arguments.get("message", ""))
 
         if call.tool_name not in agent.tool_names:
-            context.append(Turn(
-                author=author, tool_call=call,
-                observation=ToolResult.fail(
-                    E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}"),
-            ))
-            continue
-
-        try:
-            result = tools.run(call)
-        except AgentOsError as err:
-            result = ToolResult.fail(err.code, str(err))
-        except Exception as err:  # a failing tool is the model's problem, not the run's
-            result = ToolResult.fail(E_TOOL_EXCEPTION, f"{type(err).__name__}: {err}")
+            result = ToolResult.fail(E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}")
+        else:
+            try:
+                result = tools.run(call)
+            except AgentOsError as err:
+                result = ToolResult.fail(err.code, str(err))
+            except Exception as err:  # a failing tool is the model's problem, not the run's
+                result = ToolResult.fail(E_TOOL_EXCEPTION, f"{type(err).__name__}: {err}")
         context.append(Turn(author=author, tool_call=call, observation=result))
 
     return AgentRunOutcome("turn_limit", context,

@@ -10,7 +10,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # The one placeholder scanner: at each position a ``{{`` or ``}}`` escape,
 # else a ``{key}`` placeholder (group 1), tried in that order, left to right.
 # Validation (V8, A2) and substitution read placeholders through it alone.
-PLACEHOLDER_SCANNER = re.compile(r"\{\{|\}\}|\{([A-Za-z_][A-Za-z0-9_]*)\}")
+PLACEHOLDER_SCANNER = re.compile(r"\{\{|\}\}|\{(%s)\}" % IDENT_RE.pattern)
 
 
 def is_identifier(name: str) -> bool:

@@ -345,7 +345,7 @@ def _bi_echo(args: dict[str, str], workdir: Path | None) -> ToolResult:
 
 # The file builtins raise OSError (PermissionError among them) or ValueError
 # (a NUL in a path, text that is not UTF-8); RegistryToolSuite.run reports
-# both as E_IO.
+# both as E_IO, and so an OSError of the script runner's working directory.
 
 def _bi_read(args: dict[str, str], workdir: Path | None) -> ToolResult:
     return ToolResult.ok(_confined(workdir, args["path"]).read_text(encoding="utf-8"))
@@ -446,8 +446,8 @@ class SubprocessScriptRunner:
     """Run python script tools out of process.
 
     Protocol: the script reads a JSON object of string arguments from stdin
-    and writes its result to stdout. Nonzero exit or timeout becomes E_SCRIPT.
-    The interpreter runs isolated (-I) with the working directory as cwd.
+    and writes its result to stdout. Nonzero exit, timeout or text that is
+    not UTF-8 is E_SCRIPT; the interpreter runs isolated (-I) in the workdir.
     """
 
     def __init__(self, workdir: str | os.PathLike, timeout: float = 10.0):
@@ -470,6 +470,8 @@ class SubprocessScriptRunner:
             )
         except subprocess.TimeoutExpired:
             return ToolResult.fail(E_SCRIPT, f"script timed out after {self.timeout}s")
+        except UnicodeError as err:
+            return ToolResult.fail(E_SCRIPT, f"script text is not UTF-8: {err}")
         finally:
             try:
                 os.unlink(script)
@@ -508,16 +510,16 @@ class RegistryToolSuite:
         failure = check_arguments(tool.schema(), call.arguments)
         if failure is not None:
             return failure
-        if tool.body_kind == "builtin":
-            try:
+        try:
+            if tool.body_kind == "builtin":
                 return _BUILTINS[tool.builtin][2](dict(call.arguments), self.workdir)
-            except (OSError, ValueError) as err:
-                return ToolResult.fail(E_IO, str(err))
-        if self.runner is None:
-            return ToolResult.fail(
-                E_RUNNER_REFUSED,
-                "script execution is disabled; configure a script runner")
-        return self.runner.run(tool, dict(call.arguments))
+            if self.runner is None:
+                return ToolResult.fail(
+                    E_RUNNER_REFUSED,
+                    "script execution is disabled; configure a script runner")
+            return self.runner.run(tool, dict(call.arguments))
+        except (OSError, ValueError) as err:
+            return ToolResult.fail(E_IO, str(err))
 
 
 def make_registry_resolver(store: RegistryStore, form: WorkflowForm, tools=None):

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from agentos.backends import CompletionRequest, CompletionResponse, ScriptedBackend
 from agentos.forms import RegistryView, parse_agent_form, parse_workflow_form
 
 DATA = Path(__file__).parent / "data"
+
+# Tests that set no example count of their own run hypothesis's default of
+# 100 examples; HYPOTHESIS_PROFILE=fuzz runs them (the reply fuzz tests) longer.
+settings.register_profile("fuzz", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def read_fixture(name: str) -> str:

@@ -141,6 +141,18 @@ def test_run_workflow_rejects_agents_form(tmp_path, capsys):
     assert out.startswith("E_SCHEMA: ")
 
 
+def test_run_workflow_cassette_that_is_not_utf8(tmp_path, capsys):
+    cassette = tmp_path / "latin1.cassette"
+    cassette.write_bytes(b"A1 caf\xe9 4 Zm9v\n")
+    code, out, err = run_cli(capsys, ["run-workflow", MATH_FORM, "--input", "x",
+                                      "--registry-root", str(tmp_path / "reg"),
+                                      "--cassette", str(cassette),
+                                      "--cassette-mode", "replay"])
+    assert code == 1
+    assert out.startswith("E_BACKEND: corrupt cassette record at line 1")
+    assert "Traceback" not in out + err
+
+
 def test_run_workflow_replay_byte_identical(tmp_path, capsys):
     cassette = tmp_path / "math.cassette"
     record_math_cassette(cassette, tmp_path / "rec", "What is 2+2?",

@@ -8,6 +8,7 @@ from agentos.errors import (
     E_ARGS,
     E_IO,
     E_RUNNER_REFUSED,
+    E_SCRIPT,
     E_UNKNOWN_TOOL,
     PhaseExhaustedError,
     TooFewAgentsError,
@@ -25,7 +26,7 @@ from agentos.creation import (
 )
 from agentos.forms import Diagnostic, parse_workflow_form, workflow_form_to_xml
 from agentos.kernel import AgentDefinition, ToolCall, orchestrate
-from agentos.registry import RegistryStore, builtin_tool
+from agentos.registry import RegistryStore, SubprocessScriptRunner, builtin_tool
 
 from conftest import read_fixture
 
@@ -339,6 +340,27 @@ def test_agents_pipeline_demo_call_with_an_unusable_path(store, tmp_path):
     report = create_agents_pipeline("make a greeter", engine, store, suite=suite)
     assert report.phases[1].attempts == 2
     assert f"failed ({E_IO})" in report.phases[1].feedback[0]
+
+
+def test_agents_pipeline_demo_call_of_a_script_with_undecodable_output(store, tmp_path):
+    # the TEST line runs the script through the configured runner; output that
+    # is not UTF-8 is E_SCRIPT feedback for the editor, not a crash
+    create_garbler = ToolCall("create_tool", {
+        "name": "greeting_tool", "description": "Return the given text unchanged.",
+        "source": "import sys\nsys.stdout.buffer.write(bytes([255]))",
+        "parameters": '["text"]'})
+    engine = engine_of([
+        GREETER_XML,
+        create_garbler, TOOL_TEST_REPLY,
+        CREATE_GREETING_TOOL, TOOL_TEST_REPLY,
+        CREATE_GREETER_AGENT, "done",
+    ])
+    suite = ManagementToolSuite(store, engine=engine, workdir=tmp_path / "work",
+                                runner=SubprocessScriptRunner(tmp_path / "work"))
+    report = create_agents_pipeline("make a greeter", engine, store, suite=suite)
+    assert report.phases[1].attempts == 2
+    assert f"failed ({E_SCRIPT})" in report.phases[1].feedback[0]
+    assert store.get_tool("greeting_tool").body_kind == "builtin"
 
 
 def test_agents_pipeline_optional_test_phase(store):

@@ -166,6 +166,19 @@ def test_loop_parse_error_feeds_back_and_continues():
     assert err_turn.content == "<function=broken name>"
 
 
+def test_loop_parse_error_after_a_lone_surrogate():
+    # a server's JSON "\udcff" escape yields such text; its offset counts the
+    # surrogate as three bytes, as surrogatepass encodes it
+    text = "\udcff <function=broken name>"
+    engine = Engine(mode="transformed", backend=ScriptedBackend([text, "recovered"]))
+    outcome = run_agent_loop(AgentDefinition(name="W"), "t", Context(), engine,
+                             EchoSuite([]))
+    assert outcome.kind == "completed"
+    err_turn = outcome.context.turns[1]
+    assert (err_turn.content, err_turn.observation.error_kind) == (text, "E_PARSE")
+    assert err_turn.observation.payload == "parse error at byte 14: malformed function name"
+
+
 def test_loop_tool_exception_becomes_error_observation():
     class CrashingSuite(EchoSuite):
         def run(self, call):

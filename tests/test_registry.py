@@ -352,6 +352,25 @@ def test_script_runner_failure_modes(store, tmp_path):
     assert "timed out" in slow.payload
 
 
+def test_script_runner_output_that_is_not_utf8(store, tmp_path):
+    store.put_tool(ToolDefinition(name="garbler", body_kind="script",
+                                  source="import sys\nsys.stdout.buffer.write(bytes([255]))"))
+    suite = RegistryToolSuite(store, runner=SubprocessScriptRunner(tmp_path / "work"),
+                              workdir=tmp_path / "work")
+    result = suite.run(ToolCall("garbler", {}))
+    assert (result.status, result.error_kind) == ("error", E_SCRIPT)
+    assert "not UTF-8" in result.payload
+    assert list((tmp_path / "work").iterdir()) == []
+
+
+def test_script_runner_workdir_under_a_file(store, tmp_path):
+    (tmp_path / "plain").write_text("a file, not a directory", encoding="utf-8")
+    store.put_tool(ToolDefinition(name="hello", body_kind="script", source="print('hi')"))
+    runner = SubprocessScriptRunner(tmp_path / "plain" / "work")
+    result = RegistryToolSuite(store, runner=runner).run(ToolCall("hello", {}))
+    assert (result.status, result.error_kind) == ("error", E_IO)
+
+
 def test_tool_definition_rules():
     with pytest.raises(InvalidDefinitionError):
         ToolDefinition(name="bad name")
