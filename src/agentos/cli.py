@@ -43,8 +43,7 @@ from .forms import (
     validate_workflow_form,
 )
 from .ragstore import RagStore
-from .registry import RegistryStore, RegistryToolSuite, make_registry_resolver
-from .workflow import run_workflow
+from .registry import RegistryStore, RegistryToolSuite
 
 ENV_API_BASE = "AGENT_API_BASE"
 ENV_API_KEY = "AGENT_API_KEY"
@@ -112,7 +111,7 @@ def _cmd_validate(args) -> int:
                                 "message": err.message}]})
         return 1
     diagnostics = validate(form, store.view())
-    lines = [f"{d.code} {d.location}: {d.message}" for d in diagnostics]
+    lines = [str(d) for d in diagnostics]
     lines.append(f"{len(diagnostics)} diagnostics")
     _emit(args, lines,
           {"diagnostics": [{"code": d.code, "location": d.location,
@@ -127,11 +126,7 @@ def _cmd_run_workflow(args) -> int:
     store = RegistryStore(args.registry_root)
     engine = _make_engine(args)
     suite = RegistryToolSuite(store, workdir=Path(args.registry_root) / "workspace")
-    result = run_workflow(
-        form, args.input, engine,
-        registry=store.view(), tools=suite,
-        resolve_agent=make_registry_resolver(store, form, suite),
-        parallel=args.parallel)
+    result = suite.run_workflow(form, args.input, engine, parallel=args.parallel)
     if args.trace:
         Path(args.trace).write_text("\n".join(result.trace) + "\n", encoding="utf-8")
     payload = {"status": result.status, "output": result.output,

@@ -5,8 +5,8 @@ agents, and an optional test (plus workflow registration); each phase gets
 up to ``max_attempts`` tries. An attempt asks an editor agent (or, for
 profiling, a plain completion) to do the work, then the pipeline checks the
 result mechanically: documents must parse and validate, created entries must
-actually be in the registry, and every new tool must pass the editor's own
-demonstration call. Failed attempts roll the registry back to the phase-start
+actually be in the registry (and so must every tool a created agent names),
+and every new tool must pass the editor's own demonstration call. Failed attempts roll the registry back to the phase-start
 snapshot byte for byte, and an exhausted phase raises PhaseExhaustedError
 with the same rollback applied. Validation diagnostics are fed back to the
 next attempt verbatim, which is what makes the loop self-correcting.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from . import kernel, workflow as workflow_mod
+from . import kernel
 from .backends import string_arguments
 from .engine import ToolParam, ToolSchema, check_arguments, parse_transformed_call
 from .errors import (
@@ -45,12 +45,7 @@ from .forms import (
     workflow_form_to_xml,
 )
 from .kernel import AgentDefinition, Context, ToolCall, ToolResult
-from .registry import (
-    RegistryStore,
-    RegistryToolSuite,
-    ToolDefinition,
-    make_registry_resolver,
-)
+from .registry import RegistryStore, RegistryToolSuite, ToolDefinition
 
 TEST_LINE_PREFIX = "TEST:"
 
@@ -246,11 +241,8 @@ class ManagementToolSuite:
         if self.engine is None:
             return ToolResult.fail(E_RUNNER_REFUSED,
                                    "no engine configured for workflow runs")
-        form = self.store.get_workflow(args["name"])
-        result = workflow_mod.run_workflow(
-            form, args["input"], self.engine,
-            registry=self.store.view(), tools=self.exec_tools,
-            resolve_agent=make_registry_resolver(self.store, form, self.exec_tools))
+        result = self.exec_tools.run_workflow(self.store.get_workflow(args["name"]),
+                                              args["input"], self.engine)
         if result.status == "completed":
             return ToolResult.ok(result.output or "")
         return ToolResult.fail(result.error or "E_ABORTED",
@@ -517,7 +509,8 @@ class _Phases:
         self.report.created_tools = sorted(expected)
 
     def agents(self, rows: list[tuple[str, str, str, list[str]]]) -> None:
-        """Register the (name, description, instructions, tool names) agents."""
+        """Register the (name, description, instructions, tool names) agents,
+        each naming registered tools only."""
         if not rows:
             return
         lines = ["Create the following agents in the registry:"]
@@ -530,9 +523,13 @@ class _Phases:
 
         def check(outcome):
             registered = set(self.store.names("agents"))
+            tools = set(self.store.names("tools"))
             for name, _, _, _ in rows:
                 if name not in registered:
                     return False, f"agent {name} was not created"
+                for tool in self.store.get_agent(name).tool_names:
+                    if tool not in tools:
+                        return False, f"agent {name} names unknown tool {tool}"
             return True, None
 
         self.edit("agents", default_agent_editor(self.model), "\n".join(lines), check)
@@ -608,13 +605,8 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
 
     if test_input is not None:
         def test_attempt(feedback):
-            stored = store.get_workflow(form.name)
-            result = workflow_mod.run_workflow(
-                stored, test_input, engine,
-                tools=phases.suite.exec_tools,
-                resolve_agent=make_registry_resolver(store, stored,
-                                                     phases.suite.exec_tools),
-                limits=limits)
+            result = phases.suite.exec_tools.run_workflow(store.get_workflow(form.name),
+                                                          test_input, engine, limits=limits)
             if result.status != "completed":
                 return False, (f"test run {result.status}"
                                f" ({result.error}): {result.reason}")

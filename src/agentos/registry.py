@@ -23,9 +23,11 @@ import json
 import operator
 import os
 import pickle
+import selectors
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,12 +53,9 @@ from .forms import (
 from .kernel import ToolCall, ToolResult
 from .naming import is_identifier
 from .storage import atomic_write, entry_path, signature as _signature  # tests replace it
-from .workflow import make_agent_resolver
+from .workflow import WorkflowResult, make_agent_resolver, run_workflow
 
 FORMAT_VERSION = 1
-
-BUILTIN_TOOLS = ("echo", "read_text_file", "write_text_file",
-                 "list_directory", "arithmetic_eval")
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +436,56 @@ _BUILTINS: dict[str, tuple[str, list[ToolParam], object]] = {
                         _bi_arith),
 }
 
+BUILTIN_TOOLS = tuple(_BUILTINS)
+
 
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
 
+# The bytes a script may write to stdout and stderr together. Past it the run
+# is E_SCRIPT and the script is killed; no more than this is ever kept.
+SCRIPT_OUTPUT_LIMIT = 1 << 20
+
+
+def _capture(proc: subprocess.Popen, deadline: float) -> tuple[bytes, bytes] | None:
+    """``proc``'s stdout and stderr once both close and it exits, or None past
+    SCRIPT_OUTPUT_LIMIT bytes; subprocess.TimeoutExpired past ``deadline``.
+    It selects on the pipes, which ``selectors`` supports on POSIX only."""
+    chunks: dict[int, list[bytes]] = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
+    held = 0
+    with selectors.DefaultSelector() as selector:
+        for fd in chunks:
+            selector.register(fd, selectors.EVENT_READ)
+        while selector.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise subprocess.TimeoutExpired(proc.args, remaining)
+            for key, _ in selector.select(remaining):
+                chunk = os.read(key.fd, min(1 << 16, SCRIPT_OUTPUT_LIMIT + 1 - held))
+                held += len(chunk)
+                if held > SCRIPT_OUTPUT_LIMIT:
+                    return None
+                if chunk:
+                    chunks[key.fd].append(chunk)
+                else:
+                    selector.unregister(key.fd)
+    proc.wait(max(deadline - time.monotonic(), 0))
+    return b"".join(chunks[proc.stdout.fileno()]), b"".join(chunks[proc.stderr.fileno()])
+
+
+def _script_text(data: bytes) -> str:
+    """UTF-8 script output with universal newlines."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
 class SubprocessScriptRunner:
     """Run python script tools out of process.
 
     Protocol: the script reads a JSON object of string arguments from stdin
-    and writes its result to stdout. Nonzero exit, timeout or text that is
-    not UTF-8 is E_SCRIPT; the interpreter runs isolated (-I) in the workdir.
+    and writes its result to stdout. Nonzero exit, timeout, text that is not
+    UTF-8 or more than SCRIPT_OUTPUT_LIMIT bytes of output is E_SCRIPT; the
+    interpreter runs isolated (-I) in the workdir.
     """
 
     def __init__(self, workdir: str | os.PathLike, timeout: float = 10.0):
@@ -462,12 +500,22 @@ class SubprocessScriptRunner:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(tool.source)
-            proc = subprocess.run(
-                [sys.executable, "-I", script],
-                input=json.dumps(arguments),
-                capture_output=True, text=True,
-                cwd=str(self.workdir), timeout=self.timeout,
-            )
+            with tempfile.TemporaryFile() as stdin:
+                stdin.write(json.dumps(arguments).encode())
+                stdin.seek(0)
+                proc = subprocess.Popen([sys.executable, "-I", script], stdin=stdin,
+                                        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                        cwd=str(self.workdir))
+            with proc:  # closes the pipes and reaps the script
+                try:
+                    captured = _capture(proc, time.monotonic() + self.timeout)
+                finally:
+                    if proc.poll() is None:
+                        proc.kill()
+            if captured is None:
+                return ToolResult.fail(
+                    E_SCRIPT, f"script output exceeds {SCRIPT_OUTPUT_LIMIT} bytes")
+            stdout, stderr = map(_script_text, captured)
         except subprocess.TimeoutExpired:
             return ToolResult.fail(E_SCRIPT, f"script timed out after {self.timeout}s")
         except UnicodeError as err:
@@ -478,10 +526,10 @@ class SubprocessScriptRunner:
             except OSError:
                 pass
         if proc.returncode != 0:
-            tail = (proc.stderr or "").strip().splitlines()[-3:]
+            tail = stderr.strip().splitlines()[-3:]
             return ToolResult.fail(E_SCRIPT,
                                    f"exit {proc.returncode}: " + " | ".join(tail))
-        return ToolResult.ok(proc.stdout.rstrip("\n"))
+        return ToolResult.ok(stdout.rstrip("\n"))
 
 
 class RegistryToolSuite:
@@ -500,6 +548,15 @@ class RegistryToolSuite:
 
     def schema(self, name: str) -> ToolSchema:
         return self.store.get_tool(name).schema()
+
+    def run_workflow(self, form: WorkflowForm, input_value: str, engine, *,
+                     parallel: bool = False,
+                     limits: kernel.LoopLimits | None = None) -> WorkflowResult:
+        """Run ``form`` on this suite's tools, validated against the registry;
+        event agents come from the registry first, then from the form."""
+        return run_workflow(form, input_value, engine, registry=self.store.view(), tools=self,
+                            resolve_agent=make_agent_resolver(form, self, self.store),
+                            parallel=parallel, limits=limits)
 
     def run(self, call: ToolCall) -> ToolResult:
         try:

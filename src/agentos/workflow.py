@@ -340,9 +340,10 @@ def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
         else:
             selected = select_output(outcome.text, spec)
             if isinstance(selected, tuple):
-                key, value = selected
+                key, value = selected  # select_output returns declared keys only
+                action = next(o.action for o in spec.outputs if o.key == key)
                 return EventOutcome(event=spec.name, key=key, value=value,
-                                    action=_action_for(spec, key), notes=notes)
+                                    action=action, notes=notes)
             last_code = selected
             last_detail = "reply did not select a declared output"
         if attempt == 0:
@@ -353,13 +354,6 @@ def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
                     f"Reply again and end with a line 'SELECTED_OUTPUT: <key>'.")
     return EventOutcome(event=spec.name, notes=notes,
                         failure=last_code, failure_detail=last_detail)
-
-
-def _action_for(spec: EventSpec, key: str) -> ActionSpec:
-    for output in spec.outputs:
-        if output.key == key:
-            return output.action
-    return ActionSpec("RESULT")
 
 
 # ---------------------------------------------------------------------------

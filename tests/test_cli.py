@@ -17,14 +17,7 @@ from agentos.engine import Engine
 from agentos.errors import PhaseExhaustedError
 from agentos.forms import parse_workflow_form
 from agentos.kernel import AgentDefinition, ToolCall
-from agentos.registry import (
-    RegistryStore,
-    RegistryToolSuite,
-    ToolDefinition,
-    ToolParam,
-    make_registry_resolver,
-)
-from agentos.workflow import run_workflow
+from agentos.registry import RegistryStore, RegistryToolSuite, ToolDefinition, ToolParam
 
 from conftest import DATA, read_fixture
 from test_creation import (
@@ -52,9 +45,8 @@ def record_math_cassette(cassette: Path, registry_root: Path, input_text: str,
     backend = CassetteBackend(str(cassette), "record", inner=ScriptedBackend(steps))
     engine = Engine(mode="transformed", backend=backend, model="")
     suite = RegistryToolSuite(store, workdir=registry_root / "workspace")
-    form = parse_workflow_form(read_fixture("math_voting_workflow.xml"))
-    run_workflow(form, input_text, engine, registry=store.view(), tools=suite,
-                 resolve_agent=make_registry_resolver(store, form, suite))
+    suite.run_workflow(parse_workflow_form(read_fixture("math_voting_workflow.xml")),
+                       input_text, engine)
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,27 @@ def test_agents_pipeline_optional_test_phase(store):
     assert all(p.ok for p in report.phases)
 
 
+def test_agents_pipeline_agent_naming_an_unknown_tool_retries(store):
+    # a misspelt tool fails the agents phase, which rolls back and retries,
+    # instead of failing the test phase with NotFoundError
+    misspelt = ToolCall("create_agent", {**CREATE_GREETER_AGENT.arguments,
+                                         "tools": "greeting_tool, greting_tool"})
+    engine = engine_of([
+        GREETER_XML,
+        CREATE_GREETING_TOOL, TOOL_TEST_REPLY,
+        misspelt, "done",
+        CREATE_GREETER_AGENT, "done",
+        "Hello there!",
+    ])
+    report = create_agents_pipeline("make a greeter", engine, store,
+                                    test_task="Greet the reviewers.")
+    agents_phase = report.phases[2]
+    assert (agents_phase.phase, agents_phase.ok, agents_phase.attempts) == ("agents", True, 2)
+    assert agents_phase.feedback == ["agent Greeter Agent names unknown tool greting_tool"]
+    assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
+    assert [(p.phase, p.ok) for p in report.phases][-1] == ("test", True)
+
+
 # ---------------------------------------------------------------------------
 # workflow pipeline
 # ---------------------------------------------------------------------------
@@ -447,6 +468,37 @@ def test_workflow_pipeline_failed_test_phase(store):
     assert test_phase.phase == "test"
     assert test_phase.attempts == 2
     assert "E_OUTPUT_UNDECLARED" in test_phase.feedback[0]
+
+
+def test_workflow_pipeline_test_phase_with_an_undeclared_registered_agent(store):
+    # the aggregating event names a registered agent that <agents> does not
+    # declare: profiling and registration accept it, and so does the test run
+    store.put_agent(AgentDefinition("Helper Agent", instructions="Vote."))
+    aggregator = "<name>Vote Aggregator Agent</name>\n                <model>"
+    assert aggregator in _math_xml()
+    xml = _math_xml().replace(aggregator, "<name>Helper Agent</name>\n                <model>")
+    register = ToolCall("create_workflow", {
+        "xml": workflow_form_to_xml(parse_workflow_form(xml))})
+    engine = engine_of([xml, CREATE_SOLVER, CREATE_AGGREGATOR, "created",
+                        register, "registered", "x=4", "x=4", "x=5", "majority: x=4"])
+    report = create_workflow_pipeline("vote on math", engine, store,
+                                      test_input="solve 2x=8")
+    assert [(p.phase, p.ok, p.attempts) for p in report.phases] == [
+        ("profiling", True, 1), ("agents", True, 1), ("register", True, 1), ("test", True, 1)]
+    assert engine.backend.calls == 10
+
+
+def test_mgmt_run_workflow_that_fails(store):
+    # the aggregator never selects a declared output, twice
+    engine = engine_of(["4", "4", "5", "SELECTED_OUTPUT: bogus_key\nnope",
+                        "SELECTED_OUTPUT: bogus_key\nstill nope"])
+    suite = ManagementToolSuite(store, engine=engine)
+    suite.run(ToolCall("create_workflow", {"xml": _math_xml()}))
+    ran = suite.run(ToolCall("run_workflow", {
+        "name": "parallel_math_solver_workflow", "input": "2+2?"}))
+    assert (ran.status, ran.error_kind) == ("error", "E_OUTPUT_UNDECLARED")
+    assert ran.payload == ("workflow error: aggregate_solutions: "
+                           "reply did not select a declared output")
 
 
 # ---------------------------------------------------------------------------

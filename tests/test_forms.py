@@ -22,8 +22,10 @@ from agentos.errors import (
     XmlError,
 )
 from agentos.forms import (
+    ActionSpec,
     AgentForm,
     Diagnostic,
+    EventAgentRef,
     GlobalVar,
     KeyDesc,
     RegistryView,
@@ -166,6 +168,16 @@ def test_reject_mispaired_io_slot():
     with pytest.raises(SchemaError) as err:
         parse_workflow_form(bad)
     assert "pair up" in err.value.message
+
+
+def test_reject_event_input_with_two_pairs():
+    bad = MINI_WF.replace("<input><key>q</key><description>d</description></input>",
+                          "<input><key>q</key><description>d</description>"
+                          "<key>r</key><description>e</description></input>")
+    with pytest.raises(SchemaError) as err:
+        parse_workflow_form(bad)
+    assert err.value.path == "/workflow/events[1]/event[1]/inputs[1]/input[1]"
+    assert err.value.message == f"{err.value.path}: expected exactly one key/description pair"
 
 
 def test_reject_non_identifier_key():
@@ -490,6 +502,18 @@ def test_v2_missing_on_start(math_form):
     codes = {d.code for d in validate_workflow_form(math_form, MATH_VIEW)}
     # the solvers still listen to the removed event, so V10 fires as well
     assert codes == {"V2", "V10"}
+
+
+def test_v2_on_start_with_an_agent(math_form):
+    math_form.events[0].agent = EventAgentRef("Math Solver Agent")
+    assert [str(d) for d in validate_workflow_form(math_form, MATH_VIEW)] == [
+        "V2 /workflow/events[1]/event[1]: on_start must not have an agent"]
+
+
+def test_v2_on_start_output_that_is_not_a_result(math_form):
+    math_form.events[0].outputs[0].action = ActionSpec("ABORT")
+    assert [str(d) for d in validate_workflow_form(math_form, MATH_VIEW)] == [
+        "V2 /workflow/events[1]/event[1]: on_start outputs must use the RESULT action"]
 
 
 def test_v8_existing_agent_not_registered(wiki_form):

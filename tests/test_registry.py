@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from agentos import registry
 from agentos.errors import (
     E_ARGS,
     E_IO,
@@ -19,6 +20,7 @@ from agentos.forms import parse_workflow_form
 from agentos.kernel import AgentDefinition, ToolCall
 from agentos.registry import (
     BUILTIN_TOOLS,
+    SCRIPT_OUTPUT_LIMIT,
     RegistryStore,
     RegistryToolSuite,
     SubprocessScriptRunner,
@@ -141,6 +143,12 @@ def test_snapshot_restore_byte_exact(store):
 # builtins
 # ---------------------------------------------------------------------------
 
+def test_builtin_names_in_allowlist_order():
+    # bench/assembly.py draws from this tuple, so its order is part of a seed
+    assert BUILTIN_TOOLS == ("echo", "read_text_file", "write_text_file",
+                             "list_directory", "arithmetic_eval")
+
+
 def test_builtin_allowlist_complete():
     for name in BUILTIN_TOOLS:
         definition = builtin_tool(name)
@@ -228,6 +236,20 @@ def test_file_builtins_turn_unusable_paths_and_text_into_io_errors(suite, tmp_pa
     result = suite.run(ToolCall(tool, args))
     assert (result.status, result.error_kind) == ("error", E_IO)
     assert list((tmp_path / "work").iterdir()) == []  # no empty file left behind
+
+
+@pytest.mark.parametrize("tool,args", [
+    ("read_text_file", {"path": "a.txt"}),
+    ("write_text_file", {"path": "a.txt", "content": "x"}),
+    ("list_directory", {}),
+])
+def test_file_builtins_without_a_working_directory(store, tmp_path, monkeypatch, tool, args):
+    store.put_tool(builtin_tool(tool))
+    monkeypatch.chdir(tmp_path)
+    result = RegistryToolSuite(store).run(ToolCall(tool, args))
+    assert (result.status, result.error_kind, result.payload) == (
+        "error", E_IO, "no working directory configured")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["registry"]
 
 
 def test_relative_workdir_is_resolved_when_the_suite_is_built(store, tmp_path, monkeypatch):
@@ -360,6 +382,48 @@ def test_script_runner_output_that_is_not_utf8(store, tmp_path):
     result = suite.run(ToolCall("garbler", {}))
     assert (result.status, result.error_kind) == ("error", E_SCRIPT)
     assert "not UTF-8" in result.payload
+    assert list((tmp_path / "work").iterdir()) == []
+
+
+def run_writer(tmp_path, source: str, monkeypatch):
+    """Run a script tool; returns its result and the Popen it ran under."""
+    started, real_popen = [], registry.subprocess.Popen
+
+    def popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+    monkeypatch.setattr(registry.subprocess, "Popen", popen)
+    tool = ToolDefinition(name="writer", body_kind="script", source=source)
+    result = SubprocessScriptRunner(tmp_path / "work").run(tool, {})
+    return result, started[0]
+
+
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_script_runner_output_at_the_limit(tmp_path, monkeypatch, stream):
+    exit_code = "" if stream == "stdout" else "\nsys.exit(1)"
+    result, proc = run_writer(tmp_path, f"import sys\nsys.{stream}.write('x' * "
+                                        f"{SCRIPT_OUTPUT_LIMIT}){exit_code}", monkeypatch)
+    if stream == "stdout":
+        assert (result.status, result.payload) == ("ok", "x" * SCRIPT_OUTPUT_LIMIT)
+    else:
+        assert (result.error_kind, result.payload) == (
+            E_SCRIPT, "exit 1: " + "x" * SCRIPT_OUTPUT_LIMIT)
+    assert proc.returncode == (0 if stream == "stdout" else 1)
+
+
+@pytest.mark.parametrize("source", [
+    "import sys\nsys.stdout.write('x' * {limit} + 'y')",
+    "import sys\nsys.stdout.write('x' * {half})\nsys.stderr.write('x' * {half} + 'y')",
+    "import sys, time\nsys.stderr.write('x' * {limit} + 'y')\ntime.sleep(60)",
+    "import sys\nwhile True:\n    sys.stdout.write('x' * 65536)",
+], ids=["stdout", "both-streams", "then-sleeps", "endless"])
+def test_script_runner_output_over_the_limit(tmp_path, monkeypatch, source):
+    # the script is killed and reaped as soon as it passes the limit
+    limit, half = SCRIPT_OUTPUT_LIMIT, SCRIPT_OUTPUT_LIMIT // 2
+    result, proc = run_writer(tmp_path, source.format(limit=limit, half=half), monkeypatch)
+    assert (result.status, result.error_kind) == ("error", E_SCRIPT)
+    assert result.payload == f"script output exceeds {SCRIPT_OUTPUT_LIMIT} bytes"
+    assert proc.returncode is not None
     assert list((tmp_path / "work").iterdir()) == []
 
 

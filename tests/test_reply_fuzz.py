@@ -2,9 +2,12 @@
 
 Hypothesis drives ``run_agent_loop`` and ``orchestrate`` through three inputs:
 scripted steps, arbitrary JSON bodies on the HTTP transport seam, and raw
-cassette bytes. Only an ``AgentOsError`` may escape, every run ends, and a
-session recorded through the HTTP seam replays to the same context. Each
-crash these inputs found has its own named test below.
+cassette bytes; it drives both workflow fixtures, serially and in parallel,
+through replies chosen by each request's event prompt. Only an
+``AgentOsError`` may escape, every run ends, a session recorded through the
+HTTP seam replays to the same context, and a parallel workflow run ends as
+its serial run does. Each crash these inputs found has its own named test
+below.
 
 ``HYPOTHESIS_PROFILE=fuzz`` (tests/conftest.py) runs the properties longer.
 """
@@ -13,6 +16,7 @@ import base64
 import functools
 import json
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 from agentos.backends import (
     CassetteBackend,
     CompletionRequest,
+    CompletionResponse,
     HttpBackend,
     RetryPolicy,
     ScriptedBackend,
@@ -29,6 +34,7 @@ from agentos.backends import (
 )
 from agentos.engine import DIRECT, TRANSFORMED, Engine
 from agentos.errors import AgentOsError, BackendError
+from agentos.forms import parse_workflow_form
 from agentos.kernel import (
     AgentDefinition,
     Context,
@@ -39,6 +45,9 @@ from agentos.kernel import (
     run_agent_loop,
 )
 from agentos.registry import RegistryStore, RegistryToolSuite, builtin_tool
+from agentos.workflow import SELECT_MARKER
+
+from conftest import read_fixture
 
 ORCHESTRATOR = AgentDefinition(
     "Orchestrator", instructions="Route the task.", tool_names=["echo", "arithmetic_eval"],
@@ -55,14 +64,21 @@ ORCHESTRATION = OrchestrationLimits(max_turns=3, max_handoffs=2)
 OUTCOMES = ("completed", "transferred", "turn_limit", "aborted")
 
 
+WORKFLOWS = [parse_workflow_form(read_fixture(name))
+             for name in ("math_voting_workflow.xml", "wiki_article_workflow.xml")]
+WORKFLOW_STATUSES = ("completed", "aborted", "error")
+
+
 @pytest.fixture(scope="module")
 def tools(tmp_path_factory):
     """The builtins that only read, so a replayed session sees what its
-    recording saw."""
+    recording saw, and the registered agent the wiki workflow expects."""
     root = tmp_path_factory.mktemp("reply_fuzz")
     store = RegistryStore(root / "registry")
     for name in ("echo", "arithmetic_eval", "read_text_file", "list_directory"):
         store.put_tool(builtin_tool(name))
+    store.put_agent(AgentDefinition("Web Surfer Agent", instructions="Search the web.",
+                                    tool_names=["read_text_file", "list_directory"]))
     (root / "work").mkdir()
     (root / "work" / "notes.txt").write_text("2 + 3 = 5\n", encoding="utf-8")
     return RegistryToolSuite(store, workdir=root / "work")
@@ -85,6 +101,35 @@ def run(entry: str, backend, mode: str, tools) -> tuple[str, str]:
         return err.code, context.to_json()
     assert outcome.kind in OUTCOMES
     return outcome.kind, context.to_json()
+
+
+def run_flow(form, steps, mode: str, tools, parallel: bool) -> tuple:
+    """Run one workflow to its end: (status, output, blackboard, trace), or
+    the code of the error that escaped."""
+    engine = Engine(mode=mode, backend=PromptKeyedBackend(steps))
+    try:
+        result = tools.run_workflow(form, "2+3?", engine, parallel=parallel, limits=LOOP)
+    except AgentOsError as err:
+        return (err.code,)
+    assert result.status in WORKFLOW_STATUSES
+    return result.status, result.output, result.blackboard, result.trace
+
+
+class PromptKeyedBackend:
+    """Answers a request with the step its event prompt (the first user
+    turn) and its length select, so a request gets the same reply whichever
+    thread of a parallel round sends it."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        prompt = next(m["content"] for m in request.messages if m["role"] == "user")
+        key = f"{len(request.messages)}:{prompt}".encode("utf-8", "surrogatepass")
+        step = self.steps[zlib.crc32(key) % len(self.steps)]
+        if isinstance(step, ToolCall):
+            return CompletionResponse(tool_call=step)
+        return CompletionResponse(text=step)
 
 
 def http_backend(bodies) -> HttpBackend:
@@ -127,6 +172,13 @@ REPLY_TEXT = st.lists(FRAGMENTS, max_size=12).map("".join)
 ARGUMENTS = st.dictionaries(st.sampled_from(KEYS), REPLY_TEXT, max_size=3)
 STEPS = st.lists(REPLY_TEXT | st.builds(ToolCall, st.sampled_from(NAMES), ARGUMENTS),
                  max_size=8)
+# a third of the replies end with a line selecting one of the fixtures'
+# output keys, so that workflows often run to their end and take their GOTOs
+OUTPUT_KEYS = sorted({o.key for form in WORKFLOWS for event in form.events for o in event.outputs})
+MARKER_LINE = st.sampled_from(OUTPUT_KEYS).map(f"\n{SELECT_MARKER} {{}}\n".format)
+WORKFLOW_STEPS = st.lists(REPLY_TEXT | st.tuples(REPLY_TEXT, MARKER_LINE).map("".join)
+                          | st.builds(ToolCall, st.sampled_from(NAMES), ARGUMENTS),
+                          min_size=1, max_size=8)
 MODES = st.sampled_from([DIRECT, TRANSFORMED])
 ENTRIES = st.sampled_from(["loop", "orchestrate"])
 JSON = st.recursive(
@@ -221,6 +273,14 @@ def test_cassette_bytes_end_in_a_coded_outcome(tools, data, mode, entry):
         except AgentOsError:
             return
         run(entry, backend, mode, tools)
+
+
+@settings(deadline=None)
+@given(steps=WORKFLOW_STEPS, mode=MODES)
+def test_workflow_replies_end_in_a_coded_status(tools, steps, mode):
+    for form in WORKFLOWS:
+        serial = run_flow(form, steps, mode, tools, parallel=False)
+        assert run_flow(form, steps, mode, tools, parallel=True) == serial
 
 
 # ---------------------------------------------------------------------------

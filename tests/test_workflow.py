@@ -10,6 +10,7 @@ from agentos.errors import (
     E_LOOP_LIMIT,
     E_NO_OUTPUT,
     E_OUTPUT_UNDECLARED,
+    BackendError,
     InvalidFormError,
 )
 from agentos.forms import (
@@ -19,6 +20,7 @@ from agentos.forms import (
     parse_workflow_form,
     validate_workflow_form,
 )
+from agentos.kernel import LoopLimits, ToolCall
 from agentos.workflow import (
     PARALLEL_WORKERS,
     compile_graph,
@@ -354,6 +356,26 @@ def test_retry_exhaustion_fails_event(wiki_form):
     assert result.error == E_NO_OUTPUT
     assert "fail on_evaluate code=" + E_NO_OUTPUT in result.trace
     assert "on_evaluate" in result.reason
+
+
+def model_down(request):
+    raise BackendError("model down")
+
+
+@pytest.mark.parametrize("steps,kind", [
+    ([ToolCall("echo", {"text": "hi"})] * 2, "turn_limit"),
+    ([model_down] * 2, "aborted"),
+], ids=["turn-limit", "aborted"])
+def test_agent_run_that_does_not_complete_fails_the_event(math_form, steps, kind):
+    # both attempts of the first solver end without a reply, and so do the
+    # other solvers of its round
+    engine = Engine(mode="transformed", backend=ScriptedBackend(steps + [model_down] * 4))
+    result = run_workflow(math_form, "solve 2x=8", engine, registry=MATH_VIEW,
+                          limits=LoopLimits(max_turns=1))
+    assert (result.status, result.error) == ("error", E_NO_OUTPUT)
+    assert result.reason.startswith(f"solve_with_gpt4: agent run ended with {kind}: ")
+    assert result.trace[-2:] == ["retry solve_with_gpt4 code=" + E_NO_OUTPUT,
+                                 "fail solve_with_gpt4 code=" + E_NO_OUTPUT]
 
 
 def test_trace_has_no_timestamps(wiki_form):
