@@ -6,10 +6,12 @@ up to ``max_attempts`` tries. An attempt asks an editor agent (or, for
 profiling, a plain completion) to do the work, then the pipeline checks the
 result mechanically: documents must parse and validate, created entries must
 actually be in the registry (and so must every tool a created agent names),
-and every new tool must pass the editor's own demonstration call. Failed attempts roll the registry back to the phase-start
-snapshot byte for byte, and an exhausted phase raises PhaseExhaustedError
-with the same rollback applied. Validation diagnostics are fed back to the
-next attempt verbatim, which is what makes the loop self-correcting.
+and every new tool must pass the editor's own demonstration call. A failed
+attempt, or one that raises, is rolled back byte for byte by the journal of
+the store the editor writes through (docs/formats.md), and an exhausted
+phase raises PhaseExhaustedError with the same rollback applied. Validation
+diagnostics are fed back to the next attempt verbatim, which is what makes
+the loop self-correcting.
 
 Editor agents never touch the filesystem directly; all mutation goes through
 the management tool suite defined here.
@@ -430,20 +432,26 @@ class _Phases:
         self.model = model
 
     def run(self, name: str, attempt_fn) -> None:
-        """Attempt loop with byte-identical rollback on every failure."""
+        """Attempt loop under a mark on the editor's store: an attempt that
+        fails or raises is rolled back before the next attempt or the raise."""
         record = PhaseRecord(name)
         self.report.phases.append(record)
-        snap = self.store.snapshot()
+        store = self.suite.store
         feedback: str | None = None
-        for _ in range(self.max_attempts):
-            record.attempts += 1
-            ok, fb = attempt_fn(feedback)
-            if ok:
-                record.ok = True
-                return
-            feedback = fb or "the attempt did not pass verification"
-            record.feedback.append(feedback)
-            self.store.restore(snap)
+        with store.mark():
+            for _ in range(self.max_attempts):
+                record.attempts += 1
+                try:
+                    ok, fb = attempt_fn(feedback)
+                except BaseException:
+                    store.rollback()
+                    raise
+                if ok:
+                    record.ok = True
+                    return
+                feedback = fb or "the attempt did not pass verification"
+                record.feedback.append(feedback)
+                store.rollback()
         raise PhaseExhaustedError(name)
 
     def profile(self, requirement: str, instructions: str, root_tag: str,

@@ -197,6 +197,8 @@ class RegistryStore:
         # path -> (signature, bytes, checked record or None, pickled decoded value),
         # replaced whole; each read unpickles its own copy, which no caller can share
         self._cache: dict[str, tuple] = {}
+        # inside mark(): path -> its bytes before this store's first change, None if absent
+        self._journal: dict[str, bytes | None] | None = None
 
     # -- one record path for every kind --------------------------------------
 
@@ -218,7 +220,16 @@ class RegistryStore:
             self._cache[path] = entry
         return entry
 
+    def _note(self, path: str) -> None:
+        """Journal ``path``'s bytes before its first change inside mark()."""
+        if self._journal is not None and path not in self._journal:
+            try:
+                self._journal[path] = self._entry(path)[1]
+            except FileNotFoundError:
+                self._journal[path] = None
+
     def _write(self, path: str, data: bytes) -> None:
+        self._note(path)
         self._cache[path] = (_signature(atomic_write(path, data)), data, None, None)
 
     def _read(self, kind: str, name: str) -> tuple[dict, object]:
@@ -264,6 +275,7 @@ class RegistryStore:
         path = self._path(kind, name)
         if not os.path.isfile(path):
             raise NotFoundError(f"not in registry: {name}")
+        self._note(path)
         os.unlink(path)
         self._cache.pop(path, None)
 
@@ -310,14 +322,38 @@ class RegistryStore:
     def restore(self, snap: dict[str, bytes]) -> None:
         """Put the store back exactly as snapshot() captured it, writing only
         the entries whose bytes differ."""
-        for kind, folder in self._folders.items():
-            for name in self.names(kind):
-                if f"{kind}/{name}.def" not in snap:
-                    path = os.path.join(folder, f"{name}.def")
+        entries = {os.path.join(folder, f"{name}.def"): None
+                   for kind, folder in self._folders.items() for name in self.names(kind)}
+        self._revert({**entries, **{os.path.join(self.root, rel): data
+                                    for rel, data in snap.items()}})
+
+    @contextlib.contextmanager
+    def mark(self):
+        """Journal this store's own writes and deletes until the block ends, so
+        that rollback() can undo them. Changes that other writers make, another
+        store object of the same root among them, are not journalled."""
+        self._journal = {}
+        try:
+            yield
+        finally:
+            self._journal = None
+
+    def rollback(self) -> None:
+        """Inside mark(), undo this store's changes since the mark or the last
+        rollback: only the journalled paths are read, written or unlinked."""
+        self._revert(self._journal)
+        self._journal.clear()
+
+    def _revert(self, prior: dict[str, bytes | None]) -> None:
+        """Unlink each path whose prior bytes are None and rewrite each other
+        path whose bytes differ; a byte-equal entry is left untouched."""
+        for path, data in prior.items():
+            if data is None:
+                with contextlib.suppress(FileNotFoundError):
+                    self._note(path)
                     os.unlink(path)
-                    self._cache.pop(path, None)
-        for rel, data in snap.items():
-            path = os.path.join(self.root, rel)
+                self._cache.pop(path, None)
+                continue
             with contextlib.suppress(FileNotFoundError):
                 if self._entry(path)[1] == data:
                     continue

@@ -1,7 +1,10 @@
 """Creation pipelines: management tools, phase retries, rollback, orchestration."""
 
+import os
+
 import pytest
 
+from agentos import registry
 from agentos.backends import ScriptedBackend
 from agentos.engine import Engine
 from agentos.errors import (
@@ -11,6 +14,7 @@ from agentos.errors import (
     E_SCRIPT,
     E_UNKNOWN_TOOL,
     PhaseExhaustedError,
+    ScriptExhaustedError,
     TooFewAgentsError,
 )
 from agentos.creation import (
@@ -395,6 +399,89 @@ def test_agents_pipeline_agent_naming_an_unknown_tool_retries(store):
     assert agents_phase.feedback == ["agent Greeter Agent names unknown tool greting_tool"]
     assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
     assert [(p.phase, p.ok) for p in report.phases][-1] == ("test", True)
+
+
+# ---------------------------------------------------------------------------
+# rollback by journal
+# ---------------------------------------------------------------------------
+
+def test_an_attempt_that_raises_is_rolled_back(store):
+    store.put_tool(builtin_tool("echo"))
+    baseline = store.snapshot()
+    # the script ends inside the tools phase, after the editor created a tool
+    engine = engine_of([GREETER_XML, CREATE_GREETING_TOOL])
+    with pytest.raises(ScriptExhaustedError):
+        create_agents_pipeline("make a greeter", engine, store)
+    assert store.snapshot() == baseline
+
+
+def test_a_suite_on_a_second_store_object_rolls_back_byte_exactly(store):
+    store.put_tool(builtin_tool("echo"))
+    baseline = store.snapshot()
+    suite = ManagementToolSuite(RegistryStore(store.root))
+    attempt = [CREATE_GREETING_TOOL, "created, no demonstration"]
+    with pytest.raises(PhaseExhaustedError):
+        create_agents_pipeline("make a greeter", engine_of([GREETER_XML] + attempt * 3),
+                               store, suite=suite)
+    assert store.snapshot() == baseline
+    assert RegistryStore(store.root).snapshot() == baseline
+
+
+def test_a_file_another_store_writes_during_a_failed_attempt_survives(store):
+    def bystander_then_fail(request):
+        RegistryStore(store.root).put_agent(AgentDefinition(name="Bystander"))
+        return "created, no demonstration"
+
+    engine = engine_of([
+        GREETER_XML,
+        CREATE_GREETING_TOOL, bystander_then_fail,   # attempt 1: rolled back
+        CREATE_GREETING_TOOL, TOOL_TEST_REPLY,       # attempt 2
+        CREATE_GREETER_AGENT, "done",
+    ])
+    report = create_agents_pipeline("make a greeter", engine, store)
+    assert report.phases[1].attempts == 2
+    # the rollback undid the editor's tool only; the other writer's agent stays
+    assert store.names("agents") == ["Bystander", "Greeter Agent"]
+    assert store.get_agent("Bystander") == AgentDefinition(name="Bystander")
+
+
+def _failing_once_pipeline_io(root, entries: int, monkeypatch) -> dict[str, int]:
+    """Registry file operations of an agents pipeline whose tools phase fails
+    once after one put, run against ``entries`` other tools."""
+    store = RegistryStore(root)
+    for k in range(entries):
+        tool = builtin_tool("echo")
+        tool.name = f"other_tool_{k:03d}"
+        store.put_tool(tool)
+    engine = engine_of([
+        GREETER_XML,
+        CREATE_GREETING_TOOL, "created, no demonstration",  # attempt 1: rolled back
+        CREATE_GREETING_TOOL, TOOL_TEST_REPLY,              # attempt 2
+        CREATE_GREETER_AGENT, "done",
+    ])
+    counts = {"atomic_write": 0, "unlink": 0, "entry_read": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(registry, "atomic_write", counted("atomic_write", registry.atomic_write))
+        patch.setattr(os, "unlink", counted("unlink", os.unlink))
+        patch.setattr(RegistryStore, "_entry", counted("entry_read", RegistryStore._entry))
+        report = create_agents_pipeline("make a greeter", engine, store)
+    assert [p.attempts for p in report.phases] == [1, 2, 1]
+    return counts
+
+
+def test_phase_rollback_costs_the_same_at_100_and_400_entries(tmp_path, monkeypatch):
+    small = _failing_once_pipeline_io(tmp_path / "small", 100, monkeypatch)
+    large = _failing_once_pipeline_io(tmp_path / "large", 400, monkeypatch)
+    assert small == large
+    # the two puts of the tool and the agent's put; the rollback unlinks the tool
+    assert (small["atomic_write"], small["unlink"]) == (3, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""The registry's stat-validated read cache and its diff-only restore.
+"""The registry's stat-validated read cache, its diff-only restore and its
+rollback journal.
 
 A store reads, checks and decodes a `.def` again only when the file's stat
 signature changed, writes its own changes through to the cache, hands out
-fresh objects, and restores a snapshot by writing only what differs. Every
-step of the state machine below checks the store against a fresh store of
-the same root, which has nothing cached.
+fresh objects, and restores a snapshot by writing only what differs. Inside
+a mark it journals its own changes, and rolling back rewrites or unlinks
+only those. Every step of the state machine below checks the store against
+a fresh store of the same root, which has nothing cached.
 """
 
+import contextlib
 import json
 import os
 import shutil
@@ -52,6 +55,13 @@ def _view(store: RegistryStore) -> dict:
     return view
 
 
+def _disk(root: Path) -> dict[str, bytes]:
+    """Every entry's bytes read straight from the files, keyed as snapshot() keys them."""
+    return {f"{path.parent.name}/{path.name}": path.read_bytes()
+            for kind in NAMES for path in (root / kind).glob("*.def")
+            if not path.name.startswith(".")}
+
+
 class RegistryCacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -63,8 +73,34 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         self.kept.mkdir()
         self.store = RegistryStore(self.root)
         self.snaps: list[dict] = []
+        # the journal's oracle, kept from the files alone: the entries at the
+        # mark, each entry's bytes before the store's first change since the
+        # mark or the last rollback (None: absent), and whether another writer
+        # changed an entry since the mark
+        self.marks = contextlib.ExitStack()
+        self.marked: dict | None = None
+        self.first: dict[str, bytes | None] = {}
+        self.seen: dict[str, bytes] = {}
+        self.outside = False
+        for name in ("put_tool", "put_agent", "put_workflow", "delete", "restore"):
+            setattr(self.store, name, self._observed(getattr(self.store, name)))
+
+    def _observed(self, method):
+        def call(*args, **kwargs):
+            before = _disk(self.root)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                if self.marked is not None:
+                    self.outside |= before != self.seen
+                    self.seen = _disk(self.root)
+                    for rel in before.keys() | self.seen.keys():
+                        if before.get(rel) != self.seen.get(rel):
+                            self.first.setdefault(rel, before.get(rel))
+        return call
 
     def teardown(self):
+        self.marks.close()
         shutil.rmtree(self.tmp, ignore_errors=True)
 
     @rule(name=st.sampled_from(NAMES["tools"]), description=WORDS, params=st.integers(0, 2))
@@ -165,13 +201,49 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         tmp.write_bytes(blob)
         os.replace(tmp, path)
 
+    @precondition(lambda self: self.marked is None)
+    @rule()
+    def open_mark(self):
+        self.marks.enter_context(self.store.mark())
+        self.marked = self.seen = self.store.snapshot()
+        self.first, self.outside = {}, False
+
+    @precondition(lambda self: self.marked is not None)
+    @rule(data=st.data())
+    def write_back_old_bytes(self, data):
+        if not self.marked:
+            return
+        rel = data.draw(st.sampled_from(sorted(self.marked)))
+        self.store.restore({**self.store.snapshot(), rel: self.marked[rel]})
+
+    @precondition(lambda self: self.marked is not None)
+    @rule()
+    def roll_back(self):
+        self.outside |= _disk(self.root) != self.seen
+        expected = {rel: data for rel, data in {**_disk(self.root), **self.first}.items()
+                    if data is not None}
+        self.store.rollback()
+        assert self.store.snapshot() == expected
+        if not self.outside:
+            assert expected == self.marked
+        self.first, self.seen = {}, expected
+
+    @precondition(lambda self: self.marked is not None)
+    @rule()
+    def close_mark(self):
+        self.marks.close()
+        self.marked = None
+
     @invariant()
     def agrees_with_a_fresh_store(self):
         assert _view(self.store) == _view(RegistryStore(self.root))
 
 
 TestRegistryCache = RegistryCacheMachine.TestCase
-TestRegistryCache.settings = settings(max_examples=40, stateful_step_count=20, deadline=None,
+# 40 runs, or a fifth of the profile's budget where that is more: 400 under
+# HYPOTHESIS_PROFILE=fuzz (tests/conftest.py)
+TestRegistryCache.settings = settings(max_examples=max(40, settings.default.max_examples // 5),
+                                      stateful_step_count=20, deadline=None,
                                       suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -225,6 +297,61 @@ def test_restore_leaves_byte_equal_entries_untouched(store):
     after = path.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert store.snapshot() == snap
+
+
+def test_rollback_after_a_no_op_phase_writes_nothing(store, writes):
+    snap = store.snapshot()
+    with store.mark():
+        store.get_tool("echo")
+        store.rollback()
+    assert writes == []
+    assert store.snapshot() == snap
+
+
+def test_rollback_after_one_change_writes_once(store, writes):
+    snap = store.snapshot()
+    with store.mark():
+        store.put_tool(builtin_tool("echo"))  # version 2
+        store.put_agent(AgentDefinition(name="Extra"))  # a new entry: unlinked, not written
+        writes.clear()
+        store.rollback()
+    assert writes == [os.path.join(store.root, "tools", "echo.def")]
+    assert store.snapshot() == snap
+    assert store.names("agents") == ["Helper"]
+
+
+def test_rollback_leaves_byte_equal_entries_untouched(store):
+    snap = store.snapshot()
+    path = store.root / "tools" / "echo.def"
+    untouched = store.root / "tools" / "list_directory.def"
+    before = untouched.stat()
+    with store.mark():
+        store.delete("tools", "echo")
+        assert store.put_tool(builtin_tool("echo")) == 1  # journalled, back to its bytes
+        store.delete("tools", "arithmetic_eval")
+        rewritten = path.stat()
+        store.rollback()
+    for file, stat in ((path, rewritten), (untouched, before)):
+        after = file.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+    assert store.snapshot() == snap
+
+
+def test_rollback_leaves_what_another_writer_changed(store):
+    other = RegistryStore(store.root)
+    with store.mark():
+        store.put_agent(AgentDefinition(name="Mine"))
+        other.put_agent(AgentDefinition(name="Theirs"))
+        other.put_tool(builtin_tool("echo"))  # version 2, by the other store
+        store.rollback()
+        assert store.names("agents") == ["Helper", "Theirs"]
+        assert store.record("tools", "echo")["version"] == 2
+        # a rollback empties the journal: the next one starts from what it left
+        store.put_tool(builtin_tool("list_directory"))
+        store.rollback()
+        other.put_tool(builtin_tool("list_directory"))
+        store.rollback()
+    assert store.record("tools", "list_directory")["version"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_restore_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
     assert store.snapshot() == snap
 
 
+def test_rollback_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
+    store.put_tool(builtin_tool("echo"))
+    store.put_agent(AgentDefinition(name="Helper"))
+    snap = store.snapshot()
+    with store.mark():
+        store.delete("tools", "echo")
+        monkeypatch.setattr(os, "replace", _refuse_replace)
+        with pytest.raises(OSError):
+            store.rollback()
+        monkeypatch.undo()
+        assert sorted(p.name for p in store.root.rglob(".tmp-*")) == []
+        store.rollback()  # the journal is kept until a rollback completes
+    assert store.snapshot() == snap
+
+
 def test_put_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
     monkeypatch.setattr(os, "replace", _refuse_replace)
     with pytest.raises(OSError):
