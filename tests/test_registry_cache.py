@@ -337,6 +337,15 @@ def test_rollback_leaves_byte_equal_entries_untouched(store):
     assert store.snapshot() == snap
 
 
+def test_rollback_undoes_a_restore_made_inside_the_mark(store):
+    snap = store.snapshot()
+    with store.mark():
+        store.restore({})  # unlinks every entry
+        store.put_tool(builtin_tool("echo"))
+        store.rollback()
+    assert store.snapshot() == snap
+
+
 def test_rollback_leaves_what_another_writer_changed(store):
     other = RegistryStore(store.root)
     with store.mark():
