@@ -7,11 +7,11 @@ profiling, a plain completion) to do the work, then the pipeline checks the
 result mechanically: documents must parse and validate, created entries must
 actually be in the registry (and so must every tool a created agent names),
 and every new tool must pass the editor's own demonstration call. A failed
-attempt, or one that raises, is rolled back byte for byte by the journal of
-the store the editor writes through (docs/formats.md), and an exhausted
-phase raises PhaseExhaustedError with the same rollback applied. Validation
-diagnostics are fed back to the next attempt verbatim, which is what makes
-the loop self-correcting.
+attempt, or one that raises, is rolled back by the journal of the store the
+editor writes through (docs/formats.md states what it reverts), and an
+exhausted phase raises PhaseExhaustedError with the same rollback applied.
+Validation diagnostics are fed back to the next attempt verbatim, which is
+what makes the loop self-correcting.
 
 Editor agents never touch the filesystem directly; all mutation goes through
 the management tool suite defined here.
