@@ -1,6 +1,6 @@
 """Pin the forms reader and writer on every single-edit mutant of the fixtures.
 
-Each of the four ``tests/data`` form fixtures is mutated one edit at a time,
+Each of the five ``tests/data`` form fixtures is mutated one edit at a time,
 at every element in document order. The outcome of parsing a mutant is
 either the exception class and its message (which carries the path), or,
 when the reader accepts it, digests of its canonical XML and of the parsed
@@ -37,6 +37,9 @@ FIXTURES = {
     "financial_agents_form.xml": (parse_agent_form, agent_form_to_xml),
     "math_voting_workflow.xml": (parse_workflow_form, workflow_form_to_xml),
     "wiki_article_workflow.xml": (parse_workflow_form, workflow_form_to_xml),
+    # a workflow agent with tools, global variables, conditional outputs, a
+    # GOTO and an ABORT with a value, and three siblings of one tag
+    "review_loop_workflow.xml": (parse_workflow_form, workflow_form_to_xml),
 }
 
 
