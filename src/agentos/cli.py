@@ -93,6 +93,8 @@ def _load_form(path: str):
     """Returns (form, its validator). Sniffs the root element."""
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise XmlError(f"{path} is not UTF-8: {err}")
     except OSError as err:
         raise _Failure("E_IO", str(err))
     match = _ROOT_SNIFF.search(text)

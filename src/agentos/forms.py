@@ -303,7 +303,7 @@ def _load_root(text: str, expected: str) -> ET.Element:
         raise XmlError("DOCTYPE/entity declarations are not allowed")
     try:
         root = ET.fromstring(text)
-    except ET.ParseError as err:
+    except (ET.ParseError, UnicodeEncodeError) as err:  # a lone surrogate cannot be encoded
         raise XmlError(f"not well-formed XML: {err}")
     if root.tag != expected:
         raise SchemaError(f"/{root.tag}", f"expected root <{expected}>")

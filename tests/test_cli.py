@@ -97,6 +97,18 @@ def test_validate_parse_error(tmp_path, capsys):
     assert lines[-1] == "1 diagnostics"
 
 
+def test_validate_form_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.xml"
+    bad.write_bytes(b"<workflow><name>caf\xe9</name></workflow>")
+    code, out, err = run_cli(capsys, ["validate", str(bad),
+                                      "--registry-root", str(tmp_path / "reg")])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("E_XML: ")
+    assert lines[-1] == "1 diagnostics"
+    assert "Traceback" not in out + err
+
+
 def test_validate_missing_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["validate", str(tmp_path / "ghost.xml"),
                                     "--registry-root", str(tmp_path / "reg")])
@@ -131,6 +143,16 @@ def test_run_workflow_rejects_agents_form(tmp_path, capsys):
                                     "--cassette-mode", "replay"])
     assert code == 1
     assert out.startswith("E_SCHEMA: ")
+
+
+def test_run_workflow_form_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.xml"
+    bad.write_bytes(b"<workflow><name>caf\xe9</name></workflow>")
+    code, out, err = run_cli(capsys, ["run-workflow", str(bad), "--input", "x",
+                                      "--registry-root", str(tmp_path / "reg")])
+    assert code == 1
+    assert out.startswith("E_XML: ")
+    assert "Traceback" not in out + err
 
 
 def test_run_workflow_cassette_that_is_not_utf8(tmp_path, capsys):

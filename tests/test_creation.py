@@ -157,6 +157,9 @@ def test_mgmt_workflow_lifecycle(store):
 
     bad = suite.run(ToolCall("create_workflow", {"xml": "<workflow><broken"}))
     assert (bad.status, bad.error_kind) == ("error", "E_XML")
+    surrogate = suite.run(ToolCall("create_workflow",
+                                   {"xml": "<workflow><name>w\ud800</name></workflow>"}))
+    assert (surrogate.status, surrogate.error_kind) == ("error", "E_XML")
 
     created = suite.run(ToolCall("create_workflow", {"xml": xml}))
     assert created.payload == "registered workflow parallel_math_solver_workflow"
@@ -284,6 +287,26 @@ def test_agents_pipeline_profiling_exhaustion(store):
         create_agents_pipeline("make a greeter", engine, store)
     assert err.value.phase == "profiling"
     assert engine.backend.calls == 3
+    assert store.snapshot() == baseline
+
+
+def test_agents_pipeline_feeds_back_a_lone_surrogate_as_an_xml_error(store):
+    engine = engine_of([
+        "<agents><system_input>\ud800</system_input></agents>", GREETER_XML,
+        CREATE_GREETING_TOOL, TOOL_TEST_REPLY,
+        CREATE_GREETER_AGENT, "done",
+    ])
+    report = create_agents_pipeline("make a greeter", engine, store)
+    assert (report.phases[0].ok, report.phases[0].attempts) == (True, 2)
+    assert report.phases[0].feedback[0].startswith("The XML was rejected (E_XML): ")
+
+
+def test_workflow_pipeline_lone_surrogates_exhaust_profiling(store):
+    baseline = store.snapshot()
+    engine = engine_of(["<workflow><name>w\ud800</name></workflow>"] * 3)
+    with pytest.raises(PhaseExhaustedError) as err:
+        create_workflow_pipeline("vote on a sum", engine, store)
+    assert err.value.phase == "profiling"
     assert store.snapshot() == baseline
 
 

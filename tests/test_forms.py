@@ -110,6 +110,17 @@ def test_reject_doctype_and_entities():
         parse_workflow_form("<!doctype workflow>" + MINI_WF)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_workflow_form, "<workflow><name>w\ud800</name></workflow>"),
+    (parse_agent_form, "<agents><system_input>\ud800</system_input></agents>"),
+])
+def test_reject_a_lone_surrogate_as_xml(parse, text):
+    # the text cannot be encoded for the XML parser, so it is not a document
+    with pytest.raises(XmlError) as err:
+        parse(text)
+    assert "surrogate" in err.value.message
+
+
 def test_reject_malformed_and_wrong_root():
     with pytest.raises(XmlError):
         parse_agent_form("<agents><oops</agents>")
