@@ -1,6 +1,7 @@
 """Creation forms: the XML contracts between profiling agents and the runtime.
 
-Two document kinds share one strict reader and one writer over schema tables:
+Two document kinds are read by strict readers compiled from schema tables at
+import, and written by one writer that walks the same tables:
 
 * agent form  — root ``<agents>``: what agents to build, with what tools.
 * workflow form — root ``<workflow>``: an event graph wiring agents together.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import naming
@@ -160,7 +161,7 @@ class RegistryView:
 
 
 # ---------------------------------------------------------------------------
-# schema tables, and the one reader and one writer that walk them
+# schema tables, the readers compiled from them, and the writer that walks them
 # ---------------------------------------------------------------------------
 
 class _Leaf(NamedTuple):
@@ -186,17 +187,121 @@ class _Holder(NamedTuple):
     category: str | None = None
 
 
-class _Record:
-    """An element read into ``make(**values)`` from ``fields``, each
-    ``(tag, field, multiplicity 1|?|*|+, kind)`` in schema order. A dict
-    field maps the ``category`` attribute to the field each element fills.
-    With ``categories`` the record's own ``category`` must be one of them.
-    ``check(values, path)`` runs after the fields and may fix values."""
+class _Record(NamedTuple):
+    """An element read into ``make(**fields)``: ``fields`` are ``(tag, field,
+    multiplicity 1|?|*|+, kind)`` in schema order; a dict field maps the
+    ``category`` attribute to the field each element fills. ``categories``
+    bounds the record's own; ``check(record, path)`` may then fix the record."""
 
-    def __init__(self, make, fields, check=None, categories=()):
-        self.make, self.fields, self.check, self.categories = make, fields, check, categories
-        self.tags = {entry[0] for entry in fields}
-        self.keeps_path = "path" in getattr(make, "__dataclass_fields__", ())
+    make: Callable
+    fields: tuple
+    check: Callable | None = None
+    categories: tuple = ()
+
+
+def _text(elem: ET.Element, path: str) -> str:
+    """A leaf's stripped text; a leaf may have neither children nor attributes."""
+    if len(elem):
+        raise SchemaError(path, "unexpected nested elements")
+    for attr in elem.keys():  # .attrib would give each element a dict
+        raise SchemaError(path, f"unexpected attribute {attr!r}")
+    return (elem.text or "").strip()
+
+
+def _compile(form: _Record) -> Callable[[ET.Element, str], object]:
+    """Build the reader of ``form`` once, as one function's source, the way
+    dataclasses builds ``__init__``: a local per field tag, elements read
+    inline. The first error wins: attributes, unknown children in document
+    order, fields in schema order depth first, then the record's check."""
+    env = {"SchemaError": SchemaError, "_text": _text, "KeyDesc": KeyDesc, "IOSlot": IOSlot,
+           "_DUP": object()}  # a second element where the schema allows one
+
+    def ref(obj) -> str:
+        env[f"_{len(env)}"] = obj
+        return f"_{len(env) - 1}"
+
+    def read(kind, src: str, at: str, dst: str, pad: str) -> list[str]:
+        """Lines reading ``src`` at path ``at`` into ``dst``; a leaf's path is built on refusal."""
+        if type(kind) is _Leaf:
+            return [f"{pad}{dst} = {src}"] if kind.lazy else [
+                f"{pad}if len({src}) or {src}.keys(): _text({src}, {at})",
+                f"{pad}{dst} = ({src}.text or '').strip()"] + ([
+                f"{pad}try: {dst} = {ref(kind.check)}({dst})",
+                f"{pad}except ValueError as err: raise SchemaError({at}, str(err)) from None",
+            ] if kind.check else [])
+        path = dst + "p"
+        if type(kind) is _Holder:  # read as a record of one repeated field
+            lines, args = fields(_Record(None, ((kind.tag, 0, "*", kind.kind),)), src, path, dst, pad,
+                                 kind.category, f"f'unexpected attribute on <{{{src}.tag}}>'")
+            return [f"{pad}{path} = {at}", *lines, f"{pad}{dst} = {args[0]}"]
+        if type(kind) is _Slot:
+            lines, args = fields(_PAIRS, src, path, dst, pad)
+            k, d = args["key"], args["description"]
+            return [f"{pad}{path} = {at}", *lines, f"{pad}if len({k}) != len({d}): "
+                    f"raise SchemaError({path}, 'keys and descriptions must pair up')"] + ([
+                f"{pad}if len({k}) != 1: "
+                f"raise SchemaError({path}, 'expected exactly one key/description pair')",
+                f"{pad}{dst} = KeyDesc({k}[0], {d}[0])"] if kind.one else [
+                f"{pad}{dst} = IOSlot([KeyDesc(*pair) for pair in zip({k}, {d})], {path})"])
+        lines, args = fields(kind, src, path, dst, pad, kind.categories)
+        if kind.categories:  # the record's own category comes first
+            args["category"], allowed = f"{dst}k", "|".join(kind.categories)
+            lines = [f"{pad}{dst}k = {src}.get('category')",
+                     f"{pad}if {dst}k not in {kind.categories!r}: raise SchemaError({path}, "
+                     f"f'{{{src}.tag}} category must be {allowed}, got {{{dst}k!r}}')", *lines]
+        kwargs = ", ".join(f"{name}={value}" for name, value in args.items())
+        return [f"{pad}{path} = {at}", *lines, f"{pad}{dst} = {ref(kind.make)}({kwargs})"] + (
+            [f"{pad}{ref(kind.check)}({dst}, {path})"] if kind.check else [])
+
+    def fields(rec: _Record, src: str, path: str, dst: str, pad: str, allow=(), message=""):
+        """Lines reading ``src``'s attributes and fields; the local of each field."""
+        skip = "if attr != 'category': " if allow else ""
+        message = allow and message or "f'unexpected attribute {attr!r}'"
+        lines = [f"{pad}for attr in {src}.keys():",  # a ``category`` passes if allowed
+                 f"{pad}    {skip}raise SchemaError({path}, {message})"]
+        scan, args = [f"{pad}for child in {src}:", f"{pad}    tag = child.tag"], {}
+        for n, (tag, _, mult, _) in enumerate(rec.fields):
+            f = f"{dst}f{n}"
+            lines.append(f"{pad}{f} = None" if mult in "1?" else f"{pad}{f} = []")
+            store = f"{f} = child if {f} is None else _DUP" if mult in "1?" else f"{f}.append(child)"
+            scan.append(f"{pad}    {'elif' if n else 'if'} tag == {tag!r}: {store}")
+        lines += scan + [f"{pad}    else: raise SchemaError(f'{{{path}}}/{{tag}}', 'unexpected element')"]
+        for n, (tag, name, mult, kind) in enumerate(rec.fields):
+            f, v, index = f"{dst}f{n}", f"{dst}v{n}", 1 if mult in "1?" else f"{dst}i"
+            at = f'f"{{{path}}}/{tag}[{{{index}}}]"'
+            if mult in "1+":
+                absent = f"not {f}" if mult == "+" else f"{f} is None"
+                lines.append(f"{pad}if {absent}: raise SchemaError({path}, 'missing <{tag}>')")
+            if mult in "1?":
+                lines.append(f"{pad}if {f} is _DUP: "
+                             f"raise SchemaError({path} + '/{tag}[2]', 'duplicate <{tag}>')")
+                if mult == "?":  # an absent field keeps its dataclass default
+                    spec = rec.make.__dataclass_fields__[name]
+                    default = (ref(spec.default_factory) + "()" if spec.default is MISSING
+                               else ref(spec.default))
+                    lines += [f"{pad}{v} = {default}", f"{pad}if {f} is not None:"]
+                lines += read(kind, f, at, v, pad + "    " * (mult == "?"))
+                args[name] = v
+                continue
+            targets = list(name.values()) if type(name) is dict else [name]
+            args.update((field_name, f"{v}_{k}") for k, field_name in enumerate(targets))
+            lines += [f"{pad}{v}_{k} = []" for k in range(len(targets))]
+            lines += [f"{pad}for {index}, {dst}e in enumerate({f}, 1):",
+                      *read(kind, f"{dst}e", at, f"{dst}x", pad + "    ")]
+            into = f"{v}_0"
+            if type(name) is dict:  # each goes to the field its category names
+                lines += [f"{pad}    {dst}c = {dst}e.get('category')",
+                          f"{pad}    if {dst}c not in {tuple(name)!r}: raise SchemaError({at}, "
+                          f"f'{tag} category must be {'|'.join(name)}, got {{{dst}c!r}}')"]
+                into = "{" + ", ".join(f"{c!r}: {v}_{k}" for k, c in enumerate(name)) + f"}}[{dst}c]"
+            lines.append(f"{pad}    {into}.{'extend' if type(kind) is _Holder else 'append'}({dst}x)")
+        if "path" in getattr(rec.make, "__dataclass_fields__", ()):
+            args["path"] = path
+        return lines, args
+
+    code = ["def read(elem, path):", *read(form, "elem", "path", "r", "    "), "    return r"]
+    exec(compile("\n".join(code), f"<reader of {form.make.__name__}>", "exec"), env)
+    return env["read"]
 
 
 def _rule(holds: Callable[[str], bool], message: str) -> _Leaf:
@@ -212,24 +317,24 @@ def _identifier(label: str) -> _Leaf:
     return _rule(naming.is_identifier, label + " is not an identifier: {!r}")
 
 
-def _action(values: dict, path: str) -> None:
-    if values["type"] not in ACTION_TYPES:
-        raise ActionTypeError(f"{path}/type[1]", f"unknown action type: {values['type']!r}")
-    value = values.pop("value", None)  # RESULT/ABORT: tolerated, never read
-    if values["type"] == "GOTO":
+def _action(action: ActionSpec, path: str) -> None:
+    if action.type not in ACTION_TYPES:
+        raise ActionTypeError(f"{path}/type[1]", f"unknown action type: {action.type!r}")
+    value, action.value = action.value, None  # RESULT/ABORT: tolerated, never read
+    if action.type == "GOTO":
         if value is None:
             raise SchemaError(path, "GOTO action requires a <value>")
-        values["value"] = _read(_LEAF, value, path, 1)
+        action.value = _text(value, f"{path}/value[1]")
 
 
-def _has_output(values: dict, path: str) -> None:
-    if not values["outputs"]:
+def _has_output(event: EventSpec, path: str) -> None:
+    if not event.outputs:
         raise SchemaError(f"{path}/outputs[1]", "event must declare at least one output")
 
 
-def _unique_events(values: dict, path: str) -> None:
+def _unique_events(form: WorkflowForm, path: str) -> None:
     seen: set[str] = set()
-    for event in values["events"]:
+    for event in form.events:
         if event.name in seen:
             raise SchemaError(event.path, f"duplicate event name: {event.name}")
         seen.add(event.name)
@@ -296,6 +401,7 @@ _WORKFLOW_FORM = _Record(WorkflowForm, (
     ("global_variables", "global_variables", "?", _VARIABLES),
     ("events", "events", "1", _Holder("event", _EVENT)),
 ), _unique_events)
+_read_agent_form, _read_workflow_form = _compile(_AGENT_FORM), _compile(_WORKFLOW_FORM)
 
 
 def _load_root(text: str, expected: str) -> ET.Element:
@@ -310,98 +416,12 @@ def _load_root(text: str, expected: str) -> ET.Element:
     return root
 
 
-def _read(kind, elem: ET.Element, parent: str, index: int):
-    """Read ``elem``, the ``index``-th of its tag under ``parent``.
-
-    The first error wins: attributes, then unknown children in document
-    order, then the fields in schema order depth first, then the record's
-    check. A leaf builds its path only when it is refused.
-    """
-    if type(kind) is _Leaf:
-        if kind.lazy:
-            return elem
-        try:
-            if len(elem):
-                raise ValueError("unexpected nested elements")
-            for attr in elem.keys():  # .attrib would give each element a dict
-                raise ValueError(f"unexpected attribute {attr!r}")
-            text = (elem.text or "").strip()
-            return text if kind.check is None else kind.check(text)
-        except ValueError as err:
-            raise SchemaError(f"{parent}/{elem.tag}[{index}]", str(err)) from None
-    path = f"{parent}/{elem.tag}[{index}]"
-    if type(kind) is _Slot:
-        values = _record(_PAIRS, elem, path)
-        keys, descriptions = values["key"], values.get("description", ())
-        if len(keys) != len(descriptions):
-            raise SchemaError(path, "keys and descriptions must pair up")
-        pairs = [KeyDesc(k, d) for k, d in zip(keys, descriptions)]
-        if kind.one and len(pairs) != 1:
-            raise SchemaError(path, "expected exactly one key/description pair")
-        return pairs[0] if kind.one else IOSlot(pairs, path)
-    if type(kind) is _Holder:
-        _refuse_attrs(elem, path, kind.category, f"unexpected attribute on <{elem.tag}>")
-        children = list(elem)
-        for child in children:
-            if child.tag != kind.tag:
-                raise SchemaError(f"{path}/{child.tag}", "unexpected element")
-        return [_read(kind.kind, child, path, i) for i, child in enumerate(children, 1)]
-    return _record(kind, elem, path)
-
-
-def _refuse_attrs(elem: ET.Element, path: str, category, message: str = "") -> None:
-    """Refuse every attribute but ``category`` where one is allowed; there,
-    ``message`` (if given) replaces the default error."""
-    for attr in elem.keys():
-        if attr != "category" or not category:
-            raise SchemaError(path, category and message or f"unexpected attribute {attr!r}")
-
-
-def _category(elem: ET.Element, path: str, allowed) -> str:
-    value = elem.get("category")
-    if value not in allowed:
-        raise SchemaError(path, f"{elem.tag} category must be {'|'.join(allowed)}, got {value!r}")
-    return value
-
-
-def _record(rec: _Record, elem: ET.Element, path: str):
-    values = {"category": _category(elem, path, rec.categories)} if rec.categories else {}
-    _refuse_attrs(elem, path, rec.categories)
-    grouped: dict[str, list[ET.Element]] = {}
-    for child in elem:
-        if child.tag not in rec.tags:
-            raise SchemaError(f"{path}/{child.tag}", "unexpected element")
-        grouped.setdefault(child.tag, []).append(child)
-    for tag, name, mult, kind in rec.fields:
-        items = grouped.get(tag)
-        if items is None:
-            if mult in "1+":
-                raise SchemaError(path, f"missing <{tag}>")
-        elif mult in "1?":
-            if len(items) > 1:
-                raise SchemaError(f"{path}/{tag}[2]", f"duplicate <{tag}>")
-            values[name] = _read(kind, items[0], path, 1)
-        elif type(name) is dict:  # each goes to the field its category names
-            for i, item in enumerate(items, 1):
-                read = _read(kind, item, path, i)
-                field_name = name[_category(item, f"{path}/{tag}[{i}]", name)]
-                values.setdefault(field_name, []).extend(read)
-        else:
-            read = [_read(kind, item, path, i) for i, item in enumerate(items, 1)]
-            values[name] = [x for part in read for x in part] if type(kind) is _Holder else read
-    if rec.check is not None:
-        rec.check(values, path)
-    if rec.keeps_path:
-        values["path"] = path
-    return rec.make(**values)
-
-
 def parse_agent_form(text: str) -> AgentForm:
-    return _record(_AGENT_FORM, _load_root(text, "agents"), "/agents")
+    return _read_agent_form(_load_root(text, "agents"), "/agents")
 
 
 def parse_workflow_form(text: str) -> WorkflowForm:
-    return _record(_WORKFLOW_FORM, _load_root(text, "workflow"), "/workflow")
+    return _read_workflow_form(_load_root(text, "workflow"), "/workflow")
 
 
 def _escape(text: str) -> str:
