@@ -89,7 +89,11 @@ def _without_paths(value):
     return dataclasses.replace(value, **changes)
 
 
-@settings(max_examples=150, deadline=None)
+# 150 examples in tier-1; the profile's budget when larger (HYPOTHESIS_PROFILE=fuzz)
+ROUND_TRIPS = settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+
+
+@ROUND_TRIPS
 @given(agent_form)
 def test_agent_form_round_trip(form):
     text = agent_form_to_xml(form)
@@ -98,7 +102,7 @@ def test_agent_form_round_trip(form):
     assert _without_paths(parsed) == form
 
 
-@settings(max_examples=150, deadline=None)
+@ROUND_TRIPS
 @given(workflow_form)
 def test_workflow_form_round_trip(form):
     text = workflow_form_to_xml(form)
