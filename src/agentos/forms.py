@@ -191,7 +191,7 @@ class _Record(NamedTuple):
     """An element read into ``make(**fields)``: ``fields`` are ``(tag, field,
     multiplicity 1|?|*|+, kind)`` in schema order; a dict field maps the
     ``category`` attribute to the field each element fills. ``categories``
-    bounds the record's own; ``check(record, path)`` may then fix the record."""
+    are the record's own allowed values; ``check(record, path)`` runs last."""
 
     make: Callable
     fields: tuple
