@@ -12,9 +12,15 @@ from .errors import InvalidDefinitionError
 
 def entry_path(folder: str | os.PathLike, name: str, what: str, suffix: str = "") -> str:
     """``folder/<name><suffix>`` for a name that stays inside ``folder``: nonempty,
-    no surrounding whitespace, path separator or NUL byte, no leading dot."""
-    if not name or name != name.strip() or name.startswith(".") \
-            or "/" in name or "\\" in name or "\x00" in name:
+    no surrounding whitespace, path separator or NUL byte, no leading dot, and
+    encodable as a file name (``os.fsencode``)."""
+    try:  # the last test: a nonempty name encodes to nonempty bytes
+        usable = name and name == name.strip() and not name.startswith(".") \
+            and "/" not in name and "\\" not in name and "\x00" not in name \
+            and os.fsencode(name)
+    except UnicodeEncodeError:
+        usable = False
+    if not usable:
         raise InvalidDefinitionError(f"unusable {what} name: {name!r}")
     return os.path.join(folder, f"{name}{suffix}")
 

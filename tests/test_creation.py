@@ -150,6 +150,13 @@ def test_mgmt_agent_lifecycle(store, suite):
     assert (gone.status, gone.error_kind) == ("error", "E_NOT_FOUND")
 
 
+def test_mgmt_create_agent_with_a_name_the_file_system_cannot_encode(store, suite):
+    result = suite.run(ToolCall("create_agent", {"name": "A\ud800"}))
+    assert (result.status, result.error_kind) == ("error", "E_INVALID_DEF")
+    assert result.payload.startswith("unusable agent name")
+    assert store.snapshot() == {}
+
+
 def test_mgmt_workflow_lifecycle(store):
     engine = engine_of(["4", "4", "5", "majority 4"])
     suite = ManagementToolSuite(store, engine=engine)

@@ -217,6 +217,19 @@ def test_collection_names_follow_the_entry_name_rule(tmp_path):
     assert store.ingest_text("in between", "d", "text") == 1
 
 
+def test_a_collection_name_the_file_system_cannot_encode_is_unusable(tmp_path):
+    store = RagStore(tmp_path / "rag")
+    for call in (lambda: store.ingest_text("c\ud800", "d", "text"),
+                 lambda: store.query("c\ud800", "q"),
+                 lambda: store.delete_collection("c\ud800")):
+        with pytest.raises(InvalidDefinitionError, match="unusable collection name"):
+            call()
+    assert not (tmp_path / "rag").exists()
+    # bytes that are not UTF-8, decoded to U+DC80-U+DCFF, still name a folder
+    assert store.ingest_text("c\udcff", "d", "text") == 1
+    assert store.list_collections() == ["c\udcff"]
+
+
 def test_collection_management(tmp_path):
     store = RagStore(tmp_path)
     store.ingest_text("one", "d", "text here")

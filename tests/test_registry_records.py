@@ -294,6 +294,31 @@ def test_record_reads_one_checked_entry(store):
             store.record("tools", name)
 
 
+def test_a_name_the_file_system_cannot_encode_is_unusable(store):
+    # a lone surrogate outside U+DC80-U+DCFF has no bytes in a file name
+    for call in (lambda: store.put_agent(AgentDefinition(name="A\ud800")),
+                 lambda: store.get_agent("A\ud800"),
+                 lambda: store.record("agents", "A\ud800"),
+                 lambda: store.delete("agents", "A\ud800")):
+        with pytest.raises(InvalidDefinitionError, match="unusable agent name") as err:
+            call()
+        assert err.value.code == "E_INVALID_DEF"
+    assert store.snapshot() == {}
+
+
+def test_names_of_bytes_that_are_not_utf8_stay_reachable(store):
+    # os.listdir decodes such bytes to U+DC80-U+DCFF, which encode back to them
+    folder = os.fsencode(store.root / "agents")
+    os.makedirs(folder)
+    with open(os.path.join(folder, b"A\xff.def"), "wb") as handle:
+        handle.write(json.dumps({"format_version": 1, "kind": "agent",
+                                 "name": "A\udcff", "version": 1}).encode())
+    assert store.names("agents") == ["A\udcff"]
+    assert store.get_agent("A\udcff") == AgentDefinition(name="A\udcff")
+    assert store.put_agent(AgentDefinition(name="A\udcff")) == 2
+    assert os.listdir(folder) == [b"A\xff.def"]
+
+
 def test_dot_files_are_not_entries(store):
     store.put_tool(builtin_tool("echo"))
     (store.root / "tools" / ".tmp-left.def").write_bytes(b"{}")
