@@ -507,9 +507,8 @@ class _Phases:
         expected = {name for name, _, _ in rows}
 
         def check(outcome):
-            registered = set(self.store.names("tools"))
             for name in sorted(expected):
-                if name not in registered:
+                if not self.store.has("tools", name):
                     return False, f"tool {name} was not created"
             return _check_test_lines(outcome.text, expected, self.suite.exec_tools)
 
@@ -530,13 +529,11 @@ class _Phases:
                 lines.append(f"  tools: {', '.join(tool_names)}")
 
         def check(outcome):
-            registered = set(self.store.names("agents"))
-            tools = set(self.store.names("tools"))
             for name, _, _, _ in rows:
-                if name not in registered:
+                if not self.store.has("agents", name):
                     return False, f"agent {name} was not created"
                 for tool in self.store.get_agent(name).tool_names:
-                    if tool not in tools:
+                    if not self.store.has("tools", tool):
                         return False, f"agent {name} names unknown tool {tool}"
             return True, None
 
@@ -601,7 +598,7 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
                    for d in new_decls])
 
     def registered(outcome):
-        if form.name not in store.names("workflows"):
+        if not store.has("workflows", form.name):
             return False, f"workflow {form.name} was not registered"
         return True, None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Container, Iterable, Mapping, NamedTuple
 
 from . import naming
 from .errors import ActionTypeError, SchemaError, UnboundVariableError, XmlError
@@ -153,11 +153,11 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class RegistryView:
-    """Name sets a validator needs; built by RegistryStore.view()."""
+    """Registry names a validator asks ``name in`` of: any container that supports ``in``."""
 
-    tool_names: frozenset = frozenset()
-    agent_names: frozenset = frozenset()
-    workflow_names: frozenset = frozenset()
+    tool_names: Container[str] = frozenset()
+    agent_names: Container[str] = frozenset()
+    workflow_names: Container[str] = frozenset()
 
 
 # ---------------------------------------------------------------------------

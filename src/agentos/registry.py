@@ -184,9 +184,21 @@ _KINDS = {
 # store
 # ---------------------------------------------------------------------------
 
+class _Entries:
+    """Answers ``name in`` with the store's ``has``, once per name; it lists nothing."""
+
+    def __init__(self, store: RegistryStore, kind: str):
+        self._store, self._kind, self._known = store, kind, {}
+
+    def __contains__(self, name: str) -> bool:
+        if name not in self._known:
+            self._known[name] = self._store.has(self._kind, name)
+        return self._known[name]
+
+
 class RegistryStore:
-    """Every kind is stored through one path: ``_path`` names the file,
-    ``names`` lists a folder, ``_read`` checks and decodes a record and
+    """Every kind is stored through one path: ``_path`` names the file, ``has``
+    stats it, ``names`` lists a folder, ``_read`` checks and decodes a record and
     ``_put`` writes one under its header. A file is read, checked and decoded
     again only when its stat signature changed (docs/formats.md); the store's
     own writes go through to that cache. Folders are made on the first write."""
@@ -204,6 +216,12 @@ class RegistryStore:
 
     def _path(self, kind: str, name: str) -> str:
         return entry_path(self._folders[kind], name, _KINDS[kind][0], ".def")
+
+    def has(self, kind: str, name: str) -> bool:
+        """Whether ``name`` is an entry of the kind; a name against the entry-name rule is not."""
+        with contextlib.suppress(InvalidDefinitionError):
+            return os.path.isfile(self._path(kind, name))
+        return False
 
     def names(self, kind: str) -> list[str]:
         """The kind's entry names: its ``*.def`` files but dot-files, sorted."""
@@ -294,10 +312,11 @@ class RegistryStore:
     def put_workflow(self, form: WorkflowForm, validate: bool = True) -> int:
         """Register a workflow. Names are create-only; re-registering an
         existing name is rejected the same way rule V1 rejects it."""
-        if os.path.isfile(self._path("workflows", form.name)):
+        view = self.view()
+        if form.name in view.workflow_names:
             raise InvalidDefinitionError(f"workflow name already registered: {form.name}")
         if validate:
-            diagnostics = validate_workflow_form(form, self.view())
+            diagnostics = validate_workflow_form(form, view)
             if diagnostics:
                 raise InvalidFormError(diagnostics)
         return self._put("workflows", form.name, {"xml": workflow_form_to_xml(form)})
@@ -308,11 +327,8 @@ class RegistryStore:
     # -- cross-cutting -----------------------------------------------------------
 
     def view(self) -> RegistryView:
-        return RegistryView(
-            tool_names=frozenset(self.names("tools")),
-            agent_names=frozenset(self.names("agents")),
-            workflow_names=frozenset(self.names("workflows")),
-        )
+        """Membership of each kind, looked up one name at a time (docs/formats.md)."""
+        return RegistryView(**{f"{kind[:-1]}_names": _Entries(self, kind) for kind in _KINDS})
 
     def snapshot(self) -> dict[str, bytes]:
         """Byte-exact copy of every definition, keyed by kind/name.def."""

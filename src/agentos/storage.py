@@ -11,18 +11,13 @@ from .errors import InvalidDefinitionError
 
 
 def entry_path(folder: str | os.PathLike, name: str, what: str, suffix: str = "") -> str:
-    """``folder/<name><suffix>`` for a name that stays inside ``folder``: nonempty,
-    no surrounding whitespace, path separator or NUL byte, no leading dot, and
-    encodable as a file name (``os.fsencode``)."""
-    try:  # the last test: a nonempty name encodes to nonempty bytes
-        usable = name and name == name.strip() and not name.startswith(".") \
-            and "/" not in name and "\\" not in name and "\x00" not in name \
-            and os.fsencode(name)
-    except UnicodeEncodeError:
-        usable = False
-    if not usable:
-        raise InvalidDefinitionError(f"unusable {what} name: {name!r}")
-    return os.path.join(folder, f"{name}{suffix}")
+    """``folder/<name><suffix>`` for a name that stays inside ``folder`` and encodes:
+    nonempty, no surrounding whitespace, path separator or NUL byte, no leading dot."""
+    with contextlib.suppress(UnicodeEncodeError):  # a name that os.fsencode refuses
+        if os.fsencode(name) and name == name.strip() and not name.startswith(".") \
+                and "/" not in name and "\\" not in name and "\x00" not in name:
+            return os.path.join(folder, f"{name}{suffix}")
+    raise InvalidDefinitionError(f"unusable {what} name: {name!r}")
 
 
 def atomic_write(path: str | os.PathLike, data: bytes | memoryview) -> os.stat_result:

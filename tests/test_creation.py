@@ -30,7 +30,9 @@ from agentos.creation import (
 )
 from agentos.forms import Diagnostic, parse_workflow_form, workflow_form_to_xml
 from agentos.kernel import AgentDefinition, ToolCall, orchestrate
-from agentos.registry import RegistryStore, SubprocessScriptRunner, builtin_tool
+from agentos.registry import (
+    RegistryStore, RegistryToolSuite, SubprocessScriptRunner, builtin_tool,
+)
 
 from conftest import read_fixture
 
@@ -603,6 +605,60 @@ def test_workflow_pipeline_test_phase_with_an_undeclared_registered_agent(store)
     assert [(p.phase, p.ok, p.attempts) for p in report.phases] == [
         ("profiling", True, 1), ("agents", True, 1), ("register", True, 1), ("test", True, 1)]
     assert engine.backend.calls == 10
+
+
+def _creation_file_calls(root, entries: int, monkeypatch) -> dict[str, dict[str, int]]:
+    """Folder listings and stats of an agents pipeline and a workflow pipeline,
+    each with one failed attempt, and of a registry workflow run, against
+    ``entries`` other entries of each kind."""
+    store = RegistryStore(root)
+    other = parse_workflow_form(_math_xml())
+    for k in range(entries):
+        tool = builtin_tool("echo")
+        tool.name = f"other_tool_{k:03d}"
+        store.put_tool(tool)
+        store.put_agent(AgentDefinition(name=f"Other Agent {k:03d}"))
+        other.name = f"other_workflow_{k:03d}"
+        store.put_workflow(other, validate=False)
+    stray = ToolCall("create_agent", {"name": "Stray Agent"})
+    runs = {
+        "agents pipeline": lambda: create_agents_pipeline("make a greeter", engine_of([
+            GREETER_XML,
+            CREATE_GREETING_TOOL, "created, no demonstration",  # attempt 1: rolled back
+            CREATE_GREETING_TOOL, TOOL_TEST_REPLY,              # attempt 2
+            CREATE_GREETER_AGENT, "done"]), store),
+        "workflow pipeline": lambda: create_workflow_pipeline("vote on math", engine_of([
+            _math_xml(), CREATE_SOLVER, CREATE_AGGREGATOR, "created",
+            stray, "forgot to register anything",  # attempt 1: rolled back
+            _register_call(), "registered"]), store),
+        "workflow run": lambda: RegistryToolSuite(store).run_workflow(
+            store.get_workflow("parallel_math_solver_workflow"), "solve 2x=8",
+            engine_of(["x=4", "x=4", "x=5", "majority: x=4"])),
+    }
+    counts = {}
+    for what, run in runs.items():
+        calls = counts[what] = {"listdir": 0, "scandir": 0, "stat": 0}
+        with monkeypatch.context() as patch:
+            for name in calls:
+                def call(*args, name=name, real=getattr(os, name), **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                patch.setattr(os, name, call)
+            outcome = run()
+        if what == "workflow run":
+            assert outcome.status == "completed"
+        else:
+            assert sorted(p.attempts for p in outcome.phases) == [1, 1, 2]
+    return counts
+
+
+def test_creation_lists_no_folder_and_stats_the_same_at_100_and_400_entries(
+        tmp_path, monkeypatch):
+    small = _creation_file_calls(tmp_path / "small", 100, monkeypatch)
+    large = _creation_file_calls(tmp_path / "large", 400, monkeypatch)
+    assert {what: calls["listdir"] + calls["scandir"] for what, calls in small.items()} \
+        == dict.fromkeys(small, 0)
+    assert small == large
 
 
 def test_mgmt_run_workflow_that_fails(store):

@@ -52,7 +52,9 @@ TEXT = st.lists(WORD, max_size=30).map(" ".join)
 DOC_ID = st.sampled_from(["a.txt", "b.md", "sub/c.txt", "sub/d.md", "z.txt"])
 
 
-@settings(max_examples=60, deadline=None)
+# 60 examples in tier-1, where max(60, the budget) would be hypothesis's default
+# of 100; half the profile's budget when larger: 1,000 under HYPOTHESIS_PROFILE=fuzz
+@settings(max_examples=max(60, settings.default.max_examples // 2), deadline=None)
 @given(before=st.dictionaries(DOC_ID, TEXT, max_size=4),
        batch=st.dictionaries(DOC_ID, TEXT, min_size=1, max_size=5))
 def test_a_directory_ingest_writes_the_bytes_of_per_file_ingests(before, batch):
@@ -140,7 +142,8 @@ def reference_embed(text: str, dim: int) -> np.ndarray:
 EMBEDDERS: dict[int, HashingEmbedder] = {}  # shared across examples, so memos fill
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples in tier-1; the profile's budget when larger (HYPOTHESIS_PROFILE=fuzz)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(text=st.text(st.sampled_from("aAbB ςΣİ\t\n　x1") | st.characters(), max_size=80),
        dim=st.sampled_from([1, 2, 3, 7, 256, 300]))
 def test_embed_is_bit_identical_to_the_per_token_loop(text, dim):
@@ -197,7 +200,8 @@ def oracle_top(root: Path, collection: str, text: str, k: int) -> list[tuple]:
 TIED_TEXT = st.lists(st.sampled_from("abc"), max_size=9).map(" ".join)
 
 
-@settings(max_examples=150, deadline=None)
+# 150 examples in tier-1; the profile's budget when larger (HYPOTHESIS_PROFILE=fuzz)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(batches=st.lists(st.dictionaries(st.sampled_from(["d0.txt", "d1.txt", "d2.txt", "d3.txt"]),
                                         TIED_TEXT, min_size=1, max_size=3), min_size=1, max_size=4),
        data=st.data())

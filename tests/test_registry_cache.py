@@ -31,6 +31,8 @@ from test_registry_records import GREET_FLOW_XML
 
 NAMES = {"tools": ["t1", "t2"], "agents": ["A1", "A2"], "workflows": ["w1"]}
 GETTERS = {"tools": "get_tool", "agents": "get_agent", "workflows": "get_workflow"}
+# names that break the entry-name rule: no view holds them
+UNUSABLE = [".t1", " t1", "a/b", "t\ud800"]
 WORDS = st.sampled_from(["", "a", "b", "ab", "ba", "abc", "Hej ✓"])
 
 
@@ -43,9 +45,11 @@ def _workflow(name: str):
 def _view(store: RegistryStore) -> dict:
     """Everything a store answers about its root, errors included."""
     view = {"snapshot": store.snapshot()}
+    members = store.view()
     for kind, names in NAMES.items():
         view[kind] = store.names(kind)
         for name in names:
+            view[kind, name, "in view"] = name in getattr(members, f"{kind[:-1]}_names")
             for what, read in (("value", getattr(store, GETTERS[kind])),
                                ("record", lambda n: store.record(kind, n))):
                 try:
@@ -72,6 +76,9 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         self.kept = self.tmp / "kept"
         self.kept.mkdir()
         self.store = RegistryStore(self.root)
+        # a file that another program named against the rule: listed, in no view
+        (self.root / "tools").mkdir(parents=True)
+        (self.root / "tools" / f"{UNUSABLE[1]}.def").write_bytes(b"{}")
         self.snaps: list[dict] = []
         # the journal's oracle, kept from the files alone: the entries at the
         # mark, each entry's bytes before the store's first change since the
@@ -238,6 +245,17 @@ class RegistryCacheMachine(RuleBasedStateMachine):
     def agrees_with_a_fresh_store(self):
         assert _view(self.store) == _view(RegistryStore(self.root))
 
+    @invariant()
+    def view_membership_agrees_with_the_listing(self):
+        members = self.store.view()
+        for kind, names in NAMES.items():
+            listed = self.store.names(kind)
+            held = getattr(members, f"{kind[:-1]}_names")
+            for name in names:
+                assert (name in held) == (name in listed)
+            for name in UNUSABLE:
+                assert name not in held
+
 
 TestRegistryCache = RegistryCacheMachine.TestCase
 # 40 runs, or a fifth of the profile's budget where that is more: 400 under
@@ -366,6 +384,28 @@ def test_rollback_leaves_what_another_writer_changed(store):
 # ---------------------------------------------------------------------------
 # the cache
 # ---------------------------------------------------------------------------
+
+def test_a_view_looks_each_name_up_once_and_lists_nothing(store, monkeypatch):
+    looked = []
+    has = RegistryStore.has
+    monkeypatch.setattr(RegistryStore, "has",
+                        lambda self, kind, name: looked.append((kind, name)) or has(self, kind, name))
+    monkeypatch.setattr(os, "listdir", None)
+    view = store.view()
+    for _ in range(3):
+        assert "echo" in view.tool_names
+        assert "ghost" not in view.tool_names
+        assert "Helper" in view.agent_names
+        assert "Helper" not in view.workflow_names
+    assert looked == [("tools", "echo"), ("tools", "ghost"),
+                      ("agents", "Helper"), ("workflows", "Helper")]
+    # live as of each name's first lookup: a later change shows only in a
+    # name not yet looked up, or in a new view
+    store.delete("tools", "echo")
+    store.put_agent(AgentDefinition(name="Later"))
+    assert "echo" in view.tool_names and "Later" in view.agent_names
+    assert "echo" not in store.view().tool_names
+
 
 def test_reads_do_not_reopen_unchanged_files(store, monkeypatch):
     opened = []
