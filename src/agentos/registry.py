@@ -185,15 +185,13 @@ _KINDS = {
 # ---------------------------------------------------------------------------
 
 class _Entries:
-    """Answers ``name in`` with the store's ``has``, once per name; it lists nothing."""
+    """Answers ``name in`` with the store's ``has``; it lists nothing."""
 
     def __init__(self, store: RegistryStore, kind: str):
-        self._store, self._kind, self._known = store, kind, {}
+        self._store, self._kind = store, kind
 
     def __contains__(self, name: str) -> bool:
-        if name not in self._known:
-            self._known[name] = self._store.has(self._kind, name)
-        return self._known[name]
+        return self._store.has(self._kind, name)
 
 
 class RegistryStore:
@@ -312,11 +310,10 @@ class RegistryStore:
     def put_workflow(self, form: WorkflowForm, validate: bool = True) -> int:
         """Register a workflow. Names are create-only; re-registering an
         existing name is rejected the same way rule V1 rejects it."""
-        view = self.view()
-        if form.name in view.workflow_names:
+        if os.path.isfile(self._path("workflows", form.name)):
             raise InvalidDefinitionError(f"workflow name already registered: {form.name}")
         if validate:
-            diagnostics = validate_workflow_form(form, view)
+            diagnostics = validate_workflow_form(form, self.view())
             if diagnostics:
                 raise InvalidFormError(diagnostics)
         return self._put("workflows", form.name, {"xml": workflow_form_to_xml(form)})

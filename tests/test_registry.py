@@ -2,6 +2,7 @@
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -83,6 +84,15 @@ def test_workflow_create_only(store):
     assert [e.name for e in back.events] == [e.name for e in form.events]
     with pytest.raises(InvalidDefinitionError):
         store.put_workflow(form)
+
+
+def test_workflow_with_an_unusable_name_is_refused_before_validation(store):
+    form = parse_workflow_form(read_fixture("math_voting_workflow.xml"))
+    for name in ("a/b", ".w", "w\ud800"):
+        with pytest.raises(InvalidDefinitionError, match="unusable workflow name") as err:
+            store.put_workflow(replace(form, name=name))
+        assert err.value.code == "E_INVALID_DEF"
+    assert store.snapshot() == {}
 
 
 def test_workflow_validation_gate(store, tmp_path):

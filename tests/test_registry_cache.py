@@ -385,26 +385,16 @@ def test_rollback_leaves_what_another_writer_changed(store):
 # the cache
 # ---------------------------------------------------------------------------
 
-def test_a_view_looks_each_name_up_once_and_lists_nothing(store, monkeypatch):
-    looked = []
-    has = RegistryStore.has
-    monkeypatch.setattr(RegistryStore, "has",
-                        lambda self, kind, name: looked.append((kind, name)) or has(self, kind, name))
+def test_a_view_is_live_and_lists_nothing(store, monkeypatch):
     monkeypatch.setattr(os, "listdir", None)
+    monkeypatch.setattr(os, "scandir", None)
     view = store.view()
-    for _ in range(3):
-        assert "echo" in view.tool_names
-        assert "ghost" not in view.tool_names
-        assert "Helper" in view.agent_names
-        assert "Helper" not in view.workflow_names
-    assert looked == [("tools", "echo"), ("tools", "ghost"),
-                      ("agents", "Helper"), ("workflows", "Helper")]
-    # live as of each name's first lookup: a later change shows only in a
-    # name not yet looked up, or in a new view
+    assert "echo" in view.tool_names and "ghost" not in view.tool_names
+    assert "Helper" in view.agent_names and "Helper" not in view.workflow_names
+    # each lookup asks the folder: a later change shows in the same view
     store.delete("tools", "echo")
     store.put_agent(AgentDefinition(name="Later"))
-    assert "echo" in view.tool_names and "Later" in view.agent_names
-    assert "echo" not in store.view().tool_names
+    assert "echo" not in view.tool_names and "Later" in view.agent_names
 
 
 def test_reads_do_not_reopen_unchanged_files(store, monkeypatch):
