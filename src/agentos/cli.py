@@ -95,8 +95,6 @@ def _load_form(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise XmlError(f"{path} is not UTF-8: {err}")
-    except OSError as err:
-        raise _Failure("E_IO", str(err))
     match = _ROOT_SNIFF.search(text)
     if match and match.group(1) == "workflow":
         return parse_workflow_form(text), validate_workflow_form
@@ -327,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", default="")
     p.set_defaults(fn=_cmd_registry)
 
-    p = sub.add_parser("rag", parents=[common], help="manage RAG collections")
+    # no shared options before the action: its parser's defaults would overwrite them
+    p = sub.add_parser("rag", help="manage RAG collections")
     rag_sub = p.add_subparsers(dest="action", required=True)
     add = rag_sub.add_parser("add", parents=[common])
     add.add_argument("path", help="file, directory, or zip to index")
@@ -360,7 +359,9 @@ def dispatch_command(argv: list[str]) -> int:
         return 2
     try:
         return args.fn(args)
-    except AgentOsError as err:
+    except (AgentOsError, OSError, UnicodeError) as err:
+        if not isinstance(err, AgentOsError):  # a file it cannot read or write, or decode
+            err = _Failure("E_IO", str(err))
         if args.json:
             payload = {"error": err.code, "message": err.message}
             if isinstance(err, PhaseExhaustedError):

@@ -22,13 +22,12 @@ import copy
 import json
 import operator
 import os
-import pickle
 import selectors
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import kernel
@@ -52,7 +51,8 @@ from .forms import (
 )
 from .kernel import ToolCall, ToolResult
 from .naming import is_identifier
-from .storage import atomic_write, entry_path, signature as _signature  # tests replace it
+from .storage import atomic_write, entry_path, is_entry_name
+from .storage import signature as _signature  # tests replace it
 from .workflow import WorkflowResult, make_agent_resolver, run_workflow
 
 FORMAT_VERSION = 1
@@ -63,10 +63,9 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ToolDefinition:
-    name: str
-    description: str = ""
-    parameters: list[ToolParam] = field(default_factory=list)
+class ToolDefinition(ToolSchema):
+    """A registered tool: its schema, as an engine renders it, and its body."""
+
     body_kind: str = "builtin"  # "builtin" | "script"
     builtin: str = ""
     source: str = ""
@@ -88,10 +87,6 @@ class ToolDefinition:
                 raise InvalidDefinitionError(f"unsupported script language: {self.language!r}")
         else:
             raise InvalidDefinitionError(f"unknown body kind: {self.body_kind!r}")
-
-    def schema(self) -> ToolSchema:
-        return ToolSchema(name=self.name, description=self.description,
-                          parameters=self.parameters)
 
 
 def builtin_tool(name: str) -> ToolDefinition:
@@ -160,8 +155,8 @@ def _decode_agent(record: dict) -> kernel.AgentDefinition:
         name=record["name"],
         description=_field(record, "description", ""),
         instructions=_field(record, "instructions", ""),
-        tool_names=_field(record, "tool_names", []),
-        transfer_targets=_field(record, "transfer_targets", []),
+        tool_names=list(_field(record, "tool_names", [])),
+        transfer_targets=list(_field(record, "transfer_targets", [])),
         model=_field(record, "model", ""),
     )
 
@@ -172,7 +167,7 @@ def _workflow_xml(record: dict) -> str:
     return record["xml"]
 
 
-# folder -> (the "kind" its records carry, decoder of a record's own fields)
+# folder -> (the "kind" its records carry, decoder that shares no list with the record)
 _KINDS = {
     "tools": ("tool", _decode_tool),
     "agents": ("agent", _decode_agent),
@@ -197,15 +192,15 @@ class _Entries:
 class RegistryStore:
     """Every kind is stored through one path: ``_path`` names the file, ``has``
     stats it, ``names`` lists a folder, ``_read`` checks and decodes a record and
-    ``_put`` writes one under its header. A file is read, checked and decoded
-    again only when its stat signature changed (docs/formats.md); the store's
-    own writes go through to that cache. Folders are made on the first write."""
+    ``_put`` writes one under its header. A file is read and checked again only
+    when its stat signature changed (docs/formats.md); the store's own writes
+    go through to that cache. Folders are made on the first write."""
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self._folders = {kind: os.path.join(self.root, kind) for kind in _KINDS}
-        # path -> (signature, bytes, checked record or None, pickled decoded value),
-        # replaced whole; each read unpickles its own copy, which no caller can share
+        # path -> (signature, bytes, checked record or None), replaced whole;
+        # each read decodes its own objects from the record, which no caller sees
         self._cache: dict[str, tuple] = {}
         # inside mark(): path -> its bytes before this store's first change, None if absent
         self._journal: dict[str, bytes | None] | None = None
@@ -217,22 +212,20 @@ class RegistryStore:
 
     def has(self, kind: str, name: str) -> bool:
         """Whether ``name`` is an entry of the kind; a name against the entry-name rule is not."""
-        with contextlib.suppress(InvalidDefinitionError):
-            return os.path.isfile(self._path(kind, name))
-        return False
+        return is_entry_name(name) and os.path.isfile(self._path(kind, name))
 
     def names(self, kind: str) -> list[str]:
-        """The kind's entry names: its ``*.def`` files but dot-files, sorted."""
+        """The kind's entry names, sorted: its ``*.def`` files that the entry-name rule admits."""
         folder = self._folders[kind]
         files = os.listdir(folder) if os.path.isdir(folder) else ()
-        return sorted(f[:-4] for f in files if f.endswith(".def") and not f.startswith("."))
+        return sorted(f[:-4] for f in files if f.endswith(".def") and is_entry_name(f[:-4]))
 
     def _entry(self, path: str) -> tuple:
         """The cache entry of ``path``, read again when its signature changed."""
         entry = self._cache.get(path)
         if entry is None or entry[0] != _signature(os.stat(path)):
             with open(path, "rb") as handle:  # the signature of the file it reads
-                entry = (_signature(os.fstat(handle.fileno())), handle.read(), None, None)
+                entry = (_signature(os.fstat(handle.fileno())), handle.read(), None)
             self._cache[path] = entry
         return entry
 
@@ -246,30 +239,30 @@ class RegistryStore:
 
     def _write(self, path: str, data: bytes) -> None:
         self._note(path)
-        self._cache[path] = (_signature(atomic_write(path, data)), data, None, None)
+        self._cache[path] = (_signature(atomic_write(path, data)), data, None)
 
     def _read(self, kind: str, name: str) -> tuple[dict, object]:
-        """One entry's checked record, as the cache holds it, and its decoded value."""
+        """One entry's checked record, as the cache holds it, and a fresh value decoded from it."""
         path = self._path(kind, name)
         try:
             entry = self._entry(path)
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             raise NotFoundError(f"not in registry: {name}")
+        expected, decode = _KINDS[kind]
         if entry[2] is None:
             filename = os.path.basename(path)
             try:
                 record = json.loads(entry[1].decode("utf-8"))
             except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, nested too deeply
                 raise InvalidDefinitionError(f"{filename} is not JSON: {err}")
-            expected, decode = _KINDS[kind]
             if not isinstance(record, dict) or record.get("format_version") != FORMAT_VERSION \
                     or record.get("kind") != expected or not isinstance(record.get("name"), str) \
                     or type(record.get("version")) is not int:
                 raise InvalidDefinitionError(
                     f"{filename} is not a format_version {FORMAT_VERSION} {expected} record "
                     "with a text name and an integer version")
-            self._cache[path] = entry = (entry[0], entry[1], record, pickle.dumps(decode(record)))
-        return entry[2], pickle.loads(entry[3])
+            self._cache[path] = entry = (entry[0], entry[1], record)
+        return entry[2], decode(entry[2])
 
     def record(self, kind: str, name: str) -> dict:
         """One entry's JSON object, checked as every read of it is."""
@@ -595,8 +588,8 @@ class RegistryToolSuite:
         self.runner = runner
         self.workdir = Path(workdir).resolve() if workdir is not None else None
 
-    def schema(self, name: str) -> ToolSchema:
-        return self.store.get_tool(name).schema()
+    def schema(self, name: str) -> ToolDefinition:
+        return self.store.get_tool(name)
 
     def run_workflow(self, form: WorkflowForm, input_value: str, engine, *,
                      parallel: bool = False,
@@ -613,7 +606,7 @@ class RegistryToolSuite:
         except NotFoundError:
             return ToolResult.fail(E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}")
 
-        failure = check_arguments(tool.schema(), call.arguments)
+        failure = check_arguments(tool, call.arguments)
         if failure is not None:
             return failure
         try:

@@ -10,14 +10,19 @@ import tempfile
 from .errors import InvalidDefinitionError
 
 
-def entry_path(folder: str | os.PathLike, name: str, what: str, suffix: str = "") -> str:
-    """``folder/<name><suffix>`` for a name that stays inside ``folder`` and encodes:
-    nonempty, no surrounding whitespace, path separator or NUL byte, no leading dot."""
+def is_entry_name(name: str) -> bool:
+    """Nonempty, encodable, no surrounding whitespace, leading dot, path separator or NUL."""
     with contextlib.suppress(UnicodeEncodeError):  # a name that os.fsencode refuses
-        if os.fsencode(name) and name == name.strip() and not name.startswith(".") \
-                and "/" not in name and "\\" not in name and "\x00" not in name:
-            return os.path.join(folder, f"{name}{suffix}")
-    raise InvalidDefinitionError(f"unusable {what} name: {name!r}")
+        return bool(os.fsencode(name)) and name == name.strip() and not name.startswith(".") \
+            and "/" not in name and "\\" not in name and "\x00" not in name
+    return False
+
+
+def entry_path(folder: str | os.PathLike, name: str, what: str, suffix: str = "") -> str:
+    """``folder/<name><suffix>`` for a name that ``is_entry_name`` admits."""
+    if not is_entry_name(name):
+        raise InvalidDefinitionError(f"unusable {what} name: {name!r}")
+    return os.path.join(folder, f"{name}{suffix}")
 
 
 def atomic_write(path: str | os.PathLike, data: bytes | memoryview) -> os.stat_result:

@@ -191,6 +191,25 @@ def test_run_workflow_replay_byte_identical(tmp_path, capsys):
     assert text.splitlines()[-1] == "complete output=final_solution"
 
 
+@pytest.mark.parametrize("where", ["missing/trace.txt", "folder"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_run_workflow_trace_it_cannot_write(tmp_path, capsys, where, json_flag):
+    cassette = tmp_path / "math.cassette"
+    record_math_cassette(cassette, tmp_path / "rec", "2+2?", ["4", "4", "5", "4"])
+    (tmp_path / "folder").mkdir()
+    code, out, err = run_cli(capsys, [
+        "run-workflow", MATH_FORM, "--input", "2+2?", *json_flag,
+        "--registry-root", str(tmp_path / "reg"),
+        "--cassette", str(cassette), "--cassette-mode", "replay",
+        "--trace", str(tmp_path / where)])
+    assert code == 1
+    if json_flag:
+        assert json.loads(out)["error"] == "E_IO"
+    else:
+        assert out.startswith("E_IO: ") and out.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
 def test_run_workflow_event_failure_exit_one(tmp_path, capsys):
     cassette = tmp_path / "fail.cassette"
     bad = "SELECTED_OUTPUT: bogus_key\nnot a declared key"
@@ -484,6 +503,41 @@ def test_rag_bad_collection_name(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("shared", [["--rag-root", "elsewhere"], ["--json"]])
+def test_rag_shared_options_before_the_action_are_a_usage_error(tmp_path, capsys,
+                                                                 monkeypatch, shared):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "notes.txt").write_text("solar panels", encoding="utf-8")
+    for action in (["add", "notes.txt", "--collection", "c"],
+                   ["query", "solar", "--collection", "c"]):
+        code, out, _ = run_cli(capsys, ["rag", *shared, *action])
+        assert (code, out) == (2, "")
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+    # after the action they are read
+    code, out, _ = run_cli(capsys, ["rag", "add", "notes.txt", "--collection", "c",
+                                    "--rag-root", "elsewhere", "--json"])
+    assert (code, json.loads(out)) == (0, {"indexed": {"notes.txt": 1}})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["elsewhere", "notes.txt"]
+
+
+@pytest.mark.parametrize("inside_a_folder", [False, True])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_rag_add_text_that_is_not_utf8(tmp_path, capsys, inside_a_folder, json_flag):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "good.txt").write_text("solar panels", encoding="utf-8")
+    (docs / "latin1.txt").write_bytes(b"caf\xe9 au lait")
+    path = docs if inside_a_folder else docs / "latin1.txt"
+    code, out, err = run_cli(capsys, ["rag", "add", str(path), "--collection", "c",
+                                      "--rag-root", str(tmp_path / "rag"), *json_flag])
+    assert code == 1
+    if json_flag:
+        assert json.loads(out)["error"] == "E_IO"
+    else:
+        assert out.startswith("E_IO: ") and out.count("\n") == 1
+    assert "Traceback" not in out + err
+
+
 # ---------------------------------------------------------------------------
 # repl
 # ---------------------------------------------------------------------------
@@ -509,6 +563,18 @@ def test_repl_session(tmp_path, capsys, monkeypatch):
     transcript = log.read_text(encoding="utf-8").splitlines()
     assert "> :mode workflow" in transcript
     assert "> :quit" in transcript
+
+
+def test_repl_log_it_cannot_write(tmp_path, capsys, monkeypatch):
+    (tmp_path / "empty.cassette").write_text("", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(":quit\n"))
+    code, out, err = run_cli(capsys, [
+        "repl", "--log", str(tmp_path / "missing" / "session.log"),
+        "--registry-root", str(tmp_path / "reg"),
+        "--cassette", str(tmp_path / "empty.cassette"), "--cassette-mode", "replay"])
+    assert code == 1
+    assert out.splitlines()[-1].startswith("E_IO: ")
+    assert "Traceback" not in out + err
 
 
 # ---------------------------------------------------------------------------

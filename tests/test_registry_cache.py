@@ -25,7 +25,14 @@ from agentos import registry
 from agentos.errors import InvalidDefinitionError, NotFoundError
 from agentos.forms import parse_workflow_form
 from agentos.kernel import AgentDefinition
-from agentos.registry import RegistryStore, ToolDefinition, ToolParam, builtin_tool
+from agentos.registry import (
+    RegistryStore,
+    RegistryToolSuite,
+    ToolDefinition,
+    ToolParam,
+    builtin_tool,
+)
+from agentos.storage import is_entry_name
 
 from test_registry_records import GREET_FLOW_XML
 
@@ -63,7 +70,7 @@ def _disk(root: Path) -> dict[str, bytes]:
     """Every entry's bytes read straight from the files, keyed as snapshot() keys them."""
     return {f"{path.parent.name}/{path.name}": path.read_bytes()
             for kind in NAMES for path in (root / kind).glob("*.def")
-            if not path.name.startswith(".")}
+            if is_entry_name(path.name[:-4])}
 
 
 class RegistryCacheMachine(RuleBasedStateMachine):
@@ -76,7 +83,7 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         self.kept = self.tmp / "kept"
         self.kept.mkdir()
         self.store = RegistryStore(self.root)
-        # a file that another program named against the rule: listed, in no view
+        # a file that another program named against the rule: not an entry
         (self.root / "tools").mkdir(parents=True)
         (self.root / "tools" / f"{UNUSABLE[1]}.def").write_bytes(b"{}")
         self.snaps: list[dict] = []
@@ -179,9 +186,12 @@ class RegistryCacheMachine(RuleBasedStateMachine):
             value.parameters.append(ToolParam("changed"))
             for param in value.parameters:
                 param.required = "changed"
+            for param in RegistryToolSuite(self.store).schema(name).parameters:
+                param.description = "changed"
         elif kind == "agents":
             value.model = "changed"
             value.tool_names.append("changed")
+            value.transfer_targets.append("changed")
         else:
             value.name = "changed"
             value.events.clear()
@@ -254,7 +264,7 @@ class RegistryCacheMachine(RuleBasedStateMachine):
             for name in names:
                 assert (name in held) == (name in listed)
             for name in UNUSABLE:
-                assert name not in held
+                assert name not in held and name not in listed
 
 
 TestRegistryCache = RegistryCacheMachine.TestCase
@@ -435,12 +445,14 @@ def test_reads_return_fresh_objects(store):
     tool = store.get_tool("echo")
     tool.parameters[0].description = "changed"
     tool.parameters.append(ToolParam("more"))
+    RegistryToolSuite(store).schema("echo").parameters[0].required = False
     agent = store.get_agent("Helper")
     agent.tool_names.append("changed")
+    agent.transfer_targets.append("changed")
     record = store.record("tools", "echo")
     record["parameters"][0]["name"] = "changed"
     assert store.get_tool("echo") == builtin_tool("echo")
-    assert store.get_agent("Helper").tool_names == ["echo"]
+    assert store.get_agent("Helper") == AgentDefinition(name="Helper", tool_names=["echo"])
     assert store.record("tools", "echo")["parameters"][0]["name"] == "text"
 
 
