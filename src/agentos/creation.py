@@ -48,6 +48,7 @@ from .forms import (
 )
 from .kernel import AgentDefinition, Context, ToolCall, ToolResult
 from .registry import RegistryStore, RegistryToolSuite, ToolDefinition
+from .workflow import declared_agent
 
 TEST_LINE_PREFIX = "TEST:"
 
@@ -515,30 +516,28 @@ class _Phases:
         self.edit("tools", default_tool_editor(self.model), "\n".join(lines), check)
         self.report.created_tools = sorted(expected)
 
-    def agents(self, rows: list[tuple[str, str, str, list[str]]]) -> None:
-        """Register the (name, description, instructions, tool names) agents,
-        each naming registered tools only."""
-        if not rows:
+    def agents(self, agents: list[AgentDefinition]) -> None:
+        """Register ``agents``, each naming registered tools only."""
+        if not agents:
             return
         lines = ["Create the following agents in the registry:"]
-        for name, description, instructions, tool_names in rows:
-            lines.append(f"- name: {name}")
-            lines.append(f"  description: {description}")
-            lines.append(f"  instructions: {instructions}")
-            if tool_names:
-                lines.append(f"  tools: {', '.join(tool_names)}")
+        for agent in agents:
+            lines += [f"- name: {agent.name}", f"  description: {agent.description}",
+                      f"  instructions: {agent.instructions}"]
+            if agent.tool_names:
+                lines.append(f"  tools: {', '.join(agent.tool_names)}")
 
         def check(outcome):
-            for name, _, _, _ in rows:
-                if not self.store.has("agents", name):
-                    return False, f"agent {name} was not created"
-                for tool in self.store.get_agent(name).tool_names:
+            for agent in agents:
+                if not self.store.has("agents", agent.name):
+                    return False, f"agent {agent.name} was not created"
+                for tool in self.store.get_agent(agent.name).tool_names:
                     if not self.store.has("tools", tool):
-                        return False, f"agent {name} names unknown tool {tool}"
+                        return False, f"agent {agent.name} names unknown tool {tool}"
             return True, None
 
         self.edit("agents", default_agent_editor(self.model), "\n".join(lines), check)
-        self.report.created_agents = [name for name, _, _, _ in rows]
+        self.report.created_agents = [agent.name for agent in agents]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +560,8 @@ def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
                           parse_agent_form, validate_agent_form)
     phases.tools([(t.name, t.description, a.name)
                   for a in form.agents for t in a.tools_new])
-    phases.agents([(a.name, a.description, a.instructions,
-                    [t.name for t in a.tools_existing + a.tools_new])
+    phases.agents([AgentDefinition(a.name, a.description, a.instructions,
+                                   [t.name for t in a.tools_existing + a.tools_new])
                    for a in form.agents])
 
     if test_task is not None:
@@ -594,8 +593,7 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
                           parse_workflow_form, validate_workflow_form)
     new_decls = [d for d in form.agents if d.category == "new"]
     phases.tools([(t.name, t.description, d.name) for d in new_decls for t in d.tools])
-    phases.agents([(d.name, d.description, d.description, [t.name for t in d.tools])
-                   for d in new_decls])
+    phases.agents([declared_agent(form, d) for d in new_decls])
 
     def registered(outcome):
         if not store.has("workflows", form.name):

@@ -28,9 +28,9 @@ import mmap
 import os
 import struct
 import zipfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -152,6 +152,7 @@ class _Rows(NamedTuple):
 
 
 _meta_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_META = get_type_hints(Chunk)  # the fields of a meta line, and their types
 
 
 def _image(count: int, dim: int) -> tuple[mmap.mmap, np.ndarray]:
@@ -197,13 +198,15 @@ class RagStore:
     @staticmethod
     def _read(collection: str, meta, vectors) -> _Rows:
         keys, lines = [], []
-        for line in meta:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            row = {f.name: record[f.name] for f in fields(Chunk)}
-            keys.append((row["doc_id"], row["ordinal"]))
-            lines.append(_meta_line(row))
+        try:
+            for line in filter(str.strip, meta):
+                record = json.loads(line)
+                if type(record) is not dict or {f: type(record.get(f)) for f in _META} != _META:
+                    raise ValueError("not a chunk record")
+                keys.append((record["doc_id"], record["ordinal"]))
+                lines.append(_meta_line({f: record[f] for f in _META}))
+        except (ValueError, RecursionError):  # not UTF-8, not JSON, not a chunk, nested too deep
+            raise NotFoundError(f"corrupt meta file for collection: {collection}") from None
         st = os.fstat(vectors.fileno())
         header = vectors.read(12)
         if len(header) < 12 or header[:4] != VECTOR_MAGIC:
@@ -239,6 +242,8 @@ class RagStore:
         try:
             old = self._rows(collection)
         except NotFoundError:
+            if os.path.exists(self._files(collection)[0]):
+                raise  # a malformed collection is reported, not replaced
             old = _Rows((), [], [], np.zeros((0, self.embedder.dim)))
         self._cache.pop(collection, None)  # the old rows go as soon as the new are built
         keep = [i for i, (doc_id, _) in enumerate(old.keys) if doc_id not in docs]
@@ -270,7 +275,7 @@ class RagStore:
         """
         source = Path(source)
         if source.is_dir():
-            docs = {path.relative_to(source).as_posix(): path.read_text(encoding="utf-8")
+            docs = {path.relative_to(source).as_posix(): path.read_bytes()
                     for path in sorted(source.rglob("*"))
                     if path.is_file() and path.suffix.lower() in DOC_SUFFIXES}
             if not docs:
@@ -279,7 +284,7 @@ class RagStore:
             raise NotFoundError(f"no such file: {source}")
         elif source.suffix.lower() == ".zip":
             with zipfile.ZipFile(source) as archive:
-                docs = {name: archive.read(name).decode("utf-8")
+                docs = {name: archive.read(name)
                         for name in sorted(archive.namelist())
                         if not name.endswith("/") and Path(name).suffix.lower() in DOC_SUFFIXES}
             if not docs:
@@ -287,7 +292,13 @@ class RagStore:
         elif source.suffix.lower() not in DOC_SUFFIXES:
             raise EmptyInputError(f"unsupported document type: {source.suffix}")
         else:
-            docs = {source.name: source.read_text(encoding="utf-8")}
+            docs = {source.name: source.read_bytes()}
+        for doc_id, data in docs.items():  # each document's bytes go as its text comes
+            try:
+                docs[doc_id] = data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                err.reason = f"{doc_id}: {err.reason}"  # which document to fix
+                raise
         return self._ingest(collection, docs)
 
     # -- query ---------------------------------------------------------------

@@ -300,15 +300,14 @@ class RegistryStore:
     def get_agent(self, name: str) -> kernel.AgentDefinition:
         return self._read("agents", name)[1]
 
-    def put_workflow(self, form: WorkflowForm, validate: bool = True) -> int:
-        """Register a workflow. Names are create-only; re-registering an
-        existing name is rejected the same way rule V1 rejects it."""
+    def put_workflow(self, form: WorkflowForm) -> int:
+        """Register a workflow that validates against this registry. Names are
+        create-only; an existing name is rejected the same way rule V1 rejects it."""
         if os.path.isfile(self._path("workflows", form.name)):
             raise InvalidDefinitionError(f"workflow name already registered: {form.name}")
-        if validate:
-            diagnostics = validate_workflow_form(form, self.view())
-            if diagnostics:
-                raise InvalidFormError(diagnostics)
+        diagnostics = validate_workflow_form(form, self.view())
+        if diagnostics:
+            raise InvalidFormError(diagnostics)
         return self._put("workflows", form.name, {"xml": workflow_form_to_xml(form)})
 
     def get_workflow(self, name: str) -> WorkflowForm:
@@ -622,6 +621,5 @@ class RegistryToolSuite:
 
 
 def make_registry_resolver(store: RegistryStore, form: WorkflowForm, tools=None):
-    """Workflow agent resolver that prefers registry agents, then form
-    declarations (``workflow.make_agent_resolver``)."""
+    """``workflow.make_agent_resolver`` over ``store``: registry agents first."""
     return make_agent_resolver(form, tools, store)

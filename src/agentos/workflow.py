@@ -14,6 +14,8 @@ state, which is what makes replayed runs comparable.
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -24,7 +26,6 @@ from .errors import (
     E_MISSING_OUTPUT,
     E_NO_OUTPUT,
     E_OUTPUT_UNDECLARED,
-    E_UNKNOWN_TOOL,
     InvalidFormError,
     NotFoundError,
 )
@@ -33,6 +34,7 @@ from .forms import (
     EventAgentRef,
     EventSpec,
     RegistryView,
+    WorkflowAgentDecl,
     WorkflowForm,
     globals_map,
     listen_graph,
@@ -51,16 +53,6 @@ SELECT_MARKER = "SELECTED_OUTPUT:"
 _SELECT_INSTRUCTION = (
     'End your reply with a line "SELECTED_OUTPUT: <key>" naming one declared output key.'
 )
-
-
-class NullToolSuite:
-    """Tool provider with nothing in it; unknown everywhere."""
-
-    def schema(self, name: str):
-        raise NotFoundError(f"unknown tool: {name}")
-
-    def run(self, call) -> kernel.ToolResult:
-        return kernel.ToolResult.fail(E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,43 +261,46 @@ def select_output(text: str, spec: EventSpec) -> tuple[str, str] | str:
 AgentResolver = Callable[[EventAgentRef], kernel.AgentDefinition]
 
 
+def declared_agent(form: WorkflowForm, decl: WorkflowAgentDecl) -> kernel.AgentDefinition:
+    """The agent that ``decl``, one of ``form``'s ``<agents>`` declarations,
+    describes; runs and the workflow pipeline both build it here."""
+    instructions = (substitute_globals(decl.description, globals_map(form.global_variables))
+                    if decl.description else f"You are {decl.name}. Follow the task exactly.")
+    return kernel.AgentDefinition(name=decl.name, description=decl.description,
+                                  instructions=instructions,
+                                  tool_names=[t.name for t in decl.tools])
+
+
 def make_agent_resolver(form: WorkflowForm, tools=None, store=None) -> AgentResolver:
     """Resolve event agents from ``store``'s agents when given one, otherwise
-    (or for a name it lacks) from the form's own declarations.
+    (or for a name it lacks) from the form's declarations, once per name.
 
-    The event's model override wins. An agent keeps only the tools ``tools``
-    can describe (none without a suite), so a form whose new tools were
-    never built still executes.
-    """
+    An agent keeps only the tools ``tools`` can describe (none without a
+    suite), so a form whose new tools were never built still executes. Every
+    call returns a new agent, with the event's model override when it has one."""
     decls = {d.name: d for d in form.agents}
-    variables = globals_map(form.global_variables)
-    suite = tools if tools is not None else NullToolSuite()
-
-    def declared(name: str) -> kernel.AgentDefinition:
-        decl = decls.get(name)
-        description = decl.description if decl else ""
-        instructions = substitute_globals(description, variables) if description else (
-            f"You are {name}. Follow the task exactly.")
-        return kernel.AgentDefinition(name=name, description=description,
-                                      instructions=instructions,
-                                      tool_names=[t.name for t in decl.tools] if decl else [])
+    agents: dict[str, kernel.AgentDefinition] = {}
+    lock = threading.Lock()  # parallel rounds resolve from several threads
 
     def describable(name: str) -> bool:
-        try:
-            suite.schema(name)
-        except NotFoundError:
-            return False
-        return True
+        with contextlib.suppress(NotFoundError):
+            return tools.schema(name) is not None
+        return False
+
+    def lookup(name: str) -> kernel.AgentDefinition:
+        with contextlib.suppress(NotFoundError):
+            if store is not None:
+                return store.get_agent(name)
+        return declared_agent(form, decls.get(name, WorkflowAgentDecl(name, "new")))
 
     def resolve(ref: EventAgentRef) -> kernel.AgentDefinition:
-        try:
-            agent = store.get_agent(ref.name) if store is not None else declared(ref.name)
-        except NotFoundError:
-            agent = declared(ref.name)
-        agent.tool_names = [name for name in agent.tool_names if describable(name)]
-        if ref.model:
-            agent.model = ref.model
-        return agent
+        with lock:
+            if ref.name not in agents:
+                agent = lookup(ref.name)
+                kept = [n for n in agent.tool_names if describable(n)] if tools is not None else []
+                agents[ref.name] = replace(agent, tool_names=kept)
+            agent = agents[ref.name]
+        return replace(agent, model=ref.model or agent.model)
 
     return resolve
 
@@ -415,9 +410,11 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
     rather than silently returning partial state.
     """
     graph = compile_graph(form, registry)
-    suite = tools if tools is not None else NullToolSuite()
-    resolver = resolve_agent or make_agent_resolver(form, suite)
+    resolver = resolve_agent or make_agent_resolver(form, tools)
     run = WorkflowRun(graph, input_value)
+
+    def execute(ce: CompiledEvent) -> EventOutcome:
+        return execute_event(run, ce, engine, tools, resolver, limits)
 
     # the pool starts no thread until a parallel round submits work
     with ThreadPoolExecutor(max_workers=PARALLEL_WORKERS) as pool:
@@ -443,13 +440,7 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
                     ref.name if ref else "-",
                     (ref.model if ref and ref.model else "-")))
 
-            if parallel and len(batch) > 1:
-                outcomes = list(pool.map(
-                    lambda ce: execute_event(run, ce, engine, suite, resolver, limits),
-                    batch))
-            else:
-                outcomes = [execute_event(run, ce, engine, suite, resolver, limits)
-                            for ce in batch]
+            outcomes = list((pool.map if parallel and len(batch) > 1 else map)(execute, batch))
 
             reset_this_round: set[str] = set()
             for ce, outcome in zip(batch, outcomes):

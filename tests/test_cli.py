@@ -21,10 +21,13 @@ from agentos.registry import RegistryStore, RegistryToolSuite, ToolDefinition, T
 
 from conftest import DATA, read_fixture
 from test_creation import (
+    CREATE_AGGREGATOR,
     CREATE_GREETER_AGENT,
     CREATE_GREETING_TOOL,
+    CREATE_SOLVER,
     GREETER_XML,
     TOOL_TEST_REPLY,
+    _register_call,
 )
 
 MATH_FORM = str(DATA / "math_voting_workflow.xml")
@@ -286,6 +289,31 @@ def test_create_agents_replay(tmp_path, capsys):
     assert store.names("agents") == ["Greeter Agent"]
 
 
+def test_create_workflow_replay(tmp_path, capsys):
+    cassette = tmp_path / "math.cassette"
+    store = RegistryStore(tmp_path / "rec")
+    backend = CassetteBackend(str(cassette), "record", inner=ScriptedBackend([
+        read_fixture("math_voting_workflow.xml"), CREATE_SOLVER, CREATE_AGGREGATOR, "created",
+        _register_call(), "registered", "x=4", "x=4", "x=5", "majority: x=4"]))
+    engine = Engine(mode="direct", backend=backend, model="")
+    create_workflow_pipeline("vote on math", engine, store, test_input="solve 2x=8",
+                             suite=ManagementToolSuite(store, engine=engine,
+                                                       workdir=tmp_path / "rec" / "workspace"))
+    root = tmp_path / "reg"
+    code, out, _ = run_cli(capsys, [
+        "create-workflow", "--requirements", "vote on math", "--task", "solve 2x=8",
+        "--registry-root", str(root), "--mode", "direct",
+        "--cassette", str(cassette), "--cassette-mode", "replay"])
+    assert code == 0
+    assert out == ("phase profiling: ok attempts=1\n"
+                   "phase agents: ok attempts=1\n"
+                   "phase register: ok attempts=1\n"
+                   "phase test: ok attempts=1\n"
+                   "created agents: Math Solver Agent, Vote Aggregator Agent\n"
+                   "registered workflow parallel_math_solver_workflow\n")
+    assert RegistryStore(root).snapshot() == store.snapshot()
+
+
 def test_create_agents_exhaustion_exit_one(tmp_path, capsys):
     cassette = tmp_path / "hopeless.cassette"
     store = RegistryStore(tmp_path / "rec")
@@ -535,6 +563,26 @@ def test_rag_add_text_that_is_not_utf8(tmp_path, capsys, inside_a_folder, json_f
         assert json.loads(out)["error"] == "E_IO"
     else:
         assert out.startswith("E_IO: ") and out.count("\n") == 1
+    assert "latin1.txt" in out  # the document to fix
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_rag_query_a_collection_with_a_malformed_meta_file(tmp_path, capsys, json_flag):
+    root = tmp_path / "rag"
+    doc = tmp_path / "notes.txt"
+    doc.write_text("solar panels", encoding="utf-8")
+    assert run_cli(capsys, ["rag", "add", str(doc), "--collection", "notes",
+                            "--rag-root", str(root)])[0] == 0
+    (root / "notes" / "meta.jsonl").write_bytes(b"not json\n")
+    code, out, err = run_cli(capsys, ["rag", "query", "solar", "--collection", "notes",
+                                      "--rag-root", str(root), *json_flag])
+    assert code == 1
+    message = "corrupt meta file for collection: notes"
+    if json_flag:
+        assert json.loads(out) == {"error": "E_NOT_FOUND", "message": message}
+    else:
+        assert out == f"E_NOT_FOUND: {message}\n"
     assert "Traceback" not in out + err
 
 
@@ -563,6 +611,26 @@ def test_repl_session(tmp_path, capsys, monkeypatch):
     transcript = log.read_text(encoding="utf-8").splitlines()
     assert "> :mode workflow" in transcript
     assert "> :quit" in transcript
+
+
+def test_repl_agents_mode_creates_the_team(tmp_path, capsys, monkeypatch):
+    cassette = tmp_path / "greeter.cassette"
+    record_greeter_cassette(cassette, tmp_path / "rec")
+    log = tmp_path / "session.log"
+    monkeypatch.setattr("sys.stdin", io.StringIO("make a greeter\n:quit\n"))
+    code, out, _ = run_cli(capsys, [
+        "repl", "--log", str(log), "--registry-root", str(tmp_path / "reg"),
+        "--mode", "direct", "--cassette", str(cassette), "--cassette-mode", "replay"])
+    assert code == 0
+    report = ["phase profiling: ok attempts=1",
+              "phase tools: ok attempts=1",
+              "phase agents: ok attempts=1",
+              "created tools: greeting_tool",
+              "created agents: Greeter Agent"]
+    assert out.splitlines()[1:] == report
+    assert log.read_text(encoding="utf-8").splitlines() == [
+        out.splitlines()[0], "> make a greeter", *report, "> :quit"]
+    assert RegistryStore(tmp_path / "reg").names("agents") == ["Greeter Agent"]
 
 
 def test_repl_log_it_cannot_write(tmp_path, capsys, monkeypatch):

@@ -33,6 +33,7 @@ from agentos.kernel import AgentDefinition, ToolCall, orchestrate
 from agentos.registry import (
     RegistryStore, RegistryToolSuite, SubprocessScriptRunner, builtin_tool,
 )
+from agentos.workflow import run_workflow
 
 from conftest import read_fixture
 
@@ -607,6 +608,72 @@ def test_workflow_pipeline_test_phase_with_an_undeclared_registered_agent(store)
     assert engine.backend.calls == 10
 
 
+BOATS_XML = """<workflow><name>boats_flow</name>
+    <system_input><key>request</key><description>d</description></system_input>
+    <system_output><key>essay</key><description>d</description></system_output>
+    <agents>
+        <agent category="new"><name>Writer Agent</name><description>Write about {topic}.</description></agent>
+        <agent category="new"><name>Quiet Agent</name></agent>
+    </agents>
+    <global_variables><variable><key>topic</key><value>boats</value></variable></global_variables>
+    <events>
+        <event><name>on_start</name>
+            <inputs><input><key>request</key><description>d</description></input></inputs>
+            <outputs><output><key>request</key><description>d</description>
+                <action><type>RESULT</type></action></output></outputs></event>
+        <event><name>draft</name>
+            <outputs><output><key>notes</key><description>d</description>
+                <action><type>RESULT</type></action></output></outputs>
+            <listen><event>on_start</event></listen>
+            <agent><name>Writer Agent</name><model>m1</model></agent></event>
+        <event><name>polish</name>
+            <outputs><output><key>essay</key><description>d</description>
+                <action><type>RESULT</type></action></output></outputs>
+            <listen><event>draft</event></listen>
+            <agent><name>Quiet Agent</name><model>m2</model></agent></event>
+    </events></workflow>"""
+
+
+def _copy_requested_agent(k: int):
+    """An editor step that creates the k-th agent of the agents phase's task
+    exactly as the task lists it."""
+    def step(request):
+        task = next(m["content"] for m in request.messages
+                    if m["content"].startswith("Create the following agents"))
+        lines = task.split("\n- ")[1 + k].splitlines()
+        fields = dict(line.strip().partition(":")[::2] for line in lines)
+        return ToolCall("create_agent", {key: fields[key].strip()
+                                         for key in ("name", "description", "instructions")})
+    return step
+
+
+def _system_prompts(run, replies):
+    """The system prompt of each request ``run(engine)`` makes."""
+    prompts = []
+
+    def reply(text):
+        return lambda request: prompts.append(request.messages[0]["content"]) or text
+    run(engine_of([reply(text) for text in replies]))
+    return prompts
+
+
+def test_a_declared_agent_is_registered_as_a_run_builds_it(store):
+    form = parse_workflow_form(BOATS_XML)
+    engine = engine_of([BOATS_XML, _copy_requested_agent(0), _copy_requested_agent(1),
+                        "created", ToolCall("create_workflow", {"xml": workflow_form_to_xml(form)}),
+                        "registered"])
+    create_workflow_pipeline("write about boats", engine, store)
+    assert [(a.name, a.instructions) for a in map(store.get_agent, store.names("agents"))] == [
+        ("Quiet Agent", "You are Quiet Agent. Follow the task exactly."),
+        ("Writer Agent", "Write about boats.")]
+
+    unregistered = _system_prompts(lambda e: run_workflow(form, "go", e), ["notes", "essay"])
+    registered = _system_prompts(lambda e: RegistryToolSuite(store).run_workflow(
+        store.get_workflow("boats_flow"), "go", e), ["notes", "essay"])
+    assert unregistered == registered == [
+        "Write about boats.", "You are Quiet Agent. Follow the task exactly."]
+
+
 def _creation_file_calls(root, entries: int, monkeypatch) -> dict[str, dict[str, int]]:
     """Folder listings and stats of an agents pipeline and a workflow pipeline,
     each with one failed attempt, and of a registry workflow run, against
@@ -619,7 +686,7 @@ def _creation_file_calls(root, entries: int, monkeypatch) -> dict[str, dict[str,
         store.put_tool(tool)
         store.put_agent(AgentDefinition(name=f"Other Agent {k:03d}"))
         other.name = f"other_workflow_{k:03d}"
-        store.put_workflow(other, validate=False)
+        store.put_workflow(other)
     stray = ToolCall("create_agent", {"name": "Stray Agent"})
     runs = {
         "agents pipeline": lambda: create_agents_pipeline("make a greeter", engine_of([

@@ -319,22 +319,32 @@ def test_a_malformed_collection_raises_on_every_read(tmp_path):
     store.ingest_text("c", "d", "alpha bravo charlie delta echo")
     folder = tmp_path / "c"
     meta, vectors = (folder / "meta.jsonl").read_bytes(), (folder / "vectors.bin").read_bytes()
+    first, second = meta.splitlines(keepends=True)
+    corrupt_meta = "corrupt meta file for collection: c"
     broken = [
-        ("meta.jsonl", b"not json\n", ValueError),
-        ("meta.jsonl", meta.splitlines(keepends=True)[0], NotFoundError),  # a row short
-        ("meta.jsonl", meta.replace(b'"ordinal"', b'"ordinals"'), KeyError),
-        ("vectors.bin", b"RV2\n" + vectors[4:], NotFoundError),
-        ("vectors.bin", vectors[:-8], NotFoundError),
-        ("vectors.bin", vectors[:9], NotFoundError),
+        ("meta.jsonl", b"not json\n", corrupt_meta),
+        ("meta.jsonl", first, "collection row mismatch: c"),  # a row short
+        ("meta.jsonl", meta.replace(b'"ordinal"', b'"ordinals"'), corrupt_meta),
+        ("meta.jsonl", first + second.replace(b'"doc_id":"d"', b'"doc_id":7'), corrupt_meta),
+        ("meta.jsonl", first + second.replace(b'"ordinal":1', b'"ordinal":true'), corrupt_meta),
+        ("meta.jsonl", first + b"[1, 2, 3, 4]\n", corrupt_meta),
+        ("meta.jsonl", first + b"[" * 100_000 + b"\n", corrupt_meta),
+        ("meta.jsonl", first + second.replace(b"echo", b"\xe9cho"), corrupt_meta),
+        ("vectors.bin", b"RV2\n" + vectors[4:], "corrupt vector file for collection: c"),
+        ("vectors.bin", vectors[:-8], "corrupt vector file for collection: c"),
+        ("vectors.bin", vectors[:9], "corrupt vector file for collection: c"),
     ]
-    for name, data, error in broken:
+    for name, data, message in broken:
         store.query("c", "alpha")  # cached
         good = (folder / name).read_bytes()
         replace_from_outside(folder / name, data)
         for _ in range(2):
-            with pytest.raises(error):
+            with pytest.raises(NotFoundError, match=f"^{message}$"):
                 store.query("c", "alpha")
-            with pytest.raises(error):
+            with pytest.raises(NotFoundError, match=f"^{message}$"):
                 store.stats("c")
+        with pytest.raises(NotFoundError, match=f"^{message}$"):
+            store.ingest_text("c", "e", "golf")  # not replaced by a one-document collection
+        assert (folder / name).read_bytes() == data
         replace_from_outside(folder / name, good)
 

@@ -7,6 +7,8 @@ from dataclasses import replace
 import pytest
 
 from agentos import registry
+from agentos.backends import ScriptedBackend
+from agentos.engine import Engine
 from agentos.errors import (
     E_ARGS,
     E_IO,
@@ -95,7 +97,7 @@ def test_workflow_with_an_unusable_name_is_refused_before_validation(store):
     assert store.snapshot() == {}
 
 
-def test_workflow_validation_gate(store, tmp_path):
+def test_workflow_validation_gate(store):
     form = parse_workflow_form(read_fixture("wiki_article_workflow.xml"))
     # the wiki form references an existing agent the registry lacks
     with pytest.raises(InvalidFormError) as err:
@@ -103,9 +105,6 @@ def test_workflow_validation_gate(store, tmp_path):
     assert any(d.code == "V8" for d in err.value.diagnostics)
     store.put_agent(AgentDefinition(name="Web Surfer Agent"))
     assert store.put_workflow(form) == 1
-    # skip-validation path exists for round-tripping already-accepted forms
-    other = RegistryStore(tmp_path / "other")
-    assert other.put_workflow(form, validate=False) == 1
 
 
 def test_def_file_layout(store):
@@ -483,3 +482,22 @@ def test_registry_resolver_precedence(store, tmp_path):
     outline = resolve(form.events[2].agent)
     assert outline.name == "Outline Agent"
     assert "outline" in outline.instructions
+
+
+def test_a_registry_run_looks_up_each_agent_once(store, tmp_path):
+    form = parse_workflow_form(read_fixture("wiki_article_workflow.xml"))
+    store.put_agent(AgentDefinition(name="Web Surfer Agent", instructions="Search."))
+    looked_up = []
+    get_agent = store.get_agent
+    store.get_agent = lambda name: (looked_up.append(name), get_agent(name))[1]
+    engine = Engine(mode="transformed", backend=ScriptedBackend([
+        "search result text", "outline v1",
+        "needs work\nSELECTED_OUTPUT: negative_feedback",
+        "outline v2", "looks good\nSELECTED_OUTPUT: positive_feedback", "final article"]))
+    result = RegistryToolSuite(store, workdir=tmp_path).run_workflow(form, "topic", engine)
+    assert result.status == "completed"
+    # the GOTO loop runs on_outline and on_evaluate twice, their agents are looked up once
+    assert result.trace.count("run on_outline agent=Outline Agent model="
+                              "claude-3-5-sonnet-20241022") == 2
+    assert sorted(looked_up) == ["Article Writer Agent", "Evaluator Agent",
+                                 "Outline Agent", "Web Surfer Agent"]

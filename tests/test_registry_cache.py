@@ -44,8 +44,11 @@ WORDS = st.sampled_from(["", "a", "b", "ab", "ba", "abc", "Hej ✓"])
 
 
 def _workflow(name: str):
+    """The greeting workflow under ``name``, its agent declared new so that
+    it validates against a registry without it."""
     form = parse_workflow_form(GREET_FLOW_XML)
     form.name = name
+    form.agents[0].category = "new"
     return form
 
 
@@ -134,7 +137,7 @@ class RegistryCacheMachine(RuleBasedStateMachine):
     def put_workflow(self, name):
         before = self.store.snapshot()
         try:
-            assert self.store.put_workflow(_workflow(name), validate=False) == 1
+            assert self.store.put_workflow(_workflow(name)) == 1
         except InvalidDefinitionError:  # already registered, or malformed
             assert self.store.snapshot() == before
 
