@@ -24,8 +24,6 @@ from .engine import (
     TRANSFORMED,
     Engine,
     EngineAction,
-    ToolParam,
-    ToolSchema,
     parse_transformed_call,
     render_tool_call,
     render_transformed_schema,
@@ -69,7 +67,9 @@ from .kernel import (
     LoopLimits,
     OrchestrationLimits,
     ToolCall,
+    ToolParam,
     ToolResult,
+    ToolSchema,
     Turn,
     apply_transfer,
     orchestrate,

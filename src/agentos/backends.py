@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import BackendError, CassetteMissError, ParseError, ScriptExhaustedError
-from .kernel import MessageList, ToolCall
+from .kernel import ToolCall
 
 CASSETTE_MAGIC = "A1"
 
@@ -86,6 +86,59 @@ def _system_hash(system: str) -> "hashlib._Hash":
     """``_hash_messages`` of a list holding only this system message; every
     Context whose agent has this system text starts from a copy of it."""
     return _hash_messages([{"role": "system", "content": system}])
+
+
+class MessageMemo:
+    """What ``engine.build_messages`` and ``request_digest`` keep about one
+    Context between calls; ``build_messages`` makes it on first use.
+
+    ``messages`` are the rendered messages of ``turns[:rendered]``.
+    ``digests`` maps a system text to ``(sha256, n)``: a running hash of the
+    request body up to and including message ``n - 1`` of a message list that
+    starts with that system text.
+    """
+
+    __slots__ = ("messages", "rendered", "digests")
+
+    def __init__(self):
+        self.messages: list[dict[str, str]] = []
+        self.rendered = 0
+        self.digests: dict[str, tuple] = {}
+
+    def __reduce__(self):
+        return MessageMemo, ()  # a copied Context renders and hashes afresh
+
+
+class MessageList(list):
+    """``[system message, *memo.messages]`` as of one ``build_messages`` call.
+
+    The list may be edited like any list; that detaches it (``memo`` becomes
+    None), and only a list still attached may use the memo's digests. The
+    message dicts are shared with the memo and with every later list, so
+    they must not be edited in place.
+    """
+
+    __slots__ = ("memo",)
+
+    @classmethod
+    def of(cls, memo: MessageMemo, system: dict[str, str]) -> "MessageList":
+        messages = cls((system,))
+        list.extend(messages, memo.messages)
+        messages.memo = memo
+        return messages
+
+
+def _detaching(method):
+    def edit(self, *args, **kwargs):
+        self.memo = None
+        return method(self, *args, **kwargs)
+    return edit
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(MessageList, _name, _detaching(getattr(list, _name)))
+del _name
 
 
 def _running_hash(messages: MessageList) -> "hashlib._Hash":

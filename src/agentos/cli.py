@@ -173,14 +173,16 @@ def _creation_setup(args):
     return store, engine, suite
 
 
+# each creation mode's pipeline and the name of its test argument
+_PIPELINES = {"agents": (create_agents_pipeline, "test_task"),
+              "workflow": (create_workflow_pipeline, "test_input")}
+
+
 def _cmd_create(args) -> int:
     store, engine, suite = _creation_setup(args)
-    if args.command == "create-agents":
-        pipeline, test = create_agents_pipeline, {"test_task": args.task}
-    else:
-        pipeline, test = create_workflow_pipeline, {"test_input": args.task}
+    pipeline, test = _PIPELINES[args.command.removeprefix("create-")]
     report = pipeline(args.requirements, engine, store, suite=suite,
-                      max_attempts=args.max_attempts, model=args.model, **test)
+                      max_attempts=args.max_attempts, model=args.model, **{test: args.task})
     _emit(args, _report_lines(report), _report_payload(report))
     return 0
 
@@ -243,19 +245,14 @@ def _cmd_repl(args) -> int:
             break
         if line.startswith(":mode"):
             choice = line.split(None, 1)[1].strip() if len(line.split(None, 1)) > 1 else ""
-            if choice in ("agents", "workflow"):
+            if choice in _PIPELINES:
                 mode = choice
                 say(f"mode: {mode}")
             else:
                 say("usage: :mode agents|workflow")
             continue
         try:
-            if mode == "agents":
-                report = create_agents_pipeline(line, engine, store, suite=suite,
-                                                model=args.model)
-            else:
-                report = create_workflow_pipeline(line, engine, store, suite=suite,
-                                                  model=args.model)
+            report = _PIPELINES[mode][0](line, engine, store, suite=suite, model=args.model)
             for out in _report_lines(report):
                 say(out)
         except AgentOsError as err:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 from . import kernel
 from .backends import string_arguments
-from .engine import ToolParam, ToolSchema, check_arguments, parse_transformed_call
+from .engine import parse_transformed_call
 from .errors import (
     E_ARGS,
     E_RUNNER_REFUSED,
@@ -46,7 +46,8 @@ from .forms import (
     validate_workflow_form,
     workflow_form_to_xml,
 )
-from .kernel import AgentDefinition, Context, ToolCall, ToolResult
+from .kernel import (AgentDefinition, Context, ToolCall, ToolParam, ToolResult, ToolSchema,
+                     check_arguments)
 from .registry import RegistryStore, RegistryToolSuite, ToolDefinition
 from .workflow import declared_agent
 

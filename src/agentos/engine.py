@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backends import CompletionRequest, RetryPolicy, backend_complete, remembered
-from .errors import E_ARGS, EmptyInputError, ParseError
-from .kernel import Context, MessageList, MessageMemo, ToolCall, ToolResult
+from .backends import (CompletionRequest, MessageList, MessageMemo, RetryPolicy,
+                       backend_complete, remembered)
+from .errors import EmptyInputError, ParseError
+from .kernel import Context, ToolCall, ToolParam, ToolSchema, check_arguments  # re-exported
 from .naming import IDENT_RE
 
 DIRECT = "direct"
@@ -30,32 +31,6 @@ _FN_CLOSE = "</function>"
 _PARAM_OPEN = "<parameter="
 _PARAM_CLOSE = "</parameter>"
 _CATALOGS: dict[tuple, str] = {}  # rendered by build_messages; see backends.remembered
-
-
-@dataclass
-class ToolParam:
-    name: str
-    description: str = ""
-    required: bool = True
-
-
-@dataclass
-class ToolSchema:
-    name: str
-    description: str = ""
-    parameters: list[ToolParam] = field(default_factory=list)
-
-
-def check_arguments(schema: ToolSchema, arguments) -> ToolResult | None:
-    """An E_ARGS failure when ``arguments`` do not fit ``schema``, else None."""
-    declared = {p.name for p in schema.parameters}
-    for key in arguments:
-        if key not in declared:
-            return ToolResult.fail(E_ARGS, f"unexpected argument: {key}")
-    for p in schema.parameters:
-        if p.required and p.name not in arguments:
-            return ToolResult.fail(E_ARGS, f"missing required argument: {p.name}")
-    return None
 
 
 @dataclass
@@ -184,8 +159,8 @@ def build_messages(system: str, context: Context, mode: str,
         catalog = remembered(_CATALOGS, tools, render_transformed_schema)
         system_text = f"{system}\n\n{catalog}" if system else catalog
     memo, turns = context.memo, context.turns
-    if len(turns) < memo.rendered:  # history was cut: start a memo the old lists do not share
-        memo = context.memo = MessageMemo()
+    if memo is None or len(turns) < memo.rendered:  # first use, or history was cut:
+        memo = context.memo = MessageMemo()  # start a memo the old lists do not share
     messages = memo.messages
     for turn in turns[memo.rendered:]:
         if turn.author == "user":

@@ -485,6 +485,28 @@ def workflow_form_to_xml(form: WorkflowForm) -> str:
 # rule checks: A1-A5 on agent forms, V1-V10 on workflow forms
 # ---------------------------------------------------------------------------
 
+def _pair_counts(code: str, slots) -> list[Diagnostic]:
+    """``code`` for each (slot, label) whose slot holds other than one pair."""
+    return [Diagnostic(code, f"expected exactly one key/description pair, found {len(slot.pairs)}",
+                       slot.path or label) for slot, label in slots if len(slot.pairs) != 1]
+
+
+def _unbound_globals(code: str, form, texts) -> list[Diagnostic]:
+    """``code`` for each placeholder of a (field, text, path) that names no
+    global; the verb agrees: "instructions reference", "task references"."""
+    gkeys = {v.key for v in form.global_variables}
+    return [Diagnostic(code, f"{name} reference{'' if name.endswith('s') else 's'} "
+                             f"undefined global {{{key}}}", f"{path}/{name}")
+            for name, text, path in texts
+            for key in dict.fromkeys(naming.placeholders(text)) if key not in gkeys]
+
+
+def _unregistered(code: str, kind: str, registered, refs) -> list[Diagnostic]:
+    """``code`` for each (name, path) of an existing ``kind`` that ``registered`` lacks."""
+    return [Diagnostic(code, f"existing {kind} not in registry: {name}", path)
+            for name, path in refs if name not in registered]
+
+
 def validate_agent_form(form: AgentForm, registry: RegistryView | None = None) -> list[Diagnostic]:
     """Rule checks A1-A5. Empty list means the form is accepted."""
     out: list[Diagnostic] = []
@@ -494,30 +516,17 @@ def validate_agent_form(form: AgentForm, registry: RegistryView | None = None) -
     for agent in form.agents:
         slots.append((agent.agent_input, f"{agent.path} agent_input"))
         slots.append((agent.agent_output, f"{agent.path} agent_output"))
-    for slot, label in slots:
-        if len(slot.pairs) != 1:
-            out.append(Diagnostic(
-                "A1", f"expected exactly one key/description pair, found {len(slot.pairs)}",
-                slot.path or label))
+    out += _pair_counts("A1", slots)
 
     # A2: instruction placeholders resolve against global variables
-    gkeys = {v.key for v in form.global_variables}
-    for agent in form.agents:
-        missing = [k for k in dict.fromkeys(naming.placeholders(agent.instructions))
-                   if k not in gkeys]
-        for key in missing:
-            out.append(Diagnostic(
-                "A2", f"instructions reference undefined global {{{key}}}",
-                f"{agent.path}/instructions"))
+    out += _unbound_globals("A2", form, [("instructions", a.instructions, a.path)
+                                         for a in form.agents])
 
     # A3: existing tools must resolve in the registry
     if registry is not None:
-        for agent in form.agents:
-            for tool in agent.tools_existing:
-                if tool.name not in registry.tool_names:
-                    out.append(Diagnostic(
-                        "A3", f"existing tool not in registry: {tool.name}",
-                        f"{agent.path}/tools"))
+        out += _unregistered("A3", "tool", registry.tool_names,
+                             [(t.name, f"{a.path}/tools")
+                              for a in form.agents for t in a.tools_existing])
 
     # A4: agent names unique within the form
     seen: dict[str, str] = {}
@@ -667,10 +676,8 @@ def validate_workflow_form(form: WorkflowForm, registry: RegistryView | None = N
     # event tasks resolve
     declared = {a.name for a in form.agents}
     if registry is not None:
-        for decl in form.agents:
-            if decl.category == "existing" and decl.name not in registry.agent_names:
-                out.append(Diagnostic(
-                    "V8", f"existing agent not in registry: {decl.name}", decl.path))
+        out += _unregistered("V8", "agent", registry.agent_names,
+                             [(d.name, d.path) for d in form.agents if d.category == "existing"])
     for event in events:
         if event.agent is None:
             continue
@@ -679,23 +686,13 @@ def validate_workflow_form(form: WorkflowForm, registry: RegistryView | None = N
         if not known:
             out.append(Diagnostic(
                 "V8", f"event references unknown agent: {name}", event.path))
-    gkeys = {v.key for v in form.global_variables}
     texts = [("description", decl.description, decl.path) for decl in form.agents]
     texts += [("task", event.task, event.path) for event in events if event.task]
-    for field_name, text, path in texts:
-        for key in dict.fromkeys(naming.placeholders(text)):
-            if key not in gkeys:
-                out.append(Diagnostic(
-                    "V8", f"{field_name} references undefined global {{{key}}}",
-                    f"{path}/{field_name}"))
+    out += _unbound_globals("V8", form, texts)
 
     # V9: system I/O slots carry exactly one pair
-    for slot, label in ((form.system_input, "/workflow/system_input"),
-                        (form.system_output, "/workflow/system_output")):
-        if len(slot.pairs) != 1:
-            out.append(Diagnostic(
-                "V9", f"expected exactly one key/description pair, found {len(slot.pairs)}",
-                slot.path or label))
+    out += _pair_counts("V9", [(form.system_input, "/workflow/system_input"),
+                               (form.system_output, "/workflow/system_output")])
 
     # V10: the listen graph must be a DAG over known events
     for event in events:

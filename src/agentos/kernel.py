@@ -2,16 +2,19 @@
 
 A run appends Turns to a shared, append-only Context. Control moves between
 agents only through transfer tools (``transfer_to_<snake_case(target)>``);
-the receiving agent sees the full context, nothing is summarized away.
+the receiving agent sees the full context, nothing is summarized away. The
+engine and backends build on this module, which imports only naming and errors.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import naming
 from .errors import (
+    E_ARGS,
     E_TOOL_EXCEPTION,
     E_UNKNOWN_TOOL,
     AgentOsError,
@@ -66,6 +69,32 @@ class ToolResult:
 
 
 @dataclass
+class ToolParam:
+    name: str
+    description: str = ""
+    required: bool = True
+
+
+@dataclass
+class ToolSchema:
+    name: str
+    description: str = ""
+    parameters: list[ToolParam] = field(default_factory=list)
+
+
+def check_arguments(schema: ToolSchema, arguments) -> ToolResult | None:
+    """An E_ARGS failure when ``arguments`` do not fit ``schema``, else None."""
+    declared = {p.name for p in schema.parameters}
+    for key in arguments:
+        if key not in declared:
+            return ToolResult.fail(E_ARGS, f"unexpected argument: {key}")
+    for p in schema.parameters:
+        if p.required and p.name not in arguments:
+            return ToolResult.fail(E_ARGS, f"missing required argument: {p.name}")
+    return None
+
+
+@dataclass
 class Turn:
     """One step of history.
 
@@ -100,72 +129,18 @@ class Turn:
         return out
 
 
-class MessageMemo:
-    """What ``engine.build_messages`` and ``backends.request_digest`` keep
-    about one Context between calls.
-
-    ``messages`` are the rendered messages of ``turns[:rendered]``.
-    ``digests`` maps a system text to ``(sha256, n)``: a running hash of the
-    request body up to and including message ``n - 1`` of a message list that
-    starts with that system text.
-    """
-
-    __slots__ = ("messages", "rendered", "digests")
-
-    def __init__(self):
-        self.messages: list[dict[str, str]] = []
-        self.rendered = 0
-        self.digests: dict[str, tuple] = {}
-
-    def __reduce__(self):
-        return MessageMemo, ()  # a copied Context renders and hashes afresh
-
-
-class MessageList(list):
-    """``[system message, *memo.messages]`` as of one ``build_messages`` call.
-
-    The list may be edited like any list; that detaches it (``memo`` becomes
-    None), and only a list still attached may use the memo's digests. The
-    message dicts are shared with the memo and with every later list, so
-    they must not be edited in place.
-    """
-
-    __slots__ = ("memo",)
-
-    @classmethod
-    def of(cls, memo: MessageMemo, system: dict[str, str]) -> "MessageList":
-        messages = cls((system,))
-        list.extend(messages, memo.messages)
-        messages.memo = memo
-        return messages
-
-
-def _detaching(method):
-    def edit(self, *args, **kwargs):
-        self.memo = None
-        return method(self, *args, **kwargs)
-    return edit
-
-
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "clear", "sort", "reverse"):
-    setattr(MessageList, _name, _detaching(getattr(list, _name)))
-del _name
-
-
 @dataclass
 class Context:
     """Append-only ordered history shared across handoffs.
 
-    ``memo`` caches what was rendered and hashed from ``turns`` so each
-    engine step only does that work for the turns appended since the last
-    one. It relies on ``turns`` only ever growing at the end, and on one
-    thread at a time using the Context.
+    ``memo``, a ``backends.MessageMemo`` once an engine step ran, caches
+    what was rendered and hashed from ``turns`` so each step only does that
+    work for the turns appended since the last one. It relies on ``turns``
+    only ever growing at the end, and on one thread at a time using it.
     """
 
     turns: list[Turn] = field(default_factory=list)
-    memo: MessageMemo = field(default_factory=MessageMemo, init=False, repr=False,
-                              compare=False)
+    memo: object = field(default=None, init=False, repr=False, compare=False)
 
     def append(self, turn: Turn) -> None:
         self.turns.append(turn)
@@ -177,8 +152,6 @@ class Context:
         return iter(self.turns)
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps([t.to_dict() for t in self.turns],
                           sort_keys=True, separators=(",", ":"))
 
@@ -246,9 +219,7 @@ class OrchestrationLimits:
 # operations
 # ---------------------------------------------------------------------------
 
-def _transfer_schemas(agent: AgentDefinition):
-    from .engine import ToolParam, ToolSchema
-
+def _transfer_schemas(agent: AgentDefinition) -> list[ToolSchema]:
     out = []
     for tool_name, target in agent.transfer_tool_map().items():
         out.append(ToolSchema(

@@ -7,9 +7,10 @@ On-disk layout per collection (``<root>/<collection>/``):
 * ``vectors.bin`` — magic ``RV1\\n``, uint32 LE dim, uint32 LE count, then
   count*dim float64 LE values. Row i pairs with meta line i.
 
-Rows are kept sorted by (doc_id, ordinal) and both files are rewritten
-atomically once per ingest call, so a collection is always self-consistent
-and two stores built from the same documents are byte-identical. A store
+Rows are kept sorted by (doc_id, ordinal) and each file is replaced
+atomically once per ingest call, so two stores built from the same documents
+are byte-identical. The pair is not: a failure between the two renames leaves
+new text beside old vectors, which reads as valid if the row count held. A store
 keeps the collections it read or wrote and reads one again only when the
 stat signature of either file changed.
 
@@ -35,7 +36,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .errors import EmptyInputError, NotFoundError
-from .storage import atomic_write, entry_path, signature
+from .storage import atomic_write, entry_path, is_entry_name, signature
 
 VECTOR_MAGIC = b"RV1\n"
 DOC_SUFFIXES = (".txt", ".md")
@@ -191,6 +192,8 @@ class RagStore:
             with open(paths[0], encoding="utf-8") as meta, open(paths[1], "rb") as vectors:
                 rows = self._read(collection, meta, vectors)
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            if os.path.isfile(paths[0]):  # listed, since its meta file is there
+                raise NotFoundError(f"corrupt vector file for collection: {collection}") from None
             raise NotFoundError(f"no such collection: {collection}") from None
         self._cache[collection] = rows
         return rows
@@ -323,7 +326,7 @@ class RagStore:
         if not self.root.is_dir():
             return []
         return sorted(p.name for p in self.root.iterdir()
-                      if p.is_dir() and (p / "meta.jsonl").is_file())
+                      if is_entry_name(p.name) and (p / "meta.jsonl").is_file())
 
     def delete_collection(self, collection: str) -> None:
         paths = self._files(collection)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import kernel
-from .engine import ToolParam, ToolSchema, check_arguments
 from .errors import (
     E_ARGS,
     E_IO,
@@ -49,7 +48,7 @@ from .forms import (
     validate_workflow_form,
     workflow_form_to_xml,
 )
-from .kernel import ToolCall, ToolResult
+from .kernel import ToolCall, ToolParam, ToolResult, ToolSchema, check_arguments
 from .naming import is_identifier
 from .storage import atomic_write, entry_path, is_entry_name
 from .storage import signature as _signature  # tests replace it

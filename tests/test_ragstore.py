@@ -230,6 +230,15 @@ def test_a_collection_name_the_file_system_cannot_encode_is_unusable(tmp_path):
     assert store.list_collections() == ["c\udcff"]
 
 
+def test_only_folders_with_a_usable_collection_name_are_listed(tmp_path):
+    store = RagStore(tmp_path)
+    store.ingest_text("c", "d", "text")
+    for name in (".hidden", " sp", "sp "):  # written by another program
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "meta.jsonl").write_bytes((tmp_path / "c" / "meta.jsonl").read_bytes())
+    assert store.list_collections() == ["c"]
+
+
 def test_collection_management(tmp_path):
     store = RagStore(tmp_path)
     store.ingest_text("one", "d", "text here")

@@ -348,3 +348,19 @@ def test_a_malformed_collection_raises_on_every_read(tmp_path):
         assert (folder / name).read_bytes() == data
         replace_from_outside(folder / name, good)
 
+
+def test_a_meta_file_without_its_vector_file_is_a_corrupt_collection(tmp_path):
+    store = RagStore(tmp_path, chunk_size=4, overlap=0)
+    store.ingest_text("c", "d", "alpha bravo charlie delta echo")
+    store.query("c", "alpha")  # cached
+    meta = (tmp_path / "c" / "meta.jsonl").read_bytes()
+    (tmp_path / "c" / "vectors.bin").unlink()
+    assert store.list_collections() == ["c"]
+    for reader in (store, RagStore(tmp_path, chunk_size=4, overlap=0)):
+        for call in (lambda: reader.query("c", "alpha"), lambda: reader.stats("c"),
+                     lambda: reader.ingest_text("c", "e", "golf")):
+            with pytest.raises(NotFoundError, match="^corrupt vector file for collection: c$"):
+                call()
+    assert os.listdir(tmp_path / "c") == ["meta.jsonl"]  # the ingests wrote nothing
+    assert (tmp_path / "c" / "meta.jsonl").read_bytes() == meta
+
