@@ -31,6 +31,7 @@ from .errors import (
     E_UNKNOWN_TOOL,
     ActionTypeError,
     AgentOsError,
+    InvalidDefinitionError,
     NotFoundError,
     ParseError,
     PhaseExhaustedError,
@@ -48,7 +49,7 @@ from .forms import (
 )
 from .kernel import (AgentDefinition, Context, ToolCall, ToolParam, ToolResult, ToolSchema,
                      check_arguments)
-from .registry import RegistryStore, RegistryToolSuite, ToolDefinition
+from .registry import RegistryStore, RegistryToolSuite, ToolDefinition, decode_param
 from .workflow import declared_agent
 
 TEST_LINE_PREFIX = "TEST:"
@@ -156,9 +157,10 @@ def _parse_param_spec(raw: str) -> list[ToolParam]:
         if isinstance(item, str):
             out.append(ToolParam(item))
         elif isinstance(item, dict) and "name" in item:
-            out.append(ToolParam(str(item["name"]),
-                                 str(item.get("description", "")),
-                                 bool(item.get("required", True))))
+            try:
+                out.append(decode_param(item))  # the registry record's own checks
+            except InvalidDefinitionError as err:
+                raise ValueError(f"bad parameter entry {item!r}: {err}") from None
         else:
             raise ValueError(f"bad parameter entry: {item!r}")
     return out
@@ -561,9 +563,10 @@ def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
                           parse_agent_form, validate_agent_form)
     phases.tools([(t.name, t.description, a.name)
                   for a in form.agents for t in a.tools_new])
-    phases.agents([AgentDefinition(a.name, a.description, a.instructions,
-                                   [t.name for t in a.tools_existing + a.tools_new])
-                   for a in form.agents])
+    phases.agents([AgentDefinition(
+        a.name, a.description, a.instructions,
+        list(dict.fromkeys(t.name for t in a.tools_existing + a.tools_new)))
+        for a in form.agents])
 
     if test_task is not None:
         def test_attempt(feedback):

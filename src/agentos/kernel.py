@@ -174,7 +174,11 @@ class AgentDefinition:
             raise InvalidDefinitionError("agent cannot transfer to itself")
         if not all(isinstance(n, str) for n in (*self.tool_names, *self.transfer_targets)):
             raise InvalidDefinitionError("tool names and transfer targets must be strings")
-        taken = set(self.tool_names)
+        taken: set[str] = set()
+        for tool_name in self.tool_names:
+            if tool_name in taken:
+                raise InvalidDefinitionError(f"tool {tool_name!r} is named twice")
+            taken.add(tool_name)
         for target in self.transfer_targets:
             tool_name = _transfer_tool_name(target)
             if tool_name in taken:

@@ -73,9 +73,13 @@ class ToolDefinition(ToolSchema):
     def __post_init__(self):
         if not is_identifier(self.name):
             raise InvalidDefinitionError(f"tool name is not an identifier: {self.name!r}")
+        seen: set[str] = set()
         for p in self.parameters:
             if not is_identifier(p.name):
                 raise InvalidDefinitionError(f"parameter name is not an identifier: {p.name!r}")
+            if p.name in seen:
+                raise InvalidDefinitionError(f"parameter {p.name!r} is named twice")
+            seen.add(p.name)
         if self.body_kind == "builtin":
             if self.builtin not in BUILTIN_TOOLS:
                 raise InvalidDefinitionError(f"unknown builtin: {self.builtin!r}")
@@ -122,6 +126,12 @@ def _encode_tool(tool: ToolDefinition) -> dict:
     }
 
 
+def decode_param(entry: dict) -> ToolParam:
+    """One parameter object of a tool record, read with the record's type checks."""
+    return ToolParam(_field(entry, "name", ""), _field(entry, "description", ""),
+                     _field(entry, "required", True))
+
+
 def _decode_tool(record: dict) -> ToolDefinition:
     body = _field(record, "body", {})
     params = _field(record, "parameters", [])
@@ -130,8 +140,7 @@ def _decode_tool(record: dict) -> ToolDefinition:
     return ToolDefinition(
         name=record["name"],
         description=_field(record, "description", ""),
-        parameters=[ToolParam(_field(p, "name", ""), _field(p, "description", ""),
-                              _field(p, "required", True)) for p in params],
+        parameters=[decode_param(p) for p in params],
         body_kind=_field(body, "kind", "builtin"),
         builtin=_field(body, "builtin", ""),
         source=_field(body, "source", ""),

@@ -15,7 +15,6 @@ state, which is what makes replayed runs comparable.
 from __future__ import annotations
 
 import contextlib
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -117,7 +116,7 @@ class EventOutcome:
     key: str = ""
     value: str = ""
     action: ActionSpec = field(default_factory=lambda: ActionSpec("RESULT"))
-    notes: list[str] = field(default_factory=list)
+    retried: str | None = None  # error code of a first reply that was not usable
     failure: str | None = None  # error code when no usable output was produced
     failure_detail: str = ""
 
@@ -268,7 +267,7 @@ def declared_agent(form: WorkflowForm, decl: WorkflowAgentDecl) -> kernel.AgentD
                     if decl.description else f"You are {decl.name}. Follow the task exactly.")
     return kernel.AgentDefinition(name=decl.name, description=decl.description,
                                   instructions=instructions,
-                                  tool_names=[t.name for t in decl.tools])
+                                  tool_names=list(dict.fromkeys(t.name for t in decl.tools)))
 
 
 def make_agent_resolver(form: WorkflowForm, tools=None, store=None) -> AgentResolver:
@@ -280,7 +279,6 @@ def make_agent_resolver(form: WorkflowForm, tools=None, store=None) -> AgentReso
     call returns a new agent, with the event's model override when it has one."""
     decls = {d.name: d for d in form.agents}
     agents: dict[str, kernel.AgentDefinition] = {}
-    lock = threading.Lock()  # parallel rounds resolve from several threads
 
     def describable(name: str) -> bool:
         with contextlib.suppress(NotFoundError):
@@ -294,34 +292,33 @@ def make_agent_resolver(form: WorkflowForm, tools=None, store=None) -> AgentReso
         return declared_agent(form, decls.get(name, WorkflowAgentDecl(name, "new")))
 
     def resolve(ref: EventAgentRef) -> kernel.AgentDefinition:
-        with lock:
-            if ref.name not in agents:
-                agent = lookup(ref.name)
-                kept = [n for n in agent.tool_names if describable(n)] if tools is not None else []
-                agents[ref.name] = replace(agent, tool_names=kept)
-            agent = agents[ref.name]
+        if ref.name not in agents:
+            agent = lookup(ref.name)
+            kept = [n for n in agent.tool_names if describable(n)] if tools is not None else []
+            agents[ref.name] = replace(agent, tool_names=kept)
+        agent = agents[ref.name]
         return replace(agent, model=ref.model or agent.model)
 
     return resolve
 
 
 def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
-                  resolve_agent: AgentResolver,
+                  agent: kernel.AgentDefinition | None,
                   limits: kernel.LoopLimits | None = None) -> EventOutcome:
-    """Run one event to an outcome. Mechanical for on_start, agentic otherwise.
+    """Run one event to an outcome: mechanical for on_start (``agent`` None),
+    agentic otherwise. It reads committed run state and changes none.
 
     A reply that names no usable output is retried once with a corrective
     user turn; a second failure surfaces as outcome.failure.
     """
     spec = compiled.spec
-    if spec.name == "on_start":
+    if agent is None:
         return EventOutcome(event=spec.name, key=spec.outputs[0].key,
                             value=run.system_value, action=ActionSpec("RESULT"))
 
     inputs = [(p.key, run.blackboard.get(p.key, "")) for p in spec.inputs]
     prompt = render_event_prompt(spec, inputs, run.globals)
-    agent = resolve_agent(spec.agent)
-    notes: list[str] = []
+    retried: str | None = None
     context = kernel.Context()
     task = prompt
     last_code = E_NO_OUTPUT
@@ -338,16 +335,16 @@ def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
                 key, value = selected  # select_output returns declared keys only
                 action = next(o.action for o in spec.outputs if o.key == key)
                 return EventOutcome(event=spec.name, key=key, value=value,
-                                    action=action, notes=notes)
+                                    action=action, retried=retried)
             last_code = selected
             last_detail = "reply did not select a declared output"
         if attempt == 0:
-            notes.append(f"retry {spec.name} code={last_code}")
+            retried = last_code
             declared = ", ".join(o.key for o in spec.outputs)
             task = (f"Your previous reply was not usable ({last_code}). "
                     f"Declared output keys: {declared}. "
                     f"Reply again and end with a line 'SELECTED_OUTPUT: <key>'.")
-    return EventOutcome(event=spec.name, notes=notes,
+    return EventOutcome(event=spec.name, retried=retried,
                         failure=last_code, failure_detail=last_detail)
 
 
@@ -360,7 +357,8 @@ def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
     """Commit one outcome. Returns the events a GOTO rewound (none for any
     other commit), or the run's result when the outcome ends the run."""
     name = compiled.spec.name
-    run.trace.extend(outcome.notes)
+    if outcome.retried:
+        run.trace.append(f"retry {name} code={outcome.retried}")
     if outcome.failure:
         return run.finish("error", outcome.failure, f"{name}: {outcome.failure_detail}", name)
 
@@ -411,10 +409,12 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
     """
     graph = compile_graph(form, registry)
     resolver = resolve_agent or make_agent_resolver(form, tools)
+    # resolved before round 1 on this thread, so pool threads only run events
+    agents = {ce.spec.name: ce.spec.agent and resolver(ce.spec.agent) for ce in graph.events}
     run = WorkflowRun(graph, input_value)
 
     def execute(ce: CompiledEvent) -> EventOutcome:
-        return execute_event(run, ce, engine, tools, resolver, limits)
+        return execute_event(run, ce, engine, tools, agents[ce.spec.name], limits)
 
     # the pool starts no thread until a parallel round submits work
     with ThreadPoolExecutor(max_workers=PARALLEL_WORKERS) as pool:

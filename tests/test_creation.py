@@ -1,5 +1,6 @@
 """Creation pipelines: management tools, phase retries, rollback, orchestration."""
 
+import json
 import os
 
 import pytest
@@ -123,6 +124,29 @@ def test_mgmt_create_tool_variants(store, suite):
     assert store.get_tool("mixed").body_kind == "builtin"
 
 
+@pytest.mark.parametrize("entry", [
+    {"name": "a", "required": "false"},
+    {"name": "a", "required": 0},
+    {"name": "a", "description": 5},
+    {"name": ["a"]},
+])
+def test_mgmt_create_tool_reads_parameter_objects_as_the_registry_does(store, suite, entry):
+    result = suite.run(ToolCall("create_tool", {
+        "name": "strict", "builtin": "echo", "parameters": json.dumps([entry])}))
+    assert (result.status, result.error_kind) == ("error", E_ARGS)
+    assert result.payload.startswith(f"bad parameter entry {entry!r}: ")
+    assert store.snapshot() == {}
+
+
+@pytest.mark.parametrize("parameters", ["a,a", '["a", {"name": "a", "required": false}]'])
+def test_mgmt_create_tool_refuses_a_repeated_parameter(store, suite, parameters):
+    result = suite.run(ToolCall("create_tool", {
+        "name": "twice", "builtin": "echo", "parameters": parameters}))
+    assert (result.status, result.error_kind) == ("error", "E_INVALID_DEF")
+    assert result.payload == "parameter 'a' is named twice"
+    assert store.snapshot() == {}
+
+
 def test_mgmt_run_tool(store, suite):
     store.put_tool(builtin_tool("arithmetic_eval"))
     result = suite.run(ToolCall("run_tool", {
@@ -151,6 +175,13 @@ def test_mgmt_agent_lifecycle(store, suite):
     assert suite.run(ToolCall("delete_agent", {"name": "Scout Agent"})).status == "ok"
     gone = suite.run(ToolCall("delete_agent", {"name": "Scout Agent"}))
     assert (gone.status, gone.error_kind) == ("error", "E_NOT_FOUND")
+
+
+def test_mgmt_create_agent_refuses_a_repeated_tool(store, suite):
+    result = suite.run(ToolCall("create_agent", {"name": "Echo Agent", "tools": "echo, echo"}))
+    assert (result.status, result.error_kind) == ("error", "E_INVALID_DEF")
+    assert result.payload == "tool 'echo' is named twice"
+    assert store.snapshot() == {}
 
 
 def test_mgmt_create_agent_with_a_name_the_file_system_cannot_encode(store, suite):
@@ -266,6 +297,26 @@ def test_agents_pipeline_valid_first(store):
     assert store.names("tools") == ["greeting_tool"]
     assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
     assert engine.backend.calls == 5
+
+
+def test_agents_pipeline_lists_a_repeated_tool_once(store):
+    tool = """<tool>
+                <name>greeting_tool</name>
+                <description>Return the given text unchanged.</description>
+            </tool>"""
+    tasks = []
+
+    def create_greeter(request):
+        tasks.append(request.messages[1]["content"])
+        return CREATE_GREETER_AGENT
+
+    engine = engine_of([GREETER_XML.replace(tool, tool * 2), CREATE_GREETING_TOOL,
+                        TOOL_TEST_REPLY, create_greeter, "registered the agent"])
+    report = create_agents_pipeline("make a greeter", engine, store)
+    assert [(p.phase, p.ok) for p in report.phases] == [
+        ("profiling", True), ("tools", True), ("agents", True)]
+    assert tasks[0].endswith("\n  tools: greeting_tool")
+    assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
 
 
 def test_agents_pipeline_feedback_then_valid(store):

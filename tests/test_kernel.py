@@ -82,6 +82,8 @@ def test_agent_definition_rules():
         AgentDefinition(name="   ")
     with pytest.raises(InvalidDefinitionError):
         AgentDefinition(name="Loop", transfer_targets=["Loop"])
+    with pytest.raises(InvalidDefinitionError, match="'echo' is named twice"):
+        AgentDefinition(name="Echoer", tool_names=["echo", "read_text_file", "echo"])
 
 
 def test_agent_definition_rejects_colliding_transfer_tools():

@@ -458,6 +458,9 @@ def test_tool_definition_rules():
     with pytest.raises(InvalidDefinitionError):
         ToolDefinition(name="x", parameters=[ToolParam("bad name")],
                        body_kind="builtin", builtin="echo")
+    with pytest.raises(InvalidDefinitionError, match="'a' is named twice"):
+        ToolDefinition(name="x", parameters=[ToolParam("a"), ToolParam("b"), ToolParam("a")],
+                       body_kind="builtin", builtin="echo")
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +485,21 @@ def test_registry_resolver_precedence(store, tmp_path):
     outline = resolve(form.events[2].agent)
     assert outline.name == "Outline Agent"
     assert "outline" in outline.instructions
+
+
+def test_a_malformed_registry_agent_fails_the_run_before_any_backend_call(store, tmp_path):
+    form = parse_workflow_form(read_fixture("wiki_article_workflow.xml"))
+    store.put_agent(AgentDefinition(name="Web Surfer Agent", instructions="Search."))
+    store.put_agent(AgentDefinition(name="Outline Agent", instructions="Outline."))
+    path = store.root / "agents" / "Outline Agent.def"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**record, "tool_names": "echo"}), encoding="utf-8")
+    engine = Engine(mode="transformed", backend=ScriptedBackend(["search result text"]))
+    with pytest.raises(InvalidDefinitionError) as err:
+        RegistryToolSuite(store, workdir=tmp_path).run_workflow(form, "topic", engine)
+    assert err.value.code == "E_INVALID_DEF"
+    # on_outline runs in round 3, but its agent is resolved before round 1
+    assert engine.backend.calls == 0
 
 
 def test_a_registry_run_looks_up_each_agent_once(store, tmp_path):

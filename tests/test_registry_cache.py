@@ -128,7 +128,7 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         self._put(self.store.put_tool, tool, "tools", name)
 
     @rule(name=st.sampled_from(NAMES["agents"]), model=WORDS,
-          tools=st.lists(st.sampled_from(NAMES["tools"]), max_size=2))
+          tools=st.lists(st.sampled_from(NAMES["tools"]), max_size=2, unique=True))
     def put_agent(self, name, model, tools):
         self._put(self.store.put_agent, AgentDefinition(name=name, model=model,
                                                         tool_names=tools), "agents", name)

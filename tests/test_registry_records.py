@@ -201,7 +201,10 @@ def test_put_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _header(kind: str, **fields) -> dict:
-    return {"format_version": 1, "kind": kind, "name": "x", "version": 1, **fields}
+    """A record of ``kind`` that ``fields`` alone can make malformed: a tool
+    record carries a usable body unless ``fields`` replaces it."""
+    body = {"body": {"kind": "builtin", "builtin": "echo"}} if kind == "tool" else {}
+    return {"format_version": 1, "kind": kind, "name": "x", "version": 1, **body, **fields}
 
 
 def _without(record: dict, key: str) -> dict:
@@ -224,6 +227,7 @@ MALFORMED = {
         "body kind not text": _header("tool", body={"kind": ["builtin"]}),
         "description not text": _header("tool", description=None),
         "required not a boolean": _header("tool", parameters=[{"name": "a", "required": "no"}]),
+        "parameter named twice": _header("tool", parameters=[{"name": "a"}, {"name": "a"}]),
     },
     "agents": {
         "not JSON": b"",
@@ -232,6 +236,7 @@ MALFORMED = {
         "no version": _without(_header("agent"), "version"),
         "tool names text": _header("agent", tool_names="echo"),
         "tool name not text": _header("agent", tool_names=[1]),
+        "tool named twice": _header("agent", tool_names=["echo", "echo"]),
         "targets not a list": _header("agent", transfer_targets={"a": 1}),
         "instructions not text": _header("agent", instructions=["a"]),
     },

@@ -8,6 +8,7 @@ from agentos.backends import ScriptedBackend
 from agentos.engine import Engine
 from agentos.errors import (
     E_LOOP_LIMIT,
+    E_MISSING_OUTPUT,
     E_NO_OUTPUT,
     E_OUTPUT_UNDECLARED,
     BackendError,
@@ -17,6 +18,8 @@ from agentos.forms import (
     ActionSpec,
     GlobalVar,
     KeyDesc,
+    ToolRef,
+    WorkflowAgentDecl,
     parse_workflow_form,
     validate_workflow_form,
 )
@@ -24,7 +27,9 @@ from agentos.kernel import LoopLimits, ToolCall
 from agentos.workflow import (
     PARALLEL_WORKERS,
     compile_graph,
+    declared_agent,
     forward_closure,
+    make_agent_resolver,
     render_event_prompt,
     run_workflow,
     select_output,
@@ -159,6 +164,23 @@ def test_math_workflow_parallel_trace_identical(math_form):
     assert parallel.output == serial.output
 
 
+def test_agents_are_resolved_on_the_calling_thread(math_form):
+    calls = []
+    resolve = make_agent_resolver(math_form)
+
+    def recording(ref):
+        calls.append((ref.model, threading.get_ident()))
+        return resolve(ref)
+
+    result = run_workflow(math_form, "solve 2x=8",
+                          Engine(mode="transformed", backend=RouterBackend(MATH_ROUTES)),
+                          registry=MATH_VIEW, resolve_agent=recording, parallel=True)
+    assert result.status == "completed"
+    # once per agent event, before round 1, none from the pool of the solvers' round
+    assert calls == [(model, threading.get_ident()) for model in (
+        "gpt-4o-2024-08-06", CLAUDE, "deepseek/deepseek-chat", "deepseek/deepseek-chat")]
+
+
 def test_wiki_goto_loop_then_complete(wiki_form):
     engine = wiki_engine([
         "search result text",
@@ -248,6 +270,43 @@ def test_same_round_goto_discards_stale_result():
     assert serial.output == "fresh b"
     assert parallel.trace == serial.trace
     assert parallel.blackboard == serial.blackboard
+
+
+# on_start -> first and on_start -> side: first takes its GOTO output, which
+# rewinds side, so all events complete while first's RESULT key never lands
+MISSING_OUTPUT_XML = _workflow("missing_output", "answer", [
+    """<event><name>first</name>
+        <outputs>
+            <output><key>answer</key><description>d</description><condition>done</condition>
+                <action><type>RESULT</type></action></output>
+            <output><key>again</key><description>d</description><condition>not done</condition>
+                <action><type>GOTO</type><value>side</value></action></output></outputs>
+        <listen><event>on_start</event></listen>
+        <agent><name>Worker</name><model>m_first</model></agent></event>""",
+    _event("side", "on_start", "side_out", "m_side"),
+])
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_a_completed_run_without_the_system_output_fails(parallel):
+    form = parse_workflow_form(MISSING_OUTPUT_XML)
+    assert validate_workflow_form(form) == []
+    backend = RouterBackend({"m_first": ["retry it\nSELECTED_OUTPUT: again"],
+                             "m_side": ["side v1", "side v2"]})
+    result = run_workflow(form, "topic", Engine("transformed", backend), parallel=parallel)
+    assert (result.status, result.error) == ("error", E_MISSING_OUTPUT)
+    assert result.output is None
+    assert result.blackboard == {"topic": "topic", "again": "retry it", "side_out": "side v2"}
+    assert result.trace[-6:] == [
+        "reset side", "discard side", "round 3", "run side agent=Worker model=m_side",
+        "commit side action=RESULT key=side_out", "fail workflow code=" + E_MISSING_OUTPUT]
+    assert backend.calls == 3
+
+
+def test_a_declared_agent_keeps_the_first_of_a_repeated_tool(math_form):
+    decl = WorkflowAgentDecl("Scout Agent", "new", "Scout.",
+                             [ToolRef("echo"), ToolRef("read_text_file"), ToolRef("echo")])
+    assert declared_agent(math_form, decl).tool_names == ["echo", "read_text_file"]
 
 
 def test_long_chain_in_reverse_document_order():
