@@ -499,16 +499,20 @@ class _Phases:
         self.run(name, attempt)
 
     def tools(self, rows: list[tuple[str, str, str]]) -> None:
-        """Build the (name, description, owner) tools, each demonstrated."""
+        """Build the (name, description, owner) tools, each demonstrated; a
+        repeated name keeps its first row."""
         if not rows:
             return
+        first: dict[str, tuple[str, str, str]] = {}
+        for row in rows:
+            first.setdefault(row[0], row)
         lines = ["Create the following tools in the registry:"]
-        for name, description, owner in rows:
+        for name, description, owner in first.values():
             suffix = f" (used by {owner})" if owner else ""
             lines.append(f"- {name}: {description}{suffix}")
         lines.append("")
         lines.append("Finish with one TEST line per tool demonstrating a successful call.")
-        expected = {name for name, _, _ in rows}
+        expected = set(first)
 
         def check(outcome):
             for name in sorted(expected):

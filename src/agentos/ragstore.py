@@ -1,18 +1,25 @@
 """Vector-backed document store: chunking, embedding, retrieval, answering.
 
-On-disk layout per collection (``<root>/<collection>/``):
+On-disk layout per collection (``<root>/<collection>/``, docs/formats.md):
 
-* ``meta.jsonl``  — one compact JSON object per chunk, in row order:
-  {"doc_id": ..., "ordinal": ..., "text": ..., "token_start": ...}
-* ``vectors.bin`` — magic ``RV1\\n``, uint32 LE dim, uint32 LE count, then
-  count*dim float64 LE values. Row i pairs with meta line i.
+* ``meta.jsonl`` and ``vectors.bin``, the base, in RV1: one compact JSON object
+  per chunk, {"doc_id", "ordinal", "text", "token_start"}, and magic ``RV1\\n``,
+  uint32 LE dim, uint32 LE count, then count*dim float64 LE values. Row i of
+  the one pairs with line i of the other.
+* ``delta-<n>``, immutable delta segments: magic ``RD1\\n``, dim, count and the
+  rows' vectors as in RV1, then their meta lines.
+* ``manifest``, the commit point: magic ``RM1\\n`` and one JSON object with the
+  crc32 of each base file and the delta segments in order, each with the
+  doc_ids whose rows it replaces.
 
-Rows are kept sorted by (doc_id, ordinal) and each file is replaced
-atomically once per ingest call, so two stores built from the same documents
-are byte-identical. The pair is not: a failure between the two renames leaves
-new text beside old vectors, which reads as valid if the row count held. A store
-keeps the collections it read or wrote and reads one again only when the
-stat signature of either file changed.
+An ingest writes a delta segment or a new base, as the compaction rule
+``_rewrites_base`` picks, and ends by replacing the manifest. A failed write
+leaves the old collection or one that raises ``E_NOT_FOUND``, never new text
+beside old vectors. A folder without a manifest reads as plain RV1. Live rows
+are kept sorted by (doc_id, ordinal), and a rewritten base is byte-identical
+to one ingest of the live documents into an empty collection. A store keeps
+the collections it read or wrote and reads one again only when the stat
+signature of the manifest or of a base file changed.
 
 The default embedder hashes whitespace tokens with sha256 into a fixed-size
 signed-count vector and L2-normalizes. It is deterministic across processes
@@ -22,13 +29,17 @@ stand in for it (e.g. a network embedder).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
+import io
 import json
+import math
 import mmap
 import os
 import struct
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -39,6 +50,8 @@ from .errors import EmptyInputError, NotFoundError
 from .storage import atomic_write, entry_path, is_entry_name, signature
 
 VECTOR_MAGIC = b"RV1\n"
+DELTA_MAGIC = b"RD1\n"
+MANIFEST_MAGIC = b"RM1\n"
 DOC_SUFFIXES = (".txt", ".md")
 
 DEFAULT_CHUNK_SIZE = 64
@@ -145,23 +158,148 @@ class RagAnswer:
 
 
 class _Rows(NamedTuple):
-    """A collection as last read or written, under its two files' signatures."""
+    """A collection as last read or written: its live rows in (doc_id, ordinal)
+    order under the stat signatures of its manifest and base files (None for a
+    missing file), the manifest its next commit extends, and the rows stored
+    in its base and in its delta segments."""
     signature: tuple
     keys: list[tuple[str, int]]
     lines: list[str]
     vectors: np.ndarray
+    image: mmap.mmap | None  # the ``_image`` that holds ``vectors``
+    manifest: dict
+    stored: tuple[int, int]
 
 
 _meta_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _META = get_type_hints(Chunk)  # the fields of a meta line, and their types
+_MANIFEST = {"deltas": list, "meta_crc": int, "next": int, "vectors_crc": int}
 
 
-def _image(count: int, dim: int) -> tuple[mmap.mmap, np.ndarray]:
+def _image(count: int, dim: int, spare: mmap.mmap | None = None) -> tuple[mmap.mmap, np.ndarray]:
     """``vectors.bin`` from offset 4 of an anonymous mapping (off the malloc
-    heap, so dropping it gives the memory back), and its now aligned rows."""
-    image = mmap.mmap(-1, 16 + 8 * count * dim)
+    heap, so dropping it gives the memory back), and its now aligned rows. The
+    mapping is ``spare`` when that is large enough, since faulting in fresh
+    pages costs more than the copy; a new one has room for a quarter more rows,
+    which take no memory until they are written."""
+    size = 16 + 8 * count * dim
+    image = spare if spare is not None and len(spare) >= size \
+        else mmap.mmap(-1, size + 8 * (count // 4) * dim)
     image[4:16] = VECTOR_MAGIC + struct.pack("<II", dim, count)
     return image, np.frombuffer(image, "<f8", count * dim, 16).reshape(count, dim)
+
+
+def _stat(path: str) -> tuple | None:
+    """The stat signature of ``path``, None when there is no such file."""
+    try:
+        return signature(os.stat(path))
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+
+
+def _meta_rows(collection: str, data: bytes) -> tuple[list, list]:
+    """The keys and canonical lines of the meta lines in ``data``."""
+    keys, lines = [], []
+    try:
+        for line in filter(str.strip, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+            record = json.loads(line)
+            if type(record) is not dict or {f: type(record.get(f)) for f in _META} != _META:
+                raise ValueError("not a chunk record")
+            keys.append((record["doc_id"], record["ordinal"]))
+            lines.append(_meta_line({f: record[f] for f in _META}))
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, not a chunk, nested too deep
+        raise NotFoundError(f"corrupt meta file for collection: {collection}") from None
+    return keys, lines
+
+
+def _manifest_bytes(manifest: dict) -> bytes:
+    return MANIFEST_MAGIC + _meta_line(manifest).encode()
+
+
+def _read_manifest(collection: str, path: str) -> dict | None:
+    """The manifest at ``path``, None when there is none."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return None
+    except IsADirectoryError:
+        data = b""
+    try:
+        if data[:4] != MANIFEST_MAGIC:
+            raise ValueError("not a manifest")
+        manifest = json.loads(data[4:])
+        if type(manifest) is not dict or {f: type(v) for f, v in manifest.items()} != _MANIFEST \
+                or not all(type(d) is list and list(map(type, d)) == [int, int, list]
+                           and all(type(doc_id) is str for doc_id in d[2])
+                           for d in manifest["deltas"]):
+            raise ValueError("not a manifest")
+    except (ValueError, RecursionError):
+        raise NotFoundError(f"corrupt manifest for collection: {collection}") from None
+    return manifest
+
+
+def _read_delta(collection: str, path: str, crc: int, dim: int) -> tuple[list, list, np.ndarray]:
+    """The rows of a delta segment that the manifest lists with ``crc``."""
+    mismatch = NotFoundError(f"collection does not match its manifest: {collection}")
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except (FileNotFoundError, IsADirectoryError):
+        raise mismatch from None
+    if len(data) < 12 or zlib.crc32(data) != crc \
+            or data[:8] != DELTA_MAGIC + struct.pack("<I", dim):
+        raise mismatch
+    count = struct.unpack_from("<I", data, 8)[0]
+    try:
+        keys, lines = _meta_rows(collection, data[12 + 8 * count * dim:])
+    except NotFoundError:
+        raise mismatch from None
+    if len(keys) != count or len(data) < 12 + 8 * count * dim or keys != sorted(keys):
+        raise mismatch
+    return keys, lines, np.frombuffer(data, "<f8", count * dim, 12).reshape(count, dim)
+
+
+def _splice(rows: tuple, deltas: list, spare: mmap.mmap | None = None) \
+        -> tuple[list, list, mmap.mmap, np.ndarray]:
+    """``rows`` (keys, lines, vectors) after ``deltas`` in order, each a pair
+    (doc_ids, rows) whose rows replace those of its doc_ids; all rows are in
+    (doc_id, ordinal) order. The result's vectors are in an ``_image``."""
+    keys = rows[0]
+    owner = {doc_id: delta for doc_ids, delta in deltas for doc_id in doc_ids}  # the last wins
+    pieces, at = [], 0
+    for doc_id in sorted(owner):
+        delta, start = owner[doc_id], bisect.bisect_left(keys, (doc_id,), at)
+        pieces += [(rows, at, start), (delta, bisect.bisect_left(delta[0], (doc_id,)),
+                                       bisect.bisect_left(delta[0], (doc_id, math.inf)))]
+        at = bisect.bisect_left(keys, (doc_id, math.inf), start)
+    pieces.append((rows, at, len(keys)))
+    image, matrix = _image(sum(stop - start for _, start, stop in pieces), rows[2].shape[1], spare)
+    keys, lines, row = [], [], 0
+    for (part_keys, part_lines, vectors), start, stop in pieces:
+        keys += part_keys[start:stop]
+        lines += part_lines[start:stop]
+        matrix[row:row + stop - start] = vectors[start:stop]
+        row += stop - start
+    return keys, lines, image, matrix
+
+
+def _rewrites_base(replaced: int, kept: int, new: int, base: int, deltas: int) -> bool:
+    """The compaction rule: an ingest that replaces ``replaced`` live rows, keeps
+    ``kept`` and adds ``new``, over ``base`` rows stored in the base and
+    ``deltas`` in delta segments, rewrites the base instead of writing a delta
+    when it replaces at least as many rows as it keeps, or when the delta would
+    leave more stored rows than twice the live rows or more delta rows than
+    base rows."""
+    return replaced >= kept or base + deltas + new > 2 * (kept + new) or deltas + new > base
+
+
+def _sweep(folder: str, listed) -> None:
+    """Remove the delta segments in ``folder`` that are not ``listed``."""
+    for name in os.listdir(folder):
+        if name.startswith("delta-") and name not in listed:
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.join(folder, name))
 
 
 class RagStore:
@@ -173,60 +311,66 @@ class RagStore:
         self.chunk_size = chunk_size
         self.overlap = overlap
         self._cache: dict[str, _Rows] = {}  # collection -> its rows, replaced whole
+        self._spare: mmap.mmap | None = None  # the image of the rows an ingest last replaced
 
     # -- storage ------------------------------------------------------------
 
-    def _files(self, collection: str) -> tuple[str, str]:
+    def _files(self, collection: str) -> tuple[str, str, str]:
         folder = entry_path(self.root, collection, "collection")
-        return os.path.join(folder, "meta.jsonl"), os.path.join(folder, "vectors.bin")
+        return tuple(os.path.join(folder, name)
+                     for name in ("manifest", "meta.jsonl", "vectors.bin"))
 
     def _rows(self, collection: str) -> _Rows:
-        """The collection, read again only when the stat signature of either
-        file changed; a malformed collection raises on every read."""
+        """The collection, read again only when the stat signature of its
+        manifest or of a base file changed; a malformed collection raises on
+        every read."""
         paths = self._files(collection)
+        now = tuple(map(_stat, paths))
         rows = self._cache.get(collection)
-        try:
-            if rows is not None and rows.signature == tuple(signature(os.stat(p)) for p in paths):
-                return rows
-            self._cache.pop(collection, None)
-            with open(paths[0], encoding="utf-8") as meta, open(paths[1], "rb") as vectors:
-                rows = self._read(collection, meta, vectors)
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-            if os.path.isfile(paths[0]):  # listed, since its meta file is there
-                raise NotFoundError(f"corrupt vector file for collection: {collection}") from None
-            raise NotFoundError(f"no such collection: {collection}") from None
-        self._cache[collection] = rows
+        if rows is not None and rows.signature == now:
+            return rows
+        self._cache.pop(collection, None)
+        rows = self._cache[collection] = self._read(collection, paths, now)
         return rows
 
     @staticmethod
-    def _read(collection: str, meta, vectors) -> _Rows:
-        keys, lines = [], []
+    def _read(collection: str, paths: tuple, now: tuple) -> _Rows:
         try:
-            for line in filter(str.strip, meta):
-                record = json.loads(line)
-                if type(record) is not dict or {f: type(record.get(f)) for f in _META} != _META:
-                    raise ValueError("not a chunk record")
-                keys.append((record["doc_id"], record["ordinal"]))
-                lines.append(_meta_line({f: record[f] for f in _META}))
-        except (ValueError, RecursionError):  # not UTF-8, not JSON, not a chunk, nested too deep
-            raise NotFoundError(f"corrupt meta file for collection: {collection}") from None
-        st = os.fstat(vectors.fileno())
-        header = vectors.read(12)
-        if len(header) < 12 or header[:4] != VECTOR_MAGIC:
-            raise NotFoundError(f"corrupt vector file for collection: {collection}")
-        dim, count = struct.unpack_from("<II", header, 4)
-        if count != len(keys):
-            raise NotFoundError(f"collection row mismatch: {collection}")
-        if st.st_size < 12 + 8 * count * dim:
-            raise NotFoundError(f"corrupt vector file for collection: {collection}")
-        image, matrix = _image(count, dim)
-        vectors.readinto(memoryview(image)[16:])
+            with open(paths[1], "rb") as meta, open(paths[2], "rb") as vectors:
+                data = meta.read()
+                keys, lines = _meta_rows(collection, data)
+                header = vectors.read(12)
+                if len(header) < 12 or header[:4] != VECTOR_MAGIC:
+                    raise NotFoundError(f"corrupt vector file for collection: {collection}")
+                dim, count = struct.unpack_from("<II", header, 4)
+                if count != len(keys):
+                    raise NotFoundError(f"collection row mismatch: {collection}")
+                image, matrix = _image(count, dim)
+                if vectors.readinto(memoryview(image)[16:16 + matrix.nbytes]) < matrix.nbytes:
+                    raise NotFoundError(f"corrupt vector file for collection: {collection}")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            if os.path.isfile(paths[1]):  # listed, since its meta file is there
+                raise NotFoundError(f"corrupt vector file for collection: {collection}") from None
+            raise NotFoundError(f"no such collection: {collection}") from None
+        crcs = {"meta_crc": zlib.crc32(data),
+                "vectors_crc": zlib.crc32(memoryview(image)[4:16 + matrix.nbytes])}
         order = sorted(range(count), key=keys.__getitem__)
         if order != list(range(count)):  # not written by a store: put rows in store order
             keys, lines = [keys[i] for i in order], [lines[i] for i in order]
             matrix[:] = matrix[order]
+        manifest = _read_manifest(collection, paths[0])
+        if manifest is None:  # plain RV1
+            manifest = {"deltas": [], "next": 0, **crcs}
+        elif {f: manifest[f] for f in crcs} != crcs:
+            raise NotFoundError(f"collection does not match its manifest: {collection}")
+        folder = os.path.dirname(paths[0])
+        deltas = [(doc_ids, _read_delta(collection, os.path.join(folder, f"delta-{n}"), crc, dim))
+                  for n, crc, doc_ids in manifest["deltas"]]
+        if deltas:
+            keys, lines, image, matrix = _splice((keys, lines, matrix), deltas)
         matrix.flags.writeable = False
-        return _Rows((signature(os.fstat(meta.fileno())), signature(st)), keys, lines, matrix)
+        return _Rows(now, keys, lines, matrix, image, manifest,
+                     (count, sum(len(delta[0]) for _, delta in deltas)))
 
     # -- ingest ---------------------------------------------------------------
 
@@ -238,34 +382,59 @@ class RagStore:
 
     def _ingest(self, collection: str, docs: dict[str, str]) -> dict[str, int]:
         """Replace the chunks of each document in ``docs`` (doc_id -> text) with
-        one read, merge and write of each file; what was written is cached."""
-        chunks = {doc_id: chunk_text(text, doc_id, self.chunk_size, self.overlap)
-                  for doc_id, text in docs.items()}
+        one read of the collection and one commit: a delta segment or a new
+        base, then the manifest. What was committed is cached."""
+        chunks = {doc_id: chunk_text(docs[doc_id], doc_id, self.chunk_size, self.overlap)
+                  for doc_id in sorted(docs)}
+        counts = {doc_id: len(doc) for doc_id, doc in chunks.items()}
         new = [chunk for doc in chunks.values() for chunk in doc]
+        manifest_path, meta_path, vectors_path = self._files(collection)
         try:
             old = self._rows(collection)
         except NotFoundError:
-            if os.path.exists(self._files(collection)[0]):
+            if os.path.exists(meta_path):
                 raise  # a malformed collection is reported, not replaced
-            old = _Rows((), [], [], np.zeros((0, self.embedder.dim)))
+            old = _Rows((None,) * 3, [], [], np.zeros((0, self.embedder.dim)), None,
+                        {"deltas": [], "next": 0}, (0, 0))  # a new base is its first commit
+        replaced = sum(bisect.bisect_left(old.keys, (doc_id, math.inf))
+                       - bisect.bisect_left(old.keys, (doc_id,)) for doc_id in chunks)
+        if not new and not replaced and old.signature[1] is not None:
+            return counts  # no live row changes, so there is nothing to commit
         self._cache.pop(collection, None)  # the old rows go as soon as the new are built
-        keep = [i for i, (doc_id, _) in enumerate(old.keys) if doc_id not in docs]
-        keys = [old.keys[i] for i in keep] + [(c.doc_id, c.ordinal) for c in new]
-        lines = [old.lines[i] for i in keep] + [_meta_line(vars(c)) for c in new]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        to = np.argsort(order)  # source row -> written row
-        image, matrix = _image(len(keys), self.embedder.dim)
-        matrix[to[:len(keep)]] = old.vectors[keep]
-        for chunk, row in zip(new, to[len(keep):].tolist()):
-            matrix[row] = self.embedder.embed(chunk.text)
-        lines = [lines[i] for i in order]
-        meta_path, vectors_path = self._files(collection)
-        meta_st = atomic_write(meta_path, "\n".join([*lines, ""]).encode("utf-8"))
-        vectors_st = atomic_write(vectors_path, memoryview(image)[4:])
+        fresh_image, fresh = _image(len(new), self.embedder.dim)
+        for row, chunk in enumerate(new):
+            fresh[row] = self.embedder.embed(chunk.text)
+        delta = ([(c.doc_id, c.ordinal) for c in new], [_meta_line(vars(c)) for c in new], fresh)
+        spare, self._spare = self._spare, None
+        keys, lines, image, matrix = _splice(old[1:4], [(chunks, delta)], spare) if old.keys \
+            else (*delta[:2], fresh_image, fresh)
+        base, deltas = old.stored
+        if _rewrites_base(replaced, len(old.keys) - replaced, len(new), base, deltas):
+            if old.signature[0] is None and old.signature[1] is not None:
+                # an RV1 folder gets a manifest of its base before the base is rewritten
+                atomic_write(manifest_path, _manifest_bytes(old.manifest))
+            data = "\n".join([*lines, ""]).encode("utf-8")
+            vectors = memoryview(image)[4:16 + matrix.nbytes]
+            signatures = (signature(atomic_write(meta_path, data)),
+                          signature(atomic_write(vectors_path, vectors)))
+            manifest = {**old.manifest, "deltas": [],
+                        "meta_crc": zlib.crc32(data), "vectors_crc": zlib.crc32(vectors)}
+            stored = (len(keys), 0)
+        else:
+            seq = old.manifest["next"]
+            data = b"".join([DELTA_MAGIC, memoryview(fresh_image)[8:16 + fresh.nbytes],
+                             "\n".join([*delta[1], ""]).encode("utf-8")])
+            atomic_write(os.path.join(os.path.dirname(meta_path), f"delta-{seq}"), data)
+            manifest = {**old.manifest, "next": seq + 1,
+                        "deltas": [*old.manifest["deltas"], [seq, zlib.crc32(data), list(chunks)]]}
+            signatures, stored = old.signature[1:], (base, deltas + len(new))
+        manifest_st = atomic_write(manifest_path, _manifest_bytes(manifest))
+        _sweep(os.path.dirname(meta_path), {f"delta-{seq}" for seq, _, _ in manifest["deltas"]})
         matrix.flags.writeable = False
-        self._cache[collection] = _Rows((signature(meta_st), signature(vectors_st)),
-                                        [keys[i] for i in order], lines, matrix)
-        return {doc_id: len(doc) for doc_id, doc in chunks.items()}
+        self._cache[collection] = _Rows((signature(manifest_st), *signatures), keys, lines,
+                                        matrix, image, manifest, stored)
+        self._spare = old.image
+        return counts
 
     def ingest(self, collection: str, source: str | os.PathLike) -> dict[str, int]:
         """Index a .txt/.md file, a directory of them, or a zip archive.
@@ -273,7 +442,7 @@ class RagStore:
         doc_id is the path relative to the source root (posix separators),
         or the bare file name for a single file. Returns doc_id -> chunk
         count. Re-ingesting the same source is idempotent. Every file is
-        read before the collection is written once, so a file that fails
+        read before the collection is committed once, so a file that fails
         to read or decode leaves the collection as it was.
         """
         source = Path(source)
@@ -329,14 +498,16 @@ class RagStore:
                       if is_entry_name(p.name) and (p / "meta.jsonl").is_file())
 
     def delete_collection(self, collection: str) -> None:
-        paths = self._files(collection)
+        manifest_path, meta_path, vectors_path = self._files(collection)
         self._cache.pop(collection, None)
-        folder = os.path.dirname(paths[0])
+        self._spare = None
+        folder = os.path.dirname(meta_path)
         if not os.path.isdir(folder):
             raise NotFoundError(f"no such collection: {collection}")
-        for path in paths:
+        for path in (meta_path, manifest_path, vectors_path):  # it goes with meta.jsonl
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(path)
+        _sweep(folder, ())
         with contextlib.suppress(OSError):
             os.rmdir(folder)
 

@@ -306,16 +306,22 @@ def test_agents_pipeline_lists_a_repeated_tool_once(store):
             </tool>"""
     tasks = []
 
-    def create_greeter(request):
-        tasks.append(request.messages[1]["content"])
-        return CREATE_GREETER_AGENT
+    def editor(reply):
+        def step(request):
+            tasks.append(request.messages[1]["content"])
+            return reply
+        return step
 
-    engine = engine_of([GREETER_XML.replace(tool, tool * 2), CREATE_GREETING_TOOL,
-                        TOOL_TEST_REPLY, create_greeter, "registered the agent"])
+    engine = engine_of([GREETER_XML.replace(tool, tool * 2), editor(CREATE_GREETING_TOOL),
+                        TOOL_TEST_REPLY, editor(CREATE_GREETER_AGENT), "registered the agent"])
     report = create_agents_pipeline("make a greeter", engine, store)
     assert [(p.phase, p.ok) for p in report.phases] == [
         ("profiling", True), ("tools", True), ("agents", True)]
-    assert tasks[0].endswith("\n  tools: greeting_tool")
+    assert tasks[0].splitlines()[1:] == [
+        "- greeting_tool: Return the given text unchanged. (used by Greeter Agent)", "",
+        "Finish with one TEST line per tool demonstrating a successful call."]
+    assert report.created_tools == ["greeting_tool"]
+    assert tasks[1].endswith("\n  tools: greeting_tool")
     assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
 
 

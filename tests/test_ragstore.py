@@ -2,7 +2,7 @@
 
 The retrieval assertions compare against independent oracles: chunk windows
 against direct token-slice arithmetic, rankings against a brute-force cosine
-pass over the raw files.
+pass over the raw files, read without the store.
 """
 
 import hashlib
@@ -31,6 +31,30 @@ WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
 
 def lorem(rng: random.Random, n_tokens: int) -> str:
     return " ".join(rng.choice(WORDS) for _ in range(n_tokens))
+
+
+def persisted_rows(folder) -> list[tuple]:
+    """Every live row of the collection in ``folder``, read from its files
+    without the store (docs/formats.md): the base, then each delta segment
+    the manifest lists, in order, replacing the rows of its doc_ids. Each row
+    is (doc_id, ordinal, meta record, vector bytes), sorted by (doc_id, ordinal)."""
+    def rows(meta: bytes, vectors: bytes) -> list[tuple]:
+        dim, count = struct.unpack_from("<II", vectors, 4)
+        records = [json.loads(line) for line in meta.splitlines() if line.strip()]
+        assert len(records) == count
+        return [(r["doc_id"], r["ordinal"], r, vectors[12 + 8 * dim * i:12 + 8 * dim * (i + 1)])
+                for i, r in enumerate(records)]
+
+    live = rows((folder / "meta.jsonl").read_bytes(), (folder / "vectors.bin").read_bytes())
+    if (folder / "manifest").exists():
+        manifest = (folder / "manifest").read_bytes()
+        assert manifest[:4] == b"RM1\n"
+        for seq, _, doc_ids in json.loads(manifest[4:])["deltas"]:
+            segment = (folder / f"delta-{seq}").read_bytes()
+            dim, count = struct.unpack_from("<II", segment, 4)
+            live = [row for row in live if row[0] not in doc_ids] + \
+                rows(segment[12 + 8 * dim * count:], segment)
+    return sorted(live, key=lambda row: row[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +165,9 @@ def test_row_order_and_idempotence(tmp_path):
             docs.reverse()
         for doc_id, text in docs:
             store.ingest_text("c", doc_id, text)
-        folder = tmp_path / order / "c"
-        return ((folder / "meta.jsonl").read_bytes(),
-                (folder / "vectors.bin").read_bytes())
+        # the rows as stored, and as a fresh store ranks them (ties in store order)
+        return (persisted_rows(tmp_path / order / "c"),
+                RagStore(tmp_path / order).query("c", "tokens here now", k=3))
 
     assert build("forward") == build("reversed")
 
@@ -256,8 +280,7 @@ def test_collection_management(tmp_path):
 
 def brute_force_rank(store, tmp_root, collection, query, k):
     """Re-rank from the persisted files without going through query()."""
-    meta = (tmp_root / collection / "meta.jsonl").read_text(encoding="utf-8")
-    rows = [json.loads(line) for line in meta.splitlines()]
+    rows = [row for _, _, row, _ in persisted_rows(tmp_root / collection)]
     probe = store.embedder.embed(query)
     scored = []
     for row in rows:

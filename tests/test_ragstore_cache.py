@@ -1,15 +1,15 @@
 """The RAG store's batched ingest, stat-validated collection cache and top-k.
 
-An ingest call reads every document first and then writes each file of the
-collection once; the bytes are those of one ``ingest_text`` per document. A
-store reads a collection again only when the stat signature of either file
-changed, and ``query`` selects the top k by partition. Each is checked
-against an independent oracle: per-file ingests, the old per-token embedder,
-a brute-force sort of the rows on disk, and a fresh store with nothing cached.
+An ingest call reads every document first and then commits the collection
+once; the rows stored are those of one ``ingest_text`` per document. A store
+reads a collection again only when the stat signature of its manifest or of
+a base file changed, and ``query`` selects the top k by partition. Each is
+checked against an independent oracle: per-file ingests, the old per-token
+embedder, a brute-force sort of the rows on disk, and a fresh store with
+nothing cached.
 """
 
 import hashlib
-import json
 import os
 import random
 import statistics
@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 from agentos import ragstore
 from agentos.errors import NotFoundError
 from agentos.ragstore import HashingEmbedder, RagStore
+
+from test_ragstore import persisted_rows
 
 
 def files(folder: Path) -> dict[str, bytes]:
@@ -68,7 +70,7 @@ def test_a_directory_ingest_writes_the_bytes_of_per_file_ingests(before, batch):
         counts = batched.ingest("c", write_docs(tmp / "docs", batch))
         assert counts == {doc_id: single.ingest_text("c", doc_id, batch[doc_id])
                           for doc_id in sorted(batch)}
-        assert files(tmp / "batched" / "c") == files(tmp / "single" / "c")
+        assert persisted_rows(tmp / "batched" / "c") == persisted_rows(tmp / "single" / "c")
         with zipfile.ZipFile(tmp / "docs.zip", "w") as archive:
             for doc_id, text in batch.items():
                 archive.writestr(doc_id, text)
@@ -76,7 +78,7 @@ def test_a_directory_ingest_writes_the_bytes_of_per_file_ingests(before, batch):
         for doc_id, text in before.items():
             zipped.ingest_text("c", doc_id, text)
         assert zipped.ingest("c", tmp / "docs.zip") == counts
-        assert files(tmp / "zipped" / "c") == files(tmp / "single" / "c")
+        assert persisted_rows(tmp / "zipped" / "c") == persisted_rows(tmp / "single" / "c")
 
 
 def test_a_failed_batch_leaves_the_collection_unchanged(tmp_path):
@@ -186,12 +188,11 @@ class CountEmbedder:
 
 
 def oracle_top(root: Path, collection: str, text: str, k: int) -> list[tuple]:
-    """Every row of the files on disk, scored and fully sorted on
+    """Every live row of the files on disk, scored and fully sorted on
     ``(-score, doc_id, ordinal)``."""
     embedder = CountEmbedder()
     probe = embedder.embed(text)
-    rows = [json.loads(line) for line in
-            (root / collection / "meta.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows = [row for _, _, row, _ in persisted_rows(root / collection)]
     scored = sorted((-float(embedder.embed(r["text"]) @ probe), r["doc_id"], r["ordinal"],
                      r["text"]) for r in rows)
     return [(doc_id, ordinal, -negated, text) for negated, doc_id, ordinal, text in scored[:k]]
@@ -240,7 +241,11 @@ def test_rows_written_by_another_program_rank_in_store_order(tmp_path):
     assert [h.doc_id for h in store.query("c", "same words here", k=2)] == ["a", "m"]
     store.ingest_text("c", "b", "other words")
     made.ingest_text("c", "b", "other words")
-    assert files(folder) == files(tmp_path / "made" / "c")
+    assert persisted_rows(folder) == persisted_rows(tmp_path / "made" / "c")
+    for root in (tmp_path / "foreign", tmp_path / "made"):  # read again, in store order
+        assert [(h.doc_id, h.text) for h in RagStore(root).query("c", "same words here", k=4)] \
+            == [("a", "same words here"), ("m", "same words here"), ("z", "same words here"),
+                ("b", "other words")]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,8 @@ def test_an_unchanged_collection_is_not_read_again(tmp_path, monkeypatch):
     opened.clear()
     assert [h.doc_id for h in store.query("c", "delta", k=1)] == ["e"]
     store.query("c", "delta")
-    assert sorted(map(os.path.basename, opened)) == ["meta.jsonl", "vectors.bin"]
+    assert sorted(map(os.path.basename, opened)) == \
+        ["delta-0", "manifest", "meta.jsonl", "vectors.bin"]
 
 
 def test_a_collection_replaced_from_outside_is_read_again(tmp_path):
@@ -277,7 +283,15 @@ def test_a_collection_replaced_from_outside_is_read_again(tmp_path):
     other = RagStore(tmp_path / "other", chunk_size=4, overlap=0)
     other.ingest_text("c", "d", "delta echo foxtrot")
     other.ingest_text("c", "e", "golf hotel india")
+    # the base alone, under the manifest of another collection
     for name in ("meta.jsonl", "vectors.bin"):
+        replace_from_outside(tmp_path / "rag" / "c" / name,
+                             (tmp_path / "other" / "c" / name).read_bytes())
+    with pytest.raises(NotFoundError, match="^collection does not match its manifest: c$"):
+        store.query("c", "alpha")
+    assert sorted(os.listdir(tmp_path / "other" / "c")) == \
+        ["delta-0", "manifest", "meta.jsonl", "vectors.bin"]
+    for name in os.listdir(tmp_path / "other" / "c"):  # the whole collection
         replace_from_outside(tmp_path / "rag" / "c" / name,
                              (tmp_path / "other" / "c" / name).read_bytes())
     assert hits(store, "c", "golf delta") == hits(other, "c", "golf delta")
@@ -361,6 +375,7 @@ def test_a_meta_file_without_its_vector_file_is_a_corrupt_collection(tmp_path):
                      lambda: reader.ingest_text("c", "e", "golf")):
             with pytest.raises(NotFoundError, match="^corrupt vector file for collection: c$"):
                 call()
-    assert os.listdir(tmp_path / "c") == ["meta.jsonl"]  # the ingests wrote nothing
+    # the ingests wrote nothing
+    assert sorted(os.listdir(tmp_path / "c")) == ["manifest", "meta.jsonl"]
     assert (tmp_path / "c" / "meta.jsonl").read_bytes() == meta
 
