@@ -29,7 +29,6 @@ from .creation import (
 )
 from .engine import DIRECT, TRANSFORMED, Engine
 from .errors import (
-    ActionTypeError,
     AgentOsError,
     PhaseExhaustedError,
     SchemaError,
@@ -105,7 +104,7 @@ def _cmd_validate(args) -> int:
     store = RegistryStore(args.registry_root)
     try:
         form, validate = _load_form(args.form)
-    except (XmlError, SchemaError, ActionTypeError) as err:
+    except (XmlError, SchemaError) as err:
         _emit(args, [f"{err.code}: {err.message}", "1 diagnostics"],
               {"diagnostics": [{"code": err.code, "location": "",
                                 "message": err.message}]})
@@ -301,19 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default="", help="write the run trace to this file")
     p.set_defaults(fn=_cmd_run_workflow)
 
-    p = sub.add_parser("create-agents", parents=[common],
-                       help="run the agent creation pipeline")
-    p.add_argument("--requirements", required=True)
-    p.add_argument("--task", default=None, help="optional smoke-test task")
-    p.add_argument("--max-attempts", type=int, default=3)
-    p.set_defaults(fn=_cmd_create)
-
-    p = sub.add_parser("create-workflow", parents=[common],
-                       help="run the workflow creation pipeline")
-    p.add_argument("--requirements", required=True)
-    p.add_argument("--task", default=None, help="optional test input")
-    p.add_argument("--max-attempts", type=int, default=3)
-    p.set_defaults(fn=_cmd_create)
+    for mode, pipeline, task in (("agents", "agent", "optional smoke-test task"),
+                                 ("workflow", "workflow", "optional test input")):
+        p = sub.add_parser(f"create-{mode}", parents=[common],
+                           help=f"run the {pipeline} creation pipeline")
+        p.add_argument("--requirements", required=True)
+        p.add_argument("--task", default=None, help=task)
+        p.add_argument("--max-attempts", type=int, default=3)
+        p.set_defaults(fn=_cmd_create)
 
     p = sub.add_parser("registry", parents=[common],
                        help="inspect or edit the registry")

@@ -29,7 +29,6 @@ from .errors import (
     E_ARGS,
     E_RUNNER_REFUSED,
     E_UNKNOWN_TOOL,
-    ActionTypeError,
     AgentOsError,
     InvalidDefinitionError,
     NotFoundError,
@@ -473,7 +472,7 @@ class _Phases:
                 return False, f"No <{root_tag}> document found. Output only the XML document."
             try:
                 form = parse(xml)
-            except (XmlError, SchemaError, ActionTypeError) as err:
+            except (XmlError, SchemaError) as err:
                 return False, f"The XML was rejected ({err.code}): {err}"
             diagnostics = validate(form, self.store.view())
             if diagnostics:

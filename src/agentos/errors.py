@@ -56,12 +56,8 @@ class SchemaError(AgentOsError):
         self.path = path
 
 
-class ActionTypeError(AgentOsError):
+class ActionTypeError(SchemaError):
     code = "E_ACTION_TYPE"
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 class BackendError(AgentOsError):

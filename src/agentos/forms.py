@@ -52,10 +52,6 @@ class IOSlot:
     def key(self) -> str:
         return self.pairs[0].key if self.pairs else ""
 
-    @property
-    def description(self) -> str:
-        return self.pairs[0].description if self.pairs else ""
-
 
 @dataclass
 class GlobalVar:

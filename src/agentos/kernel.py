@@ -214,8 +214,7 @@ class LoopLimits:
 
 
 @dataclass
-class OrchestrationLimits:
-    max_turns: int = 10
+class OrchestrationLimits(LoopLimits):
     max_handoffs: int = 20
 
 
@@ -333,10 +332,9 @@ def orchestrate(orchestrator: AgentDefinition, workers: list[AgentDefinition],
     current = orchestrator
     pending_task = task
     handoffs = 0
-    loop_limits = LoopLimits(max_turns=limits.max_turns)
 
     while True:
-        outcome = run_agent_loop(current, pending_task, context, engine, tools, loop_limits)
+        outcome = run_agent_loop(current, pending_task, context, engine, tools, limits)
         pending_task = ""
         if outcome.kind != "transferred":
             return outcome

@@ -47,7 +47,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .errors import EmptyInputError, NotFoundError
-from .storage import atomic_write, entry_path, is_entry_name, signature
+from .storage import TEMP_PREFIX, atomic_write, entry_path, is_entry_name, signature
 
 VECTOR_MAGIC = b"RV1\n"
 DELTA_MAGIC = b"RD1\n"
@@ -294,10 +294,10 @@ def _rewrites_base(replaced: int, kept: int, new: int, base: int, deltas: int) -
     return replaced >= kept or base + deltas + new > 2 * (kept + new) or deltas + new > base
 
 
-def _sweep(folder: str, listed) -> None:
-    """Remove the delta segments in ``folder`` that are not ``listed``."""
+def _sweep(folder: str, listed, prefixes=("delta-",)) -> None:
+    """Remove the files in ``folder`` named by ``prefixes`` that are not ``listed``."""
     for name in os.listdir(folder):
-        if name.startswith("delta-") and name not in listed:
+        if name.startswith(prefixes) and name not in listed:
             with contextlib.suppress(OSError):
                 os.unlink(os.path.join(folder, name))
 
@@ -507,7 +507,7 @@ class RagStore:
         for path in (meta_path, manifest_path, vectors_path):  # it goes with meta.jsonl
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(path)
-        _sweep(folder, ())
+        _sweep(folder, (), ("delta-", TEMP_PREFIX))  # and what killed writes left
         with contextlib.suppress(OSError):
             os.rmdir(folder)
 

@@ -23,6 +23,7 @@ import json
 import operator
 import os
 import selectors
+import signal
 import subprocess
 import sys
 import tempfile
@@ -292,9 +293,7 @@ class RegistryStore:
         path = self._path(kind, name)
         if not os.path.isfile(path):
             raise NotFoundError(f"not in registry: {name}")
-        self._note(path)
-        os.unlink(path)
-        self._cache.pop(path, None)
+        self._revert({path: None})
 
     # -- typed entries: one-line calls into the record path --------------------
 
@@ -495,22 +494,29 @@ BUILTIN_TOOLS = tuple(_BUILTINS)
 # The bytes a script may write to stdout and stderr together. Past it the run
 # is E_SCRIPT and the script is killed; no more than this is ever kept.
 SCRIPT_OUTPUT_LIMIT = 1 << 20
+# The longest wait between two checks of whether a script has exited.
+_EXIT_POLL_S = 0.05
 
 
 def _capture(proc: subprocess.Popen, deadline: float) -> tuple[bytes, bytes] | None:
-    """``proc``'s stdout and stderr once both close and it exits, or None past
+    """``proc``'s stdout and stderr once both close or it exits, or None past
     SCRIPT_OUTPUT_LIMIT bytes; subprocess.TimeoutExpired past ``deadline``.
+    Pipes that its children still hold once it exits give what they buffer.
     It selects on the pipes, which ``selectors`` supports on POSIX only."""
     chunks: dict[int, list[bytes]] = {proc.stdout.fileno(): [], proc.stderr.fileno(): []}
-    held = 0
+    held, exited = 0, False
     with selectors.DefaultSelector() as selector:
         for fd in chunks:
             selector.register(fd, selectors.EVENT_READ)
         while selector.get_map():
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if remaining <= 0 and not exited:
                 raise subprocess.TimeoutExpired(proc.args, remaining)
-            for key, _ in selector.select(remaining):
+            ready = selector.select(0 if exited else min(remaining, _EXIT_POLL_S))
+            if exited and not ready:
+                break
+            exited = proc.poll() is not None
+            for key, _ in ready:
                 chunk = os.read(key.fd, min(1 << 16, SCRIPT_OUTPUT_LIMIT + 1 - held))
                 held += len(chunk)
                 if held > SCRIPT_OUTPUT_LIMIT:
@@ -534,7 +540,8 @@ class SubprocessScriptRunner:
     Protocol: the script reads a JSON object of string arguments from stdin
     and writes its result to stdout. Nonzero exit, timeout, text that is not
     UTF-8 or more than SCRIPT_OUTPUT_LIMIT bytes of output is E_SCRIPT; the
-    interpreter runs isolated (-I) in the workdir.
+    interpreter runs isolated (-I) in the workdir, in a new session whose
+    process group is killed when the call ends.
     """
 
     def __init__(self, workdir: str | os.PathLike, timeout: float = 10.0):
@@ -554,13 +561,15 @@ class SubprocessScriptRunner:
                 stdin.seek(0)
                 proc = subprocess.Popen([sys.executable, "-I", script], stdin=stdin,
                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                        cwd=str(self.workdir))
+                                        cwd=str(self.workdir), start_new_session=True)
             with proc:  # closes the pipes and reaps the script
                 try:
                     captured = _capture(proc, time.monotonic() + self.timeout)
                 finally:
-                    if proc.poll() is None:
-                        proc.kill()
+                    # the script's group: the script and every child it left,
+                    # whose lives keep the group's id from being reused
+                    with contextlib.suppress(ProcessLookupError, PermissionError):
+                        os.killpg(proc.pid, signal.SIGKILL)
             if captured is None:
                 return ToolResult.fail(
                     E_SCRIPT, f"script output exceeds {SCRIPT_OUTPUT_LIMIT} bytes")

@@ -9,6 +9,9 @@ import tempfile
 
 from .errors import InvalidDefinitionError
 
+# The name prefix of atomic_write's temp files, which a killed write leaves behind.
+TEMP_PREFIX = ".tmp-"
+
 
 def is_entry_name(name: str) -> bool:
     """Nonempty, encodable, no surrounding whitespace, leading dot, path separator or NUL."""
@@ -31,7 +34,7 @@ def atomic_write(path: str | os.PathLike, data: bytes | memoryview) -> os.stat_r
     temp file. Returns the written file's stat as it is after the rename."""
     folder = os.path.dirname(os.fspath(path)) or "."
     os.makedirs(folder, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=folder, prefix=".tmp-")
+    fd, tmp = tempfile.mkstemp(dir=folder, prefix=TEMP_PREFIX)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

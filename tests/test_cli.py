@@ -100,6 +100,20 @@ def test_validate_parse_error(tmp_path, capsys):
     assert lines[-1] == "1 diagnostics"
 
 
+def test_validate_unknown_action_type(tmp_path, capsys):
+    # an ActionTypeError is a SchemaError: reported under its own code
+    form = tmp_path / "jump.xml"
+    form.write_text(read_fixture("math_voting_workflow.xml").replace(
+        "<type>RESULT</type>", "<type>JUMP</type>", 1), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["validate", str(form),
+                                    "--registry-root", str(tmp_path / "reg")])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("E_ACTION_TYPE: /workflow/events[1]/event[")
+    assert lines[0].endswith("/type[1]: unknown action type: 'JUMP'")
+    assert lines[-1] == "1 diagnostics"
+
+
 def test_validate_form_file_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "latin1.xml"
     bad.write_bytes(b"<workflow><name>caf\xe9</name></workflow>")

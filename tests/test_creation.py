@@ -665,6 +665,23 @@ def test_workflow_pipeline_test_phase_with_an_undeclared_registered_agent(store)
     assert engine.backend.calls == 10
 
 
+def test_workflow_pipeline_over_registered_agents_runs_no_agents_phase(store):
+    # every agent the form declares is "existing": nothing to build before registering
+    store.put_agent(AgentDefinition("Math Solver Agent", instructions="Solve."))
+    store.put_agent(AgentDefinition("Vote Aggregator Agent", instructions="Vote."))
+    xml = _math_xml().replace('<agent category="new">', '<agent category="existing">')
+    assert xml != _math_xml()
+    register = ToolCall("create_workflow", {
+        "xml": workflow_form_to_xml(parse_workflow_form(xml))})
+    engine = engine_of([xml, register, "registered"])
+    report = create_workflow_pipeline("vote on math", engine, store)
+    assert [(p.phase, p.ok, p.attempts) for p in report.phases] == [
+        ("profiling", True, 1), ("register", True, 1)]
+    assert (report.created_tools, report.created_agents) == ([], [])
+    assert store.names("workflows") == ["parallel_math_solver_workflow"]
+    assert engine.backend.calls == 3
+
+
 BOATS_XML = """<workflow><name>boats_flow</name>
     <system_input><key>request</key><description>d</description></system_input>
     <system_output><key>essay</key><description>d</description></system_output>

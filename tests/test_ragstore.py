@@ -230,6 +230,16 @@ def test_ingest_rejections(tmp_path):
         store.ingest_text("../evil", "d", "text")
 
 
+def test_a_zip_without_documents_is_empty(tmp_path):
+    zpath = tmp_path / "bundle.zip"
+    with zipfile.ZipFile(zpath, "w") as archive:
+        archive.writestr("docs/", "")
+        archive.writestr("docs/skip.dat", "binary")
+    with pytest.raises(EmptyInputError, match=r"^no \.txt/\.md members in "):
+        RagStore(tmp_path / "s").ingest("c", zpath)
+    assert not (tmp_path / "s").exists()
+
+
 def test_collection_names_follow_the_entry_name_rule(tmp_path):
     store = RagStore(tmp_path / "rag")
     for name in ("", ".x", "../evil", "a/b", "a\\b", " padded", "padded ", "nul\x00byte"):

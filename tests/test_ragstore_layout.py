@@ -14,6 +14,7 @@ import os
 import random
 import shutil
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,46 @@ def test_a_collection_that_does_not_match_its_manifest_raises_on_every_read(tmp_
     (folder / "delta-0").unlink()
     with pytest.raises(NotFoundError, match=f"^{mismatch}$"):
         RagStore(tmp_path).stats("c")
+
+
+@pytest.mark.parametrize("damage", [lambda segment: segment + b"not a meta line\n",
+                                    lambda segment: segment[:segment.rindex(b"\n", 0, -1) + 1]],
+                         ids=["malformed-meta-line", "one-row-short"])
+def test_a_segment_whose_crc_matches_but_whose_rows_do_not_is_a_mismatch(tmp_path, damage):
+    # the manifest lists the damaged segment's crc, so only its rows can tell
+    store = RagStore(tmp_path, chunk_size=4, overlap=0)
+    store.ingest_text("c", "d", "alpha bravo charlie delta echo foxtrot golf hotel")
+    store.ingest_text("c", "e", "india juliet kilo lima mike")
+    folder = tmp_path / "c"
+    segment = damage((folder / "delta-0").read_bytes())
+    manifest = json.loads((folder / "manifest").read_bytes()[4:])
+    assert [(n, doc_ids) for n, _, doc_ids in manifest["deltas"]] == [(0, ["e"])]
+    manifest["deltas"][0][1] = zlib.crc32(segment)
+    (folder / "delta-0").write_bytes(segment)
+    (folder / "manifest").write_bytes(b"RM1\n" + json.dumps(manifest).encode())
+    for call in (lambda reader: reader.query("c", "india"), lambda reader: reader.stats("c")):
+        with pytest.raises(NotFoundError, match="^collection does not match its manifest: c$"):
+            call(RagStore(tmp_path))
+
+
+def test_a_manifest_that_is_a_folder_is_corrupt(tmp_path):
+    store = RagStore(tmp_path)
+    store.ingest_text("c", "d", "alpha bravo")
+    (tmp_path / "c" / "manifest").unlink()
+    (tmp_path / "c" / "manifest").mkdir()
+    for reader in (store, RagStore(tmp_path)):
+        with pytest.raises(NotFoundError, match="^corrupt manifest for collection: c$"):
+            reader.stats("c")
+
+
+def test_deleting_a_collection_removes_the_temp_files_of_killed_writes(tmp_path):
+    store = RagStore(tmp_path)
+    store.ingest_text("c", "d", "alpha bravo")
+    (tmp_path / "c" / ".tmp-abc").write_bytes(b"half of a segment")
+    store.delete_collection("c")
+    assert not (tmp_path / "c").exists()
+    with pytest.raises(NotFoundError, match="^no such collection: c$"):
+        store.delete_collection("c")
 
 
 def test_an_orphan_segment_is_ignored_and_removed_by_the_next_commit(tmp_path):

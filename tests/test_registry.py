@@ -1,6 +1,10 @@
 """Registry persistence, builtins, script execution policy, and the suite."""
 
+import contextlib
 import json
+import os
+import signal
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -381,6 +385,36 @@ def test_script_runner_failure_modes(store, tmp_path):
     slow = suite.run(ToolCall("sleeper", {}))
     assert slow.error_kind == E_SCRIPT
     assert "timed out" in slow.payload
+
+
+def test_script_runner_ends_the_children_a_script_leaves(tmp_path):
+    # the child holds the script's pipes open: it neither delays the result
+    # nor outlives the call, since the script's whole process group is killed
+    source = ("import os, subprocess, sys\n"
+              "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+              "print(child.pid, os.getpgid(0))\n")
+    tool = ToolDefinition(name="spawner", body_kind="script", source=source)
+    started = time.monotonic()
+    result = SubprocessScriptRunner(tmp_path / "work", timeout=10.0).run(tool, {})
+    elapsed = time.monotonic() - started
+    assert result.status == "ok", result.payload
+    pid, pgid = map(int, result.payload.split())
+    try:
+        assert elapsed < 5.0
+        assert pgid not in (pid, os.getpgid(0))  # the script led a group of its own
+        # the killed child stays a zombie until its new parent reaps it
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(pgid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
 
 
 def test_script_runner_output_that_is_not_utf8(store, tmp_path):

@@ -229,6 +229,22 @@ def test_the_catalog_is_rendered_once_per_tool_list(monkeypatch):
     assert len(calls) == 4
 
 
+def test_a_full_tool_list_memo_starts_again():
+    # the memo holds at most _TOOLS_MEMO_LIMIT tool lists: the next new one clears it
+    limit = backends._TOOLS_MEMO_LIMIT
+    table, rendered = {}, []
+
+    def render(tools):
+        rendered.append(tools[0].name)
+        return tools[0].name
+
+    names = [f"t{i}" for i in range(limit)]
+    for name in names + ["t0", "extra", "t0", "extra"]:
+        assert backends.remembered(table, [ToolSchema(name, "N.", [])], render) == name
+    assert rendered == names + ["extra", "t0"]
+    assert len(table) == 2
+
+
 def test_cut_history_is_rendered_again():
     context = _context(5)
     request_digest(request_for(context, 0, TRANSFORMED, False))
