@@ -40,8 +40,10 @@ from .errors import (
 )
 from .forms import (
     Diagnostic,
+    globals_map,
     parse_agent_form,
     parse_workflow_form,
+    substitute_globals,
     validate_agent_form,
     validate_workflow_form,
     workflow_form_to_xml,
@@ -86,51 +88,45 @@ def extract_xml(text: str, root_tag: str) -> str | None:
 # management tool suite
 # ---------------------------------------------------------------------------
 
-_MGMT_SCHEMAS: dict[str, ToolSchema] = {}
-
-
-def _mgmt(name: str, description: str, params: list[ToolParam]) -> None:
-    _MGMT_SCHEMAS[name] = ToolSchema(name=name, description=description,
-                                     parameters=params)
-
-
-_mgmt("list_tools", "List registered tool names, one per line.", [])
-_mgmt("create_tool", "Register a tool.", [
-    ToolParam("name", "Tool name (identifier)."),
-    ToolParam("description", "What the tool does.", required=False),
-    ToolParam("parameters",
-              'JSON array of parameter names or {"name","description","required"} '
-              "objects, or a comma-separated name list.", required=False),
-    ToolParam("source",
-              "Python source; reads a JSON object of arguments from stdin and "
-              "prints the result.", required=False),
-    ToolParam("builtin", "Builtin body to reuse instead of a source.",
-              required=False),
-])
-_mgmt("run_tool", "Execute a registered tool.", [
-    ToolParam("name", "Tool name."),
-    ToolParam("arguments", "JSON object of string arguments.", required=False),
-])
-_mgmt("delete_tool", "Remove a tool.", [ToolParam("name", "Tool name.")])
-_mgmt("list_agents", "List registered agent names, one per line.", [])
-_mgmt("create_agent", "Register an agent.", [
-    ToolParam("name", "Agent name."),
-    ToolParam("description", "One-line summary.", required=False),
-    ToolParam("instructions", "System prompt for the agent.", required=False),
-    ToolParam("tools", "Comma-separated tool names.", required=False),
-    ToolParam("transfer_targets", "Comma-separated agent names.", required=False),
-    ToolParam("model", "Model identifier.", required=False),
-])
-_mgmt("delete_agent", "Remove an agent.", [ToolParam("name", "Agent name.")])
-_mgmt("list_workflows", "List registered workflow names, one per line.", [])
-_mgmt("create_workflow", "Register a workflow from its XML document.", [
-    ToolParam("xml", "The <workflow> XML document."),
-])
-_mgmt("run_workflow", "Execute a registered workflow.", [
-    ToolParam("name", "Workflow name."),
-    ToolParam("input", "Value for the workflow's system input."),
-])
-_mgmt("delete_workflow", "Remove a workflow.", [ToolParam("name", "Workflow name.")])
+_MGMT_SCHEMAS: dict[str, ToolSchema] = {schema.name: schema for schema in [
+    ToolSchema("list_tools", "List registered tool names, one per line.", []),
+    ToolSchema("create_tool", "Register a tool.", [
+        ToolParam("name", "Tool name (identifier)."),
+        ToolParam("description", "What the tool does.", required=False),
+        ToolParam("parameters",
+                  'JSON array of parameter names or {"name","description","required"} '
+                  "objects, or a comma-separated name list.", required=False),
+        ToolParam("source",
+                  "Python source; reads a JSON object of arguments from stdin and "
+                  "prints the result.", required=False),
+        ToolParam("builtin", "Builtin body to reuse instead of a source.",
+                  required=False),
+    ]),
+    ToolSchema("run_tool", "Execute a registered tool.", [
+        ToolParam("name", "Tool name."),
+        ToolParam("arguments", "JSON object of string arguments.", required=False),
+    ]),
+    ToolSchema("delete_tool", "Remove a tool.", [ToolParam("name", "Tool name.")]),
+    ToolSchema("list_agents", "List registered agent names, one per line.", []),
+    ToolSchema("create_agent", "Register an agent.", [
+        ToolParam("name", "Agent name."),
+        ToolParam("description", "One-line summary.", required=False),
+        ToolParam("instructions", "System prompt for the agent.", required=False),
+        ToolParam("tools", "Comma-separated tool names.", required=False),
+        ToolParam("transfer_targets", "Comma-separated agent names.", required=False),
+        ToolParam("model", "Model identifier.", required=False),
+    ]),
+    ToolSchema("delete_agent", "Remove an agent.", [ToolParam("name", "Agent name.")]),
+    ToolSchema("list_workflows", "List registered workflow names, one per line.", []),
+    ToolSchema("create_workflow", "Register a workflow from its XML document.", [
+        ToolParam("xml", "The <workflow> XML document."),
+    ]),
+    ToolSchema("run_workflow", "Execute a registered workflow.", [
+        ToolParam("name", "Workflow name."),
+        ToolParam("input", "Value for the workflow's system input."),
+    ]),
+    ToolSchema("delete_workflow", "Remove a workflow.", [ToolParam("name", "Workflow name.")]),
+]}
 
 # the list_* and delete_* tools, by the registry kind they act on
 _ENTRY_KINDS = {"list_tools": "tools", "delete_tool": "tools",
@@ -566,8 +562,9 @@ def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
                           parse_agent_form, validate_agent_form)
     phases.tools([(t.name, t.description, a.name)
                   for a in form.agents for t in a.tools_new])
+    variables = globals_map(form.global_variables)
     phases.agents([AgentDefinition(
-        a.name, a.description, a.instructions,
+        a.name, a.description, substitute_globals(a.instructions, variables),
         list(dict.fromkeys(t.name for t in a.tools_existing + a.tools_new)))
         for a in form.agents])
 

@@ -494,8 +494,17 @@ BUILTIN_TOOLS = tuple(_BUILTINS)
 # The bytes a script may write to stdout and stderr together. Past it the run
 # is E_SCRIPT and the script is killed; no more than this is ever kept.
 SCRIPT_OUTPUT_LIMIT = 1 << 20
+# A script's address space and largest file in bytes, its soft and hard limits.
+SCRIPT_MEMORY_LIMIT = 1 << 30
+SCRIPT_FILE_LIMIT = 1 << 26
 # The longest wait between two checks of whether a script has exited.
 _EXIT_POLL_S = 0.05
+# Sets the limits, then runs the source that stdin holds behind its length.
+_PRELUDE = f"""import os, resource
+resource.setrlimit(resource.RLIMIT_AS, ({SCRIPT_MEMORY_LIMIT}, {SCRIPT_MEMORY_LIMIT}))
+resource.setrlimit(resource.RLIMIT_FSIZE, ({SCRIPT_FILE_LIMIT}, {SCRIPT_FILE_LIMIT}))
+source = os.read(0, int(os.read(0, 16)))
+exec(compile(source, "<script>", "exec"), {{"__name__": "__main__", "__file__": "<script>"}})"""
 
 
 def _capture(proc: subprocess.Popen, deadline: float) -> tuple[bytes, bytes] | None:
@@ -538,10 +547,10 @@ class SubprocessScriptRunner:
     """Run python script tools out of process.
 
     Protocol: the script reads a JSON object of string arguments from stdin
-    and writes its result to stdout. Nonzero exit, timeout, text that is not
-    UTF-8 or more than SCRIPT_OUTPUT_LIMIT bytes of output is E_SCRIPT; the
-    interpreter runs isolated (-I) in the workdir, in a new session whose
-    process group is killed when the call ends.
+    and writes its result to stdout; no file is written for it. Nonzero exit,
+    timeout, text that is not UTF-8 or more than SCRIPT_OUTPUT_LIMIT bytes of
+    output is E_SCRIPT; the interpreter runs isolated (-I) and bounded in the
+    workdir, in a new session whose process group is killed when the call ends.
     """
 
     def __init__(self, workdir: str | os.PathLike, timeout: float = 10.0):
@@ -550,16 +559,12 @@ class SubprocessScriptRunner:
 
     def run(self, tool: ToolDefinition, arguments: dict[str, str]) -> ToolResult:
         self.workdir.mkdir(parents=True, exist_ok=True)
-        # one file per run: concurrent runs of one tool must not share it
-        fd, script = tempfile.mkstemp(dir=self.workdir, prefix=f".{tool.name}.",
-                                      suffix=".script.py")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(tool.source)
+            source = tool.source.encode()
             with tempfile.TemporaryFile() as stdin:
-                stdin.write(json.dumps(arguments).encode())
+                stdin.write(b"%16d%s%s" % (len(source), source, json.dumps(arguments).encode()))
                 stdin.seek(0)
-                proc = subprocess.Popen([sys.executable, "-I", script], stdin=stdin,
+                proc = subprocess.Popen([sys.executable, "-I", "-c", _PRELUDE], stdin=stdin,
                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                         cwd=str(self.workdir), start_new_session=True)
             with proc:  # closes the pipes and reaps the script
@@ -578,11 +583,6 @@ class SubprocessScriptRunner:
             return ToolResult.fail(E_SCRIPT, f"script timed out after {self.timeout}s")
         except UnicodeError as err:
             return ToolResult.fail(E_SCRIPT, f"script text is not UTF-8: {err}")
-        finally:
-            try:
-                os.unlink(script)
-            except OSError:
-                pass
         if proc.returncode != 0:
             tail = stderr.strip().splitlines()[-3:]
             return ToolResult.fail(E_SCRIPT,

@@ -160,6 +160,12 @@ def test_http_parses_structured_tool_call():
     assert response.tool_call == ToolCall("click", {"bid": "7", "n": "2"})
 
 
+def test_http_blank_tool_call_arguments_are_none():
+    body = _chat_body(tool_call={"name": "click", "arguments": " \n"})
+    backend = HttpBackend("http://x", transport=_transport(200, body, []))
+    assert backend.complete(req()).tool_call == ToolCall("click", {})
+
+
 def test_http_5xx_transient_4xx_hard():
     t5 = HttpBackend("http://x", transport=_transport(503, {}, []))
     with pytest.raises(TransientBackendError):
@@ -271,6 +277,22 @@ def test_cassette_rejects_corrupt_and_missing(tmp_path):
     bad.write_text("B9 deadbeef 4 Zm9v\n", encoding="utf-8")
     with pytest.raises(BackendError):
         CassetteBackend(bad, "replay")
+
+
+def test_cassette_replay_skips_blank_lines(tmp_path):
+    path = tmp_path / "spaced.cassette"
+    recorder = CassetteBackend(path, "record", inner=ScriptedBackend(["one", "two"]))
+    recorder.complete(req("a"))
+    recorder.complete(req("b"))
+    path.write_bytes(b"\n  \n" + path.read_bytes().replace(b"\n", b"\n\n", 1))
+    replayer = CassetteBackend(path, "replay")
+    assert (replayer.complete(req("a")).text, replayer.complete(req("b")).text) == ("one", "two")
+
+
+def test_cassette_refuses_a_bad_mode(tmp_path):
+    with pytest.raises(ValueError, match="bad cassette mode: replay-or-record$"):
+        CassetteBackend(tmp_path / "x.cassette", "replay-or-record")
+    assert not (tmp_path / "x.cassette").exists()
 
 
 def test_cassette_record_requires_inner(tmp_path):

@@ -153,6 +153,17 @@ def test_run_workflow_requires_backend(tmp_path, capsys, monkeypatch):
     assert out.startswith("E_BACKEND: no backend configured")
 
 
+def test_run_workflow_record_requires_api_base(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("AGENT_API_BASE", raising=False)
+    code, out, _ = run_cli(capsys, ["run-workflow", MATH_FORM, "--input", "x",
+                                    "--registry-root", str(tmp_path / "reg"),
+                                    "--cassette", str(tmp_path / "c.txt"),
+                                    "--cassette-mode", "record"])
+    assert code == 1
+    assert out == "E_BACKEND: recording needs --api-base or AGENT_API_BASE\n"
+    assert not (tmp_path / "c.txt").exists()
+
+
 def test_run_workflow_rejects_agents_form(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["run-workflow", IMAGE_FORM, "--input", "x",
                                     "--registry-root", str(tmp_path / "reg"),
@@ -645,6 +656,18 @@ def test_repl_agents_mode_creates_the_team(tmp_path, capsys, monkeypatch):
     assert log.read_text(encoding="utf-8").splitlines() == [
         out.splitlines()[0], "> make a greeter", *report, "> :quit"]
     assert RegistryStore(tmp_path / "reg").names("agents") == ["Greeter Agent"]
+
+
+def test_repl_skips_blank_lines(tmp_path, capsys, monkeypatch):
+    (tmp_path / "empty.cassette").write_text("", encoding="utf-8")
+    log = tmp_path / "session.log"
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n   \n:quit\n"))
+    code, out, _ = run_cli(capsys, [
+        "repl", "--log", str(log), "--registry-root", str(tmp_path / "reg"),
+        "--cassette", str(tmp_path / "empty.cassette"), "--cassette-mode", "replay"])
+    assert code == 0
+    assert out.splitlines()[1:] == []
+    assert log.read_text(encoding="utf-8").splitlines()[1:] == ["> ", "> ", "> :quit"]
 
 
 def test_repl_log_it_cannot_write(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from agentos.errors import (
     E_RUNNER_REFUSED,
     E_SCRIPT,
     E_UNKNOWN_TOOL,
+    NotFoundError,
     PhaseExhaustedError,
     ScriptExhaustedError,
     TooFewAgentsError,
@@ -98,6 +99,11 @@ def test_mgmt_argument_checks(suite):
     assert extra.error_kind == E_ARGS
 
 
+def test_mgmt_schema_of_an_unknown_tool(suite):
+    with pytest.raises(NotFoundError, match="unknown tool: rm_everything"):
+        suite.schema("rm_everything")
+
+
 def test_mgmt_create_tool_variants(store, suite):
     builtin = suite.run(ToolCall("create_tool", {
         "name": "shout", "builtin": "echo",
@@ -135,6 +141,14 @@ def test_mgmt_create_tool_reads_parameter_objects_as_the_registry_does(store, su
         "name": "strict", "builtin": "echo", "parameters": json.dumps([entry])}))
     assert (result.status, result.error_kind) == ("error", E_ARGS)
     assert result.payload.startswith(f"bad parameter entry {entry!r}: ")
+    assert store.snapshot() == {}
+
+
+def test_mgmt_create_tool_refuses_a_parameter_entry_of_another_kind(store, suite):
+    result = suite.run(ToolCall("create_tool", {
+        "name": "odd", "builtin": "echo", "parameters": "[1]"}))
+    assert (result.status, result.error_kind) == ("error", E_ARGS)
+    assert result.payload == "bad parameter entry: 1"
     assert store.snapshot() == {}
 
 
@@ -297,6 +311,16 @@ def test_agents_pipeline_valid_first(store):
     assert store.names("tools") == ["greeting_tool"]
     assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
     assert engine.backend.calls == 5
+
+
+def test_agents_pipeline_applies_the_forms_globals_to_instructions(store):
+    xml = GREETER_XML.replace("Compose one friendly greeting sentence.", "Greet {who} warmly.")
+    xml = xml.replace("</agents>", "<global_variables><variable><key>who</key>"
+                                   "<value>sailors</value></variable></global_variables></agents>")
+    engine = engine_of([xml, CREATE_GREETING_TOOL, TOOL_TEST_REPLY,
+                        _copy_requested_agent(0), "registered the agent"])
+    create_agents_pipeline("make a greeter", engine, store)
+    assert store.get_agent("Greeter Agent").instructions == "Greet sailors warmly."
 
 
 def test_agents_pipeline_lists_a_repeated_tool_once(store):

@@ -268,3 +268,16 @@ def test_plain_text_is_final():
 def test_engine_complete_text():
     engine = Engine(mode=TRANSFORMED, backend=ScriptedBackend(["hi"]))
     assert engine.complete_text([{"role": "user", "content": "hello"}]) == "hi"
+
+
+def test_engine_complete_text_renders_a_tool_call_reply():
+    call = ToolCall("lookup", {"query": "x"})
+    engine = Engine(mode=DIRECT, backend=ScriptedBackend([call]))
+    assert engine.complete_text([{"role": "user", "content": "hello"}]) == render_tool_call(call)
+
+
+def test_a_bad_engine_mode_is_refused_before_the_backend():
+    backend = ScriptedBackend(["never read"])
+    with pytest.raises(ValueError, match="bad engine mode: chatty$"):
+        next_action(Context(), _schemas(), "chatty", backend)
+    assert backend.calls == 0

@@ -230,6 +230,16 @@ def test_ingest_rejections(tmp_path):
         store.ingest_text("../evil", "d", "text")
 
 
+def test_argument_checks_touch_no_file(tmp_path):
+    with pytest.raises(ValueError, match="dim must be positive"):
+        HashingEmbedder(0)
+    store = RagStore(tmp_path / "absent")
+    assert store.list_collections() == []
+    with pytest.raises(ValueError, match="doc_id must be nonempty"):
+        store.ingest_text("c", "", "text")
+    assert not (tmp_path / "absent").exists()
+
+
 def test_a_zip_without_documents_is_empty(tmp_path):
     zpath = tmp_path / "bundle.zip"
     with zipfile.ZipFile(zpath, "w") as archive:

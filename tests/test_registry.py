@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from agentos import registry
-from agentos.backends import ScriptedBackend
+from agentos.backends import CassetteBackend, ScriptedBackend
 from agentos.engine import Engine
 from agentos.errors import (
     E_ARGS,
@@ -24,9 +24,11 @@ from agentos.errors import (
     NotFoundError,
 )
 from agentos.forms import parse_workflow_form
-from agentos.kernel import AgentDefinition, ToolCall
+from agentos.kernel import AgentDefinition, Context, ToolCall, run_agent_loop
 from agentos.registry import (
     BUILTIN_TOOLS,
+    SCRIPT_FILE_LIMIT,
+    SCRIPT_MEMORY_LIMIT,
     SCRIPT_OUTPUT_LIMIT,
     RegistryStore,
     RegistryToolSuite,
@@ -293,6 +295,7 @@ def test_builtin_arithmetic(suite):
 def test_builtin_arithmetic_bounds_result_size(suite):
     # nested powers pass the per-node exponent guard; the result size does not
     for expression in ("((2**64)**64)**64", "(10**64)**64 * 10**64",
+                       "(2**64)**64 * (2**64)**64 * (2**64)**64",
                        "-" * 100_000 + "1", "1" + "+1" * 100_000):
         result = suite.run(ToolCall("arithmetic_eval", {"expression": expression}))
         assert (result.status, result.error_kind) == ("error", E_ARGS), expression[:20]
@@ -343,12 +346,12 @@ def test_script_runner_roundtrip(store, tmp_path):
                               workdir=workdir)
     result = suite.run(ToolCall("doubler", {"word": "ab"}))
     assert (result.status, result.payload) == ("ok", "doubled: abab")
-    # the temporary script file is cleaned up
+    # the runner leaves no file in the working directory
     assert list(workdir.glob("*.py")) == []
 
 
 def test_script_runner_concurrent_runs_of_one_tool(store, tmp_path):
-    # every run writes its own script file, so no run deletes another's
+    # runs of one tool share no file, so none can disturb another
     store.put_tool(ToolDefinition(
         name="shout", parameters=[ToolParam("word", "w")], body_kind="script",
         source="import json, sys\nprint(json.load(sys.stdin)['word'].upper())\n"))
@@ -365,11 +368,67 @@ def test_script_runner_concurrent_runs_of_one_tool(store, tmp_path):
 
 
 def test_script_runner_relative_workdir(tmp_path, monkeypatch):
-    # the script path must not be resolved a second time against the cwd
+    # a relative workdir is the script's cwd, resolved once against ours
     monkeypatch.chdir(tmp_path)
     tool = ToolDefinition(name="hello", body_kind="script", source="print('hi')")
     result = SubprocessScriptRunner("scratch").run(tool, {})
     assert (result.status, result.payload) == ("ok", "hi")
+
+
+def test_script_runner_stdin_holds_only_the_arguments(tmp_path):
+    # fd 0 itself starts at the arguments, not only sys.stdin
+    tool = ToolDefinition(name="reader", body_kind="script",
+                          source="import json\nprint(json.load(open(0)))")
+    result = SubprocessScriptRunner(tmp_path).run(tool, {"word": "ab", "n": "2"})
+    assert (result.status, result.payload) == ("ok", "{'word': 'ab', 'n': '2'}")
+
+
+def test_script_runner_writes_no_file(tmp_path):
+    tool = ToolDefinition(name="lister", body_kind="script",
+                          source="import os\nprint(os.listdir('.'), __file__)")
+    result = SubprocessScriptRunner(tmp_path / "work").run(tool, {})
+    assert (result.status, result.payload) == ("ok", "[] <script>")
+
+
+def test_script_runner_sets_the_limits_soft_and_hard(tmp_path):
+    tool = ToolDefinition(name="limits", body_kind="script", source=(
+        "import resource\n"
+        "print(resource.getrlimit(resource.RLIMIT_AS), resource.getrlimit(resource.RLIMIT_FSIZE))"))
+    result = SubprocessScriptRunner(tmp_path).run(tool, {})
+    memory, size = SCRIPT_MEMORY_LIMIT, SCRIPT_FILE_LIMIT
+    assert (result.status, result.payload) == ("ok", f"({memory}, {memory}) ({size}, {size})")
+
+
+@pytest.mark.parametrize("source, message", [
+    # the mapping's pages are never touched, so without the limit it costs no memory
+    ("import mmap\nmmap.mmap(-1, 2 << 30)", "Cannot allocate memory"),
+    # a sparse file without the limit
+    ("open('big', 'wb').truncate((1 << 26) + 1)", "File too large"),
+], ids=["memory", "file-size"])
+def test_script_runner_limits_fail_the_script(tmp_path, source, message):
+    tool = ToolDefinition(name="hog", body_kind="script", source=source)
+    result = SubprocessScriptRunner(tmp_path, timeout=10.0).run(tool, {})
+    assert (result.status, result.error_kind) == ("error", E_SCRIPT)
+    assert result.payload.endswith(message)
+
+
+def test_a_session_whose_script_tool_fails_replays(store, tmp_path):
+    # the failure's text names no file, so the replay makes the recorded requests
+    store.put_tool(ToolDefinition(name="exploder", body_kind="script",
+                                  source="raise RuntimeError('kaboom')"))
+    agent = AgentDefinition(name="Runner", instructions="Run it.", tool_names=["exploder"])
+    cassette = tmp_path / "session.cassette"
+
+    def run(backend):
+        suite = RegistryToolSuite(store, runner=SubprocessScriptRunner(tmp_path / "work"))
+        return run_agent_loop(agent, "go", Context(), Engine(mode="direct", backend=backend),
+                              suite)
+
+    recorded = run(CassetteBackend(cassette, "record", inner=ScriptedBackend([
+        ToolCall("exploder", {}), "it failed"])))
+    replayed = run(CassetteBackend(cassette, "replay"))
+    assert (replayed.kind, replayed.context.to_json()) == ("completed", recorded.context.to_json())
+    assert 'File "<script>", line 1' in replayed.context.turns[1].observation.payload
 
 
 def test_script_runner_failure_modes(store, tmp_path):
