@@ -476,12 +476,17 @@ class RagStore:
     # -- query ---------------------------------------------------------------
 
     def query(self, collection: str, text: str, k: int = DEFAULT_TOP_K) -> list[Hit]:
-        """Cosine top-k. Ties break by (doc_id, ordinal), making the ranking
-        a pure function of the stored bytes."""
+        """Cosine top-k. A row's score is the sum of ``row[d] * probe[d]`` over
+        the probe's nonzero dimensions ``d``, added in ascending ``d`` from 0.0,
+        so it has the same bits on every machine. Ties break by (doc_id,
+        ordinal), making the ranking a pure function of the stored bytes."""
         rows = self._rows(collection)
         if not rows.keys or k <= 0:
             return []
-        scores = rows.vectors @ self.embedder.embed(text)
+        probe = self.embedder.embed(text)
+        scores = np.zeros(len(rows.keys))
+        for d in np.flatnonzero(probe).tolist():  # one column per query token at most
+            scores += rows.vectors[:, d] * probe[d]
         top = np.arange(len(scores))
         if k < len(scores):  # the rows that can place, all those tied at the k-th score too
             negated = -scores

@@ -634,6 +634,11 @@ class RegistryToolSuite:
                     "script execution is disabled; configure a script runner")
             return self.runner.run(tool, dict(call.arguments))
         except (OSError, ValueError) as err:
+            # named relative to the working directory: the same text under any root
+            name = getattr(err, "filename", None)
+            if isinstance(name, str) and self.workdir is not None \
+                    and Path(name).is_relative_to(self.workdir):
+                err.filename = str(Path(name).relative_to(self.workdir))
             return ToolResult.fail(E_IO, str(err))
 
 

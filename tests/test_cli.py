@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import agentos
 from agentos.backends import CassetteBackend, ScriptedBackend
-from agentos.cli import dispatch_command
+from agentos.cli import build_parser, dispatch_command
 from agentos.creation import (
     ManagementToolSuite,
     create_agents_pipeline,
@@ -50,6 +54,16 @@ def record_math_cassette(cassette: Path, registry_root: Path, input_text: str,
     suite = RegistryToolSuite(store, workdir=registry_root / "workspace")
     suite.run_workflow(parse_workflow_form(read_fixture("math_voting_workflow.xml")),
                        input_text, engine)
+
+
+def test_python_m_agentos_runs_the_cli(monkeypatch):
+    # one process: `python -m agentos --help` prints the parser's help, which
+    # `python -m agentos.cli --help` prints too
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(agentos.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "agentos", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, build_parser().format_help(), "")
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,35 @@ def test_a_session_whose_script_tool_fails_replays(store, tmp_path):
     assert 'File "<script>", line 1' in replayed.context.turns[1].observation.payload
 
 
+@pytest.mark.parametrize("call", [
+    ToolCall("read_text_file", {"path": "missing.txt"}),
+    ToolCall("read_text_file", {"path": "sub"}),
+    ToolCall("write_text_file", {"path": "sub", "content": "x"}),
+    ToolCall("list_directory", {"path": "sub/missing"}),
+], ids=["read-missing", "read-folder", "write-folder", "list-missing"])
+def test_a_session_whose_file_tool_fails_replays_under_another_root(tmp_path, call):
+    # the E_IO text names the path as the call did, not the working directory
+    agent = AgentDefinition(name="Reader", instructions="Read it.", tool_names=[call.tool_name])
+    cassette = tmp_path / "session.cassette"
+
+    def run(root, backend):
+        store = RegistryStore(root / "registry")
+        store.put_tool(builtin_tool(call.tool_name))
+        (root / "workspace" / "sub").mkdir(parents=True)
+        suite = RegistryToolSuite(store, workdir=root / "workspace")
+        return run_agent_loop(agent, "go", Context(), Engine(mode="direct", backend=backend),
+                              suite)
+
+    recorded = run(tmp_path / "one", CassetteBackend(cassette, "record", inner=ScriptedBackend([
+        call, "it failed"])))
+    replayed = run(tmp_path / "two", CassetteBackend(cassette, "replay"))
+    assert (replayed.kind, replayed.context.to_json()) == ("completed", recorded.context.to_json())
+    observation = replayed.context.turns[1].observation
+    assert observation.error_kind == E_IO
+    assert f"'{call.arguments['path']}'" in observation.payload
+    assert str(tmp_path) not in observation.payload
+
+
 def test_script_runner_failure_modes(store, tmp_path):
     store.put_tool(ToolDefinition(name="exploder", body_kind="script",
                                   source="raise RuntimeError('kaboom')"))
