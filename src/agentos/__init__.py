@@ -83,7 +83,6 @@ from .creation import (
     diagnostics_to_feedback,
     make_orchestrator_agent,
 )
-from .ragstore import Chunk, HashingEmbedder, Hit, RagAnswer, RagStore, chunk_text
 from .registry import (
     RegistryStore,
     RegistryToolSuite,
@@ -100,5 +99,17 @@ from .workflow import (
 
 __version__ = "0.1.0"
 
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+# ragstore needs numpy, which takes longer to import than the rest of the
+# package; it loads on the first use of one of these names (PEP 562)
+_RAG_NAMES = ("Chunk", "HashingEmbedder", "Hit", "RagAnswer", "RagStore", "chunk_text")
+
+__all__ = sorted([*_RAG_NAMES, *(name for name, value in globals().items()
+                                 if not name.startswith("_")
+                                 and not isinstance(value, _ModuleType))])
+
+
+def __getattr__(name: str):
+    if name not in _RAG_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import ragstore
+    return getattr(ragstore, name)

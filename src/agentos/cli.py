@@ -41,7 +41,6 @@ from .forms import (
     validate_agent_form,
     validate_workflow_form,
 )
-from .ragstore import RagStore
 from .registry import RegistryStore, RegistryToolSuite
 
 ENV_API_BASE = "AGENT_API_BASE"
@@ -210,6 +209,8 @@ def _cmd_registry(args) -> int:
 
 
 def _cmd_rag(args) -> int:
+    from .ragstore import RagStore  # numpy loads only for the command that needs it
+
     store = RagStore(args.rag_root)
     if args.action == "add":
         counts = store.ingest(args.collection, args.path)

@@ -19,7 +19,10 @@ beside old vectors. A folder without a manifest reads as plain RV1. Live rows
 are kept sorted by (doc_id, ordinal), and a rewritten base is byte-identical
 to one ingest of the live documents into an empty collection. A store keeps
 the collections it read or wrote and reads one again only when the stat
-signature of the manifest or of a base file changed.
+signature of the manifest or of a base file changed. It holds their vectors
+column-major, one contiguous row per dimension, so scoring a query dimension
+is one pass over contiguous memory; the files stay row-major, and a load or
+a new base transposes between the two in blocks of rows.
 
 The default embedder hashes whitespace tokens with sha256 into a fixed-size
 signed-count vector and L2-normalizes. It is deterministic across processes
@@ -46,7 +49,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .errors import EmptyInputError, NotFoundError
+from .errors import EmptyInputError, InvalidDefinitionError, NotFoundError
 from .storage import TEMP_PREFIX, atomic_write, entry_path, is_entry_name, signature
 
 VECTOR_MAGIC = b"RV1\n"
@@ -161,7 +164,9 @@ class _Rows(NamedTuple):
     """A collection as last read or written: its live rows in (doc_id, ordinal)
     order under the stat signatures of its manifest and base files (None for a
     missing file), the manifest its next commit extends, and the rows stored
-    in its base and in its delta segments."""
+    in its base and in its delta segments. ``vectors`` is the (dim, rows)
+    transpose of the live rows' vectors: its row d holds dimension d of every
+    live row, contiguous, and its shape gives the stored dim."""
     signature: tuple
     keys: list[tuple[str, int]]
     lines: list[str]
@@ -177,16 +182,23 @@ _MANIFEST = {"deltas": list, "meta_crc": int, "next": int, "vectors_crc": int}
 
 
 def _image(count: int, dim: int, spare: mmap.mmap | None = None) -> tuple[mmap.mmap, np.ndarray]:
-    """``vectors.bin`` from offset 4 of an anonymous mapping (off the malloc
-    heap, so dropping it gives the memory back), and its now aligned rows. The
-    mapping is ``spare`` when that is large enough, since faulting in fresh
-    pages costs more than the copy; a new one has room for a quarter more rows,
-    which take no memory until they are written."""
-    size = 16 + 8 * count * dim
+    """An anonymous mapping (off the malloc heap, so dropping it gives the
+    memory back) and, at its start, a (dim, count) matrix for ``count`` rows
+    held column-major. The mapping is ``spare`` when that is large enough,
+    since faulting in fresh pages costs more than the copy; a new one has room
+    for a quarter more rows, which take no memory until they are written."""
+    size = 8 * count * dim
     image = spare if spare is not None and len(spare) >= size \
-        else mmap.mmap(-1, size + 8 * (count // 4) * dim)
-    image[4:16] = VECTOR_MAGIC + struct.pack("<II", dim, count)
-    return image, np.frombuffer(image, "<f8", count * dim, 16).reshape(count, dim)
+        else mmap.mmap(-1, size + 8 * (count // 4) * dim or 1)  # a mapping is never empty
+    return image, np.frombuffer(image, "<f8", count * dim).reshape(dim, count)
+
+
+def _rv1(count: int, dim: int) -> tuple[mmap.mmap, np.ndarray]:
+    """``vectors.bin`` of ``count`` rows from offset 4 of an anonymous mapping,
+    and its now aligned (count, dim) rows, to be filled."""
+    data = mmap.mmap(-1, 16 + 8 * count * dim)
+    data[4:16] = VECTOR_MAGIC + struct.pack("<II", dim, count)
+    return data, np.frombuffer(data, "<f8", count * dim, 16).reshape(count, dim)
 
 
 def _stat(path: str) -> tuple | None:
@@ -257,14 +269,15 @@ def _read_delta(collection: str, path: str, crc: int, dim: int) -> tuple[list, l
         raise mismatch from None
     if len(keys) != count or len(data) < 12 + 8 * count * dim or keys != sorted(keys):
         raise mismatch
-    return keys, lines, np.frombuffer(data, "<f8", count * dim, 12).reshape(count, dim)
+    return keys, lines, np.frombuffer(data, "<f8", count * dim, 12).reshape(count, dim).T
 
 
 def _splice(rows: tuple, deltas: list, spare: mmap.mmap | None = None) \
         -> tuple[list, list, mmap.mmap, np.ndarray]:
     """``rows`` (keys, lines, vectors) after ``deltas`` in order, each a pair
     (doc_ids, rows) whose rows replace those of its doc_ids; all rows are in
-    (doc_id, ordinal) order. The result's vectors are in an ``_image``."""
+    (doc_id, ordinal) order and all vectors are (dim, rows). The result's
+    vectors are in an ``_image``."""
     keys = rows[0]
     owner = {doc_id: delta for doc_ids, delta in deltas for doc_id in doc_ids}  # the last wins
     pieces, at = [], 0
@@ -274,12 +287,12 @@ def _splice(rows: tuple, deltas: list, spare: mmap.mmap | None = None) \
                                        bisect.bisect_left(delta[0], (doc_id, math.inf)))]
         at = bisect.bisect_left(keys, (doc_id, math.inf), start)
     pieces.append((rows, at, len(keys)))
-    image, matrix = _image(sum(stop - start for _, start, stop in pieces), rows[2].shape[1], spare)
+    image, matrix = _image(sum(stop - start for _, start, stop in pieces), rows[2].shape[0], spare)
     keys, lines, row = [], [], 0
     for (part_keys, part_lines, vectors), start, stop in pieces:
         keys += part_keys[start:stop]
         lines += part_lines[start:stop]
-        matrix[row:row + stop - start] = vectors[start:stop]
+        matrix[:, row:row + stop - start] = vectors[:, start:stop]
         row += stop - start
     return keys, lines, image, matrix
 
@@ -333,6 +346,15 @@ class RagStore:
         rows = self._cache[collection] = self._read(collection, paths, now)
         return rows
 
+    def _embeddable(self, collection: str) -> _Rows:
+        """The collection's rows, if their dim is the embedder's."""
+        rows = self._rows(collection)
+        if rows.vectors.shape[0] != self.embedder.dim:
+            raise InvalidDefinitionError(
+                f"embedder dim {self.embedder.dim} is not the dim {rows.vectors.shape[0]} "
+                f"of collection: {collection}")
+        return rows
+
     @staticmethod
     def _read(collection: str, paths: tuple, now: tuple) -> _Rows:
         try:
@@ -345,19 +367,21 @@ class RagStore:
                 dim, count = struct.unpack_from("<II", header, 4)
                 if count != len(keys):
                     raise NotFoundError(f"collection row mismatch: {collection}")
-                image, matrix = _image(count, dim)
-                if vectors.readinto(memoryview(image)[16:16 + matrix.nbytes]) < matrix.nbytes:
+                raw = memoryview(vectors.read())[:8 * count * dim]
+                if len(raw) < 8 * count * dim:
                     raise NotFoundError(f"corrupt vector file for collection: {collection}")
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             if os.path.isfile(paths[1]):  # listed, since its meta file is there
                 raise NotFoundError(f"corrupt vector file for collection: {collection}") from None
             raise NotFoundError(f"no such collection: {collection}") from None
-        crcs = {"meta_crc": zlib.crc32(data),
-                "vectors_crc": zlib.crc32(memoryview(image)[4:16 + matrix.nbytes])}
+        crcs = {"meta_crc": zlib.crc32(data), "vectors_crc": zlib.crc32(raw, zlib.crc32(header))}
+        base = np.frombuffer(raw, "<f8").reshape(count, dim)
         order = sorted(range(count), key=keys.__getitem__)
         if order != list(range(count)):  # not written by a store: put rows in store order
-            keys, lines = [keys[i] for i in order], [lines[i] for i in order]
-            matrix[:] = matrix[order]
+            keys, lines, base = [keys[i] for i in order], [lines[i] for i in order], base[order]
+        image, matrix = _image(count, dim)
+        for at in range(0, count, 32):  # blocks that stay in cache: one whole base.T is ~3x slower
+            matrix[:, at:at + 32] = base[at:at + 32].T
         manifest = _read_manifest(collection, paths[0])
         if manifest is None:  # plain RV1
             manifest = {"deltas": [], "next": 0, **crcs}
@@ -390,31 +414,34 @@ class RagStore:
         new = [chunk for doc in chunks.values() for chunk in doc]
         manifest_path, meta_path, vectors_path = self._files(collection)
         try:
-            old = self._rows(collection)
+            old = self._embeddable(collection)
         except NotFoundError:
             if os.path.exists(meta_path):
                 raise  # a malformed collection is reported, not replaced
-            old = _Rows((None,) * 3, [], [], np.zeros((0, self.embedder.dim)), None,
+            old = _Rows((None,) * 3, [], [], np.zeros((self.embedder.dim, 0)), None,
                         {"deltas": [], "next": 0}, (0, 0))  # a new base is its first commit
         replaced = sum(bisect.bisect_left(old.keys, (doc_id, math.inf))
                        - bisect.bisect_left(old.keys, (doc_id,)) for doc_id in chunks)
         if not new and not replaced and old.signature[1] is not None:
             return counts  # no live row changes, so there is nothing to commit
         self._cache.pop(collection, None)  # the old rows go as soon as the new are built
-        fresh_image, fresh = _image(len(new), self.embedder.dim)
+        fresh_file, fresh = _rv1(len(new), self.embedder.dim)
         for row, chunk in enumerate(new):
             fresh[row] = self.embedder.embed(chunk.text)
-        delta = ([(c.doc_id, c.ordinal) for c in new], [_meta_line(vars(c)) for c in new], fresh)
+        delta = ([(c.doc_id, c.ordinal) for c in new], [_meta_line(vars(c)) for c in new], fresh.T)
         spare, self._spare = self._spare, None
-        keys, lines, image, matrix = _splice(old[1:4], [(chunks, delta)], spare) if old.keys \
-            else (*delta[:2], fresh_image, fresh)
+        keys, lines, image, matrix = _splice(old[1:4], [(chunks, delta)], spare)
         base, deltas = old.stored
         if _rewrites_base(replaced, len(old.keys) - replaced, len(new), base, deltas):
             if old.signature[0] is None and old.signature[1] is not None:
                 # an RV1 folder gets a manifest of its base before the base is rewritten
                 atomic_write(manifest_path, _manifest_bytes(old.manifest))
             data = "\n".join([*lines, ""]).encode("utf-8")
-            vectors = memoryview(image)[4:16 + matrix.nbytes]
+            base_file = fresh_file  # a first commit's live rows are the fresh rows
+            if old.keys:
+                base_file, rows = _rv1(len(keys), matrix.shape[0])
+                rows[:] = matrix.T
+            vectors = memoryview(base_file)[4:]
             signatures = (signature(atomic_write(meta_path, data)),
                           signature(atomic_write(vectors_path, vectors)))
             manifest = {**old.manifest, "deltas": [],
@@ -422,7 +449,7 @@ class RagStore:
             stored = (len(keys), 0)
         else:
             seq = old.manifest["next"]
-            data = b"".join([DELTA_MAGIC, memoryview(fresh_image)[8:16 + fresh.nbytes],
+            data = b"".join([DELTA_MAGIC, memoryview(fresh_file)[8:],
                              "\n".join([*delta[1], ""]).encode("utf-8")])
             atomic_write(os.path.join(os.path.dirname(meta_path), f"delta-{seq}"), data)
             manifest = {**old.manifest, "next": seq + 1,
@@ -480,13 +507,13 @@ class RagStore:
         the probe's nonzero dimensions ``d``, added in ascending ``d`` from 0.0,
         so it has the same bits on every machine. Ties break by (doc_id,
         ordinal), making the ranking a pure function of the stored bytes."""
-        rows = self._rows(collection)
+        rows = self._embeddable(collection)
         if not rows.keys or k <= 0:
             return []
         probe = self.embedder.embed(text)
         scores = np.zeros(len(rows.keys))
-        for d in np.flatnonzero(probe).tolist():  # one column per query token at most
-            scores += rows.vectors[:, d] * probe[d]
+        for d in np.flatnonzero(probe).tolist():  # one dimension per query token at most
+            scores += rows.vectors[d] * probe[d]
         top = np.arange(len(scores))
         if k < len(scores):  # the rows that can place, all those tied at the k-th score too
             negated = -scores
@@ -517,11 +544,11 @@ class RagStore:
             os.rmdir(folder)
 
     def stats(self, collection: str) -> dict:
-        keys = self._rows(collection).keys
+        rows = self._rows(collection)
         return {
-            "chunks": len(keys),
-            "documents": len({doc_id for doc_id, _ in keys}),
-            "dim": self.embedder.dim,
+            "chunks": len(rows.keys),
+            "documents": len({doc_id for doc_id, _ in rows.keys}),
+            "dim": rows.vectors.shape[0],
         }
 
     # -- answering --------------------------------------------------------------

@@ -66,6 +66,17 @@ def test_python_m_agentos_runs_the_cli(monkeypatch):
     assert (done.returncode, done.stdout, done.stderr) == (0, build_parser().format_help(), "")
 
 
+def test_the_package_and_the_cli_load_without_numpy():
+    # one process: numpy, which only the RAG store uses, is the slowest import
+    # of a CLI start; `agentos rag` and the RAG names of the package load it
+    env = {**os.environ, "PYTHONPATH": str(Path(agentos.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", "import sys, agentos, agentos.cli; "
+                           "print('numpy' in sys.modules, agentos.RagStore.__module__, "
+                           "'numpy' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False agentos.ragstore True\n", "")
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

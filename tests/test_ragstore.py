@@ -8,6 +8,7 @@ pass over the raw files, read without the store.
 import hashlib
 import json
 import random
+import re
 import struct
 import zipfile
 
@@ -177,6 +178,35 @@ def test_row_order_and_idempotence(tmp_path):
     store.ingest_text("c", "doc", "same content twice")
     assert (tmp_path / "again" / "c" / "meta.jsonl").read_bytes() == first
     assert store.stats("c") == {"chunks": 1, "documents": 1, "dim": 256}
+
+
+@pytest.mark.parametrize("dim", [8, 512])
+def test_an_embedder_of_another_dim_is_refused_and_writes_nothing(tmp_path, dim):
+    store = RagStore(tmp_path / "root", chunk_size=4, overlap=0)  # 256-dim rows
+    store.ingest_text("c", "a", "alpha bravo charlie delta echo")
+    store.ingest_text("c", "b", "foxtrot golf hotel")  # a delta segment
+    folder = tmp_path / "root" / "c"
+    before = {path.name: path.read_bytes() for path in folder.iterdir()}
+    assert "delta-0" in before
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_text("india juliet", encoding="utf-8")
+
+    other = RagStore(tmp_path / "root", embedder=HashingEmbedder(dim), chunk_size=4, overlap=0)
+    refused = pytest.raises(InvalidDefinitionError,
+                            match=re.escape(f"embedder dim {dim} is not the dim 256 of "
+                                            "collection: c"))
+    with refused:
+        other.query("c", "alpha bravo")
+    with refused:
+        other.ingest_text("c", "a", "kilo lima mike")  # would replace rows
+    with refused:
+        other.ingest_text("c", "z", "")  # would change no live row
+    with refused:
+        other.ingest("c", docs)
+    assert other.stats("c") == {"chunks": 3, "documents": 2, "dim": 256}
+    assert {path.name: path.read_bytes() for path in folder.iterdir()} == before
+    assert [hit.doc_id for hit in store.query("c", "foxtrot golf", k=1)] == ["b"]
 
 
 def test_reingest_replaces_document(tmp_path):

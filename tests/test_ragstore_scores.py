@@ -8,6 +8,7 @@ sorts every row on ``(-score, doc_id, ordinal)`` and must give the same
 order picked by a BLAS kernel differs in the last bit and can reorder hits.
 """
 
+import json
 import random
 import struct
 import tempfile
@@ -16,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentos.ragstore import HashingEmbedder, RagStore
+from agentos.ragstore import DELTA_MAGIC, VECTOR_MAGIC, HashingEmbedder, RagStore, chunk_text
 
 from test_ragstore import persisted_rows
 from test_ragstore_cache import write_docs
@@ -57,6 +58,58 @@ def test_scores_past_the_blas_thread_knee_follow_the_documented_sum(tmp_path):
         text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 8)))
         k = rows if n % 10 == 0 else 6  # every row's score, now and then
         assert hits(store, text, k) == documented_top(store, tmp_path / "c", text, k), text
+
+
+def stored_bytes(magic: bytes, docs: dict[str, str]) -> bytes:
+    """The RV1 base or the RD1 segment that holds ``docs`` (doc_id -> text), as
+    docs/formats.md lays them out: magic, dim, count, the rows of one default
+    ``HashingEmbedder`` row-major in (doc_id, ordinal) order, then, in a
+    segment, the rows' meta lines."""
+    embedder = HashingEmbedder()
+    chunks = [chunk for doc_id in sorted(docs) for chunk in chunk_text(docs[doc_id], doc_id)]
+    data = [magic, struct.pack("<II", embedder.dim, len(chunks)),
+            *(embedder.embed(chunk.text).astype("<f8").tobytes() for chunk in chunks)]
+    if magic == DELTA_MAGIC:
+        data += [json.dumps(vars(chunk), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+                 for chunk in chunks]
+    return b"".join(data)
+
+
+def test_files_and_scores_at_row_counts_off_the_copy_blocks(tmp_path):
+    # the store holds its vectors column-major and copies rows between that
+    # and the row-major files 32 at a time; no row count here is a multiple of 32
+    rng = random.Random(26)
+    vocabulary = [f"w{n}" for n in range(600)]
+
+    def text() -> str:
+        return " ".join(rng.choice(vocabulary) for _ in range(rng.randint(2_000, 5_000)))
+
+    queries = [" ".join(rng.choice(vocabulary) for _ in range(n)) for n in (1, 3, 5, 8)]
+    folder = tmp_path / "c"
+
+    def check(store: RagStore, base: dict, deltas: list[dict]) -> None:
+        assert (folder / "vectors.bin").read_bytes() == stored_bytes(VECTOR_MAGIC, base)
+        assert sorted(path.name for path in folder.glob("delta-*")) == \
+            [f"delta-{n}" for n in range(len(deltas))]
+        for n, docs in enumerate(deltas):
+            assert (folder / f"delta-{n}").read_bytes() == stored_bytes(DELTA_MAGIC, docs)
+        rows = store.stats("c")["chunks"]
+        assert rows % 32
+        for query in queries:  # every row's score
+            assert hits(store, query, rows) == documented_top(store, folder, query, rows), query
+
+    docs = {f"doc{d:02d}.txt": text() for d in range(40)}
+    store = RagStore(tmp_path)
+    store.ingest("c", write_docs(tmp_path / "docs", docs))
+    check(store, docs, [])
+    update = {"doc07.txt": text()}
+    store.ingest_text("c", "doc07.txt", update["doc07.txt"])  # a delta segment
+    check(store, docs, [update])
+    store = RagStore(tmp_path)  # loads the base and splices the segment in
+    check(store, docs, [update])
+    changed = {f"doc{d:02d}.txt": text() for d in range(40) if d % 4}
+    store.ingest("c", write_docs(tmp_path / "changed", changed))  # replaces 30 of 40: a new base
+    check(store, {**docs, **update, **changed}, [])
 
 
 WORD = st.sampled_from(["ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen", "owl"])
