@@ -37,6 +37,7 @@ import contextlib
 import hashlib
 import io
 import json
+import lzma
 import math
 import mmap
 import os
@@ -164,12 +165,12 @@ class _Rows(NamedTuple):
     """A collection as last read or written: its live rows in (doc_id, ordinal)
     order under the stat signatures of its manifest and base files (None for a
     missing file), the manifest its next commit extends, and the rows stored
-    in its base and in its delta segments. ``vectors`` is the (dim, rows)
+    in its base and in its delta segments. ``meta`` holds each live row's meta
+    fields once, in ``Chunk`` field order. ``vectors`` is the (dim, rows)
     transpose of the live rows' vectors: its row d holds dimension d of every
     live row, contiguous, and its shape gives the stored dim."""
     signature: tuple
-    keys: list[tuple[str, int]]
-    lines: list[str]
+    meta: list[tuple[str, int, str, int]]
     vectors: np.ndarray
     image: mmap.mmap | None  # the ``_image`` that holds ``vectors``
     manifest: dict
@@ -209,19 +210,22 @@ def _stat(path: str) -> tuple | None:
         return None
 
 
-def _meta_rows(collection: str, data: bytes) -> tuple[list, list]:
-    """The keys and canonical lines of the meta lines in ``data``."""
-    keys, lines = [], []
+def _meta_rows(collection: str, data: bytes) -> list[tuple]:
+    """The meta fields of each meta line in ``data``, in ``Chunk`` field order."""
+    meta = []
     try:
         for line in filter(str.strip, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
             record = json.loads(line)
             if type(record) is not dict or {f: type(record.get(f)) for f in _META} != _META:
                 raise ValueError("not a chunk record")
-            keys.append((record["doc_id"], record["ordinal"]))
-            lines.append(_meta_line({f: record[f] for f in _META}))
+            meta.append(tuple(map(record.__getitem__, _META)))
     except (ValueError, RecursionError):  # not UTF-8, not JSON, not a chunk, nested too deep
         raise NotFoundError(f"corrupt meta file for collection: {collection}") from None
-    return keys, lines
+    return meta
+
+
+def _meta_bytes(meta: list[tuple]) -> bytes:  # what a commit writes: canonical meta lines
+    return "".join([_meta_line(dict(zip(_META, row))) + "\n" for row in meta]).encode("utf-8")
 
 
 def _manifest_bytes(manifest: dict) -> bytes:
@@ -251,7 +255,7 @@ def _read_manifest(collection: str, path: str) -> dict | None:
     return manifest
 
 
-def _read_delta(collection: str, path: str, crc: int, dim: int) -> tuple[list, list, np.ndarray]:
+def _read_delta(collection: str, path: str, crc: int, dim: int) -> tuple[list, np.ndarray]:
     """The rows of a delta segment that the manifest lists with ``crc``."""
     mismatch = NotFoundError(f"collection does not match its manifest: {collection}")
     try:
@@ -264,37 +268,36 @@ def _read_delta(collection: str, path: str, crc: int, dim: int) -> tuple[list, l
         raise mismatch
     count = struct.unpack_from("<I", data, 8)[0]
     try:
-        keys, lines = _meta_rows(collection, data[12 + 8 * count * dim:])
+        meta = _meta_rows(collection, data[12 + 8 * count * dim:])
     except NotFoundError:
         raise mismatch from None
-    if len(keys) != count or len(data) < 12 + 8 * count * dim or keys != sorted(keys):
+    if len(meta) != count or meta != sorted(meta, key=lambda row: row[:2]):  # cut short: no meta
         raise mismatch
-    return keys, lines, np.frombuffer(data, "<f8", count * dim, 12).reshape(count, dim).T
+    return meta, np.frombuffer(data, "<f8", count * dim, 12).reshape(count, dim).T
 
 
 def _splice(rows: tuple, deltas: list, spare: mmap.mmap | None = None) \
-        -> tuple[list, list, mmap.mmap, np.ndarray]:
-    """``rows`` (keys, lines, vectors) after ``deltas`` in order, each a pair
+        -> tuple[list, mmap.mmap, np.ndarray]:
+    """``rows`` (meta, vectors) after ``deltas`` in order, each a pair
     (doc_ids, rows) whose rows replace those of its doc_ids; all rows are in
-    (doc_id, ordinal) order and all vectors are (dim, rows). The result's
-    vectors are in an ``_image``."""
-    keys = rows[0]
+    (doc_id, ordinal) order, one meta tuple each, and all vectors are (dim,
+    rows). The result is its meta list, and its vectors in an ``_image``."""
+    meta = rows[0]
     owner = {doc_id: delta for doc_ids, delta in deltas for doc_id in doc_ids}  # the last wins
     pieces, at = [], 0
     for doc_id in sorted(owner):
-        delta, start = owner[doc_id], bisect.bisect_left(keys, (doc_id,), at)
+        delta, start = owner[doc_id], bisect.bisect_left(meta, (doc_id,), at)
         pieces += [(rows, at, start), (delta, bisect.bisect_left(delta[0], (doc_id,)),
                                        bisect.bisect_left(delta[0], (doc_id, math.inf)))]
-        at = bisect.bisect_left(keys, (doc_id, math.inf), start)
-    pieces.append((rows, at, len(keys)))
-    image, matrix = _image(sum(stop - start for _, start, stop in pieces), rows[2].shape[0], spare)
-    keys, lines, row = [], [], 0
-    for (part_keys, part_lines, vectors), start, stop in pieces:
-        keys += part_keys[start:stop]
-        lines += part_lines[start:stop]
+        at = bisect.bisect_left(meta, (doc_id, math.inf), start)
+    pieces.append((rows, at, len(meta)))
+    image, matrix = _image(sum(stop - start for _, start, stop in pieces), rows[1].shape[0], spare)
+    meta, row = [], 0
+    for (part, vectors), start, stop in pieces:
+        meta += part[start:stop]
         matrix[:, row:row + stop - start] = vectors[:, start:stop]
         row += stop - start
-    return keys, lines, image, matrix
+    return meta, image, matrix
 
 
 def _rewrites_base(replaced: int, kept: int, new: int, base: int, deltas: int) -> bool:
@@ -358,14 +361,14 @@ class RagStore:
     @staticmethod
     def _read(collection: str, paths: tuple, now: tuple) -> _Rows:
         try:
-            with open(paths[1], "rb") as meta, open(paths[2], "rb") as vectors:
-                data = meta.read()
-                keys, lines = _meta_rows(collection, data)
+            with open(paths[1], "rb") as meta_file, open(paths[2], "rb") as vectors:
+                data = meta_file.read()
+                meta = _meta_rows(collection, data)
                 header = vectors.read(12)
                 if len(header) < 12 or header[:4] != VECTOR_MAGIC:
                     raise NotFoundError(f"corrupt vector file for collection: {collection}")
                 dim, count = struct.unpack_from("<II", header, 4)
-                if count != len(keys):
+                if count != len(meta):
                     raise NotFoundError(f"collection row mismatch: {collection}")
                 raw = memoryview(vectors.read())[:8 * count * dim]
                 if len(raw) < 8 * count * dim:
@@ -376,9 +379,9 @@ class RagStore:
             raise NotFoundError(f"no such collection: {collection}") from None
         crcs = {"meta_crc": zlib.crc32(data), "vectors_crc": zlib.crc32(raw, zlib.crc32(header))}
         base = np.frombuffer(raw, "<f8").reshape(count, dim)
-        order = sorted(range(count), key=keys.__getitem__)
+        order = sorted(range(count), key=lambda i: meta[i][:2])
         if order != list(range(count)):  # not written by a store: put rows in store order
-            keys, lines, base = [keys[i] for i in order], [lines[i] for i in order], base[order]
+            meta, base = [meta[i] for i in order], base[order]
         image, matrix = _image(count, dim)
         for at in range(0, count, 32):  # blocks that stay in cache: one whole base.T is ~3x slower
             matrix[:, at:at + 32] = base[at:at + 32].T
@@ -391,9 +394,9 @@ class RagStore:
         deltas = [(doc_ids, _read_delta(collection, os.path.join(folder, f"delta-{n}"), crc, dim))
                   for n, crc, doc_ids in manifest["deltas"]]
         if deltas:
-            keys, lines, image, matrix = _splice((keys, lines, matrix), deltas)
+            meta, image, matrix = _splice((meta, matrix), deltas)
         matrix.flags.writeable = False
-        return _Rows(now, keys, lines, matrix, image, manifest,
+        return _Rows(now, meta, matrix, image, manifest,
                      (count, sum(len(delta[0]) for _, delta in deltas)))
 
     # -- ingest ---------------------------------------------------------------
@@ -411,46 +414,44 @@ class RagStore:
         chunks = {doc_id: chunk_text(docs[doc_id], doc_id, self.chunk_size, self.overlap)
                   for doc_id in sorted(docs)}
         counts = {doc_id: len(doc) for doc_id, doc in chunks.items()}
-        new = [chunk for doc in chunks.values() for chunk in doc]
+        new = [tuple(vars(chunk).values()) for doc in chunks.values() for chunk in doc]
         manifest_path, meta_path, vectors_path = self._files(collection)
         try:
             old = self._embeddable(collection)
         except NotFoundError:
             if os.path.exists(meta_path):
                 raise  # a malformed collection is reported, not replaced
-            old = _Rows((None,) * 3, [], [], np.zeros((self.embedder.dim, 0)), None,
+            old = _Rows((None,) * 3, [], np.zeros((self.embedder.dim, 0)), None,
                         {"deltas": [], "next": 0}, (0, 0))  # a new base is its first commit
-        replaced = sum(bisect.bisect_left(old.keys, (doc_id, math.inf))
-                       - bisect.bisect_left(old.keys, (doc_id,)) for doc_id in chunks)
+        replaced = sum(bisect.bisect_left(old.meta, (doc_id, math.inf))
+                       - bisect.bisect_left(old.meta, (doc_id,)) for doc_id in chunks)
         if not new and not replaced and old.signature[1] is not None:
             return counts  # no live row changes, so there is nothing to commit
         self._cache.pop(collection, None)  # the old rows go as soon as the new are built
         fresh_file, fresh = _rv1(len(new), self.embedder.dim)
-        for row, chunk in enumerate(new):
-            fresh[row] = self.embedder.embed(chunk.text)
-        delta = ([(c.doc_id, c.ordinal) for c in new], [_meta_line(vars(c)) for c in new], fresh.T)
+        for row, (_, _, text, _) in enumerate(new):
+            fresh[row] = self.embedder.embed(text)
         spare, self._spare = self._spare, None
-        keys, lines, image, matrix = _splice(old[1:4], [(chunks, delta)], spare)
+        meta, image, matrix = _splice((old.meta, old.vectors), [(chunks, (new, fresh.T))], spare)
         base, deltas = old.stored
-        if _rewrites_base(replaced, len(old.keys) - replaced, len(new), base, deltas):
+        if _rewrites_base(replaced, len(old.meta) - replaced, len(new), base, deltas):
             if old.signature[0] is None and old.signature[1] is not None:
                 # an RV1 folder gets a manifest of its base before the base is rewritten
                 atomic_write(manifest_path, _manifest_bytes(old.manifest))
-            data = "\n".join([*lines, ""]).encode("utf-8")
+            data = _meta_bytes(meta)
             base_file = fresh_file  # a first commit's live rows are the fresh rows
-            if old.keys:
-                base_file, rows = _rv1(len(keys), matrix.shape[0])
+            if old.meta:
+                base_file, rows = _rv1(len(meta), matrix.shape[0])
                 rows[:] = matrix.T
             vectors = memoryview(base_file)[4:]
             signatures = (signature(atomic_write(meta_path, data)),
                           signature(atomic_write(vectors_path, vectors)))
             manifest = {**old.manifest, "deltas": [],
                         "meta_crc": zlib.crc32(data), "vectors_crc": zlib.crc32(vectors)}
-            stored = (len(keys), 0)
+            stored = (len(meta), 0)
         else:
             seq = old.manifest["next"]
-            data = b"".join([DELTA_MAGIC, memoryview(fresh_file)[8:],
-                             "\n".join([*delta[1], ""]).encode("utf-8")])
+            data = b"".join([DELTA_MAGIC, memoryview(fresh_file)[8:], _meta_bytes(new)])
             atomic_write(os.path.join(os.path.dirname(meta_path), f"delta-{seq}"), data)
             manifest = {**old.manifest, "next": seq + 1,
                         "deltas": [*old.manifest["deltas"], [seq, zlib.crc32(data), list(chunks)]]}
@@ -458,8 +459,8 @@ class RagStore:
         manifest_st = atomic_write(manifest_path, _manifest_bytes(manifest))
         _sweep(os.path.dirname(meta_path), {f"delta-{seq}" for seq, _, _ in manifest["deltas"]})
         matrix.flags.writeable = False
-        self._cache[collection] = _Rows((signature(manifest_st), *signatures), keys, lines,
-                                        matrix, image, manifest, stored)
+        self._cache[collection] = _Rows((signature(manifest_st), *signatures), meta, matrix,
+                                        image, manifest, stored)
         self._spare = old.image
         return counts
 
@@ -470,7 +471,8 @@ class RagStore:
         or the bare file name for a single file. Returns doc_id -> chunk
         count. Re-ingesting the same source is idempotent. Every file is
         read before the collection is committed once, so a file that fails
-        to read or decode leaves the collection as it was.
+        to read or decode leaves the collection as it was; a zip archive that
+        cannot be read raises ``OSError`` naming it.
         """
         source = Path(source)
         if source.is_dir():
@@ -482,10 +484,13 @@ class RagStore:
         elif not source.is_file():
             raise NotFoundError(f"no such file: {source}")
         elif source.suffix.lower() == ".zip":
-            with zipfile.ZipFile(source) as archive:
-                docs = {name: archive.read(name)
-                        for name in sorted(archive.namelist())
-                        if not name.endswith("/") and Path(name).suffix.lower() in DOC_SUFFIXES}
+            try:  # not a zip, or a corrupt, cut, encrypted or unknown-method member: one OSError
+                with zipfile.ZipFile(source) as archive:
+                    docs = {name: archive.read(name) for name in sorted(archive.namelist())
+                            if not name.endswith("/") and Path(name).suffix.lower() in DOC_SUFFIXES}
+            except (OSError, zipfile.BadZipFile, zlib.error, lzma.LZMAError, EOFError,
+                    RuntimeError) as err:
+                raise OSError(f"unreadable zip archive {source}: {err}") from err
             if not docs:
                 raise EmptyInputError(f"no .txt/.md members in {source}")
         elif source.suffix.lower() not in DOC_SUFFIXES:
@@ -508,10 +513,10 @@ class RagStore:
         so it has the same bits on every machine. Ties break by (doc_id,
         ordinal), making the ranking a pure function of the stored bytes."""
         rows = self._embeddable(collection)
-        if not rows.keys or k <= 0:
+        if not rows.meta or k <= 0:
             return []
         probe = self.embedder.embed(text)
-        scores = np.zeros(len(rows.keys))
+        scores = np.zeros(len(rows.meta))
         for d in np.flatnonzero(probe).tolist():  # one dimension per query token at most
             scores += rows.vectors[d] * probe[d]
         top = np.arange(len(scores))
@@ -520,8 +525,7 @@ class RagStore:
             top = np.flatnonzero(negated <= np.partition(negated, k - 1)[k - 1])
         # rows are in (doc_id, ordinal) order, so a stable sort breaks ties by it
         top = top[np.argsort(-scores[top], kind="stable")[:k]]
-        return [Hit(*rows.keys[i], float(scores[i]), json.loads(rows.lines[i])["text"])
-                for i in top.tolist()]
+        return [Hit(*rows.meta[i][:2], float(scores[i]), rows.meta[i][2]) for i in top.tolist()]
 
     def list_collections(self) -> list[str]:
         if not self.root.is_dir():
@@ -546,8 +550,8 @@ class RagStore:
     def stats(self, collection: str) -> dict:
         rows = self._rows(collection)
         return {
-            "chunks": len(rows.keys),
-            "documents": len({doc_id for doc_id, _ in rows.keys}),
+            "chunks": len(rows.meta),
+            "documents": len({row[0] for row in rows.meta}),
             "dim": rows.vectors.shape[0],
         }
 

@@ -6,7 +6,9 @@ pass over the raw files, read without the store.
 """
 
 import hashlib
+import io
 import json
+import os
 import random
 import re
 import struct
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from agentos.backends import ScriptedBackend
+from agentos.cli import dispatch_command
 from agentos.engine import Engine
 from agentos.errors import EmptyInputError, InvalidDefinitionError, NotFoundError
 from agentos.ragstore import (
@@ -278,6 +281,52 @@ def test_a_zip_without_documents_is_empty(tmp_path):
     with pytest.raises(EmptyInputError, match=r"^no \.txt/\.md members in "):
         RagStore(tmp_path / "s").ingest("c", zpath)
     assert not (tmp_path / "s").exists()
+
+
+def bad_zip(case: str) -> bytes:
+    """A one-member archive written by ``zipfile``, with bytes edited as ``case`` says."""
+    if case == "not a zip":
+        return b"not a zip"
+    method = {"member cut short": zipfile.ZIP_STORED,
+              "corrupt lzma stream": zipfile.ZIP_LZMA}.get(case, zipfile.ZIP_DEFLATED)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", method) as archive:
+        archive.writestr("a.txt", "alpha bravo charlie " * 20)
+    data = bytearray(buffer.getvalue())
+    central = data.index(b"PK\x01\x02")  # its entry: flags at +8, method at +10, sizes at +20
+    if case == "corrupt deflate stream":
+        data[35] = 0xFF  # after the 30-byte local header and "a.txt": a block of reserved type
+    elif case == "encrypted member":
+        data[central + 8] |= 1
+    elif case == "unknown compression method":
+        data[central + 10] = 99
+    elif case == "member cut short":  # sizes past the end of the stored bytes
+        data[central + 20:central + 28] = struct.pack("<II", 10**5, 10**5)
+    else:
+        data[45] ^= 0xFF  # inside the lzma stream
+    return bytes(data)
+
+
+@pytest.mark.parametrize("case", ["not a zip", "corrupt deflate stream", "encrypted member",
+                                  "unknown compression method", "member cut short",
+                                  "corrupt lzma stream"])
+def test_an_unreadable_zip_is_one_os_error_and_writes_nothing(tmp_path, capsys, case):
+    zpath = tmp_path / "bad.zip"
+    zpath.write_bytes(bad_zip(case))
+    store = RagStore(tmp_path / "rag")
+    store.ingest_text("c", "d.txt", "alpha bravo")
+    folder = tmp_path / "rag" / "c"
+    before = {p.name: p.read_bytes() for p in folder.iterdir()}
+    for collection in ("c", "fresh"):
+        with pytest.raises(OSError, match=f"^unreadable zip archive {re.escape(str(zpath))}: "):
+            store.ingest(collection, zpath)
+    assert {p.name: p.read_bytes() for p in folder.iterdir()} == before
+    assert os.listdir(tmp_path / "rag") == ["c"]
+    code = dispatch_command(["rag", "add", str(zpath), "--collection", "c",
+                             "--rag-root", str(tmp_path / "rag")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.startswith("E_IO: unreadable zip archive ") and out.count("\n") == 1
 
 
 def test_collection_names_follow_the_entry_name_rule(tmp_path):

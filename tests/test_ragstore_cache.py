@@ -10,6 +10,7 @@ nothing cached.
 """
 
 import hashlib
+import json
 import os
 import random
 import statistics
@@ -248,6 +249,44 @@ def test_rows_written_by_another_program_rank_in_store_order(tmp_path):
                 ("b", "other words")]
 
 
+def test_a_foreign_base_is_rewritten_in_canonical_form(tmp_path):
+    # meta lines out of row order, keys reordered, spaces after separators, an
+    # extra key and a raw non-ASCII character: a rewritten base is canonical
+    docs = {"m.txt": "mike's café menu", "z.txt": "zulu time", "a.txt": "alpha naïve words"}
+    made = RagStore(tmp_path / "made", chunk_size=4, overlap=0)
+    for doc_id, text in docs.items():
+        made.ingest_text("c", doc_id, text)
+    lines = (tmp_path / "made" / "c" / "meta.jsonl").read_bytes().splitlines()
+    raw = (tmp_path / "made" / "c" / "vectors.bin").read_bytes()
+    order = (2, 0, 1)
+    foreign = [json.dumps({"text": record["text"], "extra": [1, "x"], "token_start":
+                           record["token_start"], "ordinal": record["ordinal"],
+                           "doc_id": record["doc_id"]}, ensure_ascii=False)
+               for record in (json.loads(lines[i]) for i in order)]
+    assert "é" in "".join(foreign) and ", " in foreign[0] and '": ' in foreign[0]
+    folder = tmp_path / "foreign" / "c"
+    folder.mkdir(parents=True)
+    (folder / "meta.jsonl").write_text("\n".join(foreign) + "\n", encoding="utf-8")
+    (folder / "vectors.bin").write_bytes(
+        raw[:12] + b"".join(raw[12 + i * 2048:12 + (i + 1) * 2048] for i in order))
+    store = RagStore(tmp_path / "foreign", chunk_size=4, overlap=0)
+    assert {(h.doc_id, h.text) for h in store.query("c", "café naïve zulu", k=3)} \
+        == set(docs.items())
+    # more new rows than base rows, so the ingest rewrites the base
+    docs["b.txt"] = "bravo " * 16
+    store.ingest_text("c", "b.txt", docs["b.txt"])
+    assert sorted(os.listdir(folder)) == ["manifest", "meta.jsonl", "vectors.bin"]
+    fresh = RagStore(tmp_path / "fresh", chunk_size=4, overlap=0)
+    fresh.ingest("c", write_docs(tmp_path / "docs", docs))
+    for name in ("meta.jsonl", "vectors.bin"):
+        assert (folder / name).read_bytes() == (tmp_path / "fresh" / "c" / name).read_bytes()
+    for reader in (store, RagStore(tmp_path / "foreign")):
+        found = reader.query("c", "café naïve zulu bravo", k=8)
+        assert len(found) == 7
+        assert {(h.doc_id, h.text) for h in found} == \
+            {*list(docs.items())[:3], ("b.txt", "bravo bravo bravo bravo")}
+
+
 # ---------------------------------------------------------------------------
 # the cache
 # ---------------------------------------------------------------------------
@@ -274,6 +313,32 @@ def test_an_unchanged_collection_is_not_read_again(tmp_path, monkeypatch):
     store.query("c", "delta")
     assert sorted(map(os.path.basename, opened)) == \
         ["delta-0", "manifest", "meta.jsonl", "vectors.bin"]
+
+
+def test_a_load_encodes_no_meta_line_and_a_query_decodes_none(tmp_path, monkeypatch):
+    writer = RagStore(tmp_path, chunk_size=4, overlap=0)
+    writer.ingest("c", write_docs(tmp_path / "docs", {
+        f"{n}.txt": " ".join(f"w{n}x{i}" for i in range(10)) + " shared" for n in range(4)}))
+    writer.ingest_text("c", "0.txt", "shared words again")  # and a delta segment
+    assert sorted(os.listdir(tmp_path / "c")) == \
+        ["delta-0", "manifest", "meta.jsonl", "vectors.bin"]
+    calls = {"encode": 0, "decode": 0}
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ragstore, "_meta_line", counted("encode", ragstore._meta_line))
+    monkeypatch.setattr(ragstore.json, "loads", counted("decode", ragstore.json.loads))
+    store = RagStore(tmp_path, chunk_size=4, overlap=0)
+    assert store.stats("c")["chunks"] == 10
+    # each stored meta line once, 12 in the base and 1 in the segment, and the manifest
+    assert calls == {"encode": 0, "decode": 12 + 1 + 1}
+    calls["decode"] = 0
+    assert len(store.query("c", "shared words", k=6)) == 6
+    assert calls == {"encode": 0, "decode": 0}
 
 
 def test_a_collection_replaced_from_outside_is_read_again(tmp_path):
