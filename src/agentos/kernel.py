@@ -68,7 +68,7 @@ class ToolResult:
         return cls("error", payload, kind)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolParam:
     name: str
     description: str = ""
@@ -77,9 +77,15 @@ class ToolParam:
 
 @dataclass
 class ToolSchema:
+    """A tool as an engine renders it. ``parameters`` is a tuple of frozen
+    params, so schemas that share it share nothing a caller can change."""
+
     name: str
     description: str = ""
-    parameters: list[ToolParam] = field(default_factory=list)
+    parameters: tuple[ToolParam, ...] = ()
+
+    def __post_init__(self):
+        self.parameters = tuple(self.parameters)
 
 
 def check_arguments(schema: ToolSchema, arguments) -> ToolResult | None:

@@ -72,6 +72,7 @@ class ToolDefinition(ToolSchema):
     language: str = "python"
 
     def __post_init__(self):
+        super().__post_init__()
         if not is_identifier(self.name):
             raise InvalidDefinitionError(f"tool name is not an identifier: {self.name!r}")
         seen: set[str] = set()
@@ -176,7 +177,7 @@ def _workflow_xml(record: dict) -> str:
     return record["xml"]
 
 
-# folder -> (the "kind" its records carry, decoder that shares no list with the record)
+# folder -> (the "kind" its records carry, decoder: the last step of a record's check)
 _KINDS = {
     "tools": ("tool", _decode_tool),
     "agents": ("agent", _decode_agent),
@@ -208,9 +209,11 @@ class RegistryStore:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self._folders = {kind: os.path.join(self.root, kind) for kind in _KINDS}
-        # path -> (signature, bytes, checked record or None), replaced whole;
-        # each read decodes its own objects from the record, which no caller sees
+        # path -> (signature, bytes, checked record or None, value decoded from it),
+        # replaced whole; no caller sees the record or the value
         self._cache: dict[str, tuple] = {}
+        # kind -> name -> path, for the names whose record was read and checked
+        self._paths: dict[str, dict[str, str]] = {kind: {} for kind in _KINDS}
         # inside mark(): path -> its bytes before this store's first change, None if absent
         self._journal: dict[str, bytes | None] | None = None
 
@@ -234,7 +237,7 @@ class RegistryStore:
         entry = self._cache.get(path)
         if entry is None or entry[0] != _signature(os.stat(path)):
             with open(path, "rb") as handle:  # the signature of the file it reads
-                entry = (_signature(os.fstat(handle.fileno())), handle.read(), None)
+                entry = (_signature(os.fstat(handle.fileno())), handle.read(), None, None)
             self._cache[path] = entry
         return entry
 
@@ -248,17 +251,18 @@ class RegistryStore:
 
     def _write(self, path: str, data: bytes) -> None:
         self._note(path)
-        self._cache[path] = (_signature(atomic_write(path, data)), data, None)
+        self._cache[path] = (_signature(atomic_write(path, data)), data, None, None)
 
     def _read(self, kind: str, name: str) -> tuple[dict, object]:
-        """One entry's checked record, as the cache holds it, and a fresh value decoded from it."""
-        path = self._path(kind, name)
+        """One entry's checked record and the value decoded from it, as the
+        cache holds them: both are checked and decoded once per signature."""
+        path = self._paths[kind].get(name) or self._path(kind, name)
         try:
             entry = self._entry(path)
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             raise NotFoundError(f"not in registry: {name}")
-        expected, decode = _KINDS[kind]
         if entry[2] is None:
+            expected, decode = _KINDS[kind]
             filename = os.path.basename(path)
             try:
                 record = json.loads(entry[1].decode("utf-8"))
@@ -270,8 +274,11 @@ class RegistryStore:
                 raise InvalidDefinitionError(
                     f"{filename} is not a format_version {FORMAT_VERSION} {expected} record "
                     "with a text name and an integer version")
-            self._cache[path] = entry = (entry[0], entry[1], record)
-        return entry[2], decode(entry[2])
+            if record["name"] != name:
+                raise InvalidDefinitionError(f"{filename} names the {expected} {record['name']!r}")
+            self._cache[path] = entry = (entry[0], entry[1], record, decode(record))
+            self._paths[kind][name] = path
+        return entry[2], entry[3]
 
     def record(self, kind: str, name: str) -> dict:
         """One entry's JSON object, checked as every read of it is."""
@@ -300,12 +307,13 @@ class RegistryStore:
     def put_tool(self, tool: ToolDefinition) -> int:
         return self._put("tools", tool.name, _encode_tool(tool))
     def get_tool(self, name: str) -> ToolDefinition:
-        return self._read("tools", name)[1]
+        """A new top-level copy of the cached tool; its parameters are immutable and shared."""
+        return copy.copy(self._read("tools", name)[1])
 
     def put_agent(self, agent: kernel.AgentDefinition) -> int:
         return self._put("agents", agent.name, _encode_agent(agent))
     def get_agent(self, name: str) -> kernel.AgentDefinition:
-        return self._read("agents", name)[1]
+        return _decode_agent(self._read("agents", name)[0])  # afresh: an agent holds lists
 
     def put_workflow(self, form: WorkflowForm) -> int:
         """Register a workflow that validates against this registry. Names are
@@ -376,12 +384,13 @@ class RegistryStore:
 # builtin implementations
 # ---------------------------------------------------------------------------
 
-def _confined(workdir: Path | None, raw: str) -> Path:
+def _confined(workdir: Path | None, raw: str) -> str:
     """``raw`` resolved under ``workdir``, which is itself already resolved."""
     if workdir is None:
         raise PermissionError("no working directory configured")
-    path = (workdir / raw).resolve()
-    if path != workdir and not path.is_relative_to(workdir):
+    root = os.fspath(workdir)
+    path = os.path.realpath(os.path.join(root, raw))
+    if path != root and not path.startswith(os.path.join(root, "")):
         raise PermissionError(f"path escapes the working directory: {raw}")
     return path
 
@@ -395,20 +404,21 @@ def _bi_echo(args: dict[str, str], workdir: Path | None) -> ToolResult:
 # both as E_IO, and so an OSError of the script runner's working directory.
 
 def _bi_read(args: dict[str, str], workdir: Path | None) -> ToolResult:
-    return ToolResult.ok(_confined(workdir, args["path"]).read_text(encoding="utf-8"))
+    with open(_confined(workdir, args["path"]), encoding="utf-8") as handle:
+        return ToolResult.ok(handle.read())
 
 
 def _bi_write(args: dict[str, str], workdir: Path | None) -> ToolResult:
     content = args.get("content", "")
     data = content.encode("utf-8")  # before anything is created
-    path = _confined(workdir, args["path"])
+    path = Path(_confined(workdir, args["path"]))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
     return ToolResult.ok(f"wrote {len(content)} characters")
 
 
 def _bi_list(args: dict[str, str], workdir: Path | None) -> ToolResult:
-    path = _confined(workdir, args.get("path", "."))
+    path = Path(_confined(workdir, args.get("path", ".")))
     entries = [child.name + ("/" if child.is_dir() else "")
                for child in sorted(path.iterdir(), key=lambda p: p.name)]
     return ToolResult.ok("\n".join(entries))
@@ -618,7 +628,7 @@ class RegistryToolSuite:
 
     def run(self, call: ToolCall) -> ToolResult:
         try:
-            tool = self.store.get_tool(call.tool_name)
+            tool = self.store._read("tools", call.tool_name)[1]  # the cached tool, never handed out
         except NotFoundError:
             return ToolResult.fail(E_UNKNOWN_TOOL, f"unknown tool: {call.tool_name}")
 

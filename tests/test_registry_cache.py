@@ -14,6 +14,7 @@ import json
 import os
 import shutil
 import tempfile
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from agentos import registry
+from agentos.backends import ScriptedBackend
+from agentos.engine import DIRECT, Engine
 from agentos.errors import InvalidDefinitionError, NotFoundError
 from agentos.forms import parse_workflow_form
-from agentos.kernel import AgentDefinition
+from agentos.kernel import AgentDefinition, OrchestrationLimits, ToolCall, orchestrate
 from agentos.registry import (
     RegistryStore,
     RegistryToolSuite,
@@ -34,6 +37,7 @@ from agentos.registry import (
 )
 from agentos.storage import is_entry_name
 
+from conftest import read_fixture
 from test_registry_records import GREET_FLOW_XML
 
 NAMES = {"tools": ["t1", "t2"], "agents": ["A1", "A2"], "workflows": ["w1"]}
@@ -185,12 +189,16 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         for param in record.get("parameters", []):
             param["name"] = "changed"
         if kind == "tools":
+            # a tool's params are frozen and its parameters a tuple: only its
+            # top-level fields can be assigned
             value.description = "changed"
-            value.parameters.append(ToolParam("changed"))
             for param in value.parameters:
-                param.required = "changed"
-            for param in RegistryToolSuite(self.store).schema(name).parameters:
-                param.description = "changed"
+                with pytest.raises(FrozenInstanceError):
+                    param.required = "changed"
+            value.parameters = (*value.parameters, ToolParam("changed"))
+            schema = RegistryToolSuite(self.store).schema(name)
+            assert not hasattr(schema.parameters, "append")
+            schema.name = schema.body_kind = "changed"
         elif kind == "agents":
             value.model = "changed"
             value.tool_names.append("changed")
@@ -445,18 +453,121 @@ def test_own_writes_are_seen_whatever_the_file_system_reports(store, monkeypatch
 
 
 def test_reads_return_fresh_objects(store):
+    # each tool read is a new top-level copy whose frozen params it shares
     tool = store.get_tool("echo")
-    tool.parameters[0].description = "changed"
-    tool.parameters.append(ToolParam("more"))
-    RegistryToolSuite(store).schema("echo").parameters[0].required = False
+    with pytest.raises(FrozenInstanceError):
+        tool.parameters[0].description = "changed"
+    assert not hasattr(tool.parameters, "append")
+    tool.description = "changed"
+    tool.parameters = (*tool.parameters, ToolParam("more"))
+    schema = RegistryToolSuite(store).schema("echo")
+    with pytest.raises(FrozenInstanceError):
+        schema.parameters[0].required = False
+    schema.builtin = "arithmetic_eval"
     agent = store.get_agent("Helper")
     agent.tool_names.append("changed")
     agent.transfer_targets.append("changed")
     record = store.record("tools", "echo")
     record["parameters"][0]["name"] = "changed"
     assert store.get_tool("echo") == builtin_tool("echo")
+    # the suite still runs echo, not the builtin that a copy was given
+    assert RegistryToolSuite(store).run(ToolCall("echo", {"text": "1+1"})).payload == "1+1"
     assert store.get_agent("Helper") == AgentDefinition(name="Helper", tool_names=["echo"])
     assert store.record("tools", "echo")["parameters"][0]["name"] == "text"
+
+
+def test_a_read_name_is_resolved_once_and_absent_names_leave_no_state(store, monkeypatch):
+    named = []
+    real = registry.entry_path
+    monkeypatch.setattr(registry, "entry_path",
+                        lambda folder, name, *rest: named.append(name) or real(folder, name, *rest))
+    suite = RegistryToolSuite(store)
+    store.get_tool("echo")
+    assert named == ["echo"]
+    for _ in range(3):
+        store.get_tool("echo")
+        suite.schema("echo")
+        assert suite.run(ToolCall("echo", {"text": "x"})).payload == "x"
+    assert named == ["echo"]
+    held = dict(store._cache), {kind: dict(paths) for kind, paths in store._paths.items()}
+    for name in ["ghost", *UNUSABLE]:
+        with pytest.raises((NotFoundError, InvalidDefinitionError)):
+            store.get_tool(name)
+    assert suite.run(ToolCall("ghost", {})).error_kind == "E_UNKNOWN_TOOL"
+    assert (store._cache, store._paths) == held
+
+
+def _decodes(monkeypatch) -> list[str]:
+    """The names of the tool records decoded from here on, in order."""
+    decoded = []
+    kind, decode = registry._KINDS["tools"]
+    monkeypatch.setitem(registry._KINDS, "tools",
+                        (kind, lambda record: decoded.append(record["name"]) or decode(record)))
+    return decoded
+
+
+SESSION_TOOLS = ["echo", "arithmetic_eval", "read_text_file"]
+
+
+def _session(root: Path, turns: int) -> int:
+    """Tool calls made by one orchestrator-worker session of ``turns`` engine
+    steps over a registry of the three session tools."""
+    store = RegistryStore(root / "registry")
+    for name in SESSION_TOOLS:
+        store.put_tool(builtin_tool(name))
+    (root / "notes.txt").write_text("notes", encoding="utf-8")
+    steps = []
+    while len(steps) < turns - 1:
+        steps += [ToolCall("transfer_to_worker", {"message": "go"}),
+                  ToolCall("echo", {"text": "x"}),
+                  ToolCall("arithmetic_eval", {"expression": "1+2"}),
+                  ToolCall("read_text_file", {"path": "notes.txt"}),
+                  ToolCall("transfer_to_boss", {})]
+    steps = steps[:turns - 1] + ["done"]
+    boss = AgentDefinition("Boss", tool_names=["echo"], transfer_targets=["Worker"])
+    worker = AgentDefinition("Worker", tool_names=SESSION_TOOLS, transfer_targets=["Boss"])
+    outcome = orchestrate(boss, [worker], "task", Engine(DIRECT, ScriptedBackend(steps)),
+                          RegistryToolSuite(store, workdir=root),
+                          OrchestrationLimits(max_turns=turns + 1, max_handoffs=turns))
+    assert outcome.kind == "completed"
+    results = [t.observation for t in outcome.context
+               if t.tool_call is not None and not t.tool_call.tool_name.startswith("transfer_")]
+    assert all(result.status == "ok" for result in results)
+    return len(results)
+
+
+def test_a_session_decodes_each_tool_file_once(tmp_path, monkeypatch):
+    for turns in (40, 160):
+        decoded = _decodes(monkeypatch)
+        calls = _session(tmp_path / str(turns), turns)
+        # one decode per read made 56 decodes at 40 turns
+        assert sorted(decoded) == sorted(SESSION_TOOLS), (turns, calls, len(decoded))
+        monkeypatch.undo()
+
+
+def test_a_registry_workflow_run_decodes_each_tool_once(tmp_path, monkeypatch):
+    form = parse_workflow_form(read_fixture("wiki_article_workflow.xml"))
+    store = RegistryStore(tmp_path / "registry")
+    for name in ("echo", "arithmetic_eval"):
+        store.put_tool(builtin_tool(name))
+    store.put_agent(AgentDefinition(name="Web Surfer Agent", instructions="Search."))
+    store.put_agent(AgentDefinition(name="Outline Agent", instructions="Outline.",
+                                    tool_names=["echo", "arithmetic_eval"]))
+    reads = []
+    get_tool = store.get_tool
+    store.get_tool = lambda name: reads.append(name) or get_tool(name)
+    decoded = _decodes(monkeypatch)
+    engine = Engine(mode="transformed", backend=ScriptedBackend([
+        "search result text", "outline v1",
+        "needs work\nSELECTED_OUTPUT: negative_feedback",
+        "outline v2", "looks good\nSELECTED_OUTPUT: positive_feedback", "final article"]))
+    result = RegistryToolSuite(store, workdir=tmp_path).run_workflow(form, "topic", engine)
+    assert result.status == "completed"
+    assert result.trace.count("run on_outline agent=Outline Agent "
+                              "model=claude-3-5-sonnet-20241022") == 2  # the GOTO loop
+    # the resolver reads both tools, and so does each of the two runs of on_outline
+    assert len(reads) == 6
+    assert sorted(decoded) == ["arithmetic_eval", "echo"]
 
 
 def test_a_malformed_file_fails_every_read(store):

@@ -228,6 +228,7 @@ MALFORMED = {
         "description not text": _header("tool", description=None),
         "required not a boolean": _header("tool", parameters=[{"name": "a", "required": "no"}]),
         "parameter named twice": _header("tool", parameters=[{"name": "a"}, {"name": "a"}]),
+        "another entry's name": _header("tool", name="shout"),
     },
     "agents": {
         "not JSON": b"",
@@ -239,6 +240,7 @@ MALFORMED = {
         "tool named twice": _header("agent", tool_names=["echo", "echo"]),
         "targets not a list": _header("agent", transfer_targets={"a": 1}),
         "instructions not text": _header("agent", instructions=["a"]),
+        "another entry's name": _header("agent", name="B"),
     },
     "workflows": {
         "not JSON": b"nope",
@@ -247,6 +249,7 @@ MALFORMED = {
         "no version": _without(_header("workflow"), "version"),
         "xml not text": _header("workflow", xml={"workflow": []}),
         "no xml": _header("workflow"),
+        "another entry's name": _header("workflow", name="greet_flow", xml=GREET_FLOW_XML),
     },
 }
 

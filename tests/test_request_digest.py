@@ -8,6 +8,7 @@ import copy
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from agentos.kernel import (
     Turn,
     orchestrate,
 )
+from agentos.registry import RegistryStore, RegistryToolSuite, builtin_tool
 
 TOOLS = [ToolSchema("echo", "Return text; «verbatim».", [ToolParam("text", "Text.")]),
          ToolSchema("lookup", "", [ToolParam("key", "Key, \"quoted\".", required=False)])]
@@ -182,15 +184,16 @@ def test_hand_built_message_lists_get_the_whole_body_digest():
 
 
 def test_tool_lists_are_hashed_by_content():
-    # the same schema object, edited between requests, and values that are
-    # == but serialize differently (True and 1)
-    schema = ToolSchema("probe", "Probe.", [ToolParam("x", "X.")])
-    for change in (lambda: None, lambda: setattr(schema.parameters[0], "required", 1),
-                   lambda: setattr(schema.parameters[0], "required", False),
-                   lambda: setattr(schema.parameters[0], "required", 0),
-                   lambda: setattr(schema, "description", "Probe, changed."),
-                   lambda: schema.parameters.append(ToolParam("y"))):
-        change()
+    # schemas built anew for each variant, and values that are == but
+    # serialize differently (True and 1)
+    variants = [("Probe.", [ToolParam("x", "X.")]),
+                ("Probe.", [ToolParam("x", "X.", required=1)]),
+                ("Probe.", [ToolParam("x", "X.", required=False)]),
+                ("Probe.", [ToolParam("x", "X.", required=0)]),
+                ("Probe, changed.", [ToolParam("x", "X.", required=0)]),
+                ("Probe, changed.", [ToolParam("x", "X.", required=0), ToolParam("y")])]
+    for description, params in variants:
+        schema = ToolSchema("probe", description, params)
         request = CompletionRequest("m", [{"role": "user", "content": "x"}], [schema], DIRECT)
         assert request_digest(request) == oracle(request)
 
@@ -212,21 +215,24 @@ def test_the_catalog_is_rendered_once_per_tool_list(monkeypatch):
     monkeypatch.setattr(engine, "render_transformed_schema",
                         lambda tools: calls.append(tools) or real(tools))
     monkeypatch.setattr(engine, "_CATALOGS", {})
-    schema = ToolSchema("probe", "Probe.", [ToolParam("x", "X.")])
 
-    def system_text():
+    def system_text(schema):
         return build_messages("S.", _context(2), TRANSFORMED, [schema])[0]["content"]
 
-    for _ in range(3):
-        assert system_text() == "S.\n\n" + real([schema])
-    assert len(calls) == 1
-    schema.parameters[0].required = False  # the same object, edited: a new key
-    assert system_text() == "S.\n\n" + real([schema])
-    assert len(calls) == 2
-    schema.description = ["not", "text"]  # no key at all: rendered every time
-    for _ in range(2):
-        assert system_text() == "S.\n\n" + real([schema])
-    assert len(calls) == 4
+    def rendered(description, *params):
+        schema = ToolSchema("probe", description, params)
+        assert system_text(schema) == "S.\n\n" + real([schema])
+        return len(calls)
+
+    for _ in range(3):  # a schema built anew each time: the same content, the same key
+        assert rendered("Probe.", ToolParam("x", "X.")) == 1
+    assert rendered("Probe.", ToolParam("x", "X.", required=False)) == 2  # a new key
+    # the same text as required=True, but JSON tells 1 from true: a key of its own
+    assert rendered("Probe.", ToolParam("x", "X.", required=1)) == 3
+    assert rendered("Probe.", ToolParam("x", "X.")) == 3
+    for _ in range(2):  # no key at all: rendered every time
+        calls_before = len(calls)
+        assert rendered(["not", "text"], ToolParam("x", "X.")) == calls_before + 1
 
 
 def test_a_full_tool_list_memo_starts_again():
@@ -243,6 +249,52 @@ def test_a_full_tool_list_memo_starts_again():
         assert backends.remembered(table, [ToolSchema(name, "N.", [])], render) == name
     assert rendered == names + ["extra", "t0"]
     assert len(table) == 2
+
+
+# sha256 over the newline-joined request digests of the session below
+REGISTRY_SESSION_DIGESTS = {
+    DIRECT: "0a8d0d1e485550445fb88a6c12796fb8ea9cae19a8e0c72069b381708e3c3645",
+    TRANSFORMED: "31d17af735fedb1d7fb4739c31a7f32dbf0eeecdf2002c69e8da46da960372db",
+}
+
+
+@pytest.mark.parametrize("mode", [DIRECT, TRANSFORMED])
+def test_a_registry_tool_session_has_pinned_digests(tmp_path, mode):
+    # registry tools with required and optional parameters, read through a
+    # RegistryToolSuite: the catalog and the tools body they give are pinned
+    store = RegistryStore(tmp_path / "registry")
+    tool_names = ["echo", "write_text_file", "list_directory"]
+    for name in tool_names:
+        store.put_tool(builtin_tool(name))
+    digests = []
+
+    def reply(step):
+        def answer(request):
+            digests.append(request_digest(request))
+            assert digests[-1] == oracle(request)
+            return step
+        return answer
+
+    steps = [ToolCall("transfer_to_worker", {"message": "write it"}),
+             ToolCall("write_text_file", {"path": "a.txt", "content": "alpha «β»"}),
+             ToolCall("list_directory", {}),
+             ToolCall("write_text_file", {"path": "b.txt"}),
+             ToolCall("transfer_to_boss", {}),
+             ToolCall("echo", {"text": "done"}),
+             "finished"]
+    boss = AgentDefinition("Boss", instructions="Route.", tool_names=["echo"],
+                           transfer_targets=["Worker"])
+    worker = AgentDefinition("Worker", instructions="Work.", tool_names=tool_names,
+                             transfer_targets=["Boss"])
+    outcome = orchestrate(boss, [worker], "task",
+                          Engine(mode, ScriptedBackend([reply(step) for step in steps])),
+                          RegistryToolSuite(store, workdir=tmp_path / "work"))
+    assert outcome.kind == "completed"
+    assert [t.observation.payload for t in outcome.context if t.tool_call][1:3] == [
+        "wrote 9 characters", "a.txt"]
+    assert len(digests) == len(steps)
+    joined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+    assert joined == REGISTRY_SESSION_DIGESTS[mode]
 
 
 def test_cut_history_is_rendered_again():
