@@ -69,15 +69,10 @@ def _schema_dict(schema) -> dict:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _encoded(value, start: int, stop: int) -> memoryview:
-    """``_ENCODER.encode(value)[start:stop]`` as bytes, without copying the slice."""
-    return memoryview(_ENCODER.encode(value).encode())[start:stop]
-
-
 def _hash_messages(messages) -> "hashlib._Hash":
     """sha256 over the body up to its last message: ``{"messages":[m0,…,mk``."""
     state = hashlib.sha256(b'{"messages":')
-    state.update(_encoded(messages, 0, -1))
+    state.update(memoryview(_ENCODER.encode(messages).encode())[:-1])
     return state
 
 
@@ -90,19 +85,26 @@ def _system_hash(system: str) -> "hashlib._Hash":
 
 class MessageMemo:
     """What ``engine.build_messages`` and ``request_digest`` keep about one
-    Context between calls; ``build_messages`` makes it on first use.
+    Context between calls; ``build_messages`` makes it on first use. One
+    thread steps a Context at a time (each workflow event makes its own),
+    so the memo takes no lock.
 
     ``messages`` are the rendered messages of ``turns[:rendered]``.
-    ``digests`` maps a system text to ``(sha256, n)``: a running hash of the
-    request body up to and including message ``n - 1`` of a message list that
-    starts with that system text.
+    ``encoded`` holds ``,m0,m1,…`` in A1's canonical JSON for the first
+    ``len(ends)`` of them, and message ``i`` ends at byte ``ends[i]``: each
+    message is encoded once, and its bytes are kept as long as the Context,
+    about the size of the history again.
+    ``digests`` maps a system text to ``(sha256, stop)``: a running hash of
+    ``{"messages":[system`` followed by ``encoded[:stop]``.
     """
 
-    __slots__ = ("messages", "rendered", "digests")
+    __slots__ = ("messages", "rendered", "encoded", "ends", "digests")
 
     def __init__(self):
         self.messages: list[dict[str, str]] = []
         self.rendered = 0
+        self.encoded = bytearray()
+        self.ends: list[int] = []
         self.digests: dict[str, tuple] = {}
 
     def __reduce__(self):
@@ -143,23 +145,28 @@ del _name
 
 def _running_hash(messages: MessageList) -> "hashlib._Hash":
     """``_hash_messages(messages)``, extended from the hash the Context keeps
-    for this system text by only the messages it has not covered yet."""
+    for this system text by the kept bytes of the messages it has not covered
+    yet; only messages that no request has sent before are encoded."""
     system = messages[0]["content"]
     if not isinstance(system, str):  # only text keys the running hashes
         return _hash_messages(messages)
-    digests = messages.memo.digests
-    entry = digests.get(system)
-    if entry is not None and entry[1] <= len(messages):
-        state, covered = entry
+    memo, count = messages.memo, len(messages) - 1
+    encoded, ends = memo.encoded, memo.ends
+    for message in memo.messages[len(ends):count]:
+        encoded += b"," + _ENCODER.encode(message).encode()
+        ends.append(len(encoded))
+    stop = ends[count - 1] if count else 0
+    entry = memo.digests.get(system)
+    if entry is not None and entry[1] <= stop:
+        state, start = entry
     else:
-        state, covered = _system_hash(system).copy(), 1
-    if covered < len(messages):
-        # ``[mi,…,mk]`` without its brackets continues ``…,m(i-1)``
-        state.update(b",")
-        state.update(_encoded(messages[covered:], 1, -1))
-    if entry is not None and entry[1] > len(messages):
+        state, start = _system_hash(system).copy(), 0
+    if start < stop:
+        with memoryview(encoded) as kept:  # released before the next append
+            state.update(kept[start:stop])
+    if entry is not None and entry[1] > stop:
         return state  # a list older than the one hashed last: keep the longer hash
-    digests[system] = (state, len(messages))
+    memo.digests[system] = (state, stop)
     return state.copy()
 
 

@@ -174,8 +174,9 @@ class ManagementToolSuite:
         self.exec_tools = RegistryToolSuite(store, runner=runner, workdir=workdir)
 
     def schema(self, name: str) -> ToolSchema:
+        """A new top-level copy of the table's schema; its parameters are immutable and shared."""
         try:
-            return _MGMT_SCHEMAS[name]
+            return replace(_MGMT_SCHEMAS[name])
         except KeyError:
             raise NotFoundError(f"unknown tool: {name}")
 

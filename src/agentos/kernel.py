@@ -89,9 +89,10 @@ class ToolSchema:
 
 
 def check_arguments(schema: ToolSchema, arguments) -> ToolResult | None:
-    """An E_ARGS failure when ``arguments`` do not fit ``schema``, else None."""
+    """An E_ARGS failure when ``arguments`` do not fit ``schema``, else None.
+    Keys are checked in sorted order, the order a replayed call has."""
     declared = {p.name for p in schema.parameters}
-    for key in arguments:
+    for key in sorted(arguments):
         if key not in declared:
             return ToolResult.fail(E_ARGS, f"unexpected argument: {key}")
     for p in schema.parameters:
@@ -139,10 +140,11 @@ class Turn:
 class Context:
     """Append-only ordered history shared across handoffs.
 
-    ``memo``, a ``backends.MessageMemo`` once an engine step ran, caches
-    what was rendered and hashed from ``turns`` so each step only does that
-    work for the turns appended since the last one. It relies on ``turns``
-    only ever growing at the end, and on one thread at a time using it.
+    ``memo``, a ``backends.MessageMemo`` once an engine step ran, keeps
+    each turn's rendered messages and their encoded bytes, so each step
+    renders and encodes only the turns appended since the last one, whichever
+    agent sends it. It relies on ``turns`` only ever growing at the end, and
+    on one thread at a time stepping the Context.
     """
 
     turns: list[Turn] = field(default_factory=list)

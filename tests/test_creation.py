@@ -104,6 +104,16 @@ def test_mgmt_schema_of_an_unknown_tool(suite):
         suite.schema("rm_everything")
 
 
+def test_a_schema_edited_through_one_suite_shows_in_no_other(store, tmp_path):
+    edited = ManagementToolSuite(store).schema("create_tool")
+    edited.name, edited.description = "renamed", "changed"
+    for other in (ManagementToolSuite(store), ManagementToolSuite(RegistryStore(tmp_path / "b"))):
+        schema = other.schema("create_tool")
+        assert (schema.name, schema.description) != ("renamed", "changed")
+        assert schema.name == "create_tool"
+        assert schema.parameters == edited.parameters
+
+
 def test_mgmt_create_tool_variants(store, suite):
     builtin = suite.run(ToolCall("create_tool", {
         "name": "shout", "builtin": "echo",

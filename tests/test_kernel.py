@@ -22,6 +22,7 @@ from agentos.kernel import (
     ToolResult,
     Turn,
     apply_transfer,
+    check_arguments,
     orchestrate,
     run_agent_loop,
 )
@@ -67,6 +68,15 @@ def test_tool_result_invariants():
         ToolResult("error")
     with pytest.raises(ValueError):
         ToolResult("maybe")
+
+
+def test_argument_failures_do_not_depend_on_argument_order():
+    # a recorded call replays with its arguments in sorted order, so the
+    # failure must read the same whichever order the model sent them in
+    schema = ToolSchema("probe", "", [ToolParam("a"), ToolParam("b")])
+    for arguments in ({"text": "", "path": ""}, {"path": "", "text": ""}):
+        failure = check_arguments(schema, arguments)
+        assert (failure.error_kind, failure.payload) == ("E_ARGS", "unexpected argument: path")
 
 
 def test_turn_observation_without_call_must_be_error():

@@ -79,7 +79,8 @@ STEP = st.one_of(st.tuples(st.just("turn"), TURN), st.tuples(st.just("request"),
                  st.tuples(st.just("again"), st.integers(0, 50)))
 
 
-@settings(max_examples=200, deadline=None)
+# 200 examples, or the loaded profile's count when larger ("fuzz", tests/conftest.py)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(steps=st.lists(STEP, max_size=40))
 def test_incremental_digest_equals_whole_body_digest(steps):
     context = Context()
@@ -297,6 +298,71 @@ def test_a_registry_tool_session_has_pinned_digests(tmp_path, mode):
     assert joined == REGISTRY_SESSION_DIGESTS[mode]
 
 
+def digesting(steps, digests: list) -> ScriptedBackend:
+    """A backend that replies with ``steps`` in order, first appending each
+    request's digest to ``digests`` and checking it against the oracle."""
+    def reply(step):
+        def answer(request):
+            digests.append(request_digest(request))
+            assert digests[-1] == oracle(request)
+            return step
+        return answer
+    return ScriptedBackend([reply(step) for step in steps])
+
+
+class EchoSuite:
+    """The ``echo`` tool of TOOLS, answering with its text and a non-ASCII mark."""
+
+    def __init__(self, mark: str = ""):
+        self.mark = mark
+
+    def schema(self, name):
+        return TOOLS[0]
+
+    def run(self, call):
+        return ToolResult.ok(call.arguments["text"] + self.mark)
+
+
+# sha256 over the newline-joined request digests of the session below
+HANDOFF_SESSION_DIGESTS = {
+    DIRECT: "f23d9921b479dae41522bc9d5758eb64582e1968eb99e034d782344155bf016a",
+    TRANSFORMED: "e7dc873d27b7068b1c89224996e138c0fefd5c014a013b475b1f9bfbcd7c6bf8",
+}
+
+
+@pytest.mark.parametrize("mode", [DIRECT, TRANSFORMED])
+def test_a_handoff_heavy_session_has_pinned_digests(mode):
+    # three workers that hand off to one another, each speaking again after
+    # the others: every agent's running hash falls behind between its turns
+    digests = []
+    steps = [ToolCall("transfer_to_alpha", {"message": "begin «α»"}),
+             ToolCall("echo", {"text": "über"}),
+             ToolCall("transfer_to_beta", {}),
+             ToolCall("echo", {"text": "漢字"}),
+             ToolCall("transfer_to_gamma", {"message": "ĝis"}),
+             ToolCall("echo", {"text": "😀 \"quoted\""}),
+             ToolCall("transfer_to_alpha", {}),
+             ToolCall("echo", {"text": "zurück"}),
+             ToolCall("transfer_to_gamma", {"message": "→"}),
+             ToolCall("transfer_to_beta", {}),
+             ToolCall("echo", {"text": "ß\n"}),
+             ToolCall("transfer_to_boss", {"message": "fertig"}),
+             "finished ✓"]
+    names = ["Alpha", "Beta", "Gamma"]
+    boss = AgentDefinition("Boss", instructions="Route «all».", transfer_targets=names)
+    workers = [AgentDefinition(name, instructions=f"Work as {name} ✓.", tool_names=["echo"],
+                               transfer_targets=[n for n in ["Boss", *names] if n != name])
+               for name in names]
+    outcome = orchestrate(boss, workers, "task ½", Engine(mode, digesting(steps, digests)),
+                          EchoSuite(" ✓"))
+    assert outcome.kind == "completed"
+    assert [t.observation.payload for t in outcome.context
+            if t.tool_call and t.tool_call.tool_name == "echo"][:2] == ["über ✓", "漢字 ✓"]
+    assert len(digests) == len(steps)
+    joined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+    assert joined == HANDOFF_SESSION_DIGESTS[mode]
+
+
 def test_cut_history_is_rendered_again():
     context = _context(5)
     request_digest(request_for(context, 0, TRANSFORMED, False))
@@ -342,16 +408,9 @@ def _session_work(turns: int, monkeypatch, tmp_path) -> tuple[int, int, int]:
     worker = AgentDefinition("Worker", instructions="Work.", tool_names=["echo"],
                              transfer_targets=["Boss"])
 
-    class Echo:
-        def schema(self, name):
-            return TOOLS[0]
-
-        def run(self, call):
-            return ToolResult.ok(call.arguments["text"])
-
     recorder = CassetteBackend(tmp_path / f"{turns}.cassette", "record",
                                inner=ScriptedBackend(steps))
-    outcome = orchestrate(boss, [worker], "task", Engine(DIRECT, recorder), Echo(),
+    outcome = orchestrate(boss, [worker], "task", Engine(DIRECT, recorder), EchoSuite(),
                           OrchestrationLimits(max_turns=turns + 1, max_handoffs=turns))
     assert outcome.kind == "completed"
     monkeypatch.undo()
@@ -365,3 +424,40 @@ def test_per_turn_work_does_not_grow_with_history(monkeypatch, tmp_path):
         assert work[2 * n][0] / work[n][0] < 2.2, work
     for chars, rendered, call_turns in work.values():
         assert rendered <= call_turns, work  # each turn is rendered once
+
+
+def _digest_chars(workers: int, turns: int, monkeypatch) -> tuple[int, int]:
+    """(characters the digest encoder emits, characters of the final history's
+    messages encoded whole) over one ``orchestrate`` session of ``turns``
+    engine steps: the orchestrator hands off to the first worker, and each
+    worker echoes once and hands off to the next, or with one worker echoes
+    throughout; the last worker to speak ends the session."""
+    encoder = CountingEncoder(backends._ENCODER)
+    monkeypatch.setattr(backends, "_ENCODER", encoder)
+    names = [f"W{i}" for i in range(workers)]
+    steps = [ToolCall("transfer_to_w0", {"message": "go"})]
+    while len(steps) < turns - 1:
+        current = (len(steps) // 2) % workers
+        steps.append(ToolCall("echo", {"text": f"{len(steps)} " + "x" * 120}))
+        if workers > 1:
+            steps.append(ToolCall(f"transfer_to_w{(current + 1) % workers}", {}))
+    steps = steps[:turns - 1] + ["done"]
+    boss = AgentDefinition("Boss", instructions="Route.", transfer_targets=names)
+    crew = [AgentDefinition(name, instructions=f"Work as {name}.", tool_names=["echo"],
+                            transfer_targets=[n for n in ["Boss", *names] if n != name])
+            for name in names]
+    outcome = orchestrate(boss, crew, "task", Engine(DIRECT, digesting(steps, [])),
+                          EchoSuite(), OrchestrationLimits(max_turns=turns + 1,
+                                                           max_handoffs=turns))
+    assert outcome.kind == "completed"
+    monkeypatch.undo()
+    history = build_messages("", Context(list(outcome.context.turns)), DIRECT, [])[1:]
+    return encoder.chars, len(backends._ENCODER.encode(history))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_each_message_is_encoded_once_however_many_agents_speak(monkeypatch, workers):
+    # serializing again, for each agent, what was said since it last spoke
+    # would make the three-worker session several times its history
+    chars, history = _digest_chars(workers, 240, monkeypatch)
+    assert chars <= 1.1 * history, (chars, history)
