@@ -198,7 +198,7 @@ class ManagementToolSuite:
             return ToolResult.ok(f"deleted {kind[:-1]} {args['name']}")
         except AgentOsError as err:
             return ToolResult.fail(err.code, str(err))
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:  # RecursionError: JSON nested too deeply
             return ToolResult.fail(E_ARGS, str(err))
 
     # -- handlers -----------------------------------------------------------
@@ -633,9 +633,10 @@ def make_orchestrator_agent(workers: list[AgentDefinition],
                             model: str = "") -> tuple[AgentDefinition, list[AgentDefinition]]:
     """Build a coordinator over >= 2 workers.
 
-    Returns the orchestrator plus worker copies that can transfer back to it;
-    the inputs are not mutated. Fewer than two workers raises
-    TooFewAgentsError (a single agent needs no coordination layer).
+    Returns the orchestrator plus the workers, each able to transfer back to
+    it: a worker whose targets lack the orchestrator is replaced by a copy
+    that has it. Fewer than two workers raises TooFewAgentsError (a single
+    agent needs no coordination layer).
     """
     if len(workers) < 2:
         raise TooFewAgentsError(
@@ -650,10 +651,6 @@ def make_orchestrator_agent(workers: list[AgentDefinition],
         name=name, description="Coordinates the specialist team.",
         instructions=instructions,
         transfer_targets=[w.name for w in workers], model=model)
-    adjusted = []
-    for worker in workers:
-        targets = list(worker.transfer_targets)
-        if name not in targets:
-            targets.append(name)
-        adjusted.append(replace(worker, transfer_targets=targets))
-    return orchestrator, adjusted
+    return orchestrator, [w if name in w.transfer_targets else
+                          replace(w, transfer_targets=(*w.transfer_targets, name))
+                          for w in workers]

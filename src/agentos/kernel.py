@@ -164,18 +164,21 @@ class Context:
                           sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentDefinition:
-    """A runnable agent: prompt, tools, and allowed handoff targets."""
+    """A runnable agent: prompt, tools, and allowed handoff targets. Immutable,
+    so readers can share one; list fields given to it are kept as tuples."""
 
     name: str
     description: str = ""
     instructions: str = ""
-    tool_names: list[str] = field(default_factory=list)
-    transfer_targets: list[str] = field(default_factory=list)
+    tool_names: tuple[str, ...] = ()
+    transfer_targets: tuple[str, ...] = ()
     model: str = ""
 
     def __post_init__(self):
+        for key in ("tool_names", "transfer_targets"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         if not self.name.strip():
             raise InvalidDefinitionError("agent name must be nonempty")
         if self.name in self.transfer_targets:

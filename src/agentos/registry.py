@@ -118,20 +118,25 @@ def _field(record: dict, key: str, default):
     return value
 
 
+# A record's fields beside its header: (key, default), or (key, attribute,
+# default) where the two names differ; a default fixes a stored value's type.
+_PARAM_FIELDS = (("name", ""), ("description", ""), ("required", True))
+_BODY_FIELDS = (("kind", "body_kind", "builtin"), ("builtin", "builtin", ""),
+                ("source", "source", ""), ("language", "language", "python"))
+_AGENT_FIELDS = (("description", ""), ("instructions", ""), ("tool_names", []),
+                 ("transfer_targets", []), ("model", ""))
+
+
 def _encode_tool(tool: ToolDefinition) -> dict:
-    return {
-        "description": tool.description,
-        "parameters": [{"name": p.name, "description": p.description,
-                        "required": p.required} for p in tool.parameters],
-        "body": {"kind": tool.body_kind, "builtin": tool.builtin,
-                 "source": tool.source, "language": tool.language},
-    }
+    return {"description": tool.description,
+            "parameters": [{key: getattr(p, key) for key, _ in _PARAM_FIELDS}
+                           for p in tool.parameters],
+            "body": {key: getattr(tool, attr) for key, attr, _ in _BODY_FIELDS}}
 
 
 def decode_param(entry: dict) -> ToolParam:
     """One parameter object of a tool record, read with the record's type checks."""
-    return ToolParam(_field(entry, "name", ""), _field(entry, "description", ""),
-                     _field(entry, "required", True))
+    return ToolParam(**{key: _field(entry, key, default) for key, default in _PARAM_FIELDS})
 
 
 def _decode_tool(record: dict) -> ToolDefinition:
@@ -143,32 +148,17 @@ def _decode_tool(record: dict) -> ToolDefinition:
         name=record["name"],
         description=_field(record, "description", ""),
         parameters=[decode_param(p) for p in params],
-        body_kind=_field(body, "kind", "builtin"),
-        builtin=_field(body, "builtin", ""),
-        source=_field(body, "source", ""),
-        language=_field(body, "language", "python"),
-    )
+        **{attr: _field(body, key, default) for key, attr, default in _BODY_FIELDS})
 
 
 def _encode_agent(agent: kernel.AgentDefinition) -> dict:
-    return {
-        "description": agent.description,
-        "instructions": agent.instructions,
-        "tool_names": agent.tool_names,
-        "transfer_targets": agent.transfer_targets,
-        "model": agent.model,
-    }
+    return {key: getattr(agent, key) for key, _ in _AGENT_FIELDS}
 
 
 def _decode_agent(record: dict) -> kernel.AgentDefinition:
     return kernel.AgentDefinition(
         name=record["name"],
-        description=_field(record, "description", ""),
-        instructions=_field(record, "instructions", ""),
-        tool_names=list(_field(record, "tool_names", [])),
-        transfer_targets=list(_field(record, "transfer_targets", [])),
-        model=_field(record, "model", ""),
-    )
+        **{key: _field(record, key, default) for key, default in _AGENT_FIELDS})
 
 
 def _workflow_xml(record: dict) -> str:
@@ -210,7 +200,7 @@ class RegistryStore:
         self.root = Path(root)
         self._folders = {kind: os.path.join(self.root, kind) for kind in _KINDS}
         # path -> (signature, bytes, checked record or None, value decoded from it),
-        # replaced whole; no caller sees the record or the value
+        # replaced whole; callers see no record, and no value but an immutable agent
         self._cache: dict[str, tuple] = {}
         # kind -> name -> path, for the names whose record was read and checked
         self._paths: dict[str, dict[str, str]] = {kind: {} for kind in _KINDS}
@@ -313,7 +303,7 @@ class RegistryStore:
     def put_agent(self, agent: kernel.AgentDefinition) -> int:
         return self._put("agents", agent.name, _encode_agent(agent))
     def get_agent(self, name: str) -> kernel.AgentDefinition:
-        return _decode_agent(self._read("agents", name)[0])  # afresh: an agent holds lists
+        return self._read("agents", name)[1]  # shared: an agent is immutable
 
     def put_workflow(self, form: WorkflowForm) -> int:
         """Register a workflow that validates against this registry. Names are

@@ -275,8 +275,8 @@ def make_agent_resolver(form: WorkflowForm, tools=None, store=None) -> AgentReso
     (or for a name it lacks) from the form's declarations, once per name.
 
     An agent keeps only the tools ``tools`` can describe (none without a
-    suite), so a form whose new tools were never built still executes. Every
-    call returns a new agent, with the event's model override when it has one."""
+    suite), so a form whose new tools were never built still executes. Events
+    share the resolved agent; one with a ``<model>`` gets a copy with that model."""
     decls = {d.name: d for d in form.agents}
     agents: dict[str, kernel.AgentDefinition] = {}
 
@@ -296,8 +296,7 @@ def make_agent_resolver(form: WorkflowForm, tools=None, store=None) -> AgentReso
             agent = lookup(ref.name)
             kept = [n for n in agent.tool_names if describable(n)] if tools is not None else []
             agents[ref.name] = replace(agent, tool_names=kept)
-        agent = agents[ref.name]
-        return replace(agent, model=ref.model or agent.model)
+        return replace(agents[ref.name], model=ref.model) if ref.model else agents[ref.name]
 
     return resolve
 

@@ -31,7 +31,7 @@ from agentos.creation import (
     make_orchestrator_agent,
 )
 from agentos.forms import Diagnostic, parse_workflow_form, workflow_form_to_xml
-from agentos.kernel import AgentDefinition, ToolCall, orchestrate
+from agentos.kernel import AgentDefinition, Context, ToolCall, orchestrate, run_agent_loop
 from agentos.registry import (
     RegistryStore, RegistryToolSuite, SubprocessScriptRunner, builtin_tool,
 )
@@ -187,6 +187,22 @@ def test_mgmt_run_tool(store, suite):
     assert not_object.error_kind == E_ARGS
 
 
+def test_mgmt_json_nested_too_deeply_is_e_args(store, suite):
+    store.put_tool(builtin_tool("echo"))
+    deep = "[" * 100_000
+    calls = [ToolCall("run_tool", {"name": "echo", "arguments": deep}),
+             ToolCall("create_tool", {"name": "deep", "builtin": "echo", "parameters": deep})]
+    for call in calls:
+        result = suite.run(call)
+        assert (result.status, result.error_kind) == ("error", E_ARGS), result
+    # as a model's calls, they are E_ARGS observations too, not E_TOOL_EXCEPTION
+    editor = AgentDefinition("Editor", tool_names=["run_tool", "create_tool"])
+    outcome = run_agent_loop(editor, "task", Context(), engine_of([*calls, "done"]), suite)
+    assert outcome.kind == "completed"
+    assert [t.observation.error_kind for t in outcome.context if t.observation] == [E_ARGS] * 2
+    assert store.names("tools") == ["echo"]
+
+
 def test_mgmt_agent_lifecycle(store, suite):
     created = suite.run(ToolCall("create_agent", {
         "name": "Scout Agent", "description": "looks around",
@@ -194,8 +210,8 @@ def test_mgmt_agent_lifecycle(store, suite):
         "transfer_targets": "Base Agent", "model": "m9"}))
     assert created.payload == "created agent Scout Agent v1"
     agent = store.get_agent("Scout Agent")
-    assert agent.tool_names == ["echo", "missing_tool"]
-    assert agent.transfer_targets == ["Base Agent"]
+    assert agent.tool_names == ("echo", "missing_tool")
+    assert agent.transfer_targets == ("Base Agent",)
     assert suite.run(ToolCall("delete_agent", {"name": "Scout Agent"})).status == "ok"
     gone = suite.run(ToolCall("delete_agent", {"name": "Scout Agent"}))
     assert (gone.status, gone.error_kind) == ("error", "E_NOT_FOUND")
@@ -319,7 +335,7 @@ def test_agents_pipeline_valid_first(store):
     assert report.created_tools == ["greeting_tool"]
     assert report.created_agents == ["Greeter Agent"]
     assert store.names("tools") == ["greeting_tool"]
-    assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
+    assert store.get_agent("Greeter Agent").tool_names == ("greeting_tool",)
     assert engine.backend.calls == 5
 
 
@@ -356,7 +372,7 @@ def test_agents_pipeline_lists_a_repeated_tool_once(store):
         "Finish with one TEST line per tool demonstrating a successful call."]
     assert report.created_tools == ["greeting_tool"]
     assert tasks[1].endswith("\n  tools: greeting_tool")
-    assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
+    assert store.get_agent("Greeter Agent").tool_names == ("greeting_tool",)
 
 
 def test_agents_pipeline_feedback_then_valid(store):
@@ -521,7 +537,7 @@ def test_agents_pipeline_agent_naming_an_unknown_tool_retries(store):
     agents_phase = report.phases[2]
     assert (agents_phase.phase, agents_phase.ok, agents_phase.attempts) == ("agents", True, 2)
     assert agents_phase.feedback == ["agent Greeter Agent names unknown tool greting_tool"]
-    assert store.get_agent("Greeter Agent").tool_names == ["greeting_tool"]
+    assert store.get_agent("Greeter Agent").tool_names == ("greeting_tool",)
     assert [(p.phase, p.ok) for p in report.phases][-1] == ("test", True)
 
 
@@ -859,11 +875,11 @@ def test_make_orchestrator_agent():
         AgentDefinition(name="Checker", description="checks"),
     ]
     orchestrator, adjusted = make_orchestrator_agent(workers, model="m1")
-    assert orchestrator.transfer_targets == ["Solver", "Checker"]
+    assert orchestrator.transfer_targets == ("Solver", "Checker")
     assert "- Solver: solves" in orchestrator.instructions
-    assert [w.transfer_targets for w in adjusted] == [["orchestrator"], ["orchestrator"]]
+    assert [w.transfer_targets for w in adjusted] == [("orchestrator",), ("orchestrator",)]
     # inputs stay untouched
-    assert workers[0].transfer_targets == []
+    assert workers[0].transfer_targets == ()
     with pytest.raises(TooFewAgentsError):
         make_orchestrator_agent(workers[:1])
 

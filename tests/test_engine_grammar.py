@@ -186,7 +186,7 @@ _PROSE = (st.text(max_size=30) | st.lists(st.sampled_from(_MARKUP + ["a", " "]),
 _LEAD = _PROSE.filter(lambda text: "<function=" not in text)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(call=_CALL, lead=_LEAD, tail=_PROSE)
 def test_scan_finds_a_rendered_call_inside_prose(call, lead, tail):
     rendered = render_tool_call(call)
@@ -196,7 +196,7 @@ def test_scan_finds_a_rendered_call_inside_prose(call, lead, tail):
     assert render_tool_call(parse_transformed_call(text)) == rendered
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(call=_CALL, data=st.data())
 def test_parameter_order_and_whitespace_leave_the_call_unchanged(call, data):
     keys = data.draw(st.permutations(sorted(call.arguments)))
@@ -209,7 +209,7 @@ def test_parameter_order_and_whitespace_leave_the_call_unchanged(call, data):
     assert render_tool_call(parse_transformed_call(text)) == render_tool_call(call)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(call=_CALL, lead=_LEAD, data=st.data())
 def test_a_cut_call_is_a_parse_error(call, lead, data):
     rendered = render_tool_call(call)

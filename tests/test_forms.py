@@ -298,7 +298,7 @@ _TEMPLATE = st.text("{}ab_1 é\n", max_size=30) | st.lists(st.sampled_from(
     max_size=12).map("".join)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None)
 @given(text=_TEMPLATE,
        variables=st.dictionaries(st.sampled_from(["a", "b", "ab", "_1"]), st.text("{}ab ", max_size=4)))
 def test_substitute_globals_matches_a_reference(text, variables):
@@ -327,7 +327,7 @@ class RecordingVariables(dict):
         return "}{"
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None)
 @given(text=_TEMPLATE)
 def test_placeholders_are_the_keys_substitution_looks_up(text):
     variables = RecordingVariables()

@@ -172,14 +172,14 @@ def valid_dags(draw):
 # properties
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(listen_forms())
 def test_v3_v10_match_oracle(form):
     got = [d for d in validate_workflow_form(form) if d.code in ("V3", "V10")]
     assert got == oracle_v3_v10(form)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(valid_dags())
 def test_ranks_order_and_closure_match_oracle(form):
     graph = compile_graph(form)

@@ -601,7 +601,7 @@ def test_registry_resolver_precedence(store, tmp_path):
     surfer = resolve(form.events[1].agent)
     assert surfer.instructions == "registered instructions"
     assert surfer.model == "claude-3-5-sonnet-20241022"  # event override wins
-    assert surfer.tool_names == ["echo"]  # unresolvable names dropped
+    assert surfer.tool_names == ("echo",)  # unresolvable names dropped
 
     # not registered: falls back to the form declaration
     outline = resolve(form.events[2].agent)

@@ -3,10 +3,11 @@ rollback journal.
 
 A store reads, checks and decodes a `.def` again only when the file's stat
 signature changed, writes its own changes through to the cache, hands out
-fresh objects, and restores a snapshot by writing only what differs. Inside
-a mark it journals its own changes, and rolling back rewrites or unlinks
-only those. Every step of the state machine below checks the store against
-a fresh store of the same root, which has nothing cached.
+fresh or immutable objects, and restores a snapshot by writing only what
+differs. Inside a mark it journals its own changes, and rolling back
+rewrites or unlinks only those. Every step of the state machine below
+checks the store against a fresh store of the same root, which has nothing
+cached.
 """
 
 import contextlib
@@ -200,9 +201,13 @@ class RegistryCacheMachine(RuleBasedStateMachine):
             assert not hasattr(schema.parameters, "append")
             schema.name = schema.body_kind = "changed"
         elif kind == "agents":
-            value.model = "changed"
-            value.tool_names.append("changed")
-            value.transfer_targets.append("changed")
+            # an agent read is the cached agent itself, frozen with tuple
+            # fields: nothing of it can be edited
+            for key in ("model", "tool_names", "transfer_targets"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(value, key, "changed")
+            assert not hasattr(value.tool_names, "append")
+            assert not hasattr(value.transfer_targets, "append")
         else:
             value.name = "changed"
             value.events.clear()
@@ -464,9 +469,11 @@ def test_reads_return_fresh_objects(store):
     with pytest.raises(FrozenInstanceError):
         schema.parameters[0].required = False
     schema.builtin = "arithmetic_eval"
+    # an agent read is the shared, frozen agent: it cannot be edited
     agent = store.get_agent("Helper")
-    agent.tool_names.append("changed")
-    agent.transfer_targets.append("changed")
+    with pytest.raises(FrozenInstanceError):
+        agent.tool_names = ("changed",)
+    assert not hasattr(agent.tool_names, "append")
     record = store.record("tools", "echo")
     record["parameters"][0]["name"] = "changed"
     assert store.get_tool("echo") == builtin_tool("echo")
@@ -474,6 +481,23 @@ def test_reads_return_fresh_objects(store):
     assert RegistryToolSuite(store).run(ToolCall("echo", {"text": "1+1"})).payload == "1+1"
     assert store.get_agent("Helper") == AgentDefinition(name="Helper", tool_names=["echo"])
     assert store.record("tools", "echo")["parameters"][0]["name"] == "text"
+
+
+def test_reads_of_an_unchanged_agent_share_one_frozen_agent(store, monkeypatch):
+    built = []
+    post_init = AgentDefinition.__post_init__
+    monkeypatch.setattr(AgentDefinition, "__post_init__",
+                        lambda agent: built.append(agent.name) or post_init(agent))
+    reads = [store.get_agent("Helper") for _ in range(5)]
+    # the check's decode builds the one agent; a decode per read built 6
+    assert built == ["Helper"]
+    assert all(read is reads[0] for read in reads)
+    with pytest.raises(FrozenInstanceError):
+        reads[0].model = "changed"
+    RegistryStore(store.root).put_agent(AgentDefinition(name="Helper", model="m2"))
+    later = store.get_agent("Helper")
+    assert later is not reads[0] and later.model == "m2"
+    assert reads[0] == AgentDefinition(name="Helper", tool_names=["echo"])
 
 
 def test_a_read_name_is_resolved_once_and_absent_names_leave_no_state(store, monkeypatch):

@@ -145,7 +145,7 @@ def offsets_found(view: Viewport, needle: str) -> list[int]:
 LETTERS = st.sampled_from(list("aAbBiIİΣσςßẞ \u0307"))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(text=st.text(LETTERS, max_size=40), needle=st.text(LETTERS, min_size=1, max_size=3),
        page_size=st.integers(1, 12))
 def test_search_matches_brute_force_oracle(text, needle, page_size):

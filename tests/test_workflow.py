@@ -306,7 +306,7 @@ def test_a_completed_run_without_the_system_output_fails(parallel):
 def test_a_declared_agent_keeps_the_first_of_a_repeated_tool(math_form):
     decl = WorkflowAgentDecl("Scout Agent", "new", "Scout.",
                              [ToolRef("echo"), ToolRef("read_text_file"), ToolRef("echo")])
-    assert declared_agent(math_form, decl).tool_names == ["echo", "read_text_file"]
+    assert declared_agent(math_form, decl).tool_names == ("echo", "read_text_file")
 
 
 def test_long_chain_in_reverse_document_order():

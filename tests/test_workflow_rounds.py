@@ -124,7 +124,7 @@ SAME_ROUND_GOTO = ([("T", ["on_start"], None), ("X", ["on_start"], None),
                    "k_B", {"S": ["GOTO"]}, 3)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @example(SAME_ROUND_GOTO)
 @given(layered_runs())
 def test_counted_ready_set_equals_the_scan(spec):
