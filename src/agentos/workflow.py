@@ -5,8 +5,9 @@ in rounds: every round dispatches the full ready set (events whose listen
 sources have all completed, kept by counting each event's uncompleted
 sources), then commits outcomes in a fixed (rank, document order) sequence.
 Serial and parallel modes share that commit order, so the final blackboard
-and the trace are identical byte for byte; parallel mode only overlaps the
-agent calls inside a round.
+and the trace are identical byte for byte. In parallel mode the calling
+thread still runs a round's events, and helper threads take some only while
+it is blocked, as on a backend's HTTP call: only the agent calls overlap.
 
 Trace lines never carry timestamps. Every line is derived from committed
 state, which is what makes replayed runs comparable.
@@ -15,7 +16,8 @@ state, which is what makes replayed runs comparable.
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -45,7 +47,7 @@ PENDING = "pending"
 COMPLETED = "completed"
 
 DEFAULT_GOTO_LIMIT = 3
-PARALLEL_WORKERS = 32  # thread cap of one parallel run, shared by all its rounds
+PARALLEL_WORKERS = 32  # threads of one parallel run, its caller included
 GOTO_LIMIT_VARIABLE = "max_iterations"
 
 SELECT_MARKER = "SELECTED_OUTPUT:"
@@ -394,6 +396,74 @@ def apply_outcome(run: WorkflowRun, compiled: CompiledEvent,
 # the driver
 # ---------------------------------------------------------------------------
 
+class _Crew:
+    """The helper threads of one parallel run, joined by `close`.
+
+    The caller runs each round's events itself, batch[0] first. A helper
+    needs the interpreter lock to take one, so it takes events only while the
+    caller is blocked; it starts one more if events are still queued and no
+    helper is idle. At most PARALLEL_WORKERS threads run, the caller included.
+    """
+
+    def __init__(self):
+        self.cond = threading.Condition(threading.Lock())
+        self.queue, self.threads, self.idle, self.closed = deque(), [], 0, False
+
+    def map(self, fn, batch):
+        if not self.threads:
+            self._start()  # before the round is queued, so it waits for it
+        self.fn, self.results = fn, [None] * len(batch)
+        with self.cond:
+            self.queue.extend(enumerate(batch[1:], 1))
+            self.cond.notify_all()
+        self._run(0, batch[0])
+        self._drain()
+        with self.cond:
+            self.cond.wait_for(lambda: None not in self.results)
+        for outcome in self.results:
+            if isinstance(outcome, BaseException):
+                raise outcome  # the first in batch order, as a serial round raises
+        return self.results
+
+    def close(self) -> None:
+        with self.cond:
+            self.closed = True
+            self.cond.notify_all()
+        for thread in self.threads:
+            thread.join()
+
+    def _start(self) -> None:
+        thread = threading.Thread(target=self._help)
+        thread.start()
+        self.threads.append(thread)  # only once started, so close can join it
+
+    def _run(self, index: int, ce: CompiledEvent) -> None:
+        try:
+            self.results[index] = self.fn(ce)
+        except BaseException as exc:  # map raises it on the calling thread
+            self.results[index] = exc
+
+    def _drain(self) -> None:
+        with contextlib.suppress(IndexError):  # popleft is atomic, so no lock is taken
+            while True:
+                self._run(*self.queue.popleft())
+
+    def _help(self) -> None:
+        while True:
+            with self.cond:
+                self.idle += 1
+                self.cond.wait_for(lambda: self.queue or self.closed)
+                self.idle -= 1
+                if self.closed:
+                    return
+                if len(self.queue) > 1 and not self.idle and len(self.threads) < PARALLEL_WORKERS - 1:
+                    self._start()
+            self._drain()
+            with self.cond:
+                if None not in self.results:  # the round is done: wake the caller
+                    self.cond.notify_all()
+
+
 def run_workflow(form: WorkflowForm, input_value: str, engine, *,
                  registry: RegistryView | None = None,
                  tools=None,
@@ -408,15 +478,15 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
     """
     graph = compile_graph(form, registry)
     resolver = resolve_agent or make_agent_resolver(form, tools)
-    # resolved before round 1 on this thread, so pool threads only run events
+    # resolved before round 1 on this thread, so helper threads only run events
     agents = {ce.spec.name: ce.spec.agent and resolver(ce.spec.agent) for ce in graph.events}
     run = WorkflowRun(graph, input_value)
 
     def execute(ce: CompiledEvent) -> EventOutcome:
         return execute_event(run, ce, engine, tools, agents[ce.spec.name], limits)
 
-    # the pool starts no thread until a parallel round submits work
-    with ThreadPoolExecutor(max_workers=PARALLEL_WORKERS) as pool:
+    # the crew starts no thread until a parallel round
+    with contextlib.closing(_Crew()) as crew:
         round_no = 0
         while True:
             batch = ready_set(run)
@@ -439,7 +509,7 @@ def run_workflow(form: WorkflowForm, input_value: str, engine, *,
                     ref.name if ref else "-",
                     (ref.model if ref and ref.model else "-")))
 
-            outcomes = list((pool.map if parallel and len(batch) > 1 else map)(execute, batch))
+            outcomes = list((crew.map if parallel and len(batch) > 1 else map)(execute, batch))
 
             reset_this_round: set[str] = set()
             for ce, outcome in zip(batch, outcomes):

@@ -225,20 +225,22 @@ def test_run_workflow_replay_byte_identical(tmp_path, capsys):
     record_math_cassette(cassette, tmp_path / "rec", "What is 2+2?",
                          ["4", "4", "5", "the votes pick 4"])
 
-    def replay(tag: str) -> tuple[str, bytes]:
+    def replay(tag: str, *flags: str) -> tuple[str, bytes]:
         trace = tmp_path / f"trace-{tag}.txt"
         code, out, _ = run_cli(capsys, [
             "run-workflow", MATH_FORM, "--input", "What is 2+2?",
             "--registry-root", str(tmp_path / f"reg-{tag}"),
             "--cassette", str(cassette), "--cassette-mode", "replay",
-            "--trace", str(trace)])
+            "--trace", str(trace), *flags])
         assert code == 0
         return out, trace.read_bytes()
 
     out_a, trace_a = replay("a")
     out_b, trace_b = replay("b")
-    assert out_a == out_b == "the votes pick 4\n"
-    assert trace_a == trace_b
+    # the cassette was recorded by a serial run; a parallel replay matches it
+    out_c, trace_c = replay("c", "--parallel")
+    assert out_a == out_b == out_c == "the votes pick 4\n"
+    assert trace_a == trace_b == trace_c
     text = trace_a.decode("utf-8")
     assert text.splitlines()[0] == "round 1"
     assert text.splitlines()[-1] == "complete output=final_solution"

@@ -1,6 +1,9 @@
 """Workflow execution: compilation, output selection, rounds, GOTO, aborts."""
 
+import gc
+import sys
 import threading
+import time
 
 import pytest
 
@@ -176,7 +179,7 @@ def test_agents_are_resolved_on_the_calling_thread(math_form):
                           Engine(mode="transformed", backend=RouterBackend(MATH_ROUTES)),
                           registry=MATH_VIEW, resolve_agent=recording, parallel=True)
     assert result.status == "completed"
-    # once per agent event, before round 1, none from the pool of the solvers' round
+    # once per agent event, before round 1, none from a helper thread
     assert calls == [(model, threading.get_ident()) for model in (
         "gpt-4o-2024-08-06", CLAUDE, "deepseek/deepseek-chat", "deepseek/deepseek-chat")]
 
@@ -357,6 +360,119 @@ def test_parallel_round_threads_are_capped():
     assert 1 < len(threads) <= PARALLEL_WORKERS
     assert parallel.trace == serial.trace
     assert parallel.blackboard == serial.blackboard
+
+
+# on_start, then fan_0 .. fan_3 in round 2, then join_0 and join_1 in round 3
+TWO_WIDE_ROUNDS_XML = _workflow("two_wide_rounds", "j0", [
+    *(_event(f"fan_{i}", "on_start", f"f{i}", f"m_fan_{i}") for i in range(4)),
+    *(_event(f"join_{i}", f"fan_{i}", f"j{i}", f"m_join_{i}") for i in range(2)),
+])
+TWO_WIDE_MODELS = [f"m_fan_{i}" for i in range(4)] + ["m_join_0", "m_join_1"]
+
+
+def test_the_caller_runs_the_first_event_of_every_parallel_round():
+    form = parse_workflow_form(TWO_WIDE_ROUNDS_XML)
+    threads = {}
+
+    def reply_as(model):
+        def reply(request):
+            threads[model] = threading.get_ident()
+            return model
+        return reply
+
+    engine = Engine("transformed", RouterBackend({m: [reply_as(m)] for m in TWO_WIDE_MODELS}))
+    result = run_workflow(form, "topic", engine, parallel=True)
+    assert result.status == "completed"
+    rounds = " ".join(result.trace).split("round ")[1:]
+    firsts = [r.split(" model=")[1].split()[0] for r in rounds if r.count("run ") > 1]
+    assert firsts == ["m_fan_0", "m_join_0"]
+    assert [threads[m] for m in firsts] == [threading.get_ident()] * 2
+
+
+def test_a_blocking_parallel_round_overlaps_every_event():
+    width = 6
+    form = parse_workflow_form(_workflow("six_wide", "k0", [
+        _event(f"fan_{i}", "on_start", f"k{i}", "m") for i in range(width)]))
+    barrier = threading.Barrier(width, timeout=5)
+    threads = set()
+
+    def meet(request):
+        threads.add(threading.get_ident())
+        barrier.wait()  # breaks, and fails the run, unless all six wait at once
+        return "done"
+
+    serial = run_workflow(form, "topic", Engine("transformed", ScriptedBackend(["done"] * width)))
+    parallel = run_workflow(form, "topic", Engine("transformed", ScriptedBackend([meet] * width)),
+                            parallel=True)
+    assert parallel.status == "completed"
+    assert len(threads) == width
+    assert parallel.trace == serial.trace
+    assert parallel.blackboard == serial.blackboard
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_a_reply_that_raises_leaves_no_thread_behind(parallel):
+    form = parse_workflow_form(TWO_WIDE_ROUNDS_XML)
+
+    def fail(request):
+        raise RuntimeError("backend crashed")
+
+    routes = {f"m_fan_{i}": [fail if i == 2 else "ok"] for i in range(4)}
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="backend crashed"):
+        run_workflow(form, "topic", Engine("transformed", RouterBackend(routes)),
+                     parallel=parallel)
+    assert threading.active_count() == before
+
+
+def test_parallel_rounds_hold_under_rapid_thread_switches():
+    # every third reply blocks briefly, so helpers take events while the
+    # caller takes others; a double take or a lost result breaks the asserts
+    width = 12
+    form = parse_workflow_form(_workflow("switchy", "j0", [
+        *(_event(f"fan_{i}", "on_start", f"f{i}", f"m_fan_{i}") for i in range(width)),
+        *(_event(f"join_{i}", f"fan_{i}", f"j{i}", f"m_join_{i}") for i in range(width))]))
+
+    def reply_as(model, blocks):
+        def reply(request):
+            if blocks:
+                time.sleep(0.001)
+            return model
+        return reply
+
+    def run(parallel):
+        models = [f"m_{kind}_{i}" for kind in ("fan", "join") for i in range(width)]
+        backend = RouterBackend({m: [reply_as(m, n % 3 == 0)] for n, m in enumerate(models)})
+        result = run_workflow(form, "topic", Engine("transformed", backend), parallel=parallel)
+        assert backend.calls == 2 * width
+        return result
+
+    serial = run(False)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            parallel = run(True)
+            assert (parallel.trace, parallel.blackboard) == (serial.trace, serial.blackboard)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_finished_runs_leave_no_reference_cycle():
+    form = parse_workflow_form(TWO_WIDE_ROUNDS_XML)
+    gc.collect()
+    gc.disable()
+    try:
+        for parallel in (False, True):
+            engine = Engine("transformed", RouterBackend({m: ["ok"] for m in TWO_WIDE_MODELS}))
+            assert run_workflow(form, "topic", engine, parallel=parallel).status == "completed"
+        # a cycle would keep each finished run, and its helper threads'
+        # state, alive until the collector ran
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_goto_limit_override(wiki_form):
