@@ -25,9 +25,11 @@ is one pass over contiguous memory; the files stay row-major, and a load or
 a new base transposes between the two in blocks of rows.
 
 The default embedder hashes whitespace tokens with sha256 into a fixed-size
-signed-count vector and L2-normalizes. It is deterministic across processes
-and platforms; any object with ``dim`` and ``embed(text) -> ndarray`` can
-stand in for it (e.g. a network embedder).
+signed-count vector and L2-normalizes, each row of a batch bit-identical to
+its text alone; it is deterministic across processes and platforms. Any
+object with ``dim`` and ``embed_many(texts) -> (len(texts), dim) ndarray``
+can stand in for it (e.g. a network embedder); an ingest passes it at most
+``EMBED_BLOCK`` chunks at a time, in row order.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import struct
 import zipfile
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -63,6 +66,7 @@ DEFAULT_OVERLAP = 16
 DEFAULT_TOP_K = 4
 DEFAULT_MAX_REWRITES = 2
 SLOT_MEMO = 1 << 15  # tokens whose embedding slot a HashingEmbedder remembers
+EMBED_BLOCK = 256  # the most chunks an ingest passes to one ``embed_many`` call
 
 ANSWER_MARKER = "ANSWER:"
 REWRITE_MARKER = "REWRITE:"
@@ -108,9 +112,10 @@ class HashingEmbedder:
 
     Each whitespace token is lowercased and hashed with sha256; the first 4
     digest bytes pick a dimension, bit 0 of byte 4 picks the sign. Counts
-    accumulate as integers before one float64 normalize, which keeps the
-    result bit-identical for identical input. A token's slot is remembered,
-    for at most ``SLOT_MEMO`` tokens at a time.
+    accumulate as integers before one float64 normalize per text, so a row of
+    a batch is bit-identical to its text alone: integer counts square and sum
+    exactly, and sqrt and division round correctly. A token's slot is
+    remembered, for at most ``SLOT_MEMO`` tokens at a time.
     """
 
     def __init__(self, dim: int = 256):
@@ -119,25 +124,36 @@ class HashingEmbedder:
         self.dim = dim
         self._slots: dict[str, int] = {}  # token -> 2 * dimension + sign bit
 
+    def _slot(self, token: str) -> int:
+        if token not in self._slots:
+            if len(self._slots) >= SLOT_MEMO:
+                self._slots.clear()
+            # surrogatepass: a lone surrogate hashes too; valid text keeps its UTF-8 bytes
+            digest = hashlib.sha256(token.encode("utf-8", "surrogatepass")).digest()
+            self._slots[token] = 2 * (int.from_bytes(digest[:4], "big") % self.dim) + (digest[4] & 1)
+        return self._slots[token]
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """A (len(texts), dim) array whose row i embeds ``texts[i]``."""
+        rows = [text.lower().split() for text in texts]
+        sizes = list(map(len, rows))
+        try:  # a memoized slot is read in one C-level pass
+            picked = np.fromiter(map(self._slots.__getitem__, chain(*rows)), np.intp, sum(sizes))
+        except KeyError:
+            picked = np.fromiter(map(self._slot, chain(*rows)), np.intp, sum(sizes))
+        width = 2 * self.dim
+        if len(rows) > 1:  # row r counts in slots from r * width; one row needs no offsets
+            picked += np.repeat(np.arange(0, width * len(rows), width), sizes)
+        counts = np.bincount(picked, minlength=width * len(rows))
+        vectors = (counts[0::2] - counts[1::2]).astype(np.float64).reshape(len(rows), self.dim)
+        for vector in vectors:
+            norm = math.sqrt(vector.dot(vector))
+            if norm > 0.0:
+                vector /= norm
+        return vectors
+
     def embed(self, text: str) -> np.ndarray:
-        slots = self._slots
-        picked = []
-        for token in text.lower().split():
-            slot = slots.get(token)
-            if slot is None:
-                if len(slots) >= SLOT_MEMO:
-                    slots.clear()
-                # surrogatepass: a lone surrogate hashes too; valid text keeps its UTF-8 bytes
-                digest = hashlib.sha256(token.encode("utf-8", "surrogatepass")).digest()
-                slot = slots[token] = \
-                    2 * (int.from_bytes(digest[:4], "big") % self.dim) + (digest[4] & 1)
-            picked.append(slot)
-        counts = np.bincount(np.array(picked, dtype=np.intp), minlength=2 * self.dim)
-        vector = (counts[0::2] - counts[1::2]).astype(np.float64)
-        norm = float(np.linalg.norm(vector))
-        if norm > 0.0:
-            vector /= norm
-        return vector
+        return self.embed_many([text])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +194,7 @@ class _Rows(NamedTuple):
 
 
 _meta_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring_ascii  # what ``_meta_line`` writes a str with
 _META = get_type_hints(Chunk)  # the fields of a meta line, and their types
 _MANIFEST = {"deltas": list, "meta_crc": int, "next": int, "vectors_crc": int}
 
@@ -224,8 +241,10 @@ def _meta_rows(collection: str, data: bytes) -> list[tuple]:
     return meta
 
 
-def _meta_bytes(meta: list[tuple]) -> bytes:  # what a commit writes: canonical meta lines
-    return "".join([_meta_line(dict(zip(_META, row))) + "\n" for row in meta]).encode("utf-8")
+def _meta_bytes(meta: list[tuple]) -> bytes:  # what a commit writes: ``_meta_line``'s lines
+    return "".join(['{"doc_id":%s,"ordinal":%d,"text":%s,"token_start":%d}\n'
+                    % (_quote(doc_id), ordinal, _quote(text), token_start)
+                    for doc_id, ordinal, text, token_start in meta]).encode("ascii")
 
 
 def _manifest_bytes(manifest: dict) -> bytes:
@@ -429,8 +448,9 @@ class RagStore:
             return counts  # no live row changes, so there is nothing to commit
         self._cache.pop(collection, None)  # the old rows go as soon as the new are built
         fresh_file, fresh = _rv1(len(new), self.embedder.dim)
-        for row, (_, _, text, _) in enumerate(new):
-            fresh[row] = self.embedder.embed(text)
+        for at in range(0, len(new), EMBED_BLOCK):
+            fresh[at:at + EMBED_BLOCK] = \
+                self.embedder.embed_many([row[2] for row in new[at:at + EMBED_BLOCK]])
         spare, self._spare = self._spare, None
         meta, image, matrix = _splice((old.meta, old.vectors), [(chunks, (new, fresh.T))], spare)
         base, deltas = old.stored
@@ -515,7 +535,7 @@ class RagStore:
         rows = self._embeddable(collection)
         if not rows.meta or k <= 0:
             return []
-        probe = self.embedder.embed(text)
+        probe = self.embedder.embed_many([text])[0]
         scores = np.zeros(len(rows.meta))
         for d in np.flatnonzero(probe).tolist():  # one dimension per query token at most
             scores += rows.vectors[d] * probe[d]

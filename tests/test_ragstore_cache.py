@@ -143,12 +143,13 @@ def reference_embed(text: str, dim: int) -> np.ndarray:
 
 
 EMBEDDERS: dict[int, HashingEmbedder] = {}  # shared across examples, so memos fill
+EMBED_TEXT = st.text(st.sampled_from("aAbB ςΣİ\t\n　x1") | st.characters(), max_size=80)
+EMBED_DIMS = [1, 2, 3, 7, 256, 300]
 
 
 # 300 examples in tier-1; the profile's budget when larger (HYPOTHESIS_PROFILE=fuzz)
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
-@given(text=st.text(st.sampled_from("aAbB ςΣİ\t\n　x1") | st.characters(), max_size=80),
-       dim=st.sampled_from([1, 2, 3, 7, 256, 300]))
+@given(text=EMBED_TEXT, dim=st.sampled_from(EMBED_DIMS))
 def test_embed_is_bit_identical_to_the_per_token_loop(text, dim):
     embedder = EMBEDDERS.setdefault(dim, HashingEmbedder(dim))
     for _ in range(2):  # the second call reads every slot from the memo
@@ -172,6 +173,61 @@ def test_the_slot_memo_is_bounded(monkeypatch):
     assert 0 < len(embedder._slots) <= 8
 
 
+# 300 examples in tier-1; the profile's budget when larger (HYPOTHESIS_PROFILE=fuzz)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(texts=st.lists(EMBED_TEXT, max_size=12), dim=st.sampled_from(EMBED_DIMS))
+def test_embed_many_rows_are_bit_identical_to_the_per_token_loop(texts, dim):
+    expected = b"".join(reference_embed(text, dim).tobytes() for text in texts)
+
+    def check(rows):
+        assert rows.shape == (len(texts), dim) and rows.dtype == np.float64
+        assert rows.tobytes() == expected
+
+    for embedder in (HashingEmbedder(dim), EMBEDDERS.setdefault(dim, HashingEmbedder(dim))):
+        for _ in range(2):  # the second call reads every slot from the memo
+            check(embedder.embed_many(texts))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ragstore, "SLOT_MEMO", 8)  # a memo that clears in the middle of the batch
+        check(HashingEmbedder(dim).embed_many(texts))
+
+
+def test_an_ingest_embeds_its_rows_in_bounded_blocks_in_row_order(tmp_path):
+    class Recording(HashingEmbedder):
+        def embed_many(self, texts):
+            calls.append(list(texts))
+            return super().embed_many(texts)
+
+    calls = []
+    text = " ".join(f"w{i % 97}" for i in range(2 * ragstore.EMBED_BLOCK + 75))
+    chunks = ragstore.chunk_text(text, "d.txt", 1, 0)
+    assert len(chunks) > 2 * ragstore.EMBED_BLOCK
+    RagStore(tmp_path, embedder=Recording(), chunk_size=1, overlap=0).ingest_text("c", "d.txt", text)
+    assert max(map(len, calls)) == ragstore.EMBED_BLOCK
+    assert [text for call in calls for text in call] == [chunk.text for chunk in chunks]
+    raw = (tmp_path / "c" / "vectors.bin").read_bytes()
+    assert raw[12:] == b"".join(HashingEmbedder().embed(c.text).tobytes() for c in chunks)
+
+
+# ---------------------------------------------------------------------------
+# meta lines
+# ---------------------------------------------------------------------------
+
+META_FIELDS = ("doc_id", "ordinal", "text", "token_start")
+# every code point, lone surrogates included, and the characters JSON escapes
+META_TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+                    | st.sampled_from('"\\/\x00\x1f\x7f'))
+META_INT = st.integers(0, 2 ** 63)
+
+
+# 300 examples in tier-1; the profile's budget when larger (HYPOTHESIS_PROFILE=fuzz)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(rows=st.lists(st.tuples(META_TEXT, META_INT, META_TEXT, META_INT), max_size=8))
+def test_meta_lines_are_the_sorted_key_json_encoder_lines(rows):
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    expected = "".join(encode(dict(zip(META_FIELDS, row))) + "\n" for row in rows)
+    assert ragstore._meta_bytes(rows) == expected.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # top-k
 # ---------------------------------------------------------------------------
@@ -186,6 +242,9 @@ class CountEmbedder:
         tokens = text.split()
         return np.array([tokens.count("a"), tokens.count("b") - tokens.count("c"),
                          len(tokens) % 2], dtype=np.float64)
+
+    def embed_many(self, texts):
+        return np.array([self.embed(text) for text in texts]).reshape(len(texts), self.dim)
 
 
 def oracle_top(root: Path, collection: str, text: str, k: int) -> list[tuple]:
@@ -330,6 +389,8 @@ def test_a_load_encodes_no_meta_line_and_a_query_decodes_none(tmp_path, monkeypa
             return call(*args, **kwargs)
         return wrapper
 
+    # a meta line's strings are written by ``_quote``, the manifest by ``_meta_line``
+    monkeypatch.setattr(ragstore, "_quote", counted("encode", ragstore._quote))
     monkeypatch.setattr(ragstore, "_meta_line", counted("encode", ragstore._meta_line))
     monkeypatch.setattr(ragstore.json, "loads", counted("decode", ragstore.json.loads))
     store = RagStore(tmp_path, chunk_size=4, overlap=0)
@@ -339,6 +400,8 @@ def test_a_load_encodes_no_meta_line_and_a_query_decodes_none(tmp_path, monkeypa
     calls["decode"] = 0
     assert len(store.query("c", "shared words", k=6)) == 6
     assert calls == {"encode": 0, "decode": 0}
+    store.ingest_text("c", "1.txt", "new words")  # and a write is counted: a segment, a manifest
+    assert calls == {"encode": 2 + 1, "decode": 0}
 
 
 def test_a_collection_replaced_from_outside_is_read_again(tmp_path):
