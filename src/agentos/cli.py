@@ -9,6 +9,12 @@ run to run.
 Configuration precedence: command-line flags, then the environment
 (AGENT_API_BASE, AGENT_API_KEY, AGENT_MODEL), then defaults. Cassette
 replay needs no network configuration at all.
+
+Each command is one process, so a command builds only its own parser and
+imports only the modules it runs: ``_COMMANDS`` holds one row per command,
+and each command function imports what it uses. ``--help``, and any
+argument list that does not start with a command's name, get the parser of
+every command, so help and usage text read the same either way.
 """
 
 from __future__ import annotations
@@ -19,29 +25,13 @@ import os
 import re
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .backends import CassetteBackend, HttpBackend
-from .creation import (
-    CreationReport,
-    ManagementToolSuite,
-    create_agents_pipeline,
-    create_workflow_pipeline,
-)
-from .engine import DIRECT, TRANSFORMED, Engine
-from .errors import (
-    AgentOsError,
-    PhaseExhaustedError,
-    SchemaError,
-    XmlError,
-)
-from .forms import (
-    WorkflowForm,
-    parse_agent_form,
-    parse_workflow_form,
-    validate_agent_form,
-    validate_workflow_form,
-)
-from .registry import RegistryStore, RegistryToolSuite
+from .errors import AgentOsError, PhaseExhaustedError, SchemaError, XmlError
+
+if TYPE_CHECKING:
+    from .creation import CreationReport
+    from .engine import Engine
 
 ENV_API_BASE = "AGENT_API_BASE"
 ENV_API_KEY = "AGENT_API_KEY"
@@ -59,6 +49,9 @@ class _Failure(AgentOsError):
 
 
 def _make_engine(args) -> Engine:
+    from .backends import CassetteBackend, HttpBackend
+    from .engine import Engine
+
     if args.cassette_mode == "replay":
         backend = CassetteBackend(args.cassette, "replay")
     elif args.cassette_mode == "record":
@@ -89,6 +82,9 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 def _load_form(path: str):
     """Returns (form, its validator). Sniffs the root element."""
+    from .forms import (parse_agent_form, parse_workflow_form, validate_agent_form,
+                        validate_workflow_form)
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
@@ -100,6 +96,8 @@ def _load_form(path: str):
 
 
 def _cmd_validate(args) -> int:
+    from .registry import RegistryStore
+
     store = RegistryStore(args.registry_root)
     try:
         form, validate = _load_form(args.form)
@@ -118,6 +116,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run_workflow(args) -> int:
+    from .forms import WorkflowForm
+    from .registry import RegistryStore, RegistryToolSuite
+
     form, _ = _load_form(args.form)
     if not isinstance(form, WorkflowForm):
         raise _Failure("E_SCHEMA", f"{args.form} is not a workflow form")
@@ -164,6 +165,9 @@ def _report_payload(report: CreationReport) -> dict:
 
 
 def _creation_setup(args):
+    from .creation import ManagementToolSuite
+    from .registry import RegistryStore
+
     store = RegistryStore(args.registry_root)
     engine = _make_engine(args)
     suite = ManagementToolSuite(store, engine=engine,
@@ -171,14 +175,17 @@ def _creation_setup(args):
     return store, engine, suite
 
 
-# each creation mode's pipeline and the name of its test argument
-_PIPELINES = {"agents": (create_agents_pipeline, "test_task"),
-              "workflow": (create_workflow_pipeline, "test_input")}
+def _pipeline(mode: str):
+    """The creation pipeline of ``mode`` and the name of its test argument."""
+    from .creation import create_agents_pipeline, create_workflow_pipeline
+
+    return {"agents": (create_agents_pipeline, "test_task"),
+            "workflow": (create_workflow_pipeline, "test_input")}[mode]
 
 
 def _cmd_create(args) -> int:
     store, engine, suite = _creation_setup(args)
-    pipeline, test = _PIPELINES[args.command.removeprefix("create-")]
+    pipeline, test = _pipeline(args.command.removeprefix("create-"))
     report = pipeline(args.requirements, engine, store, suite=suite,
                       max_attempts=args.max_attempts, model=args.model, **{test: args.task})
     _emit(args, _report_lines(report), _report_payload(report))
@@ -186,6 +193,8 @@ def _cmd_create(args) -> int:
 
 
 def _cmd_registry(args) -> int:
+    from .registry import RegistryStore
+
     store = RegistryStore(args.registry_root)
     kind = args.kind
     if args.action == "list":
@@ -245,14 +254,14 @@ def _cmd_repl(args) -> int:
             break
         if line.startswith(":mode"):
             choice = line.split(None, 1)[1].strip() if len(line.split(None, 1)) > 1 else ""
-            if choice in _PIPELINES:
+            if choice in ("agents", "workflow"):
                 mode = choice
                 say(f"mode: {mode}")
             else:
                 say("usage: :mode agents|workflow")
             continue
         try:
-            report = _PIPELINES[mode][0](line, engine, store, suite=suite, model=args.model)
+            report = _pipeline(mode)[0](line, engine, store, suite=suite, model=args.model)
             for out in _report_lines(report):
                 say(out)
         except AgentOsError as err:
@@ -267,80 +276,128 @@ def _cmd_repl(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--registry-root", default="./registry",
-                        help="registry directory (default ./registry)")
-    common.add_argument("--rag-root", default="./ragstore",
-                        help="RAG store directory (default ./ragstore)")
-    common.add_argument("--api-base", default="", help="chat completions base URL")
-    common.add_argument("--api-key", default="", help="API key (never printed)")
-    common.add_argument("--model", default="", help="default model identifier")
-    common.add_argument("--mode", choices=[DIRECT, TRANSFORMED], default=TRANSFORMED,
-                        help="tool-use engine mode")
-    common.add_argument("--cassette", default="", help="cassette file path")
-    common.add_argument("--cassette-mode", choices=["off", "record", "replay"],
-                        default="off")
-    common.add_argument("--json", action="store_true", help="JSON output")
+def _shared_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--registry-root", default="./registry",
+                   help="registry directory (default ./registry)")
+    p.add_argument("--rag-root", default="./ragstore",
+                   help="RAG store directory (default ./ragstore)")
+    p.add_argument("--api-base", default="", help="chat completions base URL")
+    p.add_argument("--api-key", default="", help="API key (never printed)")
+    p.add_argument("--model", default="", help="default model identifier")
+    # engine.DIRECT and engine.TRANSFORMED, spelled out so that parsing
+    # imports no engine; tests/test_cli.py holds the two equal
+    p.add_argument("--mode", choices=["direct", "transformed"], default="transformed",
+                   help="tool-use engine mode")
+    p.add_argument("--cassette", default="", help="cassette file path")
+    p.add_argument("--cassette-mode", choices=["off", "record", "replay"], default="off")
+    p.add_argument("--json", action="store_true", help="JSON output")
 
-    parser = argparse.ArgumentParser(prog="agentos",
-                                     description="Agent runtime operator commands.")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate an agent or workflow form")
+def positive_int(text: str) -> int:
+    """An argument type: a whole number of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("form", help="path to the XML form")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("run-workflow", parents=[common],
-                       help="execute a workflow form")
+
+def _run_workflow_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("form", help="path to the workflow XML")
     p.add_argument("--input", required=True, help="value for the system input")
-    p.add_argument("--parallel", action="store_true",
-                   help="run ready events concurrently")
+    p.add_argument("--parallel", action="store_true", help="run ready events concurrently")
     p.add_argument("--trace", default="", help="write the run trace to this file")
     p.set_defaults(fn=_cmd_run_workflow)
 
-    for mode, pipeline, task in (("agents", "agent", "optional smoke-test task"),
-                                 ("workflow", "workflow", "optional test input")):
-        p = sub.add_parser(f"create-{mode}", parents=[common],
-                           help=f"run the {pipeline} creation pipeline")
-        p.add_argument("--requirements", required=True)
-        p.add_argument("--task", default=None, help=task)
-        p.add_argument("--max-attempts", type=int, default=3)
-        p.set_defaults(fn=_cmd_create)
 
-    p = sub.add_parser("registry", parents=[common],
-                       help="inspect or edit the registry")
+def _create_arguments(p: argparse.ArgumentParser, task_help: str) -> None:
+    p.add_argument("--requirements", required=True)
+    p.add_argument("--task", default=None, help=task_help)
+    p.add_argument("--max-attempts", type=positive_int, default=3)
+    p.set_defaults(fn=_cmd_create)
+
+
+def _registry_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("action", choices=["list", "show", "delete"])
     p.add_argument("kind", choices=["tools", "agents", "workflows"])
     p.add_argument("name", nargs="?", default="")
     p.set_defaults(fn=_cmd_registry)
 
-    # no shared options before the action: its parser's defaults would overwrite them
-    p = sub.add_parser("rag", help="manage RAG collections")
-    rag_sub = p.add_subparsers(dest="action", required=True)
-    add = rag_sub.add_parser("add", parents=[common])
+
+def _rag_arguments(p: argparse.ArgumentParser) -> None:
+    # the shared options follow the action: its parser's defaults would
+    # overwrite any read before it
+    actions = p.add_subparsers(dest="action", required=True)
+    add = actions.add_parser("add")
+    _shared_options(add)
     add.add_argument("path", help="file, directory, or zip to index")
     add.add_argument("--collection", required=True)
     add.set_defaults(fn=_cmd_rag, action="add")
-    query = rag_sub.add_parser("query", parents=[common])
+    query = actions.add_parser("query")
+    _shared_options(query)
     query.add_argument("text", help="query text")
     query.add_argument("--collection", required=True)
     query.add_argument("-k", type=int, default=4)
     query.set_defaults(fn=_cmd_rag, action="query")
 
-    p = sub.add_parser("repl", parents=[common],
-                       help="interactive requirement-to-pipeline loop")
+
+def _repl_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--log", default="", help="append the session transcript here")
     p.set_defaults(fn=_cmd_repl)
+
+
+# one row per command: its name, its help, whether the shared options go on
+# its parser, and the function that adds its own arguments
+_COMMANDS = (
+    ("validate", "validate an agent or workflow form", True, _validate_arguments),
+    ("run-workflow", "execute a workflow form", True, _run_workflow_arguments),
+    ("create-agents", "run the agent creation pipeline", True,
+     lambda p: _create_arguments(p, "optional smoke-test task")),
+    ("create-workflow", "run the workflow creation pipeline", True,
+     lambda p: _create_arguments(p, "optional test input")),
+    ("registry", "inspect or edit the registry", True, _registry_arguments),
+    ("rag", "manage RAG collections", False, _rag_arguments),
+    ("repl", "interactive requirement-to-pipeline loop", True, _repl_arguments),
+)
+_COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` the top parser and that
+    command's parser alone.
+
+    A one-command parser parses that command's arguments as the whole parser
+    does; only a top-level usage line, which lists the commands, differs.
+    """
+    parser = argparse.ArgumentParser(prog="agentos",
+                                     description="Agent runtime operator commands.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, shared, add_arguments in _COMMANDS:
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_text)
+            if shared:
+                _shared_options(p)
+            add_arguments(p)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMAND_NAMES:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+        if not rest:
+            return args
+    # help, a top-level usage error, or arguments left over: the whole parser
+    # prints them, with its usage line listing every command
+    return build_parser().parse_args(argv)
+
+
 def dispatch_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as err:
         return int(err.code or 0)
     args.api_base = args.api_base or os.environ.get(ENV_API_BASE, "")

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output shapes, cassette-replayed sessions."""
 
+import argparse
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import agentos
+from agentos import cli
 from agentos.backends import CassetteBackend, ScriptedBackend
 from agentos.cli import build_parser, dispatch_command
 from agentos.creation import (
@@ -17,7 +19,7 @@ from agentos.creation import (
     create_agents_pipeline,
     create_workflow_pipeline,
 )
-from agentos.engine import Engine
+from agentos.engine import DIRECT, TRANSFORMED, Engine
 from agentos.errors import PhaseExhaustedError
 from agentos.forms import parse_workflow_form
 from agentos.kernel import AgentDefinition, ToolCall
@@ -402,6 +404,23 @@ def test_create_workflow_exhaustion_json_names_phase(tmp_path, capsys):
                                "message": "phase profiling exhausted its attempts"}
 
 
+@pytest.mark.parametrize("command", ["create-agents", "create-workflow"])
+@pytest.mark.parametrize("attempts", ["0", "-2", "x"])
+def test_max_attempts_below_one_is_a_usage_error(tmp_path, capsys, command, attempts):
+    cassette = tmp_path / "empty.cassette"
+    cassette.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, [
+        command, "--requirements", "make a greeter", "--max-attempts", attempts,
+        "--registry-root", str(tmp_path / "reg"),
+        "--cassette", str(cassette), "--cassette-mode", "replay"])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{command}: error: argument --max-attempts: "
+                        f"invalid positive_int value: '{attempts}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cassette"]
+    assert build_parser().parse_args([command, "--requirements", "r",
+                                      "--max-attempts", "1"]).max_attempts == 1
+
+
 # ---------------------------------------------------------------------------
 # registry commands
 # ---------------------------------------------------------------------------
@@ -751,3 +770,93 @@ def test_flag_overrides_environment(tmp_path, capsys, monkeypatch):
         "--registry-root", str(tmp_path / "reg"),
         "--cassette", str(cassette), "--cassette-mode", "replay"])
     assert (code, out) == (0, "4 it is\n")
+
+
+# ---------------------------------------------------------------------------
+# one command, one parser, its own modules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["validate", "missing.xml"], 2),
+    (["run-workflow", "missing.xml", "--input", "x"], 2),
+    (["create-agents", "--requirements", "r", "--cassette-mode", "replay"], 2),
+    (["create-workflow", "--requirements", "r", "--cassette-mode", "replay"], 2),
+    (["registry", "list", "tools"], 2),
+    (["repl", "--cassette-mode", "replay"], 2),
+    (["rag", "add", "missing.txt", "--collection", "c"], 4),
+    (["rag", "query", "solar", "--collection", "c"], 4),
+    (["--help"], 10),
+    (["registry", "list", "tools", "--bogus"], 2 + 10),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch, argv, parsers):
+    monkeypatch.chdir(tmp_path)
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, argv)
+    assert code in (0, 1, 2)
+    assert len(made) == parsers
+    assert list(tmp_path.iterdir()) == []
+
+
+WHOLE_PARSER_CASES = [
+    [], ["--help"], ["-h", "run-workflow"], ["nope"], ["rag"],
+    *([*command, "--help"] for command in (
+        ["validate"], ["run-workflow"], ["create-agents"], ["create-workflow"],
+        ["registry"], ["rag"], ["rag", "add"], ["rag", "query"], ["repl"])),
+    ["run-workflow", "missing.xml", "--input", "y"],
+    ["run-workflow", "x", "--input", "y", "--mode", "bad"],
+    ["registry", "list", "tools", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", WHOLE_PARSER_CASES, ids=lambda argv: " ".join(argv) or "-")
+def test_a_one_command_parser_prints_what_the_whole_parser_prints(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run_cli(capsys, argv)
+    monkeypatch.setattr(cli, "_COMMAND_NAMES", frozenset())  # every argv takes the whole parser
+    assert run_cli(capsys, argv) == got
+    if argv[-1:] == ["--bogus"]:
+        assert "{validate,run-workflow,create-agents,create-workflow,registry,rag,repl}" in got[2]
+
+
+def test_the_mode_choices_are_the_engine_modes(capsys):
+    assert dispatch_command(["validate", "--help"]) == 0
+    assert f"[--mode {{{DIRECT},{TRANSFORMED}}}]" in capsys.readouterr().out
+    assert build_parser().parse_args(["validate", "form.xml"]).mode == TRANSFORMED
+
+
+def loaded_modules(argv: list[str], cwd: Path) -> set[str]:
+    """The modules a fresh process holds after ``agentos.cli.main(argv)``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(agentos.__file__).parents[1])}
+    script = ("import sys, agentos.cli\n"
+              "try:\n"
+              "    agentos.cli.main(sys.argv[1:])\n"
+              "except SystemExit:\n"
+              "    pass\n"
+              "print(' '.join(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_help_and_rag_query_load_only_their_own_modules(tmp_path, capsys):
+    runs = {"agentos.forms", "agentos.registry", "agentos.creation", "agentos.workflow"}
+    help_modules = loaded_modules(["--help"], tmp_path)
+    assert "agentos.cli" in help_modules
+    assert help_modules.isdisjoint(runs | {"agentos.ragstore", "agentos.viewport",
+                                           "agentos.engine", "agentos.backends", "numpy"})
+    (tmp_path / "notes.txt").write_text("solar panels", encoding="utf-8")
+    assert run_cli(capsys, ["rag", "add", str(tmp_path / "notes.txt"), "--collection", "c",
+                            "--rag-root", str(tmp_path / "rag")])[0] == 0
+    query_modules = loaded_modules(["rag", "query", "solar", "--collection", "c",
+                                    "--rag-root", str(tmp_path / "rag")], tmp_path)
+    assert "agentos.ragstore" in query_modules and query_modules.isdisjoint(runs)

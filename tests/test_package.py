@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import importlib
 import inspect
 from types import ModuleType
 
@@ -31,3 +32,21 @@ def test_the_kernel_imports_nothing_above_it():
     assert not {name for name in imported if name.split(".")[-1] in ("engine", "backends")}
     assert engine.ToolSchema is kernel.ToolSchema is agentos.ToolSchema
     assert engine.ToolParam is kernel.ToolParam is agentos.ToolParam
+
+
+def test_each_public_name_is_its_modules_own_object_looked_up_on_use():
+    for name in agentos.__all__:
+        module = importlib.import_module(f"agentos.{agentos._MODULE_OF[name]}")
+        assert getattr(agentos, name) is vars(module)[name]
+        assert name in dir(agentos)
+        assert name not in vars(agentos)
+
+
+def test_a_binding_replaced_in_its_module_shows_through_the_package_until_put_back(
+        monkeypatch):
+    original = kernel.run_agent_loop
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "run_agent_loop", "replaced")
+        assert agentos.run_agent_loop == "replaced"
+    assert agentos.run_agent_loop is original
+    assert "run_agent_loop" not in vars(agentos)
