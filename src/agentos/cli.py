@@ -12,9 +12,10 @@ replay needs no network configuration at all.
 
 Each command is one process, so a command builds only its own parser and
 imports only the modules it runs: ``_COMMANDS`` holds one row per command,
-and each command function imports what it uses. ``--help``, and any
-argument list that does not start with a command's name, get the parser of
-every command, so help and usage text read the same either way.
+and each command function imports what it uses. The forms module is the one
+exception; it loads with this module. ``--help``, and any argument list that
+does not start with a command's name, get the parser of every command, so
+help and usage text read the same either way.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import AgentOsError, PhaseExhaustedError, SchemaError, XmlError
+# bound here, not inside the commands: bench/tracing.py wraps every module's
+# binding of validate_workflow_form, and its tests expect this one among them
+from .forms import (WorkflowForm, parse_agent_form, parse_workflow_form, validate_agent_form,
+                    validate_workflow_form)
 
 if TYPE_CHECKING:
     from .creation import CreationReport
@@ -82,9 +87,6 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 def _load_form(path: str):
     """Returns (form, its validator). Sniffs the root element."""
-    from .forms import (parse_agent_form, parse_workflow_form, validate_agent_form,
-                        validate_workflow_form)
-
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
@@ -116,7 +118,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run_workflow(args) -> int:
-    from .forms import WorkflowForm
     from .registry import RegistryStore, RegistryToolSuite
 
     form, _ = _load_form(args.form)
@@ -175,19 +176,25 @@ def _creation_setup(args):
     return store, engine, suite
 
 
-def _pipeline(mode: str):
-    """The creation pipeline of ``mode`` and the name of its test argument."""
-    from .creation import create_agents_pipeline, create_workflow_pipeline
+# creation mode -> the name of its pipeline in agentos.creation, and of that
+# pipeline's test argument
+_PIPELINES = {"agents": ("create_agents_pipeline", "test_task"),
+              "workflow": ("create_workflow_pipeline", "test_input")}
 
-    return {"agents": (create_agents_pipeline, "test_task"),
-            "workflow": (create_workflow_pipeline, "test_input")}[mode]
+
+def _pipeline(mode: str):
+    """The creation pipeline of ``mode``, looked up when it runs."""
+    from . import creation
+
+    return getattr(creation, _PIPELINES[mode][0])
 
 
 def _cmd_create(args) -> int:
     store, engine, suite = _creation_setup(args)
-    pipeline, test = _pipeline(args.command.removeprefix("create-"))
-    report = pipeline(args.requirements, engine, store, suite=suite,
-                      max_attempts=args.max_attempts, model=args.model, **{test: args.task})
+    mode = args.command.removeprefix("create-")
+    report = _pipeline(mode)(args.requirements, engine, store, suite=suite,
+                             max_attempts=args.max_attempts, model=args.model,
+                             **{_PIPELINES[mode][1]: args.task})
     _emit(args, _report_lines(report), _report_payload(report))
     return 0
 
@@ -254,14 +261,14 @@ def _cmd_repl(args) -> int:
             break
         if line.startswith(":mode"):
             choice = line.split(None, 1)[1].strip() if len(line.split(None, 1)) > 1 else ""
-            if choice in ("agents", "workflow"):
+            if choice in _PIPELINES:
                 mode = choice
                 say(f"mode: {mode}")
             else:
                 say("usage: :mode agents|workflow")
             continue
         try:
-            report = _pipeline(mode)[0](line, engine, store, suite=suite, model=args.model)
+            report = _pipeline(mode)(line, engine, store, suite=suite, model=args.model)
             for out in _report_lines(report):
                 say(out)
         except AgentOsError as err:
@@ -302,11 +309,13 @@ def positive_int(text: str) -> int:
 
 
 def _validate_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_options(p)
     p.add_argument("form", help="path to the XML form")
     p.set_defaults(fn=_cmd_validate)
 
 
 def _run_workflow_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_options(p)
     p.add_argument("form", help="path to the workflow XML")
     p.add_argument("--input", required=True, help="value for the system input")
     p.add_argument("--parallel", action="store_true", help="run ready events concurrently")
@@ -315,6 +324,7 @@ def _run_workflow_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _create_arguments(p: argparse.ArgumentParser, task_help: str) -> None:
+    _shared_options(p)
     p.add_argument("--requirements", required=True)
     p.add_argument("--task", default=None, help=task_help)
     p.add_argument("--max-attempts", type=positive_int, default=3)
@@ -322,6 +332,7 @@ def _create_arguments(p: argparse.ArgumentParser, task_help: str) -> None:
 
 
 def _registry_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_options(p)
     p.add_argument("action", choices=["list", "show", "delete"])
     p.add_argument("kind", choices=["tools", "agents", "workflows"])
     p.add_argument("name", nargs="?", default="")
@@ -346,22 +357,23 @@ def _rag_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _repl_arguments(p: argparse.ArgumentParser) -> None:
+    _shared_options(p)
     p.add_argument("--log", default="", help="append the session transcript here")
     p.set_defaults(fn=_cmd_repl)
 
 
-# one row per command: its name, its help, whether the shared options go on
-# its parser, and the function that adds its own arguments
+# one row per command: its name, its help, and the function that adds its
+# arguments, the shared options among them
 _COMMANDS = (
-    ("validate", "validate an agent or workflow form", True, _validate_arguments),
-    ("run-workflow", "execute a workflow form", True, _run_workflow_arguments),
-    ("create-agents", "run the agent creation pipeline", True,
+    ("validate", "validate an agent or workflow form", _validate_arguments),
+    ("run-workflow", "execute a workflow form", _run_workflow_arguments),
+    ("create-agents", "run the agent creation pipeline",
      lambda p: _create_arguments(p, "optional smoke-test task")),
-    ("create-workflow", "run the workflow creation pipeline", True,
+    ("create-workflow", "run the workflow creation pipeline",
      lambda p: _create_arguments(p, "optional test input")),
-    ("registry", "inspect or edit the registry", True, _registry_arguments),
-    ("rag", "manage RAG collections", False, _rag_arguments),
-    ("repl", "interactive requirement-to-pipeline loop", True, _repl_arguments),
+    ("registry", "inspect or edit the registry", _registry_arguments),
+    ("rag", "manage RAG collections", _rag_arguments),
+    ("repl", "interactive requirement-to-pipeline loop", _repl_arguments),
 )
 _COMMAND_NAMES = frozenset(row[0] for row in _COMMANDS)
 
@@ -376,12 +388,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="agentos",
                                      description="Agent runtime operator commands.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, shared, add_arguments in _COMMANDS:
+    for name, help_text, add_arguments in _COMMANDS:
         if command is None or command == name:
-            p = sub.add_parser(name, help=help_text)
-            if shared:
-                _shared_options(p)
-            add_arguments(p)
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
