@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from . import __version__
 from .errors import BackendError, CassetteMissError, ParseError, ScriptExhaustedError
 from .kernel import ToolCall
 
@@ -289,36 +290,26 @@ class ScriptedBackend:
 # ---------------------------------------------------------------------------
 
 class HttpBackend:
-    def __init__(self, base_url: str, api_key: str = "", timeout: float = 60.0,
-                 transport: Callable | None = None):
+    """Posts to ``<base_url>/chat/completions``; docs/formats.md "HTTP"."""
+
+    def __init__(self, base_url: str, api_key: str = "", timeout: float = 60.0):
+        scheme, sep, _ = base_url.partition("://")
+        if not sep or scheme.lower() not in ("http", "https"):
+            raise BackendError("the API base URL must start with http:// or https://")
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
-        self._transport = transport  # test seam: (url, json, headers) -> (status, body)
-
-    def _post(self, url: str, payload: dict, headers: dict) -> tuple[int, dict]:
-        if self._transport is not None:
-            return self._transport(url, payload, headers)
-        import requests
-
-        try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=self.timeout)
-        except requests.RequestException as err:
-            raise TransientBackendError(f"transport failure: {err}") from err
-        try:
-            body = resp.json()
-        except (ValueError, RecursionError):
-            body = {}
-        return resp.status_code, body
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        import http.client
+        import urllib.request  # the network stack loads with the first POST only
+
         payload: dict = {"model": request.model, "messages": request.messages}
         if request.mode == "direct" and request.tools:
             payload["tools"] = [{
                 "type": "function",
                 "function": {
-                    "name": d["name"],
-                    "description": d["description"],
+                    "name": d["name"], "description": d["description"],
                     "parameters": {
                         "type": "object",
                         "properties": {p["name"]: {"type": "string",
@@ -328,16 +319,31 @@ class HttpBackend:
                     },
                 },
             } for d in map(_schema_dict, request.tools)]
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": f"agentos/{__version__}"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-
-        status, body = self._post(f"{self.base_url}/chat/completions", payload, headers)
+        post = urllib.request.Request(f"{self.base_url}/chat/completions",
+                                      json.dumps(payload, allow_nan=False).encode(), headers)
+        try:
+            try:
+                response = urllib.request.urlopen(post, timeout=self.timeout)
+            except urllib.request.HTTPError as err:  # a status outside 2xx
+                response = err
+            with response:
+                status, raw = response.status, response.read()
+        except (ValueError, http.client.InvalidURL):  # a control character, say
+            raise BackendError("request cannot be sent: the base URL or the API key "
+                               "holds a character HTTP does not allow") from None
+        except (OSError, http.client.HTTPException) as err:
+            raise TransientBackendError(f"transport failure: {err}") from err
         if status >= 500:
             raise TransientBackendError(f"server error {status}")
         if status >= 400:
             raise BackendError(f"request rejected with status {status}")
-
+        try:
+            body = json.loads(raw)
+        except (ValueError, RecursionError):
+            body = {}
         try:  # the first choice's message, mapped onto the reply shape
             message = body["choices"][0]["message"]
             calls = message.get("tool_calls")

@@ -1,10 +1,18 @@
-"""Backends: scripted steps, http client seam, cassettes, retry policy."""
+"""Backends: scripted steps, http against a loopback server, cassettes, retry policy."""
 
 import base64
+import hashlib
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+
+import agentos
 
 from agentos.backends import (
     CASSETTE_MAGIC,
@@ -20,6 +28,8 @@ from agentos.backends import (
 )
 from agentos.errors import BackendError, CassetteMissError, ScriptExhaustedError
 from agentos.kernel import ToolCall
+
+from conftest import hang_up, reply, short_body, stall
 
 
 def req(text="hello", model="m1") -> CompletionRequest:
@@ -78,15 +88,8 @@ def test_digest_sensitivity():
 
 
 # ---------------------------------------------------------------------------
-# http
+# http, against the loopback server (tests/conftest.py)
 # ---------------------------------------------------------------------------
-
-def _transport(status, body, log):
-    def post(url, payload, headers):
-        log.append((url, payload, headers))
-        return status, body
-    return post
-
 
 def _chat_body(content=None, tool_call=None):
     message = {"content": content}
@@ -95,48 +98,70 @@ def _chat_body(content=None, tool_call=None):
     return {"choices": [{"message": message}]}
 
 
-def test_http_payload_and_auth():
-    log = []
-    backend = HttpBackend("http://api.example/v1", api_key="sk-secret",
-                          transport=_transport(200, _chat_body("hi"), log))
+def pin(sent) -> tuple:
+    """What a request sent: the sha256 of its body, its path below the route,
+    and its Content-Type and Authorization headers."""
+    return (hashlib.sha256(sent.body).hexdigest(), sent.path,
+            sent.headers["content-type"], sent.headers["authorization"])
+
+
+# the pins of each request below, taken where requests 2.34.2 posted them
+PINS = {
+    "payload_and_auth": (
+        "6ce20011580db96f8f23da3b232375fd53ced7f869565955e7ad9aaa7151a5ea",
+        "/v1/chat/completions", "application/json", "Bearer sk-secret"),
+    "direct_schemas": (
+        "5390403270a9c883286b29bc1916795232a0b8428a95fddaf4a986f89faae583",
+        "/chat/completions", "application/json", None),
+    "direct_payload": (
+        "df0f40664a2f69a10d3dab99464c455851f1f9d3ca76dfb3e6541dc3e26ac547",
+        "/chat/completions", "application/json", None),
+    "hello": (
+        "466664f3a4a5862d22a341575f133393f40e39eedbb6d6c83f24749734af8d04",
+        "/chat/completions", "application/json", None),
+}
+
+
+def test_http_payload_and_auth(loopback):
+    route = loopback.route([reply(200, _chat_body("hi"))])
+    backend = HttpBackend(route.url + "/v1/", api_key="sk-secret")
     response = backend.complete(req("question"))
     assert response.text == "hi"
-    url, payload, headers = log[0]
-    assert url == "http://api.example/v1/chat/completions"
+    [sent] = route.sent
+    assert pin(sent) == PINS["payload_and_auth"]
+    payload = json.loads(sent.body)
     assert payload["messages"][-1]["content"] == "question"
     assert "tools" not in payload  # transformed mode never sends schemas
-    assert headers["Authorization"] == "Bearer sk-secret"
 
 
-def test_http_direct_mode_sends_tool_schemas():
+def test_http_direct_mode_sends_tool_schemas(loopback):
     from agentos.engine import ToolParam, ToolSchema
 
-    log = []
-    backend = HttpBackend("http://api.example", transport=_transport(
-        200, _chat_body("ok"), log))
+    route = loopback.route([reply(200, _chat_body("ok"))])
     request = CompletionRequest(
         model="m", messages=[{"role": "user", "content": "x"}],
         tools=[ToolSchema("f", "d", [ToolParam("p", "pd")])], mode="direct")
-    backend.complete(request)
-    tools = log[0][1]["tools"]
+    HttpBackend(route.url).complete(request)
+    assert pin(route.sent[0]) == PINS["direct_schemas"]
+    tools = json.loads(route.sent[0].body)["tools"]
     assert tools[0]["function"]["name"] == "f"
     assert tools[0]["function"]["parameters"]["required"] == ["p"]
 
 
-def test_http_direct_mode_tools_payload():
+def test_http_direct_mode_tools_payload(loopback):
     from agentos.engine import ToolParam, ToolSchema
 
-    log = []
-    backend = HttpBackend("http://api.example", transport=_transport(
-        200, _chat_body("ok"), log))
-    backend.complete(CompletionRequest(
+    route = loopback.route([reply(200, _chat_body("ok"))])
+    HttpBackend(route.url).complete(CompletionRequest(
         model="m", messages=[{"role": "user", "content": "x"}],
         tools=[ToolSchema("lookup", "Find a word.",
                           [ToolParam("word", "The word."),
                            ToolParam("lang", "Language code.", required=False)]),
                ToolSchema("now", "The time.", [])],
         mode="direct"))
-    assert log[0][1]["tools"] == [
+    assert pin(route.sent[0]) == PINS["direct_payload"]
+    tools = json.loads(route.sent[0].body)["tools"]
+    assert tools == [
         {"type": "function",
          "function": {"name": "lookup", "description": "Find a word.",
                       "parameters": {
@@ -149,31 +174,123 @@ def test_http_direct_mode_tools_payload():
          "function": {"name": "now", "description": "The time.",
                       "parameters": {"type": "object", "properties": {}, "required": []}}},
     ]
-    assert list(log[0][1]["tools"][0]["function"]["parameters"]["properties"]) == ["word", "lang"]
+    assert list(tools[0]["function"]["parameters"]["properties"]) == ["word", "lang"]
 
 
-def test_http_parses_structured_tool_call():
+def test_http_parses_structured_tool_call(loopback):
     body = _chat_body(tool_call={"name": "click",
                                  "arguments": json.dumps({"bid": "7", "n": 2})})
-    backend = HttpBackend("http://x", transport=_transport(200, body, []))
-    response = backend.complete(req())
+    route = loopback.route([reply(200, body)])
+    response = HttpBackend(route.url).complete(req())
     assert response.tool_call == ToolCall("click", {"bid": "7", "n": "2"})
+    assert pin(route.sent[0]) == PINS["hello"]
 
 
-def test_http_blank_tool_call_arguments_are_none():
+def test_http_blank_tool_call_arguments_are_none(loopback):
     body = _chat_body(tool_call={"name": "click", "arguments": " \n"})
-    backend = HttpBackend("http://x", transport=_transport(200, body, []))
-    assert backend.complete(req()).tool_call == ToolCall("click", {})
+    route = loopback.route([reply(200, body)])
+    assert HttpBackend(route.url).complete(req()).tool_call == ToolCall("click", {})
+    assert pin(route.sent[0]) == PINS["hello"]
 
 
-def test_http_5xx_transient_4xx_hard():
-    t5 = HttpBackend("http://x", transport=_transport(503, {}, []))
-    with pytest.raises(TransientBackendError):
-        t5.complete(req())
-    t4 = HttpBackend("http://x", transport=_transport(401, {}, []))
+def test_http_5xx_transient_4xx_hard(loopback):
+    for status in (500, 503):
+        route = loopback.route([reply(status, {})])
+        with pytest.raises(TransientBackendError, match=f"server error {status}"):
+            HttpBackend(route.url).complete(req())
+        assert pin(route.sent[0]) == PINS["hello"]
+    for status in (400, 401, 429):
+        route = loopback.route([reply(status, {"error": "no"})])
+        with pytest.raises(BackendError, match=f"rejected with status {status}") as err:
+            HttpBackend(route.url).complete(req())
+        assert not isinstance(err.value, TransientBackendError)
+        assert pin(route.sent[0]) == PINS["hello"]
+
+
+def test_http_names_agentos_as_its_user_agent(loopback):
+    route = loopback.route([reply(200, _chat_body("hi"))])
+    HttpBackend(route.url).complete(req())
+    assert route.sent[0].headers["user-agent"] == f"agentos/{agentos.__version__}"
+
+
+@pytest.mark.parametrize("answer", [hang_up, short_body], ids=["hang-up", "short-body"])
+def test_http_broken_replies_are_transient(loopback, answer):
+    route = loopback.route([answer])
+    with pytest.raises(TransientBackendError, match="transport failure"):
+        HttpBackend(route.url).complete(req())
+
+
+def test_http_short_error_body_is_transient(loopback):
+    def short_rejection(handler):
+        handler.send_response(400)
+        handler.send_header("Content-Length", "50")
+        handler.end_headers()
+        handler.wfile.write(b"{")
+
+    route = loopback.route([short_rejection])
+    with pytest.raises(TransientBackendError, match="transport failure"):
+        HttpBackend(route.url).complete(req())
+
+
+def test_http_slow_reply_is_transient(loopback):
+    route = loopback.route([stall])
+    with pytest.raises(TransientBackendError, match="timed out"):
+        HttpBackend(route.url, timeout=0.2).complete(req())
+
+
+def test_http_refused_connection_is_transient():
+    with socket.socket() as bound:  # bound, never listening: connecting is refused
+        bound.bind(("127.0.0.1", 0))
+        port = bound.getsockname()[1]
+        with pytest.raises(TransientBackendError, match="transport failure"):
+            HttpBackend(f"http://127.0.0.1:{port}").complete(req())
+
+
+def test_http_body_that_is_not_json(loopback):
+    route = loopback.route([reply(200, b"<html>busy</html>")])
+    with pytest.raises(BackendError, match="malformed completion payload"):
+        HttpBackend(route.url).complete(req())
+
+
+@pytest.mark.parametrize("api_key, path", [("sk-secret\n", ""), ("sk-secret\r\nX: 1", ""),
+                                           ("sk-secret-\u4e00", ""), ("sk-secret", "/a b")],
+                         ids=["newline", "header-split", "not-latin-1", "spaced-url"])
+def test_http_unsendable_request_is_hard_and_quotes_no_key(loopback, api_key, path):
+    route = loopback.route()
+    sleeps = []
     with pytest.raises(BackendError) as err:
-        t4.complete(req())
+        backend_complete(req(), HttpBackend(route.url + path, api_key=api_key),
+                         RetryPolicy(sleep=sleeps.append))
+    assert "request cannot be sent" in str(err.value)
+    assert "sk-secret" not in str(err.value)
     assert not isinstance(err.value, TransientBackendError)
+    assert (sleeps, route.sent) == ([], [])
+
+
+@pytest.mark.parametrize("base_url", ["file:///D", "ftp://api.example/v1", "data:,x",
+                                      "api.example/v1", "", "http:api.example"])
+def test_http_base_url_must_be_http_or_https(base_url):
+    with pytest.raises(BackendError, match="must start with http:// or https://"):
+        HttpBackend(base_url)
+
+
+def test_http_schemes_in_any_case_are_accepted():
+    assert HttpBackend("HTTPS://api.example/v1/").base_url == "HTTPS://api.example/v1"
+
+
+def test_http_post_needs_no_requests_module(loopback):
+    # one process: with `requests` unimportable, a POST still completes
+    route = loopback.route([reply(200, _chat_body("hi"))])
+    script = ("import sys\n"
+              "sys.modules['requests'] = None\n"
+              "from agentos.backends import CompletionRequest, HttpBackend\n"
+              "request = CompletionRequest('m', [{'role': 'user', 'content': 'q'}])\n"
+              "print(HttpBackend(sys.argv[1]).complete(request).text)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(agentos.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, route.url], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "hi\n", "")
+    assert len(route.sent) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -759,6 +759,30 @@ def test_api_key_never_printed(tmp_path, capsys, monkeypatch):
     assert "sk-super-secret" not in out + err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_api_key_with_a_control_character_never_printed(tmp_path, capsys, loopback,
+                                                         json_flag):
+    # such a key cannot go in a header: the run stops at once, with no retry
+    # and without quoting the header
+    route = loopback.route()
+    code, out, err = run_cli(capsys, [
+        "run-workflow", MATH_FORM, "--input", "x", *json_flag,
+        "--registry-root", str(tmp_path / "reg"),
+        "--api-base", route.url, "--api-key", "sk-secret\n"])
+    assert code == 1
+    assert "request cannot be sent" in out
+    assert "sk-secret" not in out + err
+    assert route.sent == []
+
+
+@pytest.mark.parametrize("base_url", ["file:///etc", "ftp://api.example", "api.example"])
+def test_api_base_must_be_http_or_https(tmp_path, capsys, base_url):
+    code, out, _ = run_cli(capsys, ["run-workflow", MATH_FORM, "--input", "x",
+                                    "--registry-root", str(tmp_path / "reg"),
+                                    "--api-base", base_url])
+    assert (code, out) == (1, "E_BACKEND: the API base URL must start with http:// or https://\n")
+
+
 def test_flag_overrides_environment(tmp_path, capsys, monkeypatch):
     # a bogus env base would fail; replay flag wins and no network is touched
     monkeypatch.setenv("AGENT_API_BASE", "http://example.invalid")
@@ -861,3 +885,15 @@ def test_help_and_rag_query_load_only_their_own_modules(tmp_path, capsys):
     query_modules = loaded_modules(["rag", "query", "solar", "--collection", "c",
                                     "--rag-root", str(tmp_path / "rag")], tmp_path)
     assert "agentos.ragstore" in query_modules and query_modules.isdisjoint(runs)
+
+
+def test_a_replayed_run_loads_no_network_stack(tmp_path):
+    # only HttpBackend's POST imports urllib.request, which loads the others
+    cassette = tmp_path / "math.cassette"
+    record_math_cassette(cassette, tmp_path / "rec", "2+2?", ["4", "4", "5", "4"])
+    modules = loaded_modules(["run-workflow", MATH_FORM, "--input", "2+2?",
+                              "--registry-root", str(tmp_path / "reg"),
+                              "--cassette", str(cassette), "--cassette-mode", "replay"],
+                             tmp_path)
+    assert "agentos.backends" in modules
+    assert modules.isdisjoint({"urllib.request", "http.client", "ssl"})

@@ -1,12 +1,13 @@
 """Model replies, end to end: nothing a model emits crashes the runtime.
 
 Hypothesis drives ``run_agent_loop`` and ``orchestrate`` through three inputs:
-scripted steps, arbitrary JSON bodies on the HTTP transport seam, and raw
-cassette bytes; it drives both workflow fixtures, serially and in parallel,
-through replies chosen by each request's event prompt. Only an
-``AgentOsError`` may escape, every run ends, a session recorded through the
-HTTP seam replays to the same context, and a parallel workflow run ends as
-its serial run does. Each crash these inputs found has its own named test
+scripted steps, arbitrary JSON bodies that ``HttpBackend`` reads over
+loopback HTTP (each example queues its bodies on a route of its own of the
+session's server, tests/conftest.py), and raw cassette bytes; it drives
+both workflow fixtures, serially and in parallel, through replies chosen by
+each request's event prompt. Only an ``AgentOsError`` may escape, every run
+ends, a session recorded from HTTP replies replays to the same context, and
+a parallel workflow run ends as its serial run does. Each crash these inputs found has its own named test
 below.
 
 ``HYPOTHESIS_PROFILE=fuzz`` (tests/conftest.py) runs the properties longer.
@@ -47,7 +48,7 @@ from agentos.kernel import (
 from agentos.registry import RegistryStore, RegistryToolSuite, builtin_tool
 from agentos.workflow import SELECT_MARKER
 
-from conftest import read_fixture
+from conftest import read_fixture, reply
 
 ORCHESTRATOR = AgentDefinition(
     "Orchestrator", instructions="Route the task.", tool_names=["echo", "arithmetic_eval"],
@@ -132,13 +133,10 @@ class PromptKeyedBackend:
         return CompletionResponse(text=step)
 
 
-def http_backend(bodies) -> HttpBackend:
-    """Answers each request with the next body, then with a rejection."""
-    queue = list(bodies)
-
-    def post(url, payload, headers):
-        return (200, queue.pop(0)) if queue else (400, {})
-    return HttpBackend("http://model.invalid", transport=post)
+def http_backend(loopback, bodies) -> HttpBackend:
+    """Posts to a route of the loopback server (tests/conftest.py) that
+    answers each request with the next body, then with a rejection."""
+    return HttpBackend(loopback.route([reply(200, body) for body in bodies]).url)
 
 
 def req() -> CompletionRequest:
@@ -231,16 +229,16 @@ def test_scripted_steps_end_in_a_coded_outcome(tools, steps, mode, entry):
 
 @settings(deadline=None)
 @given(bodies=BODIES, mode=MODES, entry=ENTRIES)
-def test_http_bodies_end_in_a_coded_outcome(tools, bodies, mode, entry):
-    run(entry, http_backend(bodies), mode, tools)
+def test_http_bodies_end_in_a_coded_outcome(tools, loopback, bodies, mode, entry):
+    run(entry, http_backend(loopback, bodies), mode, tools)
 
 
 @settings(deadline=None)
 @given(bodies=BODIES, mode=MODES)
-def test_http_session_replays_identically(tools, bodies, mode):
+def test_http_session_replays_identically(tools, loopback, bodies, mode):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "session.cassette"
-        recorder = CassetteBackend(path, "record", inner=http_backend(bodies))
+        recorder = CassetteBackend(path, "record", inner=http_backend(loopback, bodies))
         kind, context = run("loop", recorder, mode, tools)
         if not path.exists():
             path.write_bytes(b"")
@@ -287,8 +285,8 @@ def test_workflow_replies_end_in_a_coded_status(tools, steps, mode):
 # the crashes, one test each
 # ---------------------------------------------------------------------------
 
-def test_direct_call_with_a_dashed_name_is_a_parse_observation(tools):
-    backend = http_backend([call_body("my-tool", "{}"), chat({"content": "done"})])
+def test_direct_call_with_a_dashed_name_is_a_parse_observation(tools, loopback):
+    backend = http_backend(loopback, [call_body("my-tool", "{}"), chat({"content": "done"})])
     kind, context = run("loop", backend, DIRECT, tools)
     assert kind == "completed"
     turn = json.loads(context)[1]
@@ -298,8 +296,8 @@ def test_direct_call_with_a_dashed_name_is_a_parse_observation(tools):
         "payload": "parse error at byte 0: tool name violates identifier grammar: 'my-tool'"}
 
 
-def test_direct_call_with_a_spaced_key_is_a_parse_observation(tools):
-    backend = http_backend([call_body("echo", '{"a b": "1"}'), chat({"content": "done"})])
+def test_direct_call_with_a_spaced_key_is_a_parse_observation(tools, loopback):
+    backend = http_backend(loopback, [call_body("echo", '{"a b": "1"}'), chat({"content": "done"})])
     kind, context = run("loop", backend, DIRECT, tools)
     assert kind == "completed"
     observation = json.loads(context)[1]["observation"]
@@ -312,14 +310,14 @@ NESTED = '{"a":' * 100_000 + "1" + "}" * 100_000  # deeper than json can recurse
 
 @pytest.mark.parametrize("arguments", ["[1]", "{not json", 7, NESTED],
                          ids=["list", "not-json", "number", "nested"])
-def test_http_arguments_that_are_not_a_json_object(arguments):
-    backend = http_backend([call_body("echo", arguments)])
+def test_http_arguments_that_are_not_a_json_object(loopback, arguments):
+    backend = http_backend(loopback, [call_body("echo", arguments)])
     with pytest.raises(BackendError, match="malformed completion payload"):
         backend.complete(req())
 
 
-def test_http_content_list_is_a_backend_error():
-    backend = http_backend([chat({"content": [{"type": "text", "text": "hi"}]})])
+def test_http_content_list_is_a_backend_error(loopback):
+    backend = http_backend(loopback, [chat({"content": [{"type": "text", "text": "hi"}]})])
     with pytest.raises(BackendError, match="malformed reply"):
         backend.complete(req())
 
@@ -358,10 +356,10 @@ def test_cassette_number_argument_aborts_the_run(tmp_path, tools):
     assert len(json.loads(context)) == 1
 
 
-def test_recorded_parse_error_replays_identically(tmp_path, tools):
+def test_recorded_parse_error_replays_identically(tmp_path, tools, loopback):
     path = tmp_path / "session.cassette"
     bodies = [call_body("my-tool", '{"n": 2}'), chat({"content": "done"})]
-    recorded = run("loop", CassetteBackend(path, "record", inner=http_backend(bodies)),
+    recorded = run("loop", CassetteBackend(path, "record", inner=http_backend(loopback, bodies)),
                    DIRECT, tools)
     replayed = run("loop", CassetteBackend(path, "replay"), DIRECT, tools)
     assert replayed == recorded
