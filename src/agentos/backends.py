@@ -309,7 +309,8 @@ class HttpBackend:
             payload["tools"] = [{
                 "type": "function",
                 "function": {
-                    "name": d["name"], "description": d["description"],
+                    "name": d["name"],
+                    "description": d["description"],
                     "parameters": {
                         "type": "object",
                         "properties": {p["name"]: {"type": "string",
@@ -320,10 +321,11 @@ class HttpBackend:
                 },
             } for d in map(_schema_dict, request.tools)]
         headers = {"Content-Type": "application/json", "User-Agent": f"agentos/{__version__}"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         post = urllib.request.Request(f"{self.base_url}/chat/completions",
                                       json.dumps(payload, allow_nan=False).encode(), headers)
+        if self.api_key:  # unredirected: a redirect never carries the key on
+            post.add_unredirected_header("Authorization", f"Bearer {self.api_key}")
+
         try:
             try:
                 response = urllib.request.urlopen(post, timeout=self.timeout)
@@ -340,6 +342,7 @@ class HttpBackend:
             raise TransientBackendError(f"server error {status}")
         if status >= 400:
             raise BackendError(f"request rejected with status {status}")
+
         try:
             body = json.loads(raw)
         except (ValueError, RecursionError):

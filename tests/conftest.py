@@ -141,6 +141,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    do_GET = do_POST  # a followed redirect comes back as a GET, with no body
+
     def log_message(self, format, *args):
         pass
 

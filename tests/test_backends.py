@@ -238,7 +238,9 @@ def test_http_slow_reply_is_transient(loopback):
         HttpBackend(route.url, timeout=0.2).complete(req())
 
 
-def test_http_refused_connection_is_transient():
+def test_http_refused_connection_is_transient(monkeypatch):
+    for name in ("no_proxy", "NO_PROXY"):  # no proxy answers in the server's place
+        monkeypatch.setenv(name, "127.0.0.1")
     with socket.socket() as bound:  # bound, never listening: connecting is refused
         bound.bind(("127.0.0.1", 0))
         port = bound.getsockname()[1]
@@ -265,6 +267,25 @@ def test_http_unsendable_request_is_hard_and_quotes_no_key(loopback, api_key, pa
     assert "sk-secret" not in str(err.value)
     assert not isinstance(err.value, TransientBackendError)
     assert (sleeps, route.sent) == ([], [])
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_http_redirect_carries_no_key(loopback, status):
+    target = loopback.route([reply(200, _chat_body("moved"))])
+
+    def moved(handler):
+        handler.send_response(status)
+        handler.send_header("Location", target.url + "/chat/completions")
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    route = loopback.route([moved])
+    assert HttpBackend(route.url, api_key="sk-secret").complete(req()).text == "moved"
+    assert route.sent[0].headers["authorization"] == "Bearer sk-secret"
+    [followed] = target.sent
+    assert (followed.path, followed.body) == ("/chat/completions", b"")
+    assert followed.headers["authorization"] is None
+    assert followed.headers["user-agent"] == f"agentos/{agentos.__version__}"
 
 
 @pytest.mark.parametrize("base_url", ["file:///D", "ftp://api.example/v1", "data:,x",
