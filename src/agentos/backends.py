@@ -16,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import __version__
 from .errors import BackendError, CassetteMissError, ParseError, ScriptExhaustedError
@@ -28,7 +28,7 @@ CASSETTE_MAGIC = "A1"
 @dataclass
 class CompletionRequest:
     model: str
-    messages: list[dict[str, str]]
+    messages: Sequence[dict[str, str]]  # a MessageList when the engine built it
     tools: list | None = None  # list[ToolSchema] in direct mode, else None
     mode: str = "transformed"
 
@@ -42,11 +42,12 @@ class CompletionResponse:
     tool_call: ToolCall | None = None
 
 
+# backend_complete's schedule: three attempts, 0.5 s and then 1 s apart
+RETRY_DELAYS = (0.5, 1.0)
+
+
 @dataclass
 class RetryPolicy:
-    max_attempts: int = 3
-    backoff_start: float = 0.5
-    backoff_factor: float = 2.0
     sleep: Callable[[float], None] = time.sleep
 
 
@@ -96,7 +97,8 @@ class MessageMemo:
     message is encoded once, and its bytes are kept as long as the Context,
     about the size of the history again.
     ``digests`` maps a system text to ``(sha256, stop)``: a running hash of
-    ``{"messages":[system`` followed by ``encoded[:stop]``.
+    ``{"messages":[system`` followed by ``encoded[:stop]``, as of the last
+    request with that system text that was digested.
     """
 
     __slots__ = ("messages", "rendered", "encoded", "ends", "digests")
@@ -112,42 +114,30 @@ class MessageMemo:
         return MessageMemo, ()  # a copied Context renders and hashes afresh
 
 
-class MessageList(list):
-    """``[system message, *memo.messages]`` as of one ``build_messages`` call.
+class MessageList(tuple):
+    """``(system message, *memo.messages)`` as of one ``build_messages`` call.
 
-    The list may be edited like any list; that detaches it (``memo`` becomes
-    None), and only a list still attached may use the memo's digests. The
-    message dicts are shared with the memo and with every later list, so
-    they must not be edited in place.
+    It cannot be edited, so its ``memo`` always covers it; ``list(messages)``
+    is an editable copy. Every other copy (``copy.copy``, ``copy.deepcopy``,
+    pickling, a slice) is a plain tuple. The message dicts are shared with
+    the memo and with every later tuple, so they must not be edited in place.
     """
-
-    __slots__ = ("memo",)
 
     @classmethod
     def of(cls, memo: MessageMemo, system: dict[str, str]) -> "MessageList":
-        messages = cls((system,))
-        list.extend(messages, memo.messages)
+        messages = cls((system, *memo.messages))
         messages.memo = memo
         return messages
 
-
-def _detaching(method):
-    def edit(self, *args, **kwargs):
-        self.memo = None
-        return method(self, *args, **kwargs)
-    return edit
-
-
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
-              "insert", "pop", "remove", "clear", "sort", "reverse"):
-    setattr(MessageList, _name, _detaching(getattr(list, _name)))
-del _name
+    def __reduce__(self):
+        return tuple, (tuple(self),)  # a copy never reads the memo
 
 
 def _running_hash(messages: MessageList) -> "hashlib._Hash":
     """``_hash_messages(messages)``, extended from the hash the Context keeps
     for this system text by the kept bytes of the messages it has not covered
-    yet; only messages that no request has sent before are encoded."""
+    yet; only messages that no request has sent before are encoded. A tuple
+    older than the one hashed last is hashed from its system text again."""
     system = messages[0]["content"]
     if not isinstance(system, str):  # only text keys the running hashes
         return _hash_messages(messages)
@@ -165,8 +155,6 @@ def _running_hash(messages: MessageList) -> "hashlib._Hash":
     if start < stop:
         with memoryview(encoded) as kept:  # released before the next append
             state.update(kept[start:stop])
-    if entry is not None and entry[1] > stop:
-        return state  # a list older than the one hashed last: keep the longer hash
     memo.digests[system] = (state, stop)
     return state.copy()
 
@@ -212,7 +200,7 @@ def request_digest(request: CompletionRequest) -> str:
     rest of the body.
     """
     messages = request.messages
-    if isinstance(messages, MessageList) and messages.memo is not None:
+    if isinstance(messages, MessageList):
         state = _running_hash(messages)
     else:
         state = _hash_messages(messages)
@@ -340,7 +328,7 @@ class HttpBackend:
             raise TransientBackendError(f"transport failure: {err}") from err
         if status >= 500:
             raise TransientBackendError(f"server error {status}")
-        if status >= 400:
+        if status >= 300:
             raise BackendError(f"request rejected with status {status}")
 
         try:
@@ -437,20 +425,17 @@ class CassetteBackend:
 
 def backend_complete(request: CompletionRequest, backend,
                      retry: RetryPolicy | None = None) -> CompletionResponse:
-    """Call the backend, retrying transient failures with exponential backoff.
+    """Call the backend, retrying transient failures after ``RETRY_DELAYS``.
 
     Scripted exhaustion and cassette misses are hard errors and propagate
     immediately.
     """
-    retry = retry or RetryPolicy()
-    delay = retry.backoff_start
-    last: Exception | None = None
-    for attempt in range(retry.max_attempts):
+    sleep = (retry or RetryPolicy()).sleep
+    for delay in (*RETRY_DELAYS, None):
         try:
             return backend.complete(request)
         except TransientBackendError as err:
             last = err
-            if attempt + 1 < retry.max_attempts:
-                retry.sleep(delay)
-                delay *= retry.backoff_factor
-    raise BackendError(f"backend failed after {retry.max_attempts} attempts: {last}")
+        if delay is not None:
+            sleep(delay)
+    raise BackendError(f"backend failed after {len(RETRY_DELAYS) + 1} attempts: {last}")

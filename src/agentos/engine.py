@@ -149,7 +149,8 @@ def parse_transformed_call(text: str) -> ToolCall:
 
 def build_messages(system: str, context: Context, mode: str,
                    tools: list[ToolSchema]) -> MessageList:
-    """Map the shared context onto an OpenAI-style message list.
+    """Map the shared context onto an OpenAI-style message tuple, which
+    cannot be edited (``list(...)`` of it can).
 
     Renders only the turns appended since the last call on ``context``; the
     earlier ones come from its memo, as the same dicts.

@@ -43,22 +43,16 @@ class Viewport:
             footer += f" {notice}"
         return body + ("\n" if body and not body.endswith("\n") else "") + footer
 
-    # -- navigation -----------------------------------------------------------
+    # -- navigation: every move clamps through goto, also after a new text ----
 
     def render(self) -> str:
-        return self._render()
+        return self.goto(self.page)
 
     def next_page(self) -> str:
-        if self.page >= self.page_count:
-            return self._render("(at last page)")
-        self.page += 1
-        return self._render()
+        return self.goto(self.page + 1)
 
     def prev_page(self) -> str:
-        if self.page <= 1:
-            return self._render("(at first page)")
-        self.page -= 1
-        return self._render()
+        return self.goto(self.page - 1)
 
     def goto(self, page: int) -> str:
         if page < 1:

@@ -288,6 +288,25 @@ def test_http_redirect_carries_no_key(loopback, status):
     assert followed.headers["user-agent"] == f"agentos/{agentos.__version__}"
 
 
+@pytest.mark.parametrize("status", [307, 308])
+def test_http_method_preserving_redirect_is_rejected(loopback, status):
+    target = loopback.route([reply(200, _chat_body("moved"))])
+
+    def moved(handler):
+        handler.send_response(status)
+        handler.send_header("Location", target.url + "/chat/completions")
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    route = loopback.route([moved])
+    sleeps = []
+    with pytest.raises(BackendError, match=f"request rejected with status {status}") as err:
+        backend_complete(req(), HttpBackend(route.url, api_key="sk-secret"),
+                         RetryPolicy(sleep=sleeps.append))
+    assert not isinstance(err.value, TransientBackendError)
+    assert (sleeps, len(route.sent), target.sent) == ([], 1, [])
+
+
 @pytest.mark.parametrize("base_url", ["file:///D", "ftp://api.example/v1", "data:,x",
                                       "api.example/v1", "", "http:api.example"])
 def test_http_base_url_must_be_http_or_https(base_url):

@@ -7,6 +7,7 @@ the messages were built and whatever happened to the list afterwards.
 import copy
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,8 @@ def _context(turns: int) -> Context:
 
 
 def test_edited_lists_get_the_whole_body_digest():
+    # a built request's messages are a tuple: every edit raises, and neither
+    # the request's digest nor the context's next request changes
     edits = [
         lambda m: m.append({"role": "user", "content": "appended"}),
         lambda m: m.__setitem__(2, {"role": "user", "content": "replaced"}),
@@ -142,10 +145,10 @@ def test_edited_lists_get_the_whole_body_digest():
         warm = request_for(context, 1, DIRECT, True)
         request_digest(warm)  # the context now holds a running hash
         request = request_for(context, 1, DIRECT, True)
-        edit(request.messages)
+        with pytest.raises((AttributeError, TypeError)):
+            edit(request.messages)
         assert request_digest(request) == oracle(request)
         assert request_digest(warm) == oracle(warm)
-        # the context itself is unaffected by what was done to a list
         after = request_for(context, 1, DIRECT, True)
         assert after.messages == build_messages(SYSTEMS[1], _context(4), DIRECT, TOOLS)
         assert request_digest(after) == oracle(after)
@@ -155,12 +158,15 @@ def test_edited_copies_of_a_message_list_get_the_whole_body_digest():
     request = request_for(_context(3), 2, TRANSFORMED, True)
     request_digest(request)
     for copied in (copy.copy(request.messages), copy.deepcopy(request.messages),
-                   request.messages[:], list(request.messages)):
+                   request.messages[:], pickle.loads(pickle.dumps(request.messages))):
+        assert type(copied) is tuple
         unedited = CompletionRequest("m", copied, None, TRANSFORMED)
         assert request_digest(unedited) == oracle(unedited)
+    for copied in (list(request.messages), list(copy.deepcopy(request.messages))):
         copied.append({"role": "user", "content": "more"})
         edited = CompletionRequest("m", copied, None, TRANSFORMED)
         assert request_digest(edited) == oracle(edited)
+        assert request_digest(request) == oracle(request)
 
 
 def test_copied_contexts_render_and_hash_afresh():

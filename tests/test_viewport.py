@@ -61,6 +61,26 @@ def test_clamped_navigation():
     assert footer_of(view.goto(2)) == "=== page 2 of 3 ==="
 
 
+def test_navigation_clamps_after_the_text_is_replaced():
+    for move in ("render", "next_page", "prev_page"):
+        view = Viewport("x" * 50, 10)
+        view.goto(5)
+        view.text = "y" * 15  # two pages now
+        for _ in range(3):
+            rendered = getattr(view, move)()
+            assert 1 <= view.page <= view.page_count == 2
+            assert footer_of(rendered).startswith(f"=== page {view.page} of 2 ===")
+            assert rendered.startswith("y")
+    view = Viewport("x" * 50, 10)
+    view.goto(5)
+    view.text = "y" * 15
+    assert footer_of(view.next_page()) == "=== page 2 of 2 === (at last page)"
+    view.text = "x" * 50
+    view.goto(5)
+    view.text = "z" * 35  # four pages: one back from page 5 is the last
+    assert footer_of(view.prev_page()) == "=== page 4 of 4 ==="
+
+
 def test_concatenated_pages_reproduce_text():
     text = make_text(4.7, 10)
     view = Viewport(text, 10)
