@@ -19,10 +19,12 @@ beside old vectors. A folder without a manifest reads as plain RV1. Live rows
 are kept sorted by (doc_id, ordinal), and a rewritten base is byte-identical
 to one ingest of the live documents into an empty collection. A store keeps
 the collections it read or wrote and reads one again only when the stat
-signature of the manifest or of a base file changed. It holds their vectors
-column-major, one contiguous row per dimension, so scoring a query dimension
-is one pass over contiguous memory; the files stay row-major, and a load or
-a new base transposes between the two in blocks of rows.
+signature of the manifest or of a base file changed. It holds their stored
+rows as the files do, base then segments, column-major (one contiguous row
+per dimension, so scoring a query dimension is one pass over contiguous
+memory), with room for the segment rows the compaction rule allows, which a
+delta commit writes in place. The files stay row-major; a load or a new base
+transposes between the two in blocks of rows.
 
 The default embedder hashes whitespace tokens with sha256 into a fixed-size
 signed-count vector and L2-normalizes, each row of a batch bit-identical to
@@ -34,7 +36,6 @@ can stand in for it (e.g. a network embedder); an ingest passes it at most
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import hashlib
 import io
@@ -47,7 +48,8 @@ import struct
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -178,37 +180,74 @@ class RagAnswer:
 
 
 class _Rows(NamedTuple):
-    """A collection as last read or written: its live rows in (doc_id, ordinal)
-    order under the stat signatures of its manifest and base files (None for a
-    missing file), the manifest its next commit extends, and the rows stored
-    in its base and in its delta segments. ``meta`` holds each live row's meta
-    fields once, in ``Chunk`` field order. ``vectors`` is the (dim, rows)
-    transpose of the live rows' vectors: its row d holds dimension d of every
-    live row, contiguous, and its shape gives the stored dim."""
+    """A collection as last read or written, under the stat signatures of its
+    manifest and base files (None for a missing file), with the manifest its
+    next commit extends. Its stored rows are its base's ``base`` rows and then
+    each delta segment's, in file order: ``meta`` holds each one's meta fields
+    once, in ``Chunk`` field order, and ``columns`` is an ``_image`` whose
+    first ``len(meta)`` columns are their vectors; its shape gives the stored
+    dim. ``docs`` maps each live doc_id to the (start, stop) of its stored
+    rows, and ``order``, ``rank`` and ``floor`` are what ``_stored`` derives
+    from it for ``query``."""
     signature: tuple
     meta: list[tuple[str, int, str, int]]
-    vectors: np.ndarray
-    image: mmap.mmap | None  # the ``_image`` that holds ``vectors``
+    columns: np.ndarray
     manifest: dict
-    stored: tuple[int, int]
+    base: int
+    docs: dict[str, tuple[int, int]]
+    order: np.ndarray
+    rank: np.ndarray
+    floor: np.ndarray
 
 
 _meta_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring_ascii  # what ``_meta_line`` writes a str with
 _META = get_type_hints(Chunk)  # the fields of a meta line, and their types
+_FIELDS, _TYPES = tuple(_META), tuple(_META.values())
 _MANIFEST = {"deltas": list, "meta_crc": int, "next": int, "vectors_crc": int}
 
 
-def _image(count: int, dim: int, spare: mmap.mmap | None = None) -> tuple[mmap.mmap, np.ndarray]:
-    """An anonymous mapping (off the malloc heap, so dropping it gives the
-    memory back) and, at its start, a (dim, count) matrix for ``count`` rows
-    held column-major. The mapping is ``spare`` when that is large enough,
-    since faulting in fresh pages costs more than the copy; a new one has room
-    for a quarter more rows, which take no memory until they are written."""
-    size = 8 * count * dim
-    image = spare if spare is not None and len(spare) >= size \
-        else mmap.mmap(-1, size + 8 * (count // 4) * dim or 1)  # a mapping is never empty
-    return image, np.frombuffer(image, "<f8", count * dim).reshape(dim, count)
+def _image(count: int, dim: int) -> np.ndarray:
+    """A (dim, count) matrix for ``count`` rows held column-major, in an
+    anonymous mapping: it is off the malloc heap, so dropping it gives the
+    memory back, and columns not yet written take no memory."""
+    image = mmap.mmap(-1, 8 * count * dim or 1)  # a mapping is never empty
+    return np.frombuffer(image, "<f8", count * dim).reshape(dim, count)
+
+
+def _put(columns: np.ndarray, at: int, rows: np.ndarray) -> None:
+    """Copy the row-major ``rows`` into ``columns`` from column ``at``, in
+    blocks that stay in cache: one whole ``rows.T`` is ~3x slower."""
+    for start in range(0, len(rows), 32):
+        block = rows[start:start + 32]
+        columns[:, at + start:at + start + len(block)] = block.T
+
+
+def _place(docs: dict, doc_ids, meta: list, at: int) -> dict:
+    """``docs`` (doc_id -> the (start, stop) of its live rows) after the rows
+    of ``meta``, in (doc_id, ordinal) order and stored from ``at`` on, replace
+    those of ``doc_ids``."""
+    for doc_id in doc_ids:
+        docs.pop(doc_id, None)
+    for doc_id, rows in groupby(meta, itemgetter(0)):
+        stop = at + sum(1 for _ in rows)
+        docs[doc_id], at = (at, stop), stop
+    return docs
+
+
+def _stored(now: tuple, meta: list, columns: np.ndarray, manifest: dict, base: int,
+            docs: dict) -> _Rows:
+    """The ``_Rows`` of these stored rows, ranked once per commit: ``order``
+    is the stored rows that ``docs`` holds live, in (doc_id, ordinal) order,
+    ``rank`` each stored row's place in it (-1 for a dead row), and ``floor``
+    what each row's score starts from: 0.0, or -inf so a dead row never places."""
+    spans = np.array([docs[doc_id] for doc_id in sorted(docs)], np.intp).reshape(-1, 2)
+    sizes = spans[:, 1] - spans[:, 0]
+    order = np.repeat(spans[:, 0] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    rank = np.full(len(meta), -1, np.intp)
+    rank[order] = np.arange(len(order))
+    return _Rows(now, meta, columns, manifest, base, docs, order, rank,
+                 np.where(rank < 0, -np.inf, 0.0))
 
 
 def _rv1(count: int, dim: int) -> tuple[mmap.mmap, np.ndarray]:
@@ -228,17 +267,28 @@ def _stat(path: str) -> tuple | None:
 
 
 def _meta_rows(collection: str, data: bytes) -> list[tuple]:
-    """The meta fields of each meta line in ``data``, in ``Chunk`` field order."""
-    meta = []
+    """The meta fields of each meta line in ``data``, in ``Chunk`` field order.
+    Lines that each start with "{" are decoded as one JSON array; if that gives
+    one object per line, each of the four fields alone, in order and typed,
+    those are the lines' records: such an object nests nothing, so it cannot
+    take in the comma that joins two lines. Else one line at a time."""
     try:
-        for line in filter(str.strip, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
-            record = json.loads(line)
-            if type(record) is not dict or {f: type(record.get(f)) for f in _META} != _META:
-                raise ValueError("not a chunk record")
-            meta.append(tuple(map(record.__getitem__, _META)))
+        lines = list(filter(str.strip, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
+        if {line[0] for line in lines} <= {"{"}:
+            with contextlib.suppress(ValueError, TypeError, RecursionError):
+                pairs = json.loads("[%s]" % ",".join(lines), object_pairs_hook=tuple)
+                meta = [(a, b, c, d) for (ka, a), (kb, b), (kc, c), (kd, d) in pairs
+                        if (ka, kb, kc, kd) == _FIELDS
+                        and (type(a), type(b), type(c), type(d)) == _TYPES]
+                if len(meta) == len(lines):
+                    return meta
+        records = list(map(json.loads, lines))
+        if not all(type(r) is dict and {f: type(r.get(f)) for f in _META} == _META
+                   for r in records):
+            raise ValueError("not a chunk record")
     except (ValueError, RecursionError):  # not UTF-8, not JSON, not a chunk, nested too deep
         raise NotFoundError(f"corrupt meta file for collection: {collection}") from None
-    return meta
+    return [tuple(map(record.__getitem__, _META)) for record in records]
 
 
 def _meta_bytes(meta: list[tuple]) -> bytes:  # what a commit writes: ``_meta_line``'s lines
@@ -292,31 +342,7 @@ def _read_delta(collection: str, path: str, crc: int, dim: int) -> tuple[list, n
         raise mismatch from None
     if len(meta) != count or meta != sorted(meta, key=lambda row: row[:2]):  # cut short: no meta
         raise mismatch
-    return meta, np.frombuffer(data, "<f8", count * dim, 12).reshape(count, dim).T
-
-
-def _splice(rows: tuple, deltas: list, spare: mmap.mmap | None = None) \
-        -> tuple[list, mmap.mmap, np.ndarray]:
-    """``rows`` (meta, vectors) after ``deltas`` in order, each a pair
-    (doc_ids, rows) whose rows replace those of its doc_ids; all rows are in
-    (doc_id, ordinal) order, one meta tuple each, and all vectors are (dim,
-    rows). The result is its meta list, and its vectors in an ``_image``."""
-    meta = rows[0]
-    owner = {doc_id: delta for doc_ids, delta in deltas for doc_id in doc_ids}  # the last wins
-    pieces, at = [], 0
-    for doc_id in sorted(owner):
-        delta, start = owner[doc_id], bisect.bisect_left(meta, (doc_id,), at)
-        pieces += [(rows, at, start), (delta, bisect.bisect_left(delta[0], (doc_id,)),
-                                       bisect.bisect_left(delta[0], (doc_id, math.inf)))]
-        at = bisect.bisect_left(meta, (doc_id, math.inf), start)
-    pieces.append((rows, at, len(meta)))
-    image, matrix = _image(sum(stop - start for _, start, stop in pieces), rows[1].shape[0], spare)
-    meta, row = [], 0
-    for (part, vectors), start, stop in pieces:
-        meta += part[start:stop]
-        matrix[:, row:row + stop - start] = vectors[:, start:stop]
-        row += stop - start
-    return meta, image, matrix
+    return meta, np.frombuffer(data, "<f8", count * dim, 12).reshape(count, dim)
 
 
 def _rewrites_base(replaced: int, kept: int, new: int, base: int, deltas: int) -> bool:
@@ -346,7 +372,6 @@ class RagStore:
         self.chunk_size = chunk_size
         self.overlap = overlap
         self._cache: dict[str, _Rows] = {}  # collection -> its rows, replaced whole
-        self._spare: mmap.mmap | None = None  # the image of the rows an ingest last replaced
 
     # -- storage ------------------------------------------------------------
 
@@ -371,9 +396,9 @@ class RagStore:
     def _embeddable(self, collection: str) -> _Rows:
         """The collection's rows, if their dim is the embedder's."""
         rows = self._rows(collection)
-        if rows.vectors.shape[0] != self.embedder.dim:
+        if rows.columns.shape[0] != self.embedder.dim:
             raise InvalidDefinitionError(
-                f"embedder dim {self.embedder.dim} is not the dim {rows.vectors.shape[0]} "
+                f"embedder dim {self.embedder.dim} is not the dim {rows.columns.shape[0]} "
                 f"of collection: {collection}")
         return rows
 
@@ -401,22 +426,23 @@ class RagStore:
         order = sorted(range(count), key=lambda i: meta[i][:2])
         if order != list(range(count)):  # not written by a store: put rows in store order
             meta, base = [meta[i] for i in order], base[order]
-        image, matrix = _image(count, dim)
-        for at in range(0, count, 32):  # blocks that stay in cache: one whole base.T is ~3x slower
-            matrix[:, at:at + 32] = base[at:at + 32].T
         manifest = _read_manifest(collection, paths[0])
         if manifest is None:  # plain RV1
             manifest = {"deltas": [], "next": 0, **crcs}
         elif {f: manifest[f] for f in crcs} != crcs:
             raise NotFoundError(f"collection does not match its manifest: {collection}")
         folder = os.path.dirname(paths[0])
-        deltas = [(doc_ids, _read_delta(collection, os.path.join(folder, f"delta-{n}"), crc, dim))
+        deltas = [(doc_ids, *_read_delta(collection, os.path.join(folder, f"delta-{n}"), crc, dim))
                   for n, crc, doc_ids in manifest["deltas"]]
-        if deltas:
-            meta, image, matrix = _splice((meta, matrix), deltas)
-        matrix.flags.writeable = False
-        return _Rows(now, meta, matrix, image, manifest,
-                     (count, sum(len(delta[0]) for _, delta in deltas)))
+        # room for the segment rows that the compaction rule allows before a new base
+        columns = _image(count + max(count, sum(len(rows) for _, rows, _ in deltas)), dim)
+        _put(columns, 0, base)
+        docs = _place({}, (), meta, 0)
+        for doc_ids, rows, vectors in deltas:  # appended as a delta commit appends its rows
+            _put(columns, len(meta), vectors)
+            _place(docs, doc_ids, rows, len(meta))
+            meta += rows
+        return _stored(now, meta, columns, manifest, count, docs)
 
     # -- ingest ---------------------------------------------------------------
 
@@ -440,10 +466,10 @@ class RagStore:
         except NotFoundError:
             if os.path.exists(meta_path):
                 raise  # a malformed collection is reported, not replaced
-            old = _Rows((None,) * 3, [], np.zeros((self.embedder.dim, 0)), None,
-                        {"deltas": [], "next": 0}, (0, 0))  # a new base is its first commit
-        replaced = sum(bisect.bisect_left(old.meta, (doc_id, math.inf))
-                       - bisect.bisect_left(old.meta, (doc_id,)) for doc_id in chunks)
+            old = _stored((None,) * 3, [], np.zeros((self.embedder.dim, 0)),
+                          {"deltas": [], "next": 0}, 0, {})  # a new base is its first commit
+        replaced = sum(stop - start for start, stop in
+                       (old.docs.get(doc_id, (0, 0)) for doc_id in chunks))
         if not new and not replaced and old.signature[1] is not None:
             return counts  # no live row changes, so there is nothing to commit
         self._cache.pop(collection, None)  # the old rows go as soon as the new are built
@@ -451,37 +477,43 @@ class RagStore:
         for at in range(0, len(new), EMBED_BLOCK):
             fresh[at:at + EMBED_BLOCK] = \
                 self.embedder.embed_many([row[2] for row in new[at:at + EMBED_BLOCK]])
-        spare, self._spare = self._spare, None
-        meta, image, matrix = _splice((old.meta, old.vectors), [(chunks, (new, fresh.T))], spare)
-        base, deltas = old.stored
-        if _rewrites_base(replaced, len(old.meta) - replaced, len(new), base, deltas):
+        stored, kept = len(old.meta), len(old.order) - replaced
+        docs = _place(dict(old.docs), chunks, new, stored)  # the new rows as if stored next
+        if _rewrites_base(replaced, kept, len(new), old.base, stored - old.base):
             if old.signature[0] is None and old.signature[1] is not None:
                 # an RV1 folder gets a manifest of its base before the base is rewritten
                 atomic_write(manifest_path, _manifest_bytes(old.manifest))
-            data = _meta_bytes(meta)
-            base_file = fresh_file  # a first commit's live rows are the fresh rows
-            if old.meta:
-                base_file, rows = _rv1(len(meta), matrix.shape[0])
-                rows[:] = matrix.T
-            vectors = memoryview(base_file)[4:]
+            every, spans = old.meta + new, [docs[doc_id] for doc_id in sorted(docs)]
+            meta = [row for start, stop in spans for row in every[start:stop]]
+            base_file, rows = fresh_file, fresh  # a base of only new rows is the new rows
+            if kept:
+                base_file, rows = _rv1(len(meta), self.embedder.dim)
+                at = 0
+                for start, stop in spans:  # each live document's rows, old or new
+                    rows[at:at + stop - start] = old.columns[:, start:stop].T if start < stored \
+                        else fresh[start - stored:stop - stored]
+                    at += stop - start
+            data, vectors = _meta_bytes(meta), memoryview(base_file)[4:]
             signatures = (signature(atomic_write(meta_path, data)),
                           signature(atomic_write(vectors_path, vectors)))
             manifest = {**old.manifest, "deltas": [],
                         "meta_crc": zlib.crc32(data), "vectors_crc": zlib.crc32(vectors)}
-            stored = (len(meta), 0)
+            columns, base, docs = _image(2 * len(meta), self.embedder.dim), len(meta), \
+                _place({}, (), meta, 0)
+            _put(columns, 0, rows)
         else:
             seq = old.manifest["next"]
             data = b"".join([DELTA_MAGIC, memoryview(fresh_file)[8:], _meta_bytes(new)])
             atomic_write(os.path.join(os.path.dirname(meta_path), f"delta-{seq}"), data)
             manifest = {**old.manifest, "next": seq + 1,
                         "deltas": [*old.manifest["deltas"], [seq, zlib.crc32(data), list(chunks)]]}
-            signatures, stored = old.signature[1:], (base, deltas + len(new))
+            signatures, columns, base, meta = old.signature[1:], old.columns, old.base, old.meta
+            _put(columns, stored, fresh)  # into free columns: the old rows stay where they are
+            meta += new
         manifest_st = atomic_write(manifest_path, _manifest_bytes(manifest))
         _sweep(os.path.dirname(meta_path), {f"delta-{seq}" for seq, _, _ in manifest["deltas"]})
-        matrix.flags.writeable = False
-        self._cache[collection] = _Rows((signature(manifest_st), *signatures), meta, matrix,
-                                        image, manifest, stored)
-        self._spare = old.image
+        self._cache[collection] = _stored((signature(manifest_st), *signatures), meta, columns,
+                                          manifest, base, docs)
         return counts
 
     def ingest(self, collection: str, source: str | os.PathLike) -> dict[str, int]:
@@ -533,18 +565,18 @@ class RagStore:
         so it has the same bits on every machine. Ties break by (doc_id,
         ordinal), making the ranking a pure function of the stored bytes."""
         rows = self._embeddable(collection)
-        if not rows.meta or k <= 0:
+        if not len(rows.order) or k <= 0:
             return []
         probe = self.embedder.embed_many([text])[0]
-        scores = np.zeros(len(rows.meta))
+        scores = rows.floor.copy()  # every stored row: a dead row's -inf never places
         for d in np.flatnonzero(probe).tolist():  # one dimension per query token at most
-            scores += rows.vectors[d] * probe[d]
-        top = np.arange(len(scores))
-        if k < len(scores):  # the rows that can place, all those tied at the k-th score too
-            negated = -scores
+            scores += rows.columns[d, :len(scores)] * probe[d]
+        negated = -scores
+        top = rows.order
+        if k < len(top):  # the rows that can place, all those tied at the k-th score too
             top = np.flatnonzero(negated <= np.partition(negated, k - 1)[k - 1])
-        # rows are in (doc_id, ordinal) order, so a stable sort breaks ties by it
-        top = top[np.argsort(-scores[top], kind="stable")[:k]]
+        # ties break by (doc_id, ordinal): each live row's rank
+        top = top[np.lexsort((rows.rank[top], negated[top]))[:k]]
         return [Hit(*rows.meta[i][:2], float(scores[i]), rows.meta[i][2]) for i in top.tolist()]
 
     def list_collections(self) -> list[str]:
@@ -556,7 +588,6 @@ class RagStore:
     def delete_collection(self, collection: str) -> None:
         manifest_path, meta_path, vectors_path = self._files(collection)
         self._cache.pop(collection, None)
-        self._spare = None
         folder = os.path.dirname(meta_path)
         if not os.path.isdir(folder):
             raise NotFoundError(f"no such collection: {collection}")
@@ -570,9 +601,9 @@ class RagStore:
     def stats(self, collection: str) -> dict:
         rows = self._rows(collection)
         return {
-            "chunks": len(rows.meta),
-            "documents": len({row[0] for row in rows.meta}),
-            "dim": rows.vectors.shape[0],
+            "chunks": len(rows.order),
+            "documents": len(rows.docs),
+            "dim": rows.columns.shape[0],
         }
 
     # -- answering --------------------------------------------------------------

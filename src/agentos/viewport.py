@@ -71,8 +71,7 @@ class Viewport:
         if not needle:
             raise EmptyInputError("search needle must be nonempty")
         self._needle = needle
-        start = (self.page - 1) * self.page_size
-        return self._search(start)
+        return self._search(None)
 
     def find_next(self) -> str:
         """Continue past the previous match; no wraparound."""
@@ -91,9 +90,12 @@ class Viewport:
             self._lowered = (self.text, lowered, starts)
         return self._lowered[1], self._lowered[2]
 
-    def _search(self, start: int) -> str:
-        """Match in the lowercase text; report the character the match begins in."""
+    def _search(self, start: int | None) -> str:
+        """Match in the lowercase text from ``start`` (None: the top of the
+        current page); report the character the match begins in."""
         assert self._needle is not None
+        self.page = min(self.page, self.page_count)  # the text may have been replaced
+        start = (self.page - 1) * self.page_size if start is None else start
         lowered, starts = self._lowercase()
         if starts is None:
             index = lowered.find(self._needle.lower(), start)

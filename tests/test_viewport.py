@@ -119,6 +119,19 @@ def test_find_starts_at_current_page_top():
     assert 'at offset 0' in view.find("needle")
 
 
+def test_search_clamps_the_page_after_the_text_is_replaced():
+    view = Viewport("x" * 50, 10)
+    view.goto(5)
+    view.text = "y" * 15  # two pages now: the search starts at the top of page 2
+    assert footer_of(view.find("y")) == '=== page 2 of 2 === (match "y" at offset 10)'
+    view.text = "x" * 50
+    view.goto(5)
+    view.text = "z" * 15  # and find_next renders the clamped page
+    assert footer_of(view.find_next()) == '=== page 2 of 2 === (no match for "y")'
+    view.text = "y" * 8
+    assert view.find_next() == 'y' * 8 + '\n=== page 1 of 1 === (no match for "y")'
+
+
 def test_find_next_advances_monotonically():
     text = "ababababab" * 3
     view = Viewport(text, 10)
