@@ -203,7 +203,6 @@ class _Rows(NamedTuple):
 _meta_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring_ascii  # what ``_meta_line`` writes a str with
 _META = get_type_hints(Chunk)  # the fields of a meta line, and their types
-_FIELDS, _TYPES = tuple(_META), tuple(_META.values())
 _MANIFEST = {"deltas": list, "meta_crc": int, "next": int, "vectors_crc": int}
 
 
@@ -241,9 +240,8 @@ def _stored(now: tuple, meta: list, columns: np.ndarray, manifest: dict, base: i
     is the stored rows that ``docs`` holds live, in (doc_id, ordinal) order,
     ``rank`` each stored row's place in it (-1 for a dead row), and ``floor``
     what each row's score starts from: 0.0, or -inf so a dead row never places."""
-    spans = np.array([docs[doc_id] for doc_id in sorted(docs)], np.intp).reshape(-1, 2)
-    sizes = spans[:, 1] - spans[:, 0]
-    order = np.repeat(spans[:, 0] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    order = np.concatenate([np.arange(*docs[doc_id]) for doc_id in sorted(docs)]
+                           or [np.empty(0, np.intp)])
     rank = np.full(len(meta), -1, np.intp)
     rank[order] = np.arange(len(order))
     return _Rows(now, meta, columns, manifest, base, docs, order, rank,
@@ -267,28 +265,17 @@ def _stat(path: str) -> tuple | None:
 
 
 def _meta_rows(collection: str, data: bytes) -> list[tuple]:
-    """The meta fields of each meta line in ``data``, in ``Chunk`` field order.
-    Lines that each start with "{" are decoded as one JSON array; if that gives
-    one object per line, each of the four fields alone, in order and typed,
-    those are the lines' records: such an object nests nothing, so it cannot
-    take in the comma that joins two lines. Else one line at a time."""
+    """The meta fields of each meta line in ``data``, in ``Chunk`` field order."""
+    meta = []
     try:
-        lines = list(filter(str.strip, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
-        if {line[0] for line in lines} <= {"{"}:
-            with contextlib.suppress(ValueError, TypeError, RecursionError):
-                pairs = json.loads("[%s]" % ",".join(lines), object_pairs_hook=tuple)
-                meta = [(a, b, c, d) for (ka, a), (kb, b), (kc, c), (kd, d) in pairs
-                        if (ka, kb, kc, kd) == _FIELDS
-                        and (type(a), type(b), type(c), type(d)) == _TYPES]
-                if len(meta) == len(lines):
-                    return meta
-        records = list(map(json.loads, lines))
-        if not all(type(r) is dict and {f: type(r.get(f)) for f in _META} == _META
-                   for r in records):
-            raise ValueError("not a chunk record")
+        for line in filter(str.strip, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+            record = json.loads(line)
+            if type(record) is not dict or {f: type(record.get(f)) for f in _META} != _META:
+                raise ValueError("not a chunk record")
+            meta.append(tuple(map(record.__getitem__, _META)))
     except (ValueError, RecursionError):  # not UTF-8, not JSON, not a chunk, nested too deep
         raise NotFoundError(f"corrupt meta file for collection: {collection}") from None
-    return [tuple(map(record.__getitem__, _META)) for record in records]
+    return meta
 
 
 def _meta_bytes(meta: list[tuple]) -> bytes:  # what a commit writes: ``_meta_line``'s lines

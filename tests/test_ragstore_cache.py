@@ -395,9 +395,8 @@ def test_a_load_encodes_no_meta_line_and_a_query_decodes_none(tmp_path, monkeypa
     monkeypatch.setattr(ragstore.json, "loads", counted("decode", ragstore.json.loads))
     store = RagStore(tmp_path, chunk_size=4, overlap=0)
     assert store.stats("c")["chunks"] == 10
-    # each stored meta file once, as one array: the base's 12 lines and the segment's 1;
-    # and the manifest
-    assert calls == {"encode": 0, "decode": 1 + 1 + 1}
+    # each stored meta line once, 12 in the base and 1 in the segment, and the manifest
+    assert calls == {"encode": 0, "decode": 12 + 1 + 1}
     calls["decode"] = 0
     assert len(store.query("c", "shared words", k=6)) == 6
     assert calls == {"encode": 0, "decode": 0}

@@ -3,8 +3,8 @@
 A delta commit writes its own rows into free columns of the cached vectors
 and copies no row it keeps, so what an update copies does not grow with the
 collection. The rows a later segment replaced stay stored but never place,
-also where their score ties with live rows. A meta file is decoded as one
-JSON array, yet is corrupt wherever the one-line-at-a-time reading says so.
+also where their score ties with live rows. A meta file is corrupt exactly
+where one of its lines holds no one record.
 """
 
 import json
@@ -106,6 +106,11 @@ def per_line_is_corrupt(data: bytes) -> bool:
     return False
 
 
+def mistyped(line: bytes) -> bytes:
+    """``line``'s record with the four fields in order, token_start a string."""
+    return json.dumps({**json.loads(line), "token_start": "x"}, separators=(",", ":")).encode()
+
+
 DAMAGES = {
     "two records on one line": lambda one, two: one.rstrip(b"\n") + two,
     "two records on one line, with a comma": lambda one, two: one.rstrip(b"\n") + b"," + two,
@@ -118,6 +123,8 @@ DAMAGES = {
         lambda one, two: one.replace(b",", b"\n", 1) + two.rstrip(b"\n") + b"," + two,
     "a record split in an array under a repeated field, beside two records on one line":
         lambda one, two: b'{"doc_id":[{}\n{}],' + one[1:] + two.rstrip(b"\n") + b"," + two,
+    "two records on one line, beside a record with a mistyped field":
+        lambda one, two: one.rstrip(b"\n") + b"," + two + mistyped(two),
     "blank lines and CRLF": lambda one, two: b"\r\n \n" + one.replace(b"\n", b"\r\n") + two,
     "fields in another order, and one more":
         lambda one, two: json.dumps({"x": [{}], **json.loads(one)}).encode() + b"\n" + two,
