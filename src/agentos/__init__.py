@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "backends": ("CassetteBackend", "CompletionRequest", "CompletionResponse",
                  "HttpBackend", "RetryPolicy", "ScriptedBackend", "request_digest"),
-    "engine": ("DIRECT", "TRANSFORMED", "Engine", "EngineAction", "parse_transformed_call",
+    "engine": ("DIRECT", "TRANSFORMED", "Engine", "parse_transformed_call",
                "render_tool_call", "render_transformed_schema", "scan_transformed_call"),
     "errors": ("AgentOsError", "BackendError", "CassetteMissError", "InvalidDefinitionError",
                "InvalidFormError", "NoPriorSearchError", "NotFoundError", "ParseError",

@@ -42,7 +42,9 @@ ENV_API_BASE = "AGENT_API_BASE"
 ENV_API_KEY = "AGENT_API_KEY"
 ENV_MODEL = "AGENT_MODEL"
 
-_ROOT_SNIFF = re.compile(r"<\s*(workflow|agents)[\s>]")
+# the first element's name, past a byte-order mark, whitespace, <?...?> and <!--...-->
+_ROOT_SNIFF = re.compile(r"\ufeff?(?:\s|<\?(?:[^?]|\?(?!>))*\?>|<!--(?:[^-]|-(?!->))*-->)*"
+                         r"<(workflow|agents)[\s/>]")
 
 
 class _Failure(AgentOsError):
@@ -86,12 +88,12 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_form(path: str):
-    """Returns (form, its validator). Sniffs the root element."""
+    """Returns (form, its validator), chosen by the root element's name."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise XmlError(f"{path} is not UTF-8: {err}")
-    match = _ROOT_SNIFF.search(text)
+    match = _ROOT_SNIFF.match(text)
     if match and match.group(1) == "workflow":
         return parse_workflow_form(text), validate_workflow_form
     return parse_agent_form(text), validate_agent_form

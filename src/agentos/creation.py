@@ -385,7 +385,6 @@ class PhaseRecord:
 @dataclass
 class CreationReport:
     kind: str  # "agents" | "workflow"
-    form_xml: str = ""
     phases: list[PhaseRecord] = field(default_factory=list)
     created_tools: list[str] = field(default_factory=list)
     created_agents: list[str] = field(default_factory=list)
@@ -475,7 +474,6 @@ class _Phases:
             if diagnostics:
                 return False, diagnostics_to_feedback(diagnostics)
             captured["form"] = form
-            self.report.form_xml = xml
             return True, None
 
         self.run("profiling", attempt)

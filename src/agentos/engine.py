@@ -7,16 +7,17 @@ tool calls as plain text:
 
 A parameter value is raw text: anything up to the first ``</parameter>``.
 Values containing the literal ``</parameter>`` are unsupported (documented
-limitation). At most one call per message; the first complete call wins and
-surrounding prose raises a warning flag, not an error.
+limitation). A reply that contains ``<function=`` is a call: the call that
+opens at the first one is taken and the text around it is dropped, so the
+context keeps only the call's canonical rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backends import (CompletionRequest, MessageList, MessageMemo, RetryPolicy,
-                       backend_complete, remembered)
+from .backends import (CompletionRequest, CompletionResponse, MessageList, MessageMemo,
+                       RetryPolicy, backend_complete, remembered)
 from .errors import EmptyInputError, ParseError
 from .kernel import Context, ToolCall, ToolParam, ToolSchema, check_arguments  # re-exported
 from .naming import IDENT_RE
@@ -31,16 +32,6 @@ _FN_CLOSE = "</function>"
 _PARAM_OPEN = "<parameter="
 _PARAM_CLOSE = "</parameter>"
 _CATALOGS: dict[tuple, str] = {}  # rendered by build_messages; see backends.remembered
-
-
-@dataclass
-class EngineAction:
-    """What the model decided this step: one tool call, or final text."""
-
-    kind: str  # "tool_call" | "final"
-    tool_call: ToolCall | None = None
-    text: str = ""
-    warning: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +177,9 @@ def build_messages(system: str, context: Context, mode: str,
 
 def next_action(context: Context, tools: list[ToolSchema], mode: str, backend,
                 *, system: str = "", model: str = "",
-                retry: RetryPolicy | None = None) -> EngineAction:
-    """One engine step: ask the backend, normalize the reply to an action."""
+                retry: RetryPolicy | None = None) -> CompletionResponse:
+    """One engine step: the backend's reply, a transformed-mode call in its text
+    parsed into ``tool_call`` (so ``text`` is None exactly when it is a call)."""
     if mode not in (DIRECT, TRANSFORMED):
         raise ValueError(f"bad engine mode: {mode}")
     request = CompletionRequest(
@@ -197,18 +189,9 @@ def next_action(context: Context, tools: list[ToolSchema], mode: str, backend,
         mode=mode,
     )
     response = backend_complete(request, backend, retry)
-
-    if response.tool_call is not None:
-        return EngineAction("tool_call", tool_call=response.tool_call)
-
-    text = response.text or ""
-    if mode == TRANSFORMED and _FN_OPEN in text:
-        call, start, end = scan_transformed_call(text)  # may raise ParseError
-        warning = ""
-        if text[:start].strip() or text[end:].strip():
-            warning = "prose around tool call ignored"
-        return EngineAction("tool_call", tool_call=call, warning=warning)
-    return EngineAction("final", text=text)
+    if mode == TRANSFORMED and response.tool_call is None and _FN_OPEN in response.text:
+        return CompletionResponse(tool_call=parse_transformed_call(response.text))
+    return response
 
 
 @dataclass
@@ -221,7 +204,7 @@ class Engine:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def next_action(self, *, system: str, model: str, context: Context,
-                    tools: list[ToolSchema]) -> EngineAction:
+                    tools: list[ToolSchema]) -> CompletionResponse:
         return next_action(context, tools, self.mode, self.backend,
                            system=system, model=model or self.model, retry=self.retry)
 

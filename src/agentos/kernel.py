@@ -44,28 +44,25 @@ class ToolCall:
                 raise ValueError(f"argument name violates identifier grammar: {key!r}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ToolResult:
-    """Outcome of executing (or attempting) one tool call."""
+    """Outcome of executing (or attempting) one tool call. ``error_kind`` is
+    None exactly when the call succeeded, and ``status`` is derived from it."""
 
-    status: str  # "ok" | "error"
     payload: str = ""
     error_kind: str | None = None
 
-    def __post_init__(self):
-        if self.status not in ("ok", "error"):
-            raise ValueError(f"bad status: {self.status!r}")
-        # error_kind present exactly when the result is an error
-        if (self.error_kind is not None) != (self.status == "error"):
-            raise ValueError("error_kind must accompany error status and only it")
+    @property
+    def status(self) -> str:  # "ok" | "error"
+        return "ok" if self.error_kind is None else "error"
 
     @classmethod
     def ok(cls, payload: str = "") -> "ToolResult":
-        return cls("ok", payload)
+        return cls(payload=payload)
 
     @classmethod
     def fail(cls, kind: str, payload: str = "") -> "ToolResult":
-        return cls("error", payload, kind)
+        return cls(payload=payload, error_kind=kind)
 
 
 @dataclass(frozen=True)
@@ -265,8 +262,8 @@ def run_agent_loop(agent: AgentDefinition, task: str, context: Context,
 
     for _ in range(limits.max_turns):
         try:
-            action = engine.next_action(system=agent.instructions, model=agent.model,
-                                        context=context, tools=schemas)
+            reply = engine.next_action(system=agent.instructions, model=agent.model,
+                                       context=context, tools=schemas)
         except ParseError as err:
             context.append(Turn(
                 author=author,
@@ -277,11 +274,11 @@ def run_agent_loop(agent: AgentDefinition, task: str, context: Context,
         except BackendError as err:
             return AgentRunOutcome("aborted", context, reason=str(err))
 
-        if action.kind == "final":
-            context.append(Turn(author=author, content=action.text))
-            return AgentRunOutcome("completed", context, text=action.text)
+        call = reply.tool_call
+        if call is None:
+            context.append(Turn(author=author, content=reply.text))
+            return AgentRunOutcome("completed", context, text=reply.text)
 
-        call = action.tool_call
         if call.tool_name in transfer_map:
             target = transfer_map[call.tool_name]
             context.append(Turn(
@@ -306,9 +303,10 @@ def run_agent_loop(agent: AgentDefinition, task: str, context: Context,
                            reason=f"no terminal action within {limits.max_turns} turns")
 
 
-def apply_transfer(outcome: AgentRunOutcome, agents: Mapping[str, AgentDefinition],
-                   context: Context) -> tuple[AgentDefinition, Context]:
-    """Resolve a transferred outcome to the next agent, recording a system Turn."""
+def apply_transfer(outcome: AgentRunOutcome,
+                   agents: Mapping[str, AgentDefinition]) -> AgentDefinition:
+    """Resolve a transferred outcome to the next agent, appending a system
+    Turn that records the handoff to ``outcome.context``."""
     if outcome.kind != "transferred":
         raise ValueError(f"apply_transfer on non-transfer outcome: {outcome.kind}")
     target = agents.get(outcome.target)
@@ -317,8 +315,8 @@ def apply_transfer(outcome: AgentRunOutcome, agents: Mapping[str, AgentDefinitio
     note = f"handoff to {outcome.target}"
     if outcome.payload:
         note += f": {outcome.payload}"
-    context.append(Turn(author="system", content=note))
-    return target, context
+    outcome.context.append(Turn(author="system", content=note))
+    return target
 
 
 def orchestrate(orchestrator: AgentDefinition, workers: list[AgentDefinition],
@@ -350,7 +348,7 @@ def orchestrate(orchestrator: AgentDefinition, workers: list[AgentDefinition],
         if outcome.kind != "transferred":
             return outcome
         handoffs += 1
-        current, context = apply_transfer(outcome, agents, context)
+        current = apply_transfer(outcome, agents)
         if handoffs >= limits.max_handoffs:
             return AgentRunOutcome("turn_limit", context,
                                    reason=f"handoff limit reached ({limits.max_handoffs})")

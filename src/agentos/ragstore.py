@@ -174,8 +174,7 @@ class Hit:
 class RagAnswer:
     text: str
     answered: bool
-    queries: list[str] = field(default_factory=list)
-    retrievals: int = 0
+    queries: list[str] = field(default_factory=list)  # one per retrieval
     hits: list[Hit] = field(default_factory=list)
 
 
@@ -618,11 +617,9 @@ class RagStore:
             if not reply.startswith(REWRITE_MARKER):
                 if reply.startswith(ANSWER_MARKER):
                     reply = reply[len(ANSWER_MARKER):].strip()
-                return RagAnswer(text=reply, answered=True, queries=queries,
-                                 retrievals=len(queries), hits=hits)
+                return RagAnswer(text=reply, answered=True, queries=queries, hits=hits)
             query = reply[len(REWRITE_MARKER):].strip() or query
-        return RagAnswer(text=reply, answered=False, queries=queries,
-                         retrievals=1 + max_rewrites, hits=hits)
+        return RagAnswer(text=reply, answered=False, queries=queries, hits=hits)
 
     @staticmethod
     def _render_prompt(question: str, query: str, hits: list[Hit]) -> str:

@@ -63,14 +63,13 @@ _SELECT_INSTRUCTION = (
 @dataclass
 class CompiledEvent:
     spec: EventSpec
-    doc_order: int
     rank: int  # longest listen-path depth; 0 for events with no sources
 
 
 @dataclass
 class WorkflowGraph:
     form: WorkflowForm
-    events: list[CompiledEvent]  # commit order: (rank, doc_order)
+    events: list[CompiledEvent]  # commit order: by rank, then document order
     listeners: dict[str, list[str]]  # events listening to each event
 
 
@@ -90,9 +89,8 @@ def compile_graph(form: WorkflowForm, registry: RegistryView | None = None) -> W
     ranks: dict[str, int] = {}
     for name in graph.order:
         ranks[name] = 1 + max((ranks[s] for s in graph.sources[name]), default=-1)
-    events = sorted((CompiledEvent(spec, i, ranks[spec.name])
-                     for i, spec in enumerate(form.events)),
-                    key=lambda ce: (ce.rank, ce.doc_order))
+    events = sorted((CompiledEvent(spec, ranks[spec.name]) for spec in form.events),
+                    key=lambda ce: ce.rank)  # stable: document order within a rank
     return WorkflowGraph(form=form, events=events, listeners=graph.listeners)
 
 
@@ -114,7 +112,6 @@ def forward_closure(graph: WorkflowGraph, target: str) -> set[str]:
 
 @dataclass
 class EventOutcome:
-    event: str
     key: str = ""
     value: str = ""
     action: ActionSpec = field(default_factory=lambda: ActionSpec("RESULT"))
@@ -314,7 +311,7 @@ def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
     """
     spec = compiled.spec
     if agent is None:
-        return EventOutcome(event=spec.name, key=spec.outputs[0].key,
+        return EventOutcome(key=spec.outputs[0].key,
                             value=run.system_value, action=ActionSpec("RESULT"))
 
     inputs = [(p.key, run.blackboard.get(p.key, "")) for p in spec.inputs]
@@ -335,8 +332,7 @@ def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
             if isinstance(selected, tuple):
                 key, value = selected  # select_output returns declared keys only
                 action = next(o.action for o in spec.outputs if o.key == key)
-                return EventOutcome(event=spec.name, key=key, value=value,
-                                    action=action, retried=retried)
+                return EventOutcome(key=key, value=value, action=action, retried=retried)
             last_code = selected
             last_detail = "reply did not select a declared output"
         if attempt == 0:
@@ -345,8 +341,7 @@ def execute_event(run: WorkflowRun, compiled: CompiledEvent, engine, tools,
             task = (f"Your previous reply was not usable ({last_code}). "
                     f"Declared output keys: {declared}. "
                     f"Reply again and end with a line 'SELECTED_OUTPUT: <key>'.")
-    return EventOutcome(event=spec.name, retried=retried,
-                        failure=last_code, failure_detail=last_detail)
+    return EventOutcome(retried=retried, failure=last_code, failure_detail=last_detail)
 
 
 # ---------------------------------------------------------------------------

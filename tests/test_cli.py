@@ -90,6 +90,27 @@ def test_validate_clean_workflow(tmp_path, capsys):
     assert out.splitlines()[-1] == "0 diagnostics"
 
 
+def test_validate_reads_the_root_element_not_a_comment(tmp_path, capsys):
+    # the form's kind is its first element's name, whatever a comment,
+    # a processing instruction or a byte-order mark before it says
+    root = tmp_path / "reg"
+    RegistryStore(root).put_tool(ToolDefinition(
+        name="visual_question_answering", description="answers about images",
+        parameters=[ToolParam("text")], body_kind="builtin", builtin="echo"))
+    forms = {
+        "workflow.xml": "<!-- drafted from the <agents> form -->\n"
+                        + read_fixture("math_voting_workflow.xml"),
+        "agents.xml": '<?xml version="1.0"?>\n<!-- not a <workflow> form -->'
+                      + read_fixture("image_agent_form.xml"),
+        "bom.xml": "\ufeff" + read_fixture("math_voting_workflow.xml"),
+    }
+    for name, text in forms.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, ["validate", str(tmp_path / name),
+                                        "--registry-root", str(root)])
+        assert (name, code, out) == (name, 0, "0 diagnostics\n")
+
+
 def test_validate_diagnostics_exit_one(tmp_path, capsys):
     # wiki form needs Web Surfer Agent in the registry
     code, out, _ = run_cli(capsys, ["validate", WIKI_FORM,

@@ -1,4 +1,4 @@
-"""Tool-call grammar: rendering, parsing, offsets, and engine actions."""
+"""Tool-call grammar: rendering, parsing, offsets, and engine steps."""
 
 import random
 
@@ -219,7 +219,7 @@ def test_a_cut_call_is_a_parse_error(call, lead, data):
 
 
 # ---------------------------------------------------------------------------
-# schema catalog + engine actions
+# schema catalog + engine steps
 # ---------------------------------------------------------------------------
 
 def _schemas():
@@ -244,25 +244,36 @@ def test_schema_catalog_rejects_empty():
 def test_direct_mode_passes_structured_call_through():
     call = ToolCall("click", {"bid": "12"})
     backend = ScriptedBackend([call])
-    action = next_action(Context(), _schemas(), DIRECT, backend, system="s")
-    assert action.kind == "tool_call"
-    assert action.tool_call == call
+    reply = next_action(Context(), _schemas(), DIRECT, backend, system="s")
+    assert reply.tool_call == call
+    assert reply.text is None
 
 
-def test_transformed_mode_parses_text_call_and_warns_on_prose():
+def test_transformed_mode_parses_text_call_and_drops_prose():
     text = "Let me search. " + render_tool_call(ToolCall("lookup", {"query": "x"}))
     backend = ScriptedBackend([text])
-    action = next_action(Context(), _schemas(), TRANSFORMED, backend)
-    assert action.kind == "tool_call"
-    assert action.tool_call == ToolCall("lookup", {"query": "x"})
-    assert action.warning == "prose around tool call ignored"
+    reply = next_action(Context(), _schemas(), TRANSFORMED, backend)
+    assert reply.tool_call == ToolCall("lookup", {"query": "x"})
+    assert reply.text is None
 
 
 def test_plain_text_is_final():
     backend = ScriptedBackend(["the answer is 4"])
-    action = next_action(Context(), _schemas(), TRANSFORMED, backend)
-    assert action.kind == "final"
-    assert action.text == "the answer is 4"
+    reply = next_action(Context(), _schemas(), TRANSFORMED, backend)
+    assert reply.tool_call is None
+    assert reply.text == "the answer is 4"
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(call=_CALL, lead=_LEAD, tail=_LEAD)
+def test_a_transformed_reply_keeps_the_call_or_the_text(call, lead, tail):
+    # a reply holding a call becomes that call and nothing else; prose alone
+    # stays the final text, byte for byte
+    backend = ScriptedBackend([lead + render_tool_call(call) + tail, lead])
+    reply = next_action(Context(), _schemas(), TRANSFORMED, backend)
+    assert (reply.tool_call, reply.text) == (call, None)
+    reply = next_action(Context(), _schemas(), TRANSFORMED, backend)
+    assert (reply.tool_call, reply.text) == (None, lead)
 
 
 def test_engine_complete_text():

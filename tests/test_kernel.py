@@ -60,14 +60,15 @@ def test_tool_call_validates_names():
 
 
 def test_tool_result_invariants():
-    assert ToolResult.ok("x").error_kind is None
-    assert ToolResult.fail("E_ARGS", "msg").status == "error"
-    with pytest.raises(ValueError):
-        ToolResult("ok", error_kind="E_ARGS")
-    with pytest.raises(ValueError):
-        ToolResult("error")
-    with pytest.raises(ValueError):
-        ToolResult("maybe")
+    ok = ToolResult.ok("x")
+    assert (ok.status, ok.payload, ok.error_kind) == ("ok", "x", None)
+    failed = ToolResult.fail("E_ARGS", "msg")
+    assert (failed.status, failed.payload, failed.error_kind) == ("error", "msg", "E_ARGS")
+    # the status follows the error code; it cannot be given apart from it
+    with pytest.raises(TypeError):
+        ToolResult("ok")
+    with pytest.raises(TypeError):
+        ToolResult(status="ok", error_kind="E_ARGS")
 
 
 def test_argument_failures_do_not_depend_on_argument_order():
@@ -244,15 +245,16 @@ def test_apply_transfer_records_system_turn():
     ctx = Context()
     agents = {"B": AgentDefinition(name="B")}
     outcome = AgentRunOutcome("transferred", ctx, target="B", payload="note")
-    nxt, same = apply_transfer(outcome, agents, ctx)
-    assert nxt.name == "B" and same is ctx
+    assert apply_transfer(outcome, agents).name == "B"
+    assert len(ctx) == 1
     assert ctx.turns[-1].author == "system"
     assert ctx.turns[-1].content == "handoff to B: note"
 
     with pytest.raises(UnknownAgentError):
-        apply_transfer(AgentRunOutcome("transferred", ctx, target="ghost"), agents, ctx)
+        apply_transfer(AgentRunOutcome("transferred", ctx, target="ghost"), agents)
     with pytest.raises(ValueError):
-        apply_transfer(AgentRunOutcome("completed", ctx), agents, ctx)
+        apply_transfer(AgentRunOutcome("completed", ctx), agents)
+    assert len(ctx) == 1  # a refused transfer records nothing
 
 
 def _pair():

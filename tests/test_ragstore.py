@@ -440,7 +440,7 @@ def test_answer_first_try(tmp_path):
     engine = Engine(mode="transformed", backend=ScriptedBackend([scripted]))
     answer = store.answer("kb", "capital of norway?", engine)
     assert answer.answered and answer.text == "Oslo"
-    assert answer.retrievals == 1
+    assert len(answer.queries) == 1  # one retrieval
     assert answer.queries == ["capital of norway?"]
     prompt = prompts[0]
     assert prompt.splitlines()[0] == "Answer the question from the retrieved snippets."
@@ -465,7 +465,7 @@ def test_answer_after_rewrite(tmp_path):
 
     engine = Engine(mode="transformed", backend=ScriptedBackend([first, second]))
     answer = store.answer("kb", "q?", engine)
-    assert answer.answered and answer.retrievals == 2
+    assert answer.answered and len(answer.queries) == 2
     assert answer.queries == ["q?", "norway capital city"]
     assert "Search query: norway capital city" in prompts[1]
 
@@ -476,7 +476,7 @@ def test_answer_budget_exhausted(tmp_path):
         ["REWRITE: a", "REWRITE: b", "REWRITE: c", "never reached"]))
     answer = store.answer("kb", "q?", engine, max_rewrites=2)
     assert not answer.answered
-    assert answer.retrievals == 3  # 1 + max_rewrites, never more
+    assert len(answer.queries) == 3  # 1 + max_rewrites retrievals, never more
     assert answer.queries == ["q?", "a", "b"]
 
 
