@@ -6,10 +6,10 @@ up to ``max_attempts`` tries. An attempt asks an editor agent (or, for
 profiling, a plain completion) to do the work, then the pipeline checks the
 result mechanically: documents must parse and validate, created entries must
 actually be in the registry (and so must every tool a created agent names),
-and every new tool must pass the editor's own demonstration call. A failed
-attempt, or one that raises, is rolled back by the journal of the store the
-editor writes through (docs/formats.md states what it reverts), and an
-exhausted phase raises PhaseExhaustedError with the same rollback applied.
+and every new tool must pass the editor's own demonstration call. An
+attempt's registry writes are staged in the store the editor writes through
+and reach its files only when the attempt passes (docs/formats.md), so a
+failed attempt leaves nothing; an exhausted phase raises PhaseExhaustedError.
 Validation diagnostics are fed back to the next attempt verbatim, which is
 what makes the loop self-correcting.
 
@@ -423,34 +423,28 @@ class _Phases:
                  suite: ManagementToolSuite | None, max_attempts: int,
                  limits: kernel.LoopLimits | None, model: str):
         self.engine = engine
-        self.store = store
         self.suite = suite if suite is not None else ManagementToolSuite(store, engine=engine)
+        self.store = self.suite.store  # the one store an attempt writes, reads and checks
         self.report = CreationReport(kind=kind)
         self.max_attempts = max_attempts
         self.limits = limits
         self.model = model
 
     def run(self, name: str, attempt_fn) -> None:
-        """Attempt loop under a mark on the editor's store: an attempt that
-        fails or raises is rolled back before the next attempt or the raise."""
+        """Attempt loop: an attempt's writes are staged and committed only if it passes."""
         record = PhaseRecord(name)
         self.report.phases.append(record)
-        store = self.suite.store
         feedback: str | None = None
-        with store.mark():
-            for _ in range(self.max_attempts):
-                record.attempts += 1
-                try:
-                    ok, fb = attempt_fn(feedback)
-                except BaseException:
-                    store.rollback()
-                    raise
+        for _ in range(self.max_attempts):
+            record.attempts += 1
+            with self.store.staged() as commit:
+                ok, fb = attempt_fn(feedback)
                 if ok:
+                    commit()
                     record.ok = True
                     return
-                feedback = fb or "the attempt did not pass verification"
-                record.feedback.append(feedback)
-                store.rollback()
+            feedback = fb or "the attempt did not pass verification"
+            record.feedback.append(feedback)
         raise PhaseExhaustedError(name)
 
     def profile(self, requirement: str, instructions: str, root_tag: str,
@@ -569,7 +563,7 @@ def create_agents_pipeline(requirement: str, engine, store: RegistryStore, *,
 
     if test_task is not None:
         def test_attempt(feedback):
-            agent = store.get_agent(form.agents[0].name)
+            agent = phases.store.get_agent(form.agents[0].name)
             outcome = kernel.run_agent_loop(agent, test_task, Context(), engine,
                                             phases.suite.exec_tools, limits)
             if outcome.kind != "completed":
@@ -599,7 +593,7 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
     phases.agents([declared_agent(form, d) for d in new_decls])
 
     def registered(outcome):
-        if not store.has("workflows", form.name):
+        if not phases.store.has("workflows", form.name):
             return False, f"workflow {form.name} was not registered"
         return True, None
 
@@ -611,7 +605,7 @@ def create_workflow_pipeline(requirement: str, engine, store: RegistryStore, *,
 
     if test_input is not None:
         def test_attempt(feedback):
-            result = phases.suite.exec_tools.run_workflow(store.get_workflow(form.name),
+            result = phases.suite.exec_tools.run_workflow(phases.store.get_workflow(form.name),
                                                           test_input, engine, limits=limits)
             if result.status != "completed":
                 return False, (f"test run {result.status}"

@@ -204,44 +204,56 @@ class RegistryStore:
         self._cache: dict[str, tuple] = {}
         # kind -> name -> path, for the names whose record was read and checked
         self._paths: dict[str, dict[str, str]] = {kind: {} for kind in _KINDS}
-        # inside mark(): path -> its bytes before this store's first change, None if absent
-        self._journal: dict[str, bytes | None] | None = None
+        # inside staged(): path -> the bytes written, None if unlinked; the files are untouched
+        self._staged: dict[str, bytes | None] | None = None
 
     # -- one record path for every kind --------------------------------------
 
     def _path(self, kind: str, name: str) -> str:
         return entry_path(self._folders[kind], name, _KINDS[kind][0], ".def")
 
+    def _exists(self, path: str) -> bool:
+        """Whether ``path`` holds an entry: staged as written, or else a regular file."""
+        if path in (self._staged or ()):
+            return self._staged[path] is not None
+        return os.path.isfile(path)
+
     def has(self, kind: str, name: str) -> bool:
         """Whether ``name`` is an entry of the kind; a name against the entry-name rule is not."""
-        return is_entry_name(name) and os.path.isfile(self._path(kind, name))
+        return is_entry_name(name) and self._exists(self._path(kind, name))
 
     def names(self, kind: str) -> list[str]:
-        """The kind's entry names, sorted: its ``*.def`` files that the entry-name rule admits."""
+        """The kind's entry names, sorted: the listed and staged names that ``has`` admits."""
         folder = self._folders[kind]
-        files = os.listdir(folder) if os.path.isdir(folder) else ()
-        return sorted(f[:-4] for f in files if f.endswith(".def") and is_entry_name(f[:-4]))
+        files = set(os.listdir(folder) if os.path.isdir(folder) else ())
+        files.update(os.path.basename(path) for path in self._staged or ()
+                     if os.path.dirname(path) == folder)
+        return sorted(f[:-4] for f in files if f.endswith(".def") and self.has(kind, f[:-4]))
 
     def _entry(self, path: str) -> tuple:
-        """The cache entry of ``path``, read again when its signature changed."""
+        """The cache entry of ``path``: staged, or read again when the file's signature changed."""
         entry = self._cache.get(path)
+        if path in (self._staged or ()):
+            if entry[1] is None:  # unlinked inside staged()
+                raise FileNotFoundError(path)
+            return entry
         if entry is None or entry[0] != _signature(os.stat(path)):
             with open(path, "rb") as handle:  # the signature of the file it reads
                 entry = (_signature(os.fstat(handle.fileno())), handle.read(), None, None)
             self._cache[path] = entry
         return entry
 
-    def _note(self, path: str) -> None:
-        """Journal ``path``'s bytes before its first change inside mark()."""
-        if self._journal is not None and path not in self._journal:
-            try:
-                self._journal[path] = self._entry(path)[1]
-            except FileNotFoundError:
-                self._journal[path] = None
-
-    def _write(self, path: str, data: bytes) -> None:
-        self._note(path)
-        self._cache[path] = (_signature(atomic_write(path, data)), data, None, None)
+    def _write(self, path: str, data: bytes | None) -> None:
+        """Write ``path``, or unlink it when ``data`` is None; inside staged(), stage either."""
+        if self._staged is not None:
+            self._staged[path] = data
+            self._cache[path] = (None, data, None, None)  # None matches no file: read again after
+        elif data is not None:
+            self._cache[path] = (_signature(atomic_write(path, data)), data, None, None)
+        else:
+            self._cache.pop(path, None)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
 
     def _read(self, kind: str, name: str) -> tuple[dict, object]:
         """One entry's checked record and the value decoded from it, as the
@@ -288,7 +300,7 @@ class RegistryStore:
 
     def delete(self, kind: str, name: str) -> None:
         path = self._path(kind, name)
-        if not os.path.isfile(path):
+        if not self._exists(path):
             raise NotFoundError(f"not in registry: {name}")
         self._revert({path: None})
 
@@ -308,7 +320,7 @@ class RegistryStore:
     def put_workflow(self, form: WorkflowForm) -> int:
         """Register a workflow that validates against this registry. Names are
         create-only; an existing name is rejected the same way rule V1 rejects it."""
-        if os.path.isfile(self._path("workflows", form.name)):
+        if self._exists(self._path("workflows", form.name)):
             raise InvalidDefinitionError(f"workflow name already registered: {form.name}")
         diagnostics = validate_workflow_form(form, self.view())
         if diagnostics:
@@ -338,35 +350,29 @@ class RegistryStore:
                                     for rel, data in snap.items()}})
 
     @contextlib.contextmanager
-    def mark(self):
-        """Journal this store's own writes and deletes until the block ends, so
-        that rollback() can undo them. Changes that other writers make, another
-        store object of the same root among them, are not journalled."""
-        self._journal = {}
+    def staged(self):
+        """Hold this store's writes and unlinks in memory until the block ends:
+        its reads see them, the files and other store objects do not. The block gets
+        a commit that writes them and ends the staging; left without it, they drop."""
+        staged = self._staged = {}
+
+        def commit() -> None:
+            self._staged = None
+            self._revert(staged)
+
         try:
-            yield
+            yield commit
         finally:
-            self._journal = None
+            self._staged = None
 
-    def rollback(self) -> None:
-        """Inside mark(), undo this store's changes since the mark or the last
-        rollback: only the journalled paths are read, written or unlinked."""
-        self._revert(self._journal)
-        self._journal.clear()
-
-    def _revert(self, prior: dict[str, bytes | None]) -> None:
-        """Unlink each path whose prior bytes are None and rewrite each other
-        path whose bytes differ; a byte-equal entry is left untouched."""
-        for path, data in prior.items():
-            if data is None:
+    def _revert(self, target: dict[str, bytes | None]) -> None:
+        """Unlink each path whose target is None and rewrite each other path
+        whose bytes differ from its target; a byte-equal entry is left untouched."""
+        for path, data in target.items():
+            if data is not None:
                 with contextlib.suppress(FileNotFoundError):
-                    self._note(path)
-                    os.unlink(path)
-                self._cache.pop(path, None)
-                continue
-            with contextlib.suppress(FileNotFoundError):
-                if self._entry(path)[1] == data:
-                    continue
+                    if self._entry(path)[1] == data:
+                        continue
             self._write(path, data)
 
 

@@ -542,7 +542,7 @@ def test_agents_pipeline_agent_naming_an_unknown_tool_retries(store):
 
 
 # ---------------------------------------------------------------------------
-# rollback by journal
+# rollback by staging: only a passing attempt's writes reach the files
 # ---------------------------------------------------------------------------
 
 def test_an_attempt_that_raises_is_rolled_back(store):
@@ -580,7 +580,7 @@ def test_a_file_another_store_writes_during_a_failed_attempt_survives(store):
     ])
     report = create_agents_pipeline("make a greeter", engine, store)
     assert report.phases[1].attempts == 2
-    # the rollback undid the editor's tool only; the other writer's agent stays
+    # the dropped attempt wrote nothing; the other writer's agent stays
     assert store.names("agents") == ["Bystander", "Greeter Agent"]
     assert store.get_agent("Bystander") == AgentDefinition(name="Bystander")
 
@@ -595,7 +595,7 @@ def _failing_once_pipeline_io(root, entries: int, monkeypatch) -> dict[str, int]
         store.put_tool(tool)
     engine = engine_of([
         GREETER_XML,
-        CREATE_GREETING_TOOL, "created, no demonstration",  # attempt 1: rolled back
+        CREATE_GREETING_TOOL, "created, no demonstration",  # attempt 1: dropped
         CREATE_GREETING_TOOL, TOOL_TEST_REPLY,              # attempt 2
         CREATE_GREETER_AGENT, "done",
     ])
@@ -620,8 +620,33 @@ def test_phase_rollback_costs_the_same_at_100_and_400_entries(tmp_path, monkeypa
     small = _failing_once_pipeline_io(tmp_path / "small", 100, monkeypatch)
     large = _failing_once_pipeline_io(tmp_path / "large", 400, monkeypatch)
     assert small == large
-    # the two puts of the tool and the agent's put; the rollback unlinks the tool
-    assert (small["atomic_write"], small["unlink"]) == (3, 1)
+    # the passing attempts' tool and agent; the failed attempt writes nothing
+    assert (small["atomic_write"], small["unlink"]) == (2, 0)
+
+
+def test_an_attempt_in_progress_changes_no_file(store):
+    store.put_tool(builtin_tool("echo"))
+    baseline = store.snapshot()
+    other = RegistryStore(store.root)
+    seen = []
+
+    def look(reply):
+        def step(request):
+            seen.append(other.snapshot())
+            return reply
+        return step
+
+    engine = engine_of([
+        GREETER_XML,
+        CREATE_GREETING_TOOL, look(TOOL_TEST_REPLY),  # the tool is staged, not written
+        look(CREATE_GREETER_AGENT), "done",           # the tools phase has passed
+    ])
+    report = create_agents_pipeline("make a greeter", engine, store)
+    assert [p.attempts for p in report.phases] == [1, 1, 1]
+    assert seen[0] == baseline
+    assert sorted(seen[1]) == ["tools/echo.def", "tools/greeting_tool.def"]
+    assert other.snapshot() == store.snapshot()
+    assert other.names("agents") == ["Greeter Agent"]
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +840,7 @@ def _creation_file_calls(root, entries: int, monkeypatch) -> dict[str, dict[str,
     runs = {
         "agents pipeline": lambda: create_agents_pipeline("make a greeter", engine_of([
             GREETER_XML,
-            CREATE_GREETING_TOOL, "created, no demonstration",  # attempt 1: rolled back
+            CREATE_GREETING_TOOL, "created, no demonstration",  # attempt 1: dropped
             CREATE_GREETING_TOOL, TOOL_TEST_REPLY,              # attempt 2
             CREATE_GREETER_AGENT, "done"]), store),
         "workflow pipeline": lambda: create_workflow_pipeline("vote on math", engine_of([

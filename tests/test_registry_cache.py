@@ -1,13 +1,14 @@
 """The registry's stat-validated read cache, its diff-only restore and its
-rollback journal.
+staged writes.
 
 A store reads, checks and decodes a `.def` again only when the file's stat
 signature changed, writes its own changes through to the cache, hands out
 fresh or immutable objects, and restores a snapshot by writing only what
-differs. Inside a mark it journals its own changes, and rolling back
-rewrites or unlinks only those. Every step of the state machine below
-checks the store against a fresh store of the same root, which has nothing
-cached.
+differs. Inside staged() its changes are held in memory: its reads see them,
+the files do not change until a commit, and a drop leaves the files as they
+were. Every step of the state machine below checks the store against a fresh
+store of the same root, which has nothing cached, or, while it stages,
+against a fresh store of a copy of the files with the staged changes applied.
 """
 
 import contextlib
@@ -95,34 +96,45 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         (self.root / "tools").mkdir(parents=True)
         (self.root / "tools" / f"{UNUSABLE[1]}.def").write_bytes(b"{}")
         self.snaps: list[dict] = []
-        # the journal's oracle, kept from the files alone: the entries at the
-        # mark, each entry's bytes before the store's first change since the
-        # mark or the last rollback (None: absent), and whether another writer
-        # changed an entry since the mark
-        self.marks = contextlib.ExitStack()
-        self.marked: dict | None = None
-        self.first: dict[str, bytes | None] = {}
-        self.seen: dict[str, bytes] = {}
-        self.outside = False
+        # while the store stages: its commit, and the staging's oracle, kept
+        # from what the store answers: each entry its changes left different,
+        # with the bytes it then showed (None: absent)
+        self.stages = contextlib.ExitStack()
+        self.commit = None
+        self.overlay: dict[str, bytes | None] = {}
         for name in ("put_tool", "put_agent", "put_workflow", "delete", "restore"):
             setattr(self.store, name, self._observed(getattr(self.store, name)))
 
     def _observed(self, method):
         def call(*args, **kwargs):
-            before = _disk(self.root)
+            if self.commit is None:
+                return method(*args, **kwargs)
+            files, before = _disk(self.root), self.store.snapshot()
             try:
                 return method(*args, **kwargs)
             finally:
-                if self.marked is not None:
-                    self.outside |= before != self.seen
-                    self.seen = _disk(self.root)
-                    for rel in before.keys() | self.seen.keys():
-                        if before.get(rel) != self.seen.get(rel):
-                            self.first.setdefault(rel, before.get(rel))
+                assert _disk(self.root) == files  # a staged change touches no file
+                after = self.store.snapshot()
+                for rel in before.keys() | after.keys():
+                    if before.get(rel) != after.get(rel):
+                        self.overlay[rel] = after.get(rel)
         return call
 
+    def _staged_view(self) -> dict:
+        """The view of a fresh store of a copy of the files with the overlay applied."""
+        copy = self.tmp / "staged"
+        shutil.rmtree(copy, ignore_errors=True)
+        shutil.copytree(self.root, copy)
+        for rel, data in self.overlay.items():
+            if data is None:
+                (copy / rel).unlink(missing_ok=True)
+            else:
+                (copy / rel).parent.mkdir(exist_ok=True)
+                (copy / rel).write_bytes(data)
+        return _view(RegistryStore(copy))
+
     def teardown(self):
-        self.marks.close()
+        self.stages.close()
         shutil.rmtree(self.tmp, ignore_errors=True)
 
     @rule(name=st.sampled_from(NAMES["tools"]), description=WORDS, params=st.integers(0, 2))
@@ -234,42 +246,44 @@ class RegistryCacheMachine(RuleBasedStateMachine):
         tmp.write_bytes(blob)
         os.replace(tmp, path)
 
-    @precondition(lambda self: self.marked is None)
+    @precondition(lambda self: self.commit is None)
     @rule()
-    def open_mark(self):
-        self.marks.enter_context(self.store.mark())
-        self.marked = self.seen = self.store.snapshot()
-        self.first, self.outside = {}, False
+    def stage(self):
+        self.commit = self.stages.enter_context(self.store.staged())
+        self.overlay = {}
 
-    @precondition(lambda self: self.marked is not None)
+    @precondition(lambda self: self.commit is not None)
     @rule(data=st.data())
-    def write_back_old_bytes(self, data):
-        if not self.marked:
+    def write_back_file_bytes(self, data):
+        files = _disk(self.root)
+        if not files:
             return
-        rel = data.draw(st.sampled_from(sorted(self.marked)))
-        self.store.restore({**self.store.snapshot(), rel: self.marked[rel]})
+        rel = data.draw(st.sampled_from(sorted(files)))
+        self.store.restore({**self.store.snapshot(), rel: files[rel]})
 
-    @precondition(lambda self: self.marked is not None)
+    @precondition(lambda self: self.commit is not None)
     @rule()
-    def roll_back(self):
-        self.outside |= _disk(self.root) != self.seen
-        expected = {rel: data for rel, data in {**_disk(self.root), **self.first}.items()
-                    if data is not None}
-        self.store.rollback()
-        assert self.store.snapshot() == expected
-        if not self.outside:
-            assert expected == self.marked
-        self.first, self.seen = {}, expected
+    def commit_staged(self):
+        view = self.store.snapshot()
+        self.commit()
+        self.stages.close()
+        self.commit = None
+        assert _disk(self.root) == view
 
-    @precondition(lambda self: self.marked is not None)
+    @precondition(lambda self: self.commit is not None)
     @rule()
-    def close_mark(self):
-        self.marks.close()
-        self.marked = None
+    def drop_staged(self):
+        files = _disk(self.root)
+        self.stages.close()
+        self.commit = None
+        assert _disk(self.root) == files
 
     @invariant()
     def agrees_with_a_fresh_store(self):
-        assert _view(self.store) == _view(RegistryStore(self.root))
+        if self.commit is None:
+            assert _view(self.store) == _view(RegistryStore(self.root))
+        else:
+            assert _view(self.store) == self._staged_view()
 
     @invariant()
     def view_membership_agrees_with_the_listing(self):
@@ -292,7 +306,7 @@ TestRegistryCache.settings = settings(max_examples=max(40, settings.default.max_
 
 
 # ---------------------------------------------------------------------------
-# rollback writes only what differs
+# restore and commit write only what differs; a drop writes nothing
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -344,67 +358,88 @@ def test_restore_leaves_byte_equal_entries_untouched(store):
 
 
 def test_rollback_after_a_no_op_phase_writes_nothing(store, writes):
+    # a dropped attempt writes nothing, and nor does a commit of no change
     snap = store.snapshot()
-    with store.mark():
-        store.get_tool("echo")
-        store.rollback()
+    for finish in (lambda commit: None, lambda commit: commit()):
+        with store.staged() as commit:
+            store.get_tool("echo")
+            finish(commit)
     assert writes == []
     assert store.snapshot() == snap
 
 
-def test_rollback_after_one_change_writes_once(store, writes):
+def test_a_dropped_change_writes_nothing_and_a_committed_one_once(store, writes):
     snap = store.snapshot()
-    with store.mark():
+    with store.staged():
         store.put_tool(builtin_tool("echo"))  # version 2
-        store.put_agent(AgentDefinition(name="Extra"))  # a new entry: unlinked, not written
-        writes.clear()
-        store.rollback()
-    assert writes == [os.path.join(store.root, "tools", "echo.def")]
+        store.put_agent(AgentDefinition(name="Extra"))
+        assert store.names("agents") == ["Extra", "Helper"]
+    assert writes == []
     assert store.snapshot() == snap
-    assert store.names("agents") == ["Helper"]
+    with store.staged() as commit:
+        store.put_tool(builtin_tool("echo"))  # version 2
+        commit()
+    assert writes == [os.path.join(store.root, "tools", "echo.def")]
+    assert store.record("tools", "echo")["version"] == 2
 
 
 def test_rollback_leaves_byte_equal_entries_untouched(store):
-    snap = store.snapshot()
+    # a drop touches no file; a commit leaves an entry whose staged bytes equal
+    # its file's untouched, with the same inode and mtime
     path = store.root / "tools" / "echo.def"
     untouched = store.root / "tools" / "list_directory.def"
-    before = untouched.stat()
-    with store.mark():
+    files = [path, untouched, store.root / "tools" / "arithmetic_eval.def"]
+    before = [file.stat() for file in files]
+    with store.staged():
         store.delete("tools", "echo")
-        assert store.put_tool(builtin_tool("echo")) == 1  # journalled, back to its bytes
+        store.put_tool(builtin_tool("list_directory"))  # version 2
         store.delete("tools", "arithmetic_eval")
-        rewritten = path.stat()
-        store.rollback()
-    for file, stat in ((path, rewritten), (untouched, before)):
+    for file, stat in zip(files, before):
         after = file.stat()
         assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
-    assert store.snapshot() == snap
-
-
-def test_rollback_undoes_a_restore_made_inside_the_mark(store):
     snap = store.snapshot()
-    with store.mark():
-        store.restore({})  # unlinks every entry
+    with store.staged() as commit:
+        store.delete("tools", "echo")
+        assert store.put_tool(builtin_tool("echo")) == 1  # staged, back to its bytes
+        store.delete("tools", "arithmetic_eval")
+        commit()
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before[0].st_ino, before[0].st_mtime_ns)
+    assert store.snapshot() == {rel: data for rel, data in snap.items()
+                                if rel != "tools/arithmetic_eval.def"}
+
+
+def test_a_dropped_attempt_undoes_a_restore_made_inside_it(store):
+    snap = store.snapshot()
+    with store.staged():
+        store.restore({})  # unlinks every entry, staged
+        assert store.snapshot() == {} and not store.has("tools", "echo")
         store.put_tool(builtin_tool("echo"))
-        store.rollback()
+        assert store.names("tools") == ["echo"]
+        assert store.record("tools", "echo")["version"] == 1
     assert store.snapshot() == snap
+    assert store.record("tools", "echo")["version"] == 1
 
 
 def test_rollback_leaves_what_another_writer_changed(store):
     other = RegistryStore(store.root)
-    with store.mark():
+    with store.staged():
         store.put_agent(AgentDefinition(name="Mine"))
         other.put_agent(AgentDefinition(name="Theirs"))
         other.put_tool(builtin_tool("echo"))  # version 2, by the other store
-        store.rollback()
-        assert store.names("agents") == ["Helper", "Theirs"]
+        # the staging store sees the other's files beside its own staged entry;
+        # the other store sees the files only
+        assert store.names("agents") == ["Helper", "Mine", "Theirs"]
         assert store.record("tools", "echo")["version"] == 2
-        # a rollback empties the journal: the next one starts from what it left
-        store.put_tool(builtin_tool("list_directory"))
-        store.rollback()
-        other.put_tool(builtin_tool("list_directory"))
-        store.rollback()
-    assert store.record("tools", "list_directory")["version"] == 2
+        assert other.names("agents") == ["Helper", "Theirs"]
+        store.put_tool(builtin_tool("list_directory"))  # version 2, staged
+        for _ in range(2):
+            other.put_tool(builtin_tool("list_directory"))  # versions 2 and 3
+        # a staged entry hides what another writer puts there until the block ends
+        assert store.record("tools", "list_directory")["version"] == 2
+    assert store.names("agents") == ["Helper", "Theirs"]
+    assert store.record("tools", "echo")["version"] == 2
+    assert store.record("tools", "list_directory")["version"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -172,19 +172,22 @@ def test_restore_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
     assert store.snapshot() == snap
 
 
-def test_rollback_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
+def test_commit_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
     store.put_tool(builtin_tool("echo"))
     store.put_agent(AgentDefinition(name="Helper"))
-    snap = store.snapshot()
-    with store.mark():
-        store.delete("tools", "echo")
+    with store.staged() as commit:
+        store.delete("agents", "Helper")
+        store.put_tool(builtin_tool("echo"))  # version 2
+        store.put_agent(AgentDefinition(name="Later"))
         monkeypatch.setattr(os, "replace", _refuse_replace)
         with pytest.raises(OSError):
-            store.rollback()
+            commit()
         monkeypatch.undo()
-        assert sorted(p.name for p in store.root.rglob(".tmp-*")) == []
-        store.rollback()  # the journal is kept until a rollback completes
-    assert store.snapshot() == snap
+    assert sorted(p.name for p in store.root.rglob(".tmp-*")) == []
+    # the commit stopped at its first failed write: the unlink before it stands
+    assert store.snapshot() == RegistryStore(store.root).snapshot()
+    assert store.names("agents") == []
+    assert store.record("tools", "echo")["version"] == 1
 
 
 def test_put_leaves_no_temp_file_when_a_write_fails(store, monkeypatch):
@@ -335,3 +338,15 @@ def test_dot_files_are_not_entries(store):
     assert list(snap) == ["tools/echo.def"]
     store.restore(snap)
     assert (store.root / "tools" / ".tmp-left.def").read_bytes() == b"{}"
+
+
+def test_only_regular_files_are_entries(store):
+    # a folder named like an entry is not one: has, names, snapshot and restore agree
+    store.put_tool(builtin_tool("echo"))
+    (store.root / "tools" / "x.def").mkdir()
+    assert not store.has("tools", "x")
+    assert store.names("tools") == ["echo"]
+    assert list(store.snapshot()) == ["tools/echo.def"]
+    store.restore({})
+    assert store.names("tools") == []
+    assert (store.root / "tools" / "x.def").is_dir()
